@@ -2,9 +2,11 @@
 
 Feasibility runs a primal/dual pair: LP membership of the moment vector in
 the conic hull of moment-curve samples, against minimization of L over the
-extremal nonnegative polynomials (index-n zero patterns).  Neither passing
-leaves the verdict undecided with the LP gap reported; a numeric tool must
-admit a gap since the exact conditions quantify over continua.
+extremal nonnegative polynomials (index-n zero patterns).  The dual is a
+gradient search on the zero positions (L-BFGS-B), with the derivative of L
+taken from the node null vector by implicit differentiation.  Neither
+passing leaves the verdict undecided with the LP gap reported; a numeric
+tool must admit a gap since the exact conditions quantify over continua.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares, linprog, minimize, nnls
 
-from .colloc import NodeSet
+from .colloc import NodeSet, node_rows, null_vector
 from .errors import NotFeasible, TooShort, TSystemError
 from .family import CLOSED_INTERVAL, REAL_LINE, FamilySpec
 from .zeros import (
@@ -188,36 +190,70 @@ def extremal_test_polys(
     "hl_lower_odd", "hl_upper_odd" (the upper patterns drop the top member).
     """
     theta = tuple(float(t) for t in np.atleast_1d(np.asarray(theta, dtype=float))) if np.size(theta) else ()
+    fam, nodes = _pattern_nodes(family, pattern, theta)
+    p = poly_from_zeros(fam, NodeSet(tuple(sorted(nodes))), "auto_nonneg",
+                        certificate=certificate, check_certificate=False)
+    if fam is family:
+        return p
+    coeffs = np.zeros(family.size)
+    coeffs[: fam.size] = p.a
+    return SparsePoly(tuple(coeffs), family)
+
+
+def _pattern_nodes(family: FamilySpec, pattern: str, theta) -> tuple:
+    """(family or sub-family, nodes) of a pattern's zero placement.
+
+    The nodes are the pattern's fixed simple zeros followed by a double zero
+    at each theta_j, in the order of theta.  The half-line upper patterns
+    take the sub-family without the top member.
+    """
     lo, hi = family.domain.window()
-    n = family.order
-
-    def build(fam, nodes):
-        ns = NodeSet(tuple(sorted(nodes)))
-        return poly_from_zeros(fam, ns, "auto_nonneg", certificate=certificate,
-                               check_certificate=False)
-
-    if pattern == "interior_doubles":
-        return build(family, [(t, 2) for t in theta])
+    doubles = [(t, 2) for t in theta]
+    if pattern in ("interior_doubles", "hl_lower_even"):
+        return family, doubles
     if pattern == "a_doubles_b":
-        return build(family, [(lo, 1), (hi, 1)] + [(t, 2) for t in theta])
-    if pattern == "a_doubles":
-        return build(family, [(lo, 1)] + [(t, 2) for t in theta])
+        return family, [(lo, 1), (hi, 1)] + doubles
+    if pattern in ("a_doubles", "hl_lower_odd"):
+        return family, [(lo, 1)] + doubles
     if pattern == "doubles_b":
-        return build(family, [(hi, 1)] + [(t, 2) for t in theta])
-    if pattern in ("hl_lower_even", "hl_lower_odd", "hl_upper_even", "hl_upper_odd"):
-        if pattern == "hl_lower_even":
-            return build(family, [(t, 2) for t in theta])
-        if pattern == "hl_lower_odd":
-            return build(family, [(0.0, 1)] + [(t, 2) for t in theta])
+        return family, [(hi, 1)] + doubles
+    if pattern in ("hl_upper_even", "hl_upper_odd"):
         sub = FamilySpec(family.variant, family.params[:-1], family.domain)
-        nodes = [(t, 2) for t in theta]
-        if pattern == "hl_upper_even":
-            nodes.append((0.0, 1))
-        p = build(sub, nodes)
-        coeffs = np.zeros(family.size)
-        coeffs[: sub.size] = p.a
-        return SparsePoly(tuple(coeffs), family)
+        return sub, ([(lo, 1)] if pattern == "hl_upper_even" else []) + doubles
     raise ValueError(f"unknown pattern {pattern!r}")
+
+
+def _pattern_value_grad(fam: FamilySpec, nodes, m: int, s: np.ndarray, window) -> tuple:
+    """L(p) and dL(p)/dtheta for the extremal polynomial p of a node list
+    whose last m nodes are the free double zeros theta.
+
+    p's coefficients a are the null vector of the node matrix B, oriented
+    so p > 0 at the middle of the widest gap between its zeros on
+    ``window`` and scaled to unit max-norm (a_k = +-1, as poly_from_zeros
+    scales).  Differentiating B a = 0 in theta_j: the row f(theta_j).a = 0
+    gives f(theta_j).a' = -f'(theta_j).a = 0, the row f'(theta_j).a = 0
+    gives f'(theta_j).a' = -f''(theta_j).a, every other row r.a' = 0, and
+    the scaling a'_k = 0.  So a' solves the bordered system
+    [B; e_k] a' = -(f''(theta_j).a) e_r, r the row of f'(theta_j), and
+    dL/dtheta_j = s.a'.  L takes the first fam.size moments of s.
+    """
+    pts = np.sort([*window, *(x for x, _ in nodes)])
+    i = int(np.argmax(np.diff(pts)))
+    rows = node_rows(fam, [*nodes, ((pts[i] + pts[i + 1]) / 2, 1)])
+    B = rows[:-1]
+    a = null_vector(B)
+    if rows[-1] @ a < 0:
+        a = -a
+    s = s[: fam.size]
+    if m == 0:
+        return float(s @ a), np.zeros(0)
+    n1 = fam.size
+    M = np.vstack([B, np.zeros(n1)])
+    M[-1, int(np.argmax(np.abs(a)))] = 1.0
+    rhs = np.zeros((n1, m))
+    cols = np.arange(m)
+    rhs[n1 - 2 * m + 2 * cols, cols] = -(fam.eval_grid([x for x, _ in nodes[-m:]], 2) @ a)
+    return float(s @ a), s @ np.linalg.solve(M, rhs)
 
 
 def _patterns_for(family: FamilySpec):
@@ -580,8 +616,12 @@ def sparse_feasibility(
     Primal: LP membership in the conic hull of moment-curve samples with two
     rounds of geometric refinement near the detected support, then
     Caratheodory pruning and Newton polish.  Dual: minimize L over extremal
-    nonnegative polynomials; a certified negative value is an infeasibility
-    certificate.  Neither passing yields "undecided" with the LP gap.
+    nonnegative polynomials by a gradient search on their zero positions,
+    the derivative of L coming from the node null vector (implicit
+    differentiation of B a = 0), seeded by the LP dual, a coarse scan and
+    ``starts`` random placements drawn from ``seed``; a certified negative
+    value is an infeasibility certificate.  Neither passing yields
+    "undecided" with the LP gap.
 
     Guarantee: an "infeasible" verdict carries a certificate p with
     L(p) < 0 that passed every check of ``_certificate_is_sound``:
@@ -701,7 +741,14 @@ def _merge_atoms(pos, wts, rel=1e-6):
 
 
 def _dual_search(L: MomentFunctional, tol: float, seed: int, starts: int, theta_seeds=()):
-    """Minimize L over the extremal patterns; return (poly, value) if negative."""
+    """Minimize L over the extremal patterns; return (poly, value) if negative.
+
+    Each pattern's zero positions theta are searched by L-BFGS-B on
+    L(p_theta)/scale with its analytic gradient (_pattern_value_grad), boxed
+    inside the search window, from a coarse scan, the seeds and random
+    starts.  Only a search's end point is built by poly_from_zeros and
+    judged nonnegative.
+    """
     family = L.family
     s = L.s
     scale = max(float(np.max(np.abs(s))), 1e-300)
@@ -711,31 +758,37 @@ def _dual_search(L: MomentFunctional, tol: float, seed: int, starts: int, theta_
     best = None
     interior_seeds = [t for t in theta_seeds if lo + 1e-9 < t < hi_w - 1e-9]
 
-    def consider(p: SparsePoly, val: float):
+    def consider(pattern, theta):
         # nonnegativity against the local magnitude: a global max would let a
         # dip hide under a large top-degree term elsewhere on the window
         nonlocal best
+        try:
+            p = extremal_test_polys(family, pattern, theta)
+        except TSystemError:
+            return
+        val = float(s @ p.a)
         if (best is None or val < best[1]) and _locally_nonneg(p, probes):
             best = (p, val)
 
     for pattern, m in _patterns_for(family):
-        def obj(theta):
-            th = np.sort(theta)
-            if len(th) and (th[0] <= lo + 1e-10 * (hi_w - lo) or th[-1] >= hi_w - 1e-10 * (hi_w - lo)):
-                return 1e100
-            if len(th) > 1 and np.any(np.diff(th) <= 1e-6 * (hi_w - lo)):
-                return 1e100
-            try:
-                p = extremal_test_polys(family, pattern, th)
-                return float(s @ p.a)
-            except Exception:
-                return 1e100
-
         if m == 0:
-            val = obj(np.array([]))
-            if val < 1e90:
-                consider(extremal_test_polys(family, pattern, ()), val)
+            consider(pattern, ())
             continue
+
+        def obj(theta):
+            order = np.argsort(theta)
+            th = theta[order]
+            if m > 1 and np.any(np.diff(th) <= 1e-6 * (hi_w - lo)):
+                return 1e100, np.zeros(m)
+            try:
+                fam, nodes = _pattern_nodes(family, pattern, th)
+                val, grad = _pattern_value_grad(fam, nodes, m, s, (lo, hi_w))
+            except (TSystemError, np.linalg.LinAlgError):
+                return 1e100, np.zeros(m)
+            g = np.empty(m)
+            g[order] = grad
+            return val / scale, g / scale
+
         inits = []
         if len(interior_seeds) >= m:
             inits.append(np.sort(np.array(interior_seeds[:m])))
@@ -747,10 +800,10 @@ def _dual_search(L: MomentFunctional, tol: float, seed: int, starts: int, theta_
         # deterministic coarse scan: the certificate basin can be narrow
         axis = lo + (hi_w - lo) * np.linspace(0.015, 0.985, 40 if m <= 2 else 12)
         if m == 1:
-            cands = [(obj(np.array([t])), (t,)) for t in axis]
+            cands = [(obj(np.array([t]))[0], (t,)) for t in axis]
         elif m == 2:
             cands = [
-                (obj(np.array([t1, t2])), (t1, t2))
+                (obj(np.array([t1, t2]))[0], (t1, t2))
                 for i, t1 in enumerate(axis)
                 for t2 in axis[i + 1 :]
             ]
@@ -758,19 +811,20 @@ def _dual_search(L: MomentFunctional, tol: float, seed: int, starts: int, theta_
             cands = []
             for _ in range(400):
                 th = np.sort(rng.uniform(lo + 0.01 * (hi_w - lo), hi_w - 0.01 * (hi_w - lo), m))
-                cands.append((obj(th), tuple(th)))
+                cands.append((obj(th)[0], tuple(th)))
         cands.sort(key=lambda c: c[0])
         inits.extend(np.array(c[1]) for c in cands[:3] if c[0] < 1e90)
         inits.append(lo + (hi_w - lo) * np.arange(1, m + 1) / (m + 1))
         for st in range(starts - 1):
             inits.append(np.sort(lo + (hi_w - lo) * rng.uniform(0.02, 0.98, m)))
+        box = [(lo + 1e-10 * (hi_w - lo), hi_w - 1e-10 * (hi_w - lo))] * m
+        # gtol bounds the first-order change of L/scale across the whole
+        # window: a per-unit bound stops early on long half-line windows
         for th0 in inits:
-            res = minimize(obj, th0, method="Nelder-Mead",
-                           options={"xatol": 1e-11, "fatol": 1e-14, "maxiter": 3000})
-            if res.fun < 1e90:
-                consider(
-                    extremal_test_polys(family, pattern, np.sort(res.x)), float(res.fun)
-                )
+            res = minimize(obj, th0, jac=True, method="L-BFGS-B", bounds=box,
+                           options={"ftol": 1e-14, "gtol": 1e-10 / (hi_w - lo), "maxiter": 200})
+            if res.fun < 1e90 and (best is None or res.fun * scale < best[1]):
+                consider(pattern, np.sort(res.x))
 
     if best is None:
         return None

@@ -472,29 +472,16 @@ def _alternant(xs, err, count, F, family, coeffs, lo, hi) -> np.ndarray:
 # -- ratio optimization ---------------------------------------------------------
 
 
-def _index_patterns(n: int, lo: float, hi: float, halfline: bool):
+def _index_patterns(n: int, lo: float, hi: float):
     """Zero-placement patterns of index n: (tag, #interior doubles, fixed nodes)."""
-    pats = []
     if n % 2 == 0:
         m = n // 2
-        pats.append(("interior_doubles", m, ()))
-        if m >= 1 and not halfline:
+        pats = [("interior_doubles", m, ())]
+        if m >= 1:
             pats.append(("a_doubles_b", m - 1, ((lo, 1), (hi, 1))))
-        if halfline and m >= 1:
-            pats.append(("origin_doubles", m - 1, ((lo, 1),), True))
-    else:
-        m = (n - 1) // 2
-        pats.append(("a_doubles", m, ((lo, 1),)))
-        if not halfline:
-            pats.append(("doubles_b", m, ((hi, 1),)))
-        else:
-            pats.append(("doubles_top", m, (), True))
-    out = []
-    for p in pats:
-        tag, m, fixed = p[0], p[1], p[2]
-        drop_top = len(p) > 3 and p[3]
-        out.append((tag, m, fixed, drop_top))
-    return out
+        return pats
+    m = (n - 1) // 2
+    return [("a_doubles", m, ((lo, 1),)), ("doubles_b", m, ((hi, 1),))]
 
 
 def optimize_ratio(
@@ -537,7 +524,7 @@ def optimize_ratio(
         return num / den
 
     results = []
-    for tag, m, fixed, _drop in _index_patterns(n, lo, hi, False):
+    for tag, m, fixed in _index_patterns(n, lo, hi):
         if m == 0:
             try:
                 p = make_poly(tag, m, fixed, np.array([]))

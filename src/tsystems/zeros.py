@@ -20,7 +20,6 @@ from .colloc import (
     certify,
     det,
     node_rows,
-    null_vector,
 )
 from .errors import (
     CertificationRequired,
@@ -136,11 +135,6 @@ def cofactor_coefficients(family: FamilySpec, nodes: NodeSet) -> np.ndarray:
     return np.array(
         [(-1.0) ** i * det(np.delete(B, i, axis=1)) for i in range(n1)]
     )
-
-
-def pattern_coefficients(family: FamilySpec, nodes) -> np.ndarray:
-    """Fast path: unit-norm null vector of the node matrix (same direction)."""
-    return null_vector(node_rows(family, nodes))
 
 
 def poly_from_zeros(

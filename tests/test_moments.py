@@ -17,7 +17,16 @@ from tsystems import (
     sparse_feasibility,
 )
 from tsystems.errors import NotFeasible, TooShort
-from tsystems.moments import MomentFunctional, _certificate_is_sound, caratheodory_prune
+from tsystems import moments
+from tsystems.moments import (
+    MomentFunctional,
+    _certificate_is_sound,
+    _pattern_nodes,
+    _pattern_value_grad,
+    _patterns_for,
+    _search_window,
+    caratheodory_prune,
+)
 
 
 def bisection_eigen_oracle(H, tol=1e-12):
@@ -297,3 +306,85 @@ def test_certificate_negative_beyond_probe_window_is_unsound():
     assert p(probes[0]).min() > 0 and p(15.0) < 0
     assert not _certificate_is_sound(p, probes)
     assert _certificate_is_sound(SparsePoly((1.0, 0.0, 1.0), fam), probes)
+
+
+def perturbed_functional(fam, atom, pattern, tol=1e-8):
+    """Criterion 10's construction for one atom: the moments of w delta_x,
+    moved out of the cone along the pattern's extremal polynomial with its
+    free double zero at the atom."""
+    x, w = atom
+    L = MomentFunctional.from_measure(fam, [atom])
+    p_hat = extremal_test_polys(fam, pattern, (x,))
+    assert abs(p_hat.a[0]) >= 0.3
+    s = np.array(L.s)
+    s[0] -= 10 * float(np.max(np.abs(s))) * tol * math.copysign(1.0, p_hat.a[0])
+    return MomentFunctional(tuple(s), fam)
+
+
+@pytest.mark.parametrize("dom", [interval(0.1, 1.2), halfline(0.0)], ids=["ab", "halfline"])
+def test_dual_gradient_matches_central_difference(dom):
+    # dL/dtheta from the bordered system against a central difference of
+    # L(extremal_test_polys), for every pattern with free zeros
+    exps = [0.0, 0.5, 1.5, 2.5, 4.0, 5.5]
+    s_all = np.random.default_rng(5).uniform(0.5, 2.0, len(exps))
+    for n in range(2, 6):
+        fam = power_family(exps[: n + 1], dom)
+        s = s_all[: n + 1]
+        window = _search_window(fam)
+        for pattern, m in _patterns_for(fam):
+            if m == 0:
+                continue
+            theta = (0.1 + 1.1 * (np.arange(m) + 1) / (m + 1) if dom.kind == "closed_interval"
+                     else 0.7 * (np.arange(m) + 1))
+            sub, nodes = _pattern_nodes(fam, pattern, theta)
+            val, grad = _pattern_value_grad(sub, nodes, m, s, window)
+            assert val == pytest.approx(float(s @ extremal_test_polys(fam, pattern, theta).a), rel=1e-12)
+            h = 1e-5
+            fd = np.array([
+                (s @ extremal_test_polys(fam, pattern, theta + h * e).a
+                 - s @ extremal_test_polys(fam, pattern, theta - h * e).a) / (2 * h)
+                for e in np.eye(m)
+            ])
+            assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd)), (n, pattern, grad, fd)
+
+
+@pytest.mark.parametrize("exps,dom,atom,pattern", [
+    ((0.0, 0.5, 3.0), interval(0.1, 1.2), (0.7, 0.8), "interior_doubles"),
+    ((0.0, 1.5, 3.0), halfline(0.0), (1.3, 0.6), "interior_doubles"),
+    ((0.0, 0.5, 2.0, 3.5), interval(0.1, 1.2), (0.55, 0.9), "doubles_b"),
+    ((0.0, 1.0, 2.5, 3.0), halfline(0.0), (0.9, 0.5), "hl_upper_odd"),
+], ids=["2ab", "2halfline", "3ab", "3halfline"])
+def test_dual_search_reaches_scan_minimum(exps, dom, atom, pattern):
+    # one free zero: the certificate is no worse than the best of a 4001-point
+    # scan of every pattern over the search window
+    fam = power_family(list(exps), dom)
+    L = perturbed_functional(fam, atom, pattern)
+    scale = float(np.max(np.abs(L.s)))
+    v = sparse_feasibility(L, tol=1e-8)
+    assert v.status == "infeasible"
+    lo, hi = _search_window(fam)
+    scan = lo + (hi - lo) * np.arange(1, 4002) / 4002
+    best = min(
+        float(L.s @ extremal_test_polys(fam, pat, (t,) if m else ()).a)
+        for pat, m in _patterns_for(fam)
+        for t in (scan if m else scan[:1])
+    )
+    assert float(L.s @ v.certificate_poly.a) <= best + 1e-9 * scale
+
+
+def test_dual_search_builds_few_polys(monkeypatch):
+    # the search runs on the node null vector; only end points are built by
+    # poly_from_zeros (building every trial point takes about 700 per solve)
+    L = criterion_10_instance(2)
+    assert L.family.order == 2
+    calls = []
+    original = moments.poly_from_zeros
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "poly_from_zeros", counting)
+    v = sparse_feasibility(L, tol=1e-8)
+    assert v.status == "infeasible"
+    assert len(calls) <= 20
