@@ -1,12 +1,16 @@
 """Hankel criteria, sparse truncated moment feasibility, atomic recovery.
 
-Feasibility runs a primal/dual pair: LP membership of the moment vector in
-the conic hull of moment-curve samples, against minimization of L over the
-extremal nonnegative polynomials (index-n zero patterns).  The dual is a
-gradient search on the zero positions (L-BFGS-B), with the derivative of L
-taken from the node null vector by implicit differentiation.  Neither
-passing leaves the verdict undecided with the LP gap reported; a numeric
-tool must admit a gap since the exact conditions quantify over continua.
+Feasibility runs a primal/dual pair.  The primal engine, shared with atomic
+recovery, fits the moment vector by nonnegative least squares on samples of
+the moment curve and polishes the fit to at most n+1 atoms; a fit within
+tolerance is the witness.  Otherwise one phase-1 LP on the engine's grid
+gives the gap and a separating functional, which seeds the dual:
+minimization of L over the extremal nonnegative polynomials (index-n zero
+patterns), a gradient search on the zero positions (L-BFGS-B) with the
+derivative of L taken from the node null vector by implicit
+differentiation.  Neither passing leaves the verdict undecided with the LP
+gap reported; a numeric tool must admit a gap since the exact conditions
+quantify over continua.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 from scipy.optimize import least_squares, linprog, minimize, nnls
 
 from .colloc import NodeSet, node_rows, null_vector
-from .errors import NotFeasible, TooShort, TSystemError
+from .errors import NonDifferentiable, NotFeasible, TooShort, TSystemError
 from .family import CLOSED_INTERVAL, REAL_LINE, FamilySpec
 from .zeros import (
     NODAL,
@@ -313,7 +317,7 @@ def _primal_lp(A: np.ndarray, s: np.ndarray):
     G, nv = A.shape[1], A.shape[0]
     c = np.concatenate([np.zeros(G), np.ones(2 * nv)])
     A_eq = np.hstack([As, np.eye(nv), -np.eye(nv)])
-    res = linprog(c, A_eq=A_eq, b_eq=ss, bounds=[(0, None)] * (G + 2 * nv), method="highs")
+    res = linprog(c, A_eq=A_eq, b_eq=ss, bounds=(0, None), method="highs")
     if not res.success:
         return None, math.inf, None
     y = None
@@ -402,13 +406,18 @@ def _polish_atoms(family: FamilySpec, s: np.ndarray, positions, weights, lo, hi)
 def _safe_deriv_cols(family: FamilySpec, x: np.ndarray) -> np.ndarray:
     """Position-derivative columns; boundary atoms whose derivative does not
     exist (x^alpha at 0, alpha not natural) get a zero column (frozen)."""
-    cols = np.zeros((family.size, len(x)))
-    for j, xj in enumerate(x):
-        try:
-            cols[:, j] = family.eval_grid(np.array([xj]), 1)[0]
-        except Exception:
-            cols[:, j] = 0.0
-    return cols
+    try:
+        # a C-ordered copy: the Jacobian's memory layout steers the rounding
+        # of the solves inside least_squares
+        return family.eval_grid(x, 1).T.copy()
+    except NonDifferentiable:
+        cols = np.zeros((family.size, len(x)))
+        for j, xj in enumerate(x):
+            try:
+                cols[:, j] = family.eval_grid(np.array([xj]), 1)[0]
+            except NonDifferentiable:
+                pass
+        return cols
 
 
 def _determinacy_hint(family: FamilySpec) -> dict:
@@ -613,15 +622,18 @@ def sparse_feasibility(
 ) -> FeasibilityVerdict:
     """Decide membership of L in the truncated moment cone.
 
-    Primal: LP membership in the conic hull of moment-curve samples with two
-    rounds of geometric refinement near the detected support, then
-    Caratheodory pruning and Newton polish.  Dual: minimize L over extremal
-    nonnegative polynomials by a gradient search on their zero positions,
-    the derivative of L coming from the node null vector (implicit
-    differentiation of B a = 0), seeded by the LP dual, a coarse scan and
-    ``starts`` random placements drawn from ``seed``; a certified negative
-    value is an infeasibility certificate.  Neither passing yields
-    "undecided" with the LP gap.
+    Primal: the engine of ``recover_atoms`` (grid nonnegative least squares
+    refined twice near its support, Caratheodory pruning, Newton polish,
+    support reduction); moments matched to tol * scale by at most n+1 atoms
+    give "feasible" with that witness.  Only otherwise does the phase-1 LP
+    run, once, on the engine's final grid: its value is the reported gap
+    and its dual marginals seed the dual search.  Dual: minimize L over
+    extremal nonnegative polynomials by a gradient search on their zero
+    positions, the derivative of L coming from the node null vector
+    (implicit differentiation of B a = 0), seeded by the LP dual, the
+    engine's atoms, a coarse scan and ``starts`` random placements drawn
+    from ``seed``; a certified negative value is an infeasibility
+    certificate.  Neither passing yields "undecided" with the LP gap.
 
     Guarantee: an "infeasible" verdict carries a certificate p with
     L(p) < 0 that passed every check of ``_certificate_is_sound``:
@@ -637,8 +649,6 @@ def sparse_feasibility(
     family = L.family
     s = L.s
     scale = max(float(np.max(np.abs(s))), 1e-300)
-    lo = family.domain.window()[0]
-    hi = None if family.domain.kind == "left_closed_halfline" else family.domain.window()[1]
     hint = _determinacy_hint(family)
 
     # cheap certificate: a basis direction that is nonnegative on the domain
@@ -651,51 +661,16 @@ def sparse_feasibility(
             if _certificate_is_sound(e, probes):
                 return FeasibilityVerdict(INFEASIBLE, None, e, float(-s[i]), hint)
 
-    xs = _primal_grid(family, grid)
-    xs_w = xs
-    w = None
-    gap = math.inf
-    y_dual = None
-    for _round in range(3):
-        A = family.eval_grid(xs).T
-        w, gap, y_dual = _primal_lp(A, s)
-        xs_w = xs
-        if w is None or gap > 1e-6 * family.size:
-            break
-        support = xs[w > 1e-12 * max(w.max(), 1e-300)]
-        if len(support) == 0 or _round == 2:
-            break
-        step = np.median(np.diff(xs))
-        extra = [support + d for d in np.linspace(-step, step, 41)]
-        xs = np.unique(np.concatenate([xs] + extra))
-        xs = xs[(xs >= lo) & (xs <= (hi if hi is not None else np.inf))]
+    pos, wts, res, xs = _primal_atoms(family, s, grid, tol * scale)
+    if res <= tol * scale and len(pos) <= family.size:
+        witness = AtomicMeasure(tuple(zip(map(float, pos), map(float, wts))))
+        return FeasibilityVerdict(FEASIBLE, witness, None, float(res), hint)
 
-    primal_positions: list = []
-    if w is not None and gap <= 1e-7 * family.size:
-        V = family.eval_grid(xs_w).T
-        w_pruned = caratheodory_prune(V, w, family.size)
-        idx = np.nonzero(w_pruned > 0)[0]
-        pos, wts, res = _polish_atoms(
-            family, s, xs_w[idx], w_pruned[idx],
-            lo, hi,
-        )
-        keep = wts > 1e-12 * max(float(wts.max()), 1e-300) if len(wts) else np.array([], bool)
-        pos, wts = pos[keep], wts[keep]
-        merged = _merge_atoms(pos, wts)
-        pos2 = np.array([p for p, _ in merged])
-        wts2 = np.array([w_ for _, w_ in merged])
-        if len(pos2):
-            pos2, wts2, res = _polish_atoms(family, s, pos2, wts2, lo, hi)
-            pos2, wts2, res = _reduce_support(family, s, pos2, wts2, res, lo, hi, tol * scale)
-        if res <= tol * scale and len(pos2) <= family.size:
-            witness = AtomicMeasure(tuple(zip(map(float, pos2), map(float, wts2))))
-            return FeasibilityVerdict(FEASIBLE, witness, None, float(res), hint)
-        # near-feasible support localizes where a certificate must vanish
-        primal_positions = [float(p) for p in pos2]
-
-    # dual pass, seeded with the LP's separating functional and the
-    # near-feasible primal support (certificate basins can be narrow)
-    seeds = primal_positions + _dual_seeds(family, y_dual, xs_w)
+    # dual pass, seeded with the engine's atoms, which localize where a
+    # certificate must vanish, and the separating functional of one LP on the
+    # engine's grid (certificate basins can be narrow)
+    _, gap, y_dual = _primal_lp(family.eval_grid(xs).T, s)
+    seeds = [float(p) for p in pos] + _dual_seeds(family, y_dual, xs)
     cert = _dual_search(L, tol=tol, seed=seed, starts=starts, theta_seeds=seeds)
     if cert is not None and _certificate_is_sound(cert[0], probes):
         return FeasibilityVerdict(INFEASIBLE, None, cert[0], float(-cert[1]), hint)
@@ -842,26 +817,44 @@ def recover_atoms(
 ) -> AtomicMeasure:
     """Atomic representing measure with at most n+1 atoms.
 
-    Grid nonnegative least squares -> Caratheodory pruning -> Newton polish
-    on positions and weights.  The zero functional yields the empty measure.
+    The primal engine shared with ``sparse_feasibility``: grid nonnegative
+    least squares -> Caratheodory pruning -> Newton polish on positions and
+    weights -> support reduction.  The zero functional yields the empty
+    measure; a moment residual above tol * scale raises NotFeasible unless
+    ``assume_feasible``.
     """
-    family = L.family
     s = L.s
     scale = float(np.max(np.abs(s)))
     if scale == 0.0:
         return AtomicMeasure(())
+    pos, wts, res, _ = _primal_atoms(L.family, s, grid, tol * scale)
+    if len(pos) == 0:
+        raise NotFeasible("nonnegative least squares found no support")
+    measure = AtomicMeasure(tuple(zip(map(float, pos), map(float, wts))))
+    if res > tol * scale and not assume_feasible:
+        raise NotFeasible(
+            f"moment residual {res:.3e} exceeds {tol:.1e} * scale; "
+            "run sparse_feasibility first or pass assume_feasible=True"
+        )
+    return measure
+
+
+def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) -> tuple:
+    """(positions, weights, residual, final grid) of a primal witness.
+
+    Grid NNLS refined twice near its support, Caratheodory pruning, merge,
+    polish, dropping tiny weights, polish again, and support reduction to
+    the fewest atoms within ``abs_tol``.  No atoms if NNLS finds no support.
+    """
     lo = family.domain.window()[0]
     hi = None if family.domain.kind == "left_closed_halfline" else family.domain.window()[1]
-
     xs = _primal_grid(family, grid)
-    xs_w = xs
     for _round in range(3):
         A = family.eval_grid(xs).T
         colnorm = np.linalg.norm(A, axis=0)
         colnorm[colnorm == 0] = 1.0
         w_scaled, _ = nnls(A / colnorm, s, maxiter=10 * A.shape[1])
         w = w_scaled / colnorm
-        xs_w = xs
         support = xs[w > 1e-10 * max(float(w.max()), 1e-300)]
         if len(support) == 0 or _round == 2:
             break
@@ -870,12 +863,11 @@ def recover_atoms(
         xs = np.unique(np.concatenate([xs] + extra))
         xs = xs[(xs >= lo) & (xs <= (hi if hi is not None else np.inf))]
 
-    V = family.eval_grid(xs_w).T
-    w = caratheodory_prune(V, w, family.size)
+    w = caratheodory_prune(A, w, family.size)
     idx = np.nonzero(w > 0)[0]
     if len(idx) == 0:
-        raise NotFeasible("nonnegative least squares found no support")
-    merged = _merge_atoms(xs_w[idx], w[idx])
+        return np.zeros(0), np.zeros(0), float(np.max(np.abs(s))), xs
+    merged = _merge_atoms(xs[idx], w[idx])
     pos = np.array([p for p, _ in merged])
     wts = np.array([w_ for _, w_ in merged])
     pos, wts, res = _polish_atoms(family, s, pos, wts, lo, hi)
@@ -883,14 +875,8 @@ def recover_atoms(
     pos, wts = pos[keep], wts[keep]
     if len(pos):
         pos, wts, res = _polish_atoms(family, s, pos, wts, lo, hi)
-    pos, wts, res = _reduce_support(family, s, pos, wts, res, lo, hi, tol * scale)
-    measure = AtomicMeasure(tuple(zip(map(float, pos), map(float, wts))))
-    if res > tol * scale and not assume_feasible:
-        raise NotFeasible(
-            f"moment residual {res:.3e} exceeds {tol:.1e} * scale; "
-            "run sparse_feasibility first or pass assume_feasible=True"
-        )
-    return measure
+    pos, wts, res = _reduce_support(family, s, pos, wts, res, lo, hi, abs_tol)
+    return pos, wts, res, xs
 
 
 def _reduce_support(family, s, pos, wts, res, lo, hi, abs_tol):

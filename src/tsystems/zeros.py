@@ -382,12 +382,17 @@ def _classify(f: SparsePoly, r: float, lo: float, hi: float, width: float, sloc:
     # endpoint zeros are nodal by convention
     if abs(r - lo) <= 1e-12 * width or abs(r - hi) <= 1e-12 * width:
         return NODAL
-    delta = 1e-4 * width
-    floor = 1e-9 * width
+    # both probes stay strictly inside the window: a probe clamped onto an
+    # endpoint reads f there, not beside the zero
+    delta = min(1e-4 * width, 0.5 * (r - lo), 0.5 * (hi - r))
+    floor = min(1e-9 * width, delta)
+    # a probe below the rounding error of evaluating f has no sign
+    terms = np.abs(f.family.eval_grid(np.array([r]))[0] * f.a)
+    small = max(1e-11 * sloc, np.finfo(float).eps * float(terms.sum()))
     while delta >= floor:
-        left = f(max(r - delta, lo))
-        right = f(min(r + delta, hi))
-        if abs(left) > 1e-11 * sloc and abs(right) > 1e-11 * sloc:
+        left = f(r - delta)
+        right = f(r + delta)
+        if abs(left) > small and abs(right) > small:
             return NODAL if left * right < 0 else NON_NODAL
         delta /= 2
     return NON_NODAL

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsystems import (
     NodeSet,
@@ -388,3 +390,64 @@ def test_dual_search_builds_few_polys(monkeypatch):
     v = sparse_feasibility(L, tol=1e-8)
     assert v.status == "infeasible"
     assert len(calls) <= 20
+
+
+def test_feasible_functional_solves_no_lp(monkeypatch):
+    # the primal engine decides a feasible functional; only a functional it
+    # cannot fit pays for one LP (its gap and dual seeds)
+    calls = []
+    original = moments.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "linprog", counting)
+    fam = power_family([0.0, 0.5, 3.0], interval(0.1, 1.2))
+    assert sparse_feasibility(MomentFunctional.from_measure(fam, [(0.7, 0.8)])).status == "feasible"
+    assert calls == []
+    L = perturbed_functional(fam, (0.7, 0.8), "interior_doubles")
+    assert sparse_feasibility(L).status == "infeasible"
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("exps,dom,atoms", [
+    ((0.0, 0.5, 1.0, 2.0), interval(0.1, 1.0), [(0.2, 0.3), (0.8, 0.7)]),
+    ((0.0, 1.0, 2.5, 4.0), interval(0.1, 1.2), [(0.45, 0.6)]),
+    ((0.0, 1.5, 2.0, 3.5, 5.0), halfline(0.0), [(0.4, 0.5), (1.9, 0.9)]),
+], ids=["ab2", "ab1", "halfline2"])
+def test_witness_is_recover_atoms(exps, dom, atoms):
+    # one primal engine: the feasibility witness is the recovered measure
+    L = MomentFunctional.from_measure(power_family(list(exps), dom), atoms)
+    v = sparse_feasibility(L)
+    assert v.status == "feasible"
+    assert v.witness_measure == recover_atoms(L)
+
+
+@st.composite
+def atomic_functionals(draw):
+    """Moments of 1..ceil(n/2) separated atoms over a power family of order
+    n = 2..5 on [0.1, 1.2] or [0, inf)."""
+    n = draw(st.integers(2, 5))
+    halves = draw(st.lists(st.integers(1, 3 * n), min_size=n, max_size=n, unique=True))
+    on_halfline = draw(st.booleans())
+    fam = power_family([0.0] + sorted(0.5 * h for h in halves),
+                       halfline(0.0) if on_halfline else interval(0.1, 1.2))
+    lo, hi = (0.08, 2.5) if on_halfline else (0.12, 1.18)
+    k = draw(st.integers(1, -(-n // 2)))
+    # one atom per k-th of [lo, hi], kept off the cell ends: separation >= 0.1
+    cells = draw(st.lists(st.floats(0.15, 0.85), min_size=k, max_size=k))
+    weights = draw(st.lists(st.floats(0.2, 1.0), min_size=k, max_size=k))
+    atoms = [(lo + (hi - lo) * (j + u) / k, w) for j, (u, w) in enumerate(zip(cells, weights))]
+    return MomentFunctional.from_measure(fam, atoms)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(atomic_functionals())
+def test_atomic_functionals_are_feasible(L):
+    tol = 1e-8
+    v = sparse_feasibility(L, tol=tol)
+    assert v.status == "feasible"
+    assert 1 <= len(v.witness_measure.atoms) <= L.family.order
+    res = np.max(np.abs(v.witness_measure.moments(L.family) - L.s))
+    assert res <= tol * np.max(np.abs(L.s))

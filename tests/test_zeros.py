@@ -162,3 +162,22 @@ def test_count_zeros_at_nondifferentiable_endpoint():
     cfg = count_zeros(SparsePoly((0.0, 1.0, -0.1), fam), window=(0.0, 10.0))
     assert [(z[0], z[1], z[2]) for z in cfg.zeros][0] == (0.0, 1, NODAL)
     assert abs(cfg.zeros[1][0] - 10**0.5) < 1e-9
+
+
+@pytest.mark.parametrize("exps,other", [
+    ((0.0, 0.5, 1.0, 1.5, 2.5), 1.0),
+    ((0.0, 0.5, 1.0, 2.0, 2.5), 0.8),
+    ((0.0, 0.5, 1.0, 2.0, 3.0), 0.8),
+])
+def test_zero_just_inside_window_end_is_classified(exps, other):
+    # a double zero 2e-8 inside the window's end is non-nodal, a simple zero
+    # there nodal: f read at the endpoint itself is at rounding level and
+    # carries no sign
+    fam = power_family(list(exps), interval(0.1, 1.2))
+    r = 1.2 - 2e-8
+    double = poly_from_zeros(fam, NodeSet.of((other, 2), (r, 2)), check_certificate=False)
+    assert [(z[1], z[2]) for z in count_zeros(double).zeros] == [(2, NON_NODAL), (2, NON_NODAL)]
+    simple = poly_from_zeros(fam, NodeSet.of((0.1, 1), (other, 2), (r, 1)), sign="raw",
+                             check_certificate=False)
+    last = count_zeros(simple).zeros[-1]
+    assert abs(last[0] - r) < 1e-9 and (last[1], last[2]) == (1, NODAL)
