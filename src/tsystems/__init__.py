@@ -38,6 +38,7 @@ from .zeros import (
     index_of,
     poly_from_zeros,
 )
+from .extremal import extremal_test_polys
 from .karlin import (
     KarlinDecomposition,
     LukacsDecomposition,
@@ -58,7 +59,6 @@ from .moments import (
     AtomicMeasure,
     FeasibilityVerdict,
     MomentFunctional,
-    extremal_test_polys,
     hankel_check,
     recover_atoms,
     sparse_feasibility,

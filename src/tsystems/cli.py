@@ -291,11 +291,10 @@ def cmd_run(args) -> int:
     payload = problem.get("payload", {})
     argv = [task.replace("_", "-")] if task else []
     for key, value in payload.items():
-        argv.append(f"--{key.replace('_', '-')}")
         if isinstance(value, list):
-            argv.append(",".join(str(v) for v in value))
-        else:
-            argv.append(str(value))
+            value = ",".join(str(v) for v in value)
+        # one token: a value such as "-1,1" must not read as a flag
+        argv.append(f"--{key.replace('_', '-')}={value}")
     if args.out:
         argv += ["--out", args.out]
     if args.plot:
@@ -310,7 +309,6 @@ def _add_common(p, domain_required=True):
     p.add_argument("--plot", default=None, help="write plot CSV here")
     p.add_argument("--grid", type=int, default=2001)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="reserved; results identical for any value")
     p.add_argument("--tol", type=float, default=1e-8)
 
 

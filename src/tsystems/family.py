@@ -330,3 +330,13 @@ def custom_family(
 def eval_basis(family: FamilySpec, x: float, order: int = 0) -> np.ndarray:
     """Vector (f_0^(order)(x), ..., f_n^(order)(x))."""
     return family.eval_grid(np.array([float(x)]), order)[0]
+
+
+def halfline_xmax(family: FamilySpec) -> float:
+    """Width of the working window on a half-line: where the top member of a
+    power family dominates, 10^(6/alpha_n), at least 10 and at most 10^30
+    (10^6 for other variants)."""
+    alpha_n = float(family.params[-1]) if family.variant in ("power", "monomial") else 1.0
+    if alpha_n <= 0:
+        return 10.0
+    return max(10.0, 10.0 ** min(6.0 / alpha_n, 30.0))

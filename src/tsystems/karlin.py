@@ -32,7 +32,7 @@ from .errors import (
     TooManyZeros,
     ValueAtZeroNonpositive,
 )
-from .family import FamilySpec
+from .family import FamilySpec, halfline_xmax
 from .zeros import NODAL, NON_NODAL, SparsePoly, ZeroConfig, count_zeros
 
 CONVERGED_TOL = 1e-10
@@ -601,14 +601,6 @@ def decompose_nonneg_ab(
     return _build_decomposition(solver, xs, ys, fl, info, family)
 
 
-def _halfline_window(family: FamilySpec) -> float:
-    """Truncation where the top member dominates (tail checks beyond)."""
-    alpha_n = float(family.params[-1])
-    if alpha_n <= 0:
-        return 10.0
-    return max(10.0, 10.0 ** min(6.0 / alpha_n, 30.0))
-
-
 def decompose_halfline(
     f: SparsePoly,
     mode: str = "positive",
@@ -633,7 +625,7 @@ def decompose_halfline(
         raise LeadingCoefficientNonpositive(f"a_n = {a_n} must be positive")
 
     n = family.order
-    X = _halfline_window(family)
+    X = halfline_xmax(family)  # truncation; tail checks beyond
     xs_grid = np.concatenate(
         [np.linspace(0.0, X, grid // 2), np.geomspace(max(X, 1e-3), 1e6, grid // 10)]
     )

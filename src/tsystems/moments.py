@@ -6,10 +6,10 @@ the moment curve and polishes the fit to at most n+1 atoms; a fit within
 tolerance is the witness.  Otherwise one phase-1 LP on the engine's grid
 gives the gap and a separating functional, which seeds the dual:
 minimization of L over the extremal nonnegative polynomials (index-n zero
-patterns), a gradient search on the zero positions (L-BFGS-B) with the
-derivative of L taken from the node null vector by implicit
-differentiation.  Neither passing leaves the verdict undecided with the LP
-gap reported; a numeric tool must admit a gap since the exact conditions
+patterns) by the search of ``extremal``, a gradient search on the zero
+positions; a negative minimum that passes the soundness checks here is the
+certificate.  Neither passing leaves the verdict undecided with the LP gap
+reported; a numeric tool must admit a gap since the exact conditions
 quantify over continua.
 """
 
@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares, linprog, minimize, nnls
+from scipy.optimize import least_squares, linprog, nnls
 
-from .colloc import NodeSet, node_rows, null_vector
 from .errors import NonDifferentiable, NotFeasible, TooShort, TSystemError
-from .family import CLOSED_INTERVAL, REAL_LINE, FamilySpec
+from .extremal import _search_window, extremal_test_polys, search
+from .family import CLOSED_INTERVAL, REAL_LINE, FamilySpec, halfline_xmax
 from .zeros import (
     NODAL,
     SparsePoly,
@@ -33,7 +33,6 @@ from .zeros import (
     _running_max,
     count_zeros,
     index_of,
-    poly_from_zeros,
 )
 
 FEASIBLE = "feasible"
@@ -177,125 +176,13 @@ def hankel_check(s, variant: str = "hamburger", tol: float = 1e-10) -> dict:
     return out
 
 
-# -- extremal test polynomials ---------------------------------------------------
-
-
-def extremal_test_polys(
-    family: FamilySpec,
-    pattern: str,
-    theta,
-    certificate=None,
-) -> SparsePoly:
-    """Nonnegative polynomial with the index-n zero placement of a pattern.
-
-    Interval patterns: "interior_doubles" (even n), "a_doubles_b" (even),
-    "a_doubles" / "doubles_b" (odd).  Half-line patterns mirror the
-    decomposition structure: "hl_lower_even", "hl_upper_even",
-    "hl_lower_odd", "hl_upper_odd" (the upper patterns drop the top member).
-    """
-    theta = tuple(float(t) for t in np.atleast_1d(np.asarray(theta, dtype=float))) if np.size(theta) else ()
-    fam, nodes = _pattern_nodes(family, pattern, theta)
-    p = poly_from_zeros(fam, NodeSet(tuple(sorted(nodes))), "auto_nonneg",
-                        certificate=certificate, check_certificate=False)
-    if fam is family:
-        return p
-    coeffs = np.zeros(family.size)
-    coeffs[: fam.size] = p.a
-    return SparsePoly(tuple(coeffs), family)
-
-
-def _pattern_nodes(family: FamilySpec, pattern: str, theta) -> tuple:
-    """(family or sub-family, nodes) of a pattern's zero placement.
-
-    The nodes are the pattern's fixed simple zeros followed by a double zero
-    at each theta_j, in the order of theta.  The half-line upper patterns
-    take the sub-family without the top member.
-    """
-    lo, hi = family.domain.window()
-    doubles = [(t, 2) for t in theta]
-    if pattern in ("interior_doubles", "hl_lower_even"):
-        return family, doubles
-    if pattern == "a_doubles_b":
-        return family, [(lo, 1), (hi, 1)] + doubles
-    if pattern in ("a_doubles", "hl_lower_odd"):
-        return family, [(lo, 1)] + doubles
-    if pattern == "doubles_b":
-        return family, [(hi, 1)] + doubles
-    if pattern in ("hl_upper_even", "hl_upper_odd"):
-        sub = FamilySpec(family.variant, family.params[:-1], family.domain)
-        return sub, ([(lo, 1)] if pattern == "hl_upper_even" else []) + doubles
-    raise ValueError(f"unknown pattern {pattern!r}")
-
-
-def _pattern_value_grad(fam: FamilySpec, nodes, m: int, s: np.ndarray, window) -> tuple:
-    """L(p) and dL(p)/dtheta for the extremal polynomial p of a node list
-    whose last m nodes are the free double zeros theta.
-
-    p's coefficients a are the null vector of the node matrix B, oriented
-    so p > 0 at the middle of the widest gap between its zeros on
-    ``window`` and scaled to unit max-norm (a_k = +-1, as poly_from_zeros
-    scales).  Differentiating B a = 0 in theta_j: the row f(theta_j).a = 0
-    gives f(theta_j).a' = -f'(theta_j).a = 0, the row f'(theta_j).a = 0
-    gives f'(theta_j).a' = -f''(theta_j).a, every other row r.a' = 0, and
-    the scaling a'_k = 0.  So a' solves the bordered system
-    [B; e_k] a' = -(f''(theta_j).a) e_r, r the row of f'(theta_j), and
-    dL/dtheta_j = s.a'.  L takes the first fam.size moments of s.
-    """
-    pts = np.sort([*window, *(x for x, _ in nodes)])
-    i = int(np.argmax(np.diff(pts)))
-    rows = node_rows(fam, [*nodes, ((pts[i] + pts[i + 1]) / 2, 1)])
-    B = rows[:-1]
-    a = null_vector(B)
-    if rows[-1] @ a < 0:
-        a = -a
-    s = s[: fam.size]
-    if m == 0:
-        return float(s @ a), np.zeros(0)
-    n1 = fam.size
-    M = np.vstack([B, np.zeros(n1)])
-    M[-1, int(np.argmax(np.abs(a)))] = 1.0
-    rhs = np.zeros((n1, m))
-    cols = np.arange(m)
-    rhs[n1 - 2 * m + 2 * cols, cols] = -(fam.eval_grid([x for x, _ in nodes[-m:]], 2) @ a)
-    return float(s @ a), s @ np.linalg.solve(M, rhs)
-
-
-def _patterns_for(family: FamilySpec):
-    """(pattern, #free interior points) pairs available for this family."""
-    n = family.order
-    on_halfline = family.domain.kind == "left_closed_halfline"
-    pats = []
-    if n % 2 == 0:
-        m = n // 2
-        pats.append(("interior_doubles", m))
-        if on_halfline:
-            if m >= 1:
-                pats.append(("hl_upper_even", m - 1))
-        elif m >= 1:
-            pats.append(("a_doubles_b", m - 1))
-    else:
-        m = (n - 1) // 2
-        if on_halfline:
-            pats.append(("hl_lower_odd", m))
-            pats.append(("hl_upper_odd", m))
-        else:
-            pats.append(("a_doubles", m))
-            pats.append(("doubles_b", m))
-    return pats
-
-
 # -- feasibility -----------------------------------------------------------------
-
-
-def _halfline_xmax(family: FamilySpec) -> float:
-    alpha_n = float(family.params[-1]) if family.variant in ("power", "monomial") else 1.0
-    return max(10.0, 10.0 ** (6.0 / max(alpha_n, 1e-9)))
 
 
 def _primal_grid(family: FamilySpec, points: int) -> np.ndarray:
     lo, hi = family.domain.window()
     if family.domain.kind == "left_closed_halfline":
-        hi = family.domain.a + _halfline_xmax(family)
+        hi = family.domain.a + halfline_xmax(family)
         lin = np.linspace(family.domain.a, hi, points)
         geo = family.domain.a + np.geomspace(1e-4, hi - family.domain.a, points // 4)
         return np.unique(np.concatenate([lin, geo]))
@@ -437,14 +324,6 @@ def _determinacy_hint(family: FamilySpec) -> dict:
 #: p >= -CERT_TOL * (local magnitude of p) counts as nonnegative
 CERT_TOL = 1e-10
 _PROBE = 2001
-
-
-def _search_window(family: FamilySpec) -> tuple[float, float]:
-    """Where the dual search places zeros: the domain or its working window."""
-    lo, hi = family.domain.window()
-    if family.domain.kind == "left_closed_halfline":
-        hi = lo + _halfline_xmax(family)
-    return lo, hi
 
 
 def _probes(family: FamilySpec) -> list:
@@ -718,88 +597,31 @@ def _merge_atoms(pos, wts, rel=1e-6):
 def _dual_search(L: MomentFunctional, tol: float, seed: int, starts: int, theta_seeds=()):
     """Minimize L over the extremal patterns; return (poly, value) if negative.
 
-    Each pattern's zero positions theta are searched by L-BFGS-B on
-    L(p_theta)/scale with its analytic gradient (_pattern_value_grad), boxed
-    inside the search window, from a coarse scan, the seeds and random
-    starts.  Only a search's end point is built by poly_from_zeros and
-    judged nonnegative.
+    extremal.search minimizes L(p_theta)/scale; an end point better than the
+    best so far is built by poly_from_zeros and judged nonnegative.
     """
     family = L.family
     s = L.s
     scale = max(float(np.max(np.abs(s))), 1e-300)
-    lo, hi_w = _search_window(family)
     probes = _probes(family)
-    rng = np.random.default_rng(seed)
     best = None
-    interior_seeds = [t for t in theta_seeds if lo + 1e-9 < t < hi_w - 1e-9]
 
-    def consider(pattern, theta):
-        # nonnegativity against the local magnitude: a global max would let a
-        # dip hide under a large top-degree term elsewhere on the window
-        nonlocal best
+    def objective(val, grad):
+        return val / scale, grad / scale
+
+    for pattern, theta, fun in search(family, s, objective, np.random.default_rng(seed), starts,
+                                      theta_seeds):
+        if fun is not None and best is not None and fun * scale >= best[1]:
+            continue
         try:
             p = extremal_test_polys(family, pattern, theta)
         except TSystemError:
-            return
+            continue
+        # nonnegativity against the local magnitude: a global max would let a
+        # dip hide under a large top-degree term elsewhere on the window
         val = float(s @ p.a)
         if (best is None or val < best[1]) and _locally_nonneg(p, probes):
             best = (p, val)
-
-    for pattern, m in _patterns_for(family):
-        if m == 0:
-            consider(pattern, ())
-            continue
-
-        def obj(theta):
-            order = np.argsort(theta)
-            th = theta[order]
-            if m > 1 and np.any(np.diff(th) <= 1e-6 * (hi_w - lo)):
-                return 1e100, np.zeros(m)
-            try:
-                fam, nodes = _pattern_nodes(family, pattern, th)
-                val, grad = _pattern_value_grad(fam, nodes, m, s, (lo, hi_w))
-            except (TSystemError, np.linalg.LinAlgError):
-                return 1e100, np.zeros(m)
-            g = np.empty(m)
-            g[order] = grad
-            return val / scale, g / scale
-
-        inits = []
-        if len(interior_seeds) >= m:
-            inits.append(np.sort(np.array(interior_seeds[:m])))
-        elif interior_seeds:
-            pad = list(interior_seeds)
-            while len(pad) < m:
-                pad.append(float(rng.uniform(lo + 0.05 * (hi_w - lo), hi_w - 0.05 * (hi_w - lo))))
-            inits.append(np.sort(np.array(pad)))
-        # deterministic coarse scan: the certificate basin can be narrow
-        axis = lo + (hi_w - lo) * np.linspace(0.015, 0.985, 40 if m <= 2 else 12)
-        if m == 1:
-            cands = [(obj(np.array([t]))[0], (t,)) for t in axis]
-        elif m == 2:
-            cands = [
-                (obj(np.array([t1, t2]))[0], (t1, t2))
-                for i, t1 in enumerate(axis)
-                for t2 in axis[i + 1 :]
-            ]
-        else:
-            cands = []
-            for _ in range(400):
-                th = np.sort(rng.uniform(lo + 0.01 * (hi_w - lo), hi_w - 0.01 * (hi_w - lo), m))
-                cands.append((obj(th)[0], tuple(th)))
-        cands.sort(key=lambda c: c[0])
-        inits.extend(np.array(c[1]) for c in cands[:3] if c[0] < 1e90)
-        inits.append(lo + (hi_w - lo) * np.arange(1, m + 1) / (m + 1))
-        for st in range(starts - 1):
-            inits.append(np.sort(lo + (hi_w - lo) * rng.uniform(0.02, 0.98, m)))
-        box = [(lo + 1e-10 * (hi_w - lo), hi_w - 1e-10 * (hi_w - lo))] * m
-        # gtol bounds the first-order change of L/scale across the whole
-        # window: a per-unit bound stops early on long half-line windows
-        for th0 in inits:
-            res = minimize(obj, th0, jac=True, method="L-BFGS-B", bounds=box,
-                           options={"ftol": 1e-14, "gtol": 1e-10 / (hi_w - lo), "maxiter": 200})
-            if res.fun < 1e90 and (best is None or res.fun * scale < best[1]):
-                consider(pattern, np.sort(res.x))
 
     if best is None:
         return None

@@ -8,17 +8,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 
-from .colloc import NodeSet, certify
+from .colloc import certify
 from .errors import (
     CertificationRequired,
     InvariantViolation,
     NoSeparator,
     SNotStrictlyPositive,
+    TSystemError,
 )
+from .extremal import extremal_test_polys, search
 from .family import FamilySpec
-from .zeros import SparsePoly, poly_from_zeros
+from .moments import _locally_nonneg, _probes
+from .zeros import SparsePoly
 
 LOWER = "lower"
 UPPER = "upper"
@@ -472,90 +475,47 @@ def _alternant(xs, err, count, F, family, coeffs, lo, hi) -> np.ndarray:
 # -- ratio optimization ---------------------------------------------------------
 
 
-def _index_patterns(n: int, lo: float, hi: float):
-    """Zero-placement patterns of index n: (tag, #interior doubles, fixed nodes)."""
-    if n % 2 == 0:
-        m = n // 2
-        pats = [("interior_doubles", m, ())]
-        if m >= 1:
-            pats.append(("a_doubles_b", m - 1, ((lo, 1), (hi, 1))))
-        return pats
-    m = (n - 1) // 2
-    return [("a_doubles", m, ((lo, 1),)), ("doubles_b", m, ((hi, 1),))]
-
-
 def optimize_ratio(
     family: FamilySpec,
     L,
     S,
     sense: str = "max",
-    grid: int = 200,
     starts: int = 6,
     seed: int = 0,
     certificate=None,
 ):
     """Optimize L(p)/S(p) over nonnegative polynomials with index-n zero sets.
 
-    Both endpoint/parity patterns are searched with multi-start Nelder-Mead
-    over the interior double-zero positions; returns (value, argmax, top5).
+    extremal.search runs every zero pattern of the family by L-BFGS-B over
+    its double-zero positions on -sense * L/S, whose gradient follows by the
+    quotient rule from one solve for both functionals; S(p) <= 0 is
+    inadmissible.  An end point counts when it is nonnegative against its
+    local magnitude on the probe grids of the moment dual and S(p) > 0.
+    Returns (value, argmax, top5), top5 listing (value, pattern, theta).
     """
     if certificate is None:
         certificate = certify(family, "ET")
     if not certificate:
         raise CertificationRequired("optimize_ratio needs an ET-certified family")
-    n = family.order
-    lo, hi = family.domain.window()
-    Lv = np.asarray(L.values if hasattr(L, "values") else L, dtype=float)
-    Sv = np.asarray(S.values if hasattr(S, "values") else S, dtype=float)
+    LS = np.array([L.values if hasattr(L, "values") else L,
+                   S.values if hasattr(S, "values") else S], dtype=float)
     sgn = 1.0 if sense == "max" else -1.0
-    rng = np.random.default_rng(seed)
 
-    def make_poly(tag, m, fixed, theta):
-        nodes = list(fixed) + [(t, 2) for t in theta]
-        nodes = sorted(nodes)
-        ns = NodeSet(tuple(nodes))
-        return poly_from_zeros(family, ns, "auto_nonneg", certificate=certificate)
+    def objective(v, g):
+        if v[1] <= 0:
+            raise SNotStrictlyPositive(f"S(p) = {v[1]} <= 0 at a test polynomial")
+        return -sgn * v[0] / v[1], -sgn * (g[0] * v[1] - v[0] * g[1]) / v[1] ** 2
 
-    def ratio(p):
-        num = float(Lv @ p.a)
-        den = float(Sv @ p.a)
-        if den <= 0:
-            raise SNotStrictlyPositive(f"S(p) = {den} <= 0 at a test polynomial")
-        return num / den
-
+    probes = _probes(family)
     results = []
-    for tag, m, fixed in _index_patterns(n, lo, hi):
-        if m == 0:
-            try:
-                p = make_poly(tag, m, fixed, np.array([]))
-                results.append((ratio(p), tag, (), p))
-            except Exception:
-                pass
+    for pattern, theta, _ in search(family, LS, objective, np.random.default_rng(seed), starts):
+        try:
+            p = extremal_test_polys(family, pattern, theta, certificate)
+        except TSystemError:
             continue
-
-        def neg_obj(theta):
-            th = np.sort(theta)
-            if th[0] <= lo + 1e-9 * (hi - lo) or th[-1] >= hi - 1e-9 * (hi - lo):
-                return 1e100
-            if np.any(np.diff(th) <= 1e-9 * (hi - lo)):
-                return 1e100
-            try:
-                p = make_poly(tag, m, fixed, th)
-                return -sgn * ratio(p)
-            except Exception:
-                return 1e100
-
-        for s in range(starts):
-            if s == 0:
-                theta0 = lo + (hi - lo) * (np.arange(1, m + 1)) / (m + 1)
-            else:
-                theta0 = np.sort(lo + (hi - lo) * rng.uniform(0.05, 0.95, m))
-            res = minimize(neg_obj, theta0, method="Nelder-Mead",
-                           options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-            if res.fun < 1e90:
-                th = np.sort(res.x)
-                p = make_poly(tag, m, fixed, th)
-                results.append((ratio(p), tag, tuple(map(float, th)), p))
+        num, den = LS @ p.a
+        if den > 0 and _locally_nonneg(p, probes):
+            results.append((float(num / den), pattern, tuple(map(float, theta)), p))
 
     if not results:
         raise InvariantViolation("no admissible extremal pattern found")

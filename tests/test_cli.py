@@ -1,7 +1,14 @@
 import csv
 import json
+import math
+import re
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+from tsystems import cli
 
 
 def run_cli(*args):
@@ -118,3 +125,49 @@ def test_usage_error_exit_1():
     assert run_cli("decompose", "--mode", "bogus", "--family", "monomial:0,1",
                    "--domain", "0,1", "--coeffs", "1,1").returncode == 1
     assert run_cli().returncode == 1
+
+
+DOC = Path(__file__).resolve().parent.parent / "docs" / "problem-file-v1.md"
+
+
+def doc_examples():
+    """The complete problem files among the JSON blocks of the schema doc."""
+    out = []
+    for block in re.findall(r"```json\n(.*?)```", DOC.read_text(), re.S):
+        try:
+            out.append(json.loads(block))
+        except ValueError:  # the outline of the format
+            pass
+    return out
+
+
+# (exit code, check of the JSON output) of each documented example, in order
+DOC_EXPECTED = [
+    (0, lambda o: o["level"] == "ECT"),
+    (0, lambda o: o["poly"]["coeffs"] == pytest.approx([0.25, -1.0, 1.0])),
+    (0, lambda o: o["converged"]
+        and o["f_lower"]["coeffs"] == pytest.approx([2.0, -2 * math.sqrt(2.0), 1.0])),
+    (0, lambda o: o["touch_points"] == [[-1.0, "lower"], [1.0, "upper"]]),
+    (0, lambda o: o["deviation"] == pytest.approx(0.5)),
+    (2, lambda o: o["all_psd"] is False),
+    (2, lambda o: o["status"] == "infeasible"),
+    (0, lambda o: len(o["atoms"]) == 2 and sum(w for _, w in o["atoms"]) == pytest.approx(1.0)),
+    (0, lambda o: o["mesh_points"] == 2001),
+    # max over theta of (x - theta)^2 at 0.3 over its integral: 123/83 at 0.915
+    (0, lambda o: o["value"] == pytest.approx(123 / 83, rel=1e-12)),
+]
+
+
+@pytest.mark.parametrize("index", range(len(DOC_EXPECTED)))
+def test_documented_problem_files(index, tmp_path, capsys):
+    examples = doc_examples()
+    assert len(examples) == len(DOC_EXPECTED)
+    prob = examples[index]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(prob))
+    code = cli.main(["run", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert out["task"] == prob["task"]
+    expected_code, check = DOC_EXPECTED[index]
+    assert code == expected_code
+    assert check(out), out

@@ -19,14 +19,16 @@ from tsystems import (
     sparse_feasibility,
 )
 from tsystems.errors import NotFeasible, TooShort
-from tsystems import moments
-from tsystems.moments import (
-    MomentFunctional,
-    _certificate_is_sound,
+from tsystems import extremal, moments
+from tsystems.extremal import (
     _pattern_nodes,
     _pattern_value_grad,
     _patterns_for,
     _search_window,
+)
+from tsystems.moments import (
+    MomentFunctional,
+    _certificate_is_sound,
     caratheodory_prune,
 )
 
@@ -310,6 +312,14 @@ def test_certificate_negative_beyond_probe_window_is_unsound():
     assert _certificate_is_sound(SparsePoly((1.0, 0.0, 1.0), fam), probes)
 
 
+def test_small_top_exponent_halfline_window():
+    # 10^(6/alpha_n) overflows for alpha_n = 0.001: the window is capped at 10^30
+    fam = power_family([0.0, 0.001], halfline(0.0))
+    assert _search_window(fam) == (0.0, 1e30)
+    assert sparse_feasibility(MomentFunctional.from_measure(fam, [(2.0, 1.0)])).status == "feasible"
+    assert sparse_feasibility(MomentFunctional((1.0, -1.0), fam)).status == "infeasible"
+
+
 def perturbed_functional(fam, atom, pattern, tol=1e-8):
     """Criterion 10's construction for one atom: the moments of w delta_x,
     moved out of the cone along the pattern's extremal polynomial with its
@@ -380,13 +390,13 @@ def test_dual_search_builds_few_polys(monkeypatch):
     L = criterion_10_instance(2)
     assert L.family.order == 2
     calls = []
-    original = moments.poly_from_zeros
+    original = extremal.poly_from_zeros
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(moments, "poly_from_zeros", counting)
+    monkeypatch.setattr(extremal, "poly_from_zeros", counting)
     v = sparse_feasibility(L, tol=1e-8)
     assert v.status == "infeasible"
     assert len(calls) <= 20

@@ -6,14 +6,17 @@ from tsystems import (
     SparsePoly,
     best_approx,
     eval_basis,
+    extremal_test_polys,
+    halfline,
     interval,
     monomial_family,
     optimize_ratio,
     poly_from_zeros,
+    power_family,
     snake,
 )
 from tsystems.errors import NoSeparator
-from tsystems.moments import MomentFunctional
+from tsystems.moments import MomentFunctional, _locally_nonneg, _probes
 
 from conftest import lp_best_approx_oracle
 
@@ -183,3 +186,44 @@ def test_optimize_ratio_constant_family():
     S = MomentFunctional((4.0,), fam)
     val, poly, _ = optimize_ratio(fam, L, S)
     assert abs(val - 0.5) < 1e-12
+
+
+def test_optimize_ratio_halfline():
+    # L = delta_1, S = delta_0.5 + delta_20: the optimum (x - theta)^2 has its
+    # double zero at 20.527, beyond the 10-wide window of the domain
+    fam = monomial_family([0, 1, 2], halfline(0.0))
+    L = MomentFunctional((1.0, 1.0, 1.0), fam)
+    S = MomentFunctional((2.0, 20.5, 400.25), fam)
+    val, poly, _ = optimize_ratio(fam, L, S)
+    assert val >= 0.95003 - 1e-6
+    assert _locally_nonneg(poly, _probes(fam))
+
+
+def test_optimize_ratio_order5_matches_scan():
+    # L = delta_0.7, S = the mean over 50 equispaced points; the result must be
+    # nonnegative and match a zooming theta scan of both patterns
+    fam = power_family([0.0, 0.5, 1.5, 2.0, 3.5, 4.5], interval(0.1, 1.2))
+    L = MomentFunctional(tuple(eval_basis(fam, 0.7)), fam)
+    S = MomentFunctional(tuple(fam.eval_grid(np.linspace(0.1, 1.2, 50)).mean(axis=0)), fam)
+    val, poly, _ = optimize_ratio(fam, L, S)
+    probes = _probes(fam)
+    assert _locally_nonneg(poly, probes)
+
+    def ratio(pattern, theta):
+        if not 0.1 < theta[0] < theta[1] < 1.2:
+            return -np.inf
+        p = extremal_test_polys(fam, pattern, theta)
+        return L(p) / S(p) if S(p) > 0 and _locally_nonneg(p, probes) else -np.inf
+
+    axis = np.linspace(0.1, 1.2, 23)[1:-1]
+    best = max((ratio(pat, (t1, t2)), pat, (t1, t2))
+               for pat in ("a_doubles", "doubles_b")
+               for i, t1 in enumerate(axis) for t2 in axis[i + 1:])
+    step = axis[1] - axis[0]
+    for _ in range(12):
+        _, pat, (c1, c2) = best
+        step /= 2.5
+        d = step * np.arange(-3, 4)
+        best = max([best] + [(ratio(pat, (c1 + u, c2 + v)), pat, (c1 + u, c2 + v))
+                             for u in d for v in d])
+    assert val == pytest.approx(best[0], rel=1e-6)
