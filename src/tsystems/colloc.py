@@ -185,6 +185,25 @@ def null_vector(B: np.ndarray) -> np.ndarray:
     return a / nrm if nrm > 0 else a
 
 
+def null_vector_tangent(family: FamilySpec, B: np.ndarray, a: np.ndarray, pts, rows) -> np.ndarray:
+    """Derivatives of the null vector a of B in the positions of double nodes.
+
+    B holds the rows f(x), f'(x) of a double node at each pts[j], the f'
+    row at rows[j]; a is scaled to unit max-norm (a_k = +-1, as null_vector
+    scales).  Differentiating B a = 0 in pts[j]: the row f(x).a = 0 gives
+    f(x).a' = -f'(x).a = 0, the row f'(x).a = 0 gives f'(x).a' = -f''(x).a,
+    every other row r.a' = 0, and the scaling a'_k = 0.  So a' solves the
+    bordered system [B; e_k] a' = -(f''(x).a) e_r, r = rows[j].  Returns
+    the (n+1) x len(pts) array whose column j is da/dpts[j].
+    """
+    n1 = B.shape[1]
+    M = np.vstack([B, np.zeros(n1)])
+    M[-1, int(np.argmax(np.abs(a)))] = 1.0
+    rhs = np.zeros((n1, len(pts)))
+    rhs[rows, np.arange(len(pts))] = -(family.eval_grid(pts, 2) @ a)
+    return np.linalg.solve(M, rhs)
+
+
 # -- certification -------------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize
 
-from .colloc import NodeSet, node_rows, null_vector
+from .colloc import NodeSet, node_rows, null_vector, null_vector_tangent
 from .errors import TSystemError
 from .family import FamilySpec, halfline_xmax
 from .zeros import SparsePoly, poly_from_zeros
@@ -108,12 +108,8 @@ def _pattern_value_grad(fam: FamilySpec, nodes, m: int, s: np.ndarray, window) -
     array), all from one solve.  p's coefficients a are the null vector of
     the node matrix B, oriented so p > 0 at the middle of the widest gap
     between its zeros on ``window`` and scaled to unit max-norm (a_k = +-1,
-    as poly_from_zeros scales).  Differentiating B a = 0 in theta_j: the row
-    f(theta_j).a = 0 gives f(theta_j).a' = -f'(theta_j).a = 0, the row
-    f'(theta_j).a = 0 gives f'(theta_j).a' = -f''(theta_j).a, every other
-    row r.a' = 0, and the scaling a'_k = 0.  So a' solves the bordered
-    system [B; e_k] a' = -(f''(theta_j).a) e_r, r the row of f'(theta_j),
-    and dL/dtheta_j = s.a'.  L takes the first fam.size moments of s.
+    as poly_from_zeros scales); da/dtheta comes from null_vector_tangent,
+    and dL/dtheta_j = s.da/dtheta_j.  L takes the first fam.size moments of s.
     """
     pts = np.sort([*window, *(x for x, _ in nodes)])
     i = int(np.argmax(np.diff(pts)))
@@ -124,12 +120,8 @@ def _pattern_value_grad(fam: FamilySpec, nodes, m: int, s: np.ndarray, window) -
         a = -a
     n1 = fam.size
     s = s[..., :n1]
-    M = np.vstack([B, np.zeros(n1)])
-    M[-1, int(np.argmax(np.abs(a)))] = 1.0
-    rhs = np.zeros((n1, m))
-    cols = np.arange(m)
-    rhs[n1 - 2 * m + 2 * cols, cols] = -(fam.eval_grid([x for x, _ in nodes[-m:]], 2) @ a)
-    return s @ a, s @ np.linalg.solve(M, rhs)
+    theta = [x for x, _ in nodes[-m:]]
+    return s @ a, s @ null_vector_tangent(fam, B, a, theta, n1 - 2 * m + 2 * np.arange(m))
 
 
 def search(family: FamilySpec, s: np.ndarray, objective, rng, starts: int, seeds=()):

@@ -3,11 +3,17 @@
 The primary solver is Newton on the tangency system: the unknowns are the
 interior double zeros of f_* and the touch points of f - f_*, the equations
 are value/derivative vanishing at the touch points plus the endpoint
-condition.  Globalization is by continuation: a surrogate with known exact
+condition.  One damped Newton driver, ``_newton``, serves every domain.  Its
+Jacobian is analytic: on [a,b] and the half-line the f_* columns come from
+implicit differentiation of the node null vector (colloc.null_vector_tangent),
+on the real line from dense polynomial arithmetic.  Newton halves its step
+until the residual falls and keeps stepping past its tolerance until the
+residual stops falling, so every solve ends at the rounding floor; a stall
+above the tolerance is not converged.  When the direct start fails, a
+fixed-point map over the gap lengths, a multiplicative leveling of the
+per-segment deltas, and continuation from a surrogate with known exact
 decomposition (a sum of the two pattern polynomials, which by uniqueness IS
-its own decomposition) is morphed into f with Newton warm starts.  A damped
-delta-equalization sweep provides initial configurations when the direct
-start fails.
+its own decomposition) provide starts for the same driver.
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from numpy.polynomial import polynomial as npp
 
-from .colloc import node_rows, null_vector
+from .colloc import node_rows, null_vector, null_vector_tangent
 from .errors import (
     InvariantViolation,
     LeadingCoefficientNonpositive,
@@ -41,17 +47,21 @@ POS_GRID = 5000
 
 @dataclass(frozen=True)
 class KarlinDecomposition:
-    """The unique pair (f_*, f^*) with interlacing full-index zero sets."""
+    """The unique pair (f_*, f^*) with interlacing full-index zero sets.
+
+    ``touch_residual`` is the max-norm of the tangency system at the solution
+    relative to max |f| on the solver's grid (on the real line, max |q| within
+    the roots' reach, q being f with its shared zeros divided out).
+    """
 
     f_lower: SparsePoly
     f_upper: SparsePoly
     zeros_lower: ZeroConfig
     zeros_upper: ZeroConfig
-    residual_sup: float
     iterations: int
     converged: bool
-    solver_path: str = "newton"
-    touch_residual: float = 0.0
+    solver_path: str
+    touch_residual: float
 
     def to_dict(self) -> dict:
         return {
@@ -59,10 +69,10 @@ class KarlinDecomposition:
             "f_upper": self.f_upper.to_dict(),
             "zeros_lower": self.zeros_lower.to_dict(),
             "zeros_upper": self.zeros_upper.to_dict(),
-            "residual_sup": self.residual_sup,
             "iterations": self.iterations,
             "converged": self.converged,
             "solver_path": self.solver_path,
+            "touch_residual": self.touch_residual,
         }
 
     def to_json(self) -> str:
@@ -80,8 +90,64 @@ def _merge_nodes(nodes) -> tuple:
     return tuple((p, m) for p, m in out)
 
 
+def _newton(system, z, tol, maxit, admissible):
+    """Damped Newton on a square system, run to the rounding floor.
+
+    ``system(z)`` returns the residual R at z and a callable giving the
+    Jacobian there; ``admissible(z)`` says where system may be evaluated.
+    Each Newton step is halved until it lowers max |R|, and Newton stops
+    when no halving does before the step no longer moves z.  Passing tol
+    does not stop it: the residual keeps falling to the rounding floor, so
+    the end point does not depend on where tol lies.  It has converged if
+    it stops below tol; a stall above tol is not converged.  Returns (z,
+    converged, steps, max |R|).
+    """
+    z = np.asarray(z, dtype=float).copy()
+    R, jac = system(z)
+    nR = float(np.max(np.abs(R)))
+    for it in range(maxit):
+        try:
+            dz = np.linalg.solve(jac(), -R)
+        except np.linalg.LinAlgError:
+            return z, nR < tol, it, nR
+        t, moved = 1.0, False
+        for _ in range(45):
+            zn = z + t * dz
+            if np.array_equal(zn, z):
+                break
+            if admissible(zn):
+                Rn, jn = system(zn)
+                nRn = float(np.max(np.abs(Rn)))
+                if nRn < nR:
+                    moved = True
+                    break
+            t /= 2
+        if not moved:
+            return z, nR < tol, it, nR
+        z, R, jac, nR = zn, Rn, jn, nRn
+    return z, nR < tol, maxit, nR
+
+
+def _interlaced(first, second, lo, hi, eps) -> bool:
+    """lo < first_1 < second_1 < first_2 < ... < hi, every gap above eps."""
+    seq = np.empty(len(first) + len(second))
+    seq[0::2] = np.sort(first)
+    seq[1::2] = np.sort(second)
+    return bool(np.all(np.diff(np.concatenate([[lo], seq, [hi]])) > eps))
+
+
 class _TangencySolver:
-    """Shared Newton/continuation machinery for [a,b] and half-line patterns."""
+    """Tangency system, Newton starts and fallbacks for [a,b] and half-line patterns.
+
+    z holds the m double zeros xs of f_* and then the touch points ys of
+    f - f_*.  f_* = c P, with P the null vector of the lower pattern's node
+    rows and c = (h.f)/(h.P) fixed by the pin h: the row of f^(k_hi)(hi) on
+    [a,b] ("endpoint"), the top coefficient on the half-line ("leading").
+    ``system`` gives the residual and its analytic Jacobian; ``newton`` runs
+    _newton on it to the rounding floor.  ``solve`` tries Newton from
+    Chebyshev and equispaced starts ("newton:direct*"), then from the
+    fixed-point and leveling layouts, then by continuation.
+    """
 
     def __init__(
         self,
@@ -97,9 +163,8 @@ class _TangencySolver:
         self.family = family
         self.f = np.asarray(f, dtype=float)
         self.shared = shared
-        self.n_eff = n_eff
         self.even = n_eff % 2 == 0
-        self.m = n_eff // 2 if self.even else (n_eff - 1) // 2
+        self.m = n_eff // 2
         self.lo = lo
         self.hi = hi  # None on the half-line
         self.pin = pin  # "endpoint" (at hi) or "leading" (coefficient of f_n)
@@ -107,55 +172,38 @@ class _TangencySolver:
         self.grid_rows = family.eval_grid(grid)  # basis on the check grid, reused
         self.scale = float(np.max(np.abs(self.grid_rows @ self.f)))
         self.width = (hi - lo) if hi is not None else max(1.0, 2 * float(grid[-1] - lo))
-        self.k_lo = next((m for z, m in shared if math.isclose(z, lo, abs_tol=1e-14)), 0)
-        self.k_hi = 0
+        k_lo = next((m for z, m in shared if math.isclose(z, lo, abs_tol=1e-14)), 0)
         if hi is not None:
-            self.k_hi = next((m for z, m in shared if math.isclose(z, hi, abs_tol=1e-14)), 0)
-            self.hi_row = family.eval_grid([hi], self.k_hi)  # the endpoint pin
-        self.lo_row = family.eval_grid([lo], self.k_lo) if self.even else None
+            k_hi = next((m for z, m in shared if math.isclose(z, hi, abs_tol=1e-14)), 0)
+            self.pin_row = family.eval_grid([hi], k_hi)[0]
+        else:
+            self.pin_row = np.eye(family.size)[-1]
+        self.lo_row = family.eval_grid([lo], k_lo) if self.even else np.zeros((0, family.size))
+        # fixed zeros of f_*, ahead of its double zeros in the node rows
+        self.lower_fixed = _merge_nodes(list(shared) + ([] if self.even else [(lo, 1)]))
+        self.n_fixed = sum(m for _, m in self.lower_fixed)
 
     # -- patterns -------------------------------------------------------------
 
-    def _clip(self, pts) -> np.ndarray:
-        """Keep transient probe points (FD steps, LM trials) inside the domain."""
-        lo = self.lo + 1e-14 * self.width
-        hi = self.hi - 1e-14 * self.width if self.hi is not None else None
-        return np.clip(np.asarray(pts, dtype=float), lo, hi)
-
     def lower_nodes(self, xs) -> tuple:
-        pat = [(x, 2) for x in np.sort(self._clip(xs))]
-        if not self.even:
-            pat.append((self.lo, 1))
-        return _merge_nodes(list(self.shared) + pat)
+        return self.lower_fixed + tuple((float(x), 2) for x in np.sort(xs))
 
     def upper_nodes(self, ys) -> tuple:
         pat = [(y, 2) for y in np.sort(ys)]
         if self.even:
             pat.append((self.lo, 1))
-            if self.hi is not None:
-                pat.append((self.hi, 1))
-        else:
-            if self.hi is not None:
-                pat.append((self.hi, 1))
+        if self.hi is not None:
+            pat.append((self.hi, 1))
         return _merge_nodes(list(self.shared) + pat)
-
-    def upper_family_cols(self) -> slice:
-        """Columns of the family used by the f^* pattern (half-line drops f_n)."""
-        return slice(0, self.family.size - (1 if self.pin == "leading" else 0))
 
     def f_lower(self, xs, fc) -> np.ndarray:
         P = null_vector(node_rows(self.family, self.lower_nodes(xs)))
-        if self.pin == "endpoint":
-            num = float((self.hi_row @ fc)[0])
-            den = float((self.hi_row @ P)[0])
-        else:
-            num = fc[-1]
-            den = P[-1]
-        return (num / den) * P
+        return (self.pin_row @ fc) / (self.pin_row @ P) * P
 
     def upper_pattern_poly(self, ys) -> np.ndarray:
-        """Unit-scale f^*-pattern polynomial (embedded in the full family)."""
-        cols = self.upper_family_cols()
+        """Unit-scale f^*-pattern polynomial (embedded in the full family;
+        on the half-line the pattern drops f_n)."""
+        cols = slice(0, self.family.size - (1 if self.pin == "leading" else 0))
         sub = _subfamily(self.family, cols)
         nodes = self.upper_nodes(ys)
         Q = null_vector(node_rows(sub, nodes))
@@ -163,100 +211,52 @@ class _TangencySolver:
         out[cols] = Q
         return out
 
-    # -- residuals ------------------------------------------------------------
+    # -- the tangency system -----------------------------------------------------
 
-    def resid(self, z, fc) -> np.ndarray:
-        xs = np.sort(z[: self.m])
-        ys = self._clip(np.sort(z[self.m :]))
-        return self._touch_resid(fc - self.f_lower(xs, fc), self._touch_rows(ys))
+    def system(self, z, fc):
+        """Residual at z and a callable for its Jacobian.
 
-    def _touch_rows(self, ys) -> tuple:
-        """Basis rows f(ys), f'(ys) of the touch conditions (None without ys)."""
-        if not len(ys):
-            return None, None
-        return self.family.eval_grid(ys), self.family.eval_grid(ys, 1)
-
-    def _touch_resid(self, d, rows) -> np.ndarray:
-        """Residual of f - f_* = d: d^(k_lo)(lo) for even n, then d(ys), d'(ys)."""
-        parts = []
-        if self.even:
-            parts.append(float((self.lo_row @ d)[0]))
-        if rows[0] is not None:
-            parts.extend(rows[0] @ d)
-            parts.extend(rows[1] @ d)
-        return np.array(parts)
-
-    def fd_jacobian(self, z, fc) -> np.ndarray:
-        """Central differences of resid at z with step 1e-7 * width.
-
-        Bit-identical to differencing resid itself, but each column reuses
-        what its step leaves unchanged: a node step keeps the touch-point
-        rows, a touch-point step keeps f_* and so the null vector.
+        With d = fc - f_*, the residual is d^(k_lo)(lo) for even n, then
+        d(ys) and d'(ys).  A touch point y moves only its own two rows, by
+        d'(y) and d''(y).  A double zero x moves f_* = c P by
+        c (P' - (h.P'/h.P) P), the second term from the pin scale c, with P'
+        from null_vector_tangent.
         """
-        h = 1e-7 * self.width
         m = self.m
-        rows = self._touch_rows(self._clip(np.sort(z[m:])))
-        d = fc - self.f_lower(np.sort(z[:m]), fc)
-        J = np.empty((len(z), len(z)))
-        for j in range(len(z)):
-            sides = []
-            for step in (h, -h):
-                zs = z.copy()
-                zs[j] += step
-                if j < m:
-                    sides.append(self._touch_resid(fc - self.f_lower(np.sort(zs[:m]), fc), rows))
-                else:
-                    sides.append(self._touch_resid(d, self._touch_rows(self._clip(np.sort(zs[m:])))))
-            J[:, j] = (sides[0] - sides[1]) / (2 * h)
-        return J
+        ox, oy = np.argsort(z[:m]), np.argsort(z[m:])
+        xs, ys = z[:m][ox], z[m:][oy]
+        B = node_rows(self.family, self.lower_nodes(xs))
+        P = null_vector(B)
+        h = self.pin_row
+        c = (h @ fc) / (h @ P)
+        d = fc - c * P
+        k = len(ys)
+        Y = self.family.eval_grid(np.tile(ys, 3), np.repeat([0, 1, 2], k))
+        rows = np.vstack([self.lo_row, Y[: 2 * k]])
+        R = rows @ d
+
+        def jac():
+            dP = null_vector_tangent(self.family, B, P, xs, self.n_fixed + 1 + 2 * np.arange(m))
+            J = np.zeros((len(R), len(z)))
+            J[:, ox] = -c * rows @ (dP - np.outer(P, (h @ dP) / (h @ P)))
+            e = len(self.lo_row) + np.arange(k)
+            J[e, m + oy] = Y[k : 2 * k] @ d
+            J[e + k, m + oy] = Y[2 * k :] @ d
+            return J
+
+        return R, jac
 
     def phase_ok(self, z) -> bool:
-        xs = np.sort(z[: self.m])
-        ys = np.sort(z[self.m :])
-        seq = [self.lo]
-        if self.even:
-            for i in range(self.m):
-                seq.append(xs[i])
-                if i < len(ys):
-                    seq.append(ys[i])
-        else:
-            for i in range(self.m):
-                seq.append(ys[i])
-                seq.append(xs[i])
-        if self.hi is not None:
-            seq.append(self.hi)
-        eps = 1e-13 * self.width
-        return all(seq[i] + eps < seq[i + 1] for i in range(len(seq) - 1))
+        xs, ys = z[: self.m], z[self.m :]
+        first, second = (xs, ys) if self.even else (ys, xs)
+        hi = self.hi if self.hi is not None else math.inf
+        return _interlaced(first, second, self.lo, hi, 1e-13 * self.width)
 
     def newton(self, z, fc, tol, maxit=40):
-        z = np.asarray(z, dtype=float).copy()
+        """_newton on the system for fc; tol and the residual are relative to max |fc|."""
         sc = float(np.max(np.abs(self.grid_rows @ fc)))
-        last = math.inf
-        it = 0
-        for it in range(maxit):
-            R = self.resid(z, fc)
-            nR = float(np.max(np.abs(R))) if len(R) else 0.0
-            if nR < tol * sc or len(R) == 0:
-                return z, True, it, nR / sc if sc else 0.0
-            try:
-                dz = np.linalg.solve(self.fd_jacobian(z, fc), -R)
-            except np.linalg.LinAlgError:
-                return z, False, it, nR / sc
-            t = 1.0
-            moved = False
-            for _ in range(45):
-                zn = z + t * dz
-                if self.phase_ok(zn) and np.max(np.abs(self.resid(zn, fc))) < nR:
-                    z = zn
-                    moved = True
-                    break
-                t /= 2
-            if not moved:
-                return z, nR < 100 * tol * sc, it, nR / sc
-            last = nR
-        R = self.resid(z, fc)
-        nR = float(np.max(np.abs(R))) if len(R) else 0.0
-        return z, nR < tol * sc, it, nR / sc if sc else 0.0
+        z, ok, it, nR = _newton(lambda zz: self.system(zz, fc), z, tol * sc, maxit, self.phase_ok)
+        return z, ok, it, nR / sc
 
     # -- initial configurations ------------------------------------------------
 
@@ -396,10 +396,9 @@ class _TangencySolver:
         attempts = []
         m = self.m
         if m == 0:
-            fl = self.f_lower(np.array([]), self.f)
-            res = self.resid(np.array([]), self.f)
-            r = float(np.max(np.abs(res))) / self.scale if len(res) else 0.0
-            return np.array([]), np.array([]), fl, {
+            R, _ = self.system(np.array([]), self.f)
+            r = float(np.max(np.abs(R))) / self.scale if len(R) else 0.0
+            return np.array([]), np.array([]), self.f_lower([], self.f), {
                 "path": "direct",
                 "iterations": 0,
                 "residual": r,
@@ -466,26 +465,7 @@ class _TangencySolver:
         dv = self.grid_rows @ (self.f - fl)
         return float(flv.min()) >= -1e-9 * self.scale and float(dv.min()) >= -1e-9 * self.scale
 
-    def lm_polish(self, z):
-        """Levenberg-Marquardt finisher; returns the better of old/new."""
-        if len(z) == 0:
-            return z
-        r0 = float(np.max(np.abs(self.resid(z, self.f))))
-        try:
-            sol = least_squares(
-                lambda zz: self.resid(zz, self.f), z, method="lm",
-                xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400,
-            )
-        except Exception:
-            return z
-        if not self.phase_ok(sol.x):
-            return z
-        r1 = float(np.max(np.abs(self.resid(sol.x, self.f))))
-        return sol.x if r1 < r0 else z
-
     def _unpack(self, z, path, it, res, tol):
-        z = self.lm_polish(z)
-        res = float(np.max(np.abs(self.resid(z, self.f)))) / self.scale if len(z) else res
         xs = np.sort(z[: self.m])
         ys = np.sort(z[self.m :])
         fl = self.f_lower(xs, self.f)
@@ -503,7 +483,7 @@ def _subfamily(family: FamilySpec, cols: slice) -> FamilySpec:
     return FamilySpec(family.variant, family.params[cols], family.domain)
 
 
-def _zero_config(solver: _TangencySolver, nodes, domain) -> ZeroConfig:
+def _zero_config(nodes, domain) -> ZeroConfig:
     zeros = []
     for p, m in nodes:
         endpoint = (
@@ -522,17 +502,13 @@ def _zero_config(solver: _TangencySolver, nodes, domain) -> ZeroConfig:
 def _build_decomposition(solver, xs, ys, fl, info, family) -> KarlinDecomposition:
     f_lower = SparsePoly(tuple(fl), family)
     f_upper = SparsePoly(tuple(solver.f - fl), family)
-    zl = _zero_config(solver, solver.lower_nodes(xs), family.domain)
-    zu = _zero_config(solver, solver.upper_nodes(ys), family.domain)
-    resid_sup = float(
-        np.max(np.abs(solver.grid_rows @ (solver.f - f_lower.a - f_upper.a)))
-    )
+    zl = _zero_config(solver.lower_nodes(xs), family.domain)
+    zu = _zero_config(solver.upper_nodes(ys), family.domain)
     return KarlinDecomposition(
         f_lower,
         f_upper,
         zl,
         zu,
-        resid_sup,
         max(info["iterations"], 0),
         info["converged"],
         info["path"],
@@ -692,7 +668,6 @@ def _halfline_factor_out(f: SparsePoly, **kw) -> KarlinDecomposition:
         lift(dec.f_upper),
         zl,
         zu,
-        dec.residual_sup,
         dec.iterations,
         dec.converged,
         dec.solver_path + "+factor_out",
@@ -785,9 +760,8 @@ def decompose_realline(f: SparsePoly, mode: str = "positive") -> KarlinDecomposi
     zu_nodes = _merge_nodes(shared + [(y, 2) for y in ys])
     zl = ZeroConfig(tuple((p, m, NON_NODAL) for p, m in zl_nodes), family.domain)
     zu = ZeroConfig(tuple((p, m, NON_NODAL) for p, m in zu_nodes), family.domain)
-    resid = 0.0
     return KarlinDecomposition(
-        f_lower, f_upper, zl, zu, resid, info["iterations"], info["converged"],
+        f_lower, f_upper, zl, zu, info["iterations"], info["converged"],
         info["path"], info["residual"],
     )
 
@@ -810,107 +784,96 @@ def _poly_from_roots_sq(roots) -> np.ndarray:
     return np.convolve(out, out)
 
 
+def _root_bound(q: np.ndarray) -> float:
+    """Fujiwara's bound on the moduli of the roots of q (ascending coefficients)."""
+    n = len(q) - 1
+    return 2 * max(abs(q[n - k] / q[n]) ** (1 / k) for k in range(1, n + 1))
+
+
+def _realline_system(q: np.ndarray, M: int):
+    """The real-line tangency system for q > 0 (ascending coefficients, degree 2M).
+
+    z holds the double zeros xs of f_* = lead G^2, G = prod (x - x_i), then
+    the touch points ys of d = q - f_*.  The residual is the x^(2M-1)
+    coefficient of d, then d(ys) and d'(ys).  Its Jacobian is closed-form:
+    the coefficient moves by 2 lead in each x_j, d by 2 lead G G_j with
+    G_j = G / (x - x_j), and a touch point y moves its own rows by d'(y)
+    and d''(y).
+    """
+    lead = q[-1]
+
+    def system(z):
+        ox, oy = np.argsort(z[:M]), np.argsort(z[M:])
+        xs, ys = z[:M][ox], z[M:][oy]
+        G = npp.polyfromroots(xs)
+        d = q - lead * npp.polymul(G, G)
+        d1 = npp.polyder(d)
+        R = np.concatenate([[q[-2] + 2 * lead * np.sum(xs)], npp.polyval(ys, d), npp.polyval(ys, d1)])
+
+        def jac():
+            k = M - 1
+            Jx = np.empty((2 * k + 1, M))
+            Jx[0] = 2 * lead
+            for j in range(M):
+                H = 2 * lead * npp.polymul(G, npp.polyfromroots(np.delete(xs, j)))
+                Jx[1 : k + 1, j] = npp.polyval(ys, H)
+                Jx[k + 1 :, j] = npp.polyval(ys, npp.polyder(H))
+            J = np.zeros((2 * k + 1, 2 * k + 1))
+            J[:, ox] = Jx
+            J[1 + np.arange(k), M + oy] = npp.polyval(ys, d1)
+            J[1 + k + np.arange(k), M + oy] = npp.polyval(ys, npp.polyder(d, 2))
+            return J
+
+        return R, jac
+
+    return system
+
+
 def _realline_tangency(q: np.ndarray, M: int, B: float):
     """Newton on the real-line tangency system for q > 0 (ascending coeffs)."""
     if M == 0:
         return np.array([]), np.array([]), {
             "iterations": 0, "converged": True, "path": "direct", "residual": 0.0,
         }
-    scale = float(np.max(np.abs(np.polyval(q[::-1], np.linspace(-B, B, 1001)))))
+    # the residual's scale is max |q| within the roots' reach: on the Cauchy
+    # window [-B, B], which can be wider by orders of magnitude, the top term
+    # dominates and a relative tolerance accepts configurations far from a solution
+    r = _root_bound(q)
+    scale = float(np.max(np.abs(np.polyval(q[::-1], np.linspace(-r, r, 1001)))))
     lead = q[-1]
-    a_odd = q[-2] if len(q) >= 2 else 0.0
-
-    def resid(z):
-        xs = np.sort(z[:M])
-        ys = np.sort(z[M:])
-        r = [a_odd + 2 * lead * np.sum(xs)]
-        if len(ys):
-            fl = lead * _poly_from_roots_sq(xs)
-            d = q - np.pad(fl, (0, len(q) - len(fl)))
-            dpoly = d[::-1]
-            r.extend(np.polyval(dpoly, ys))
-            r.extend(np.polyval(np.polyder(dpoly), ys))
-        return np.array(r)
+    system = _realline_system(q, M)
 
     def phase_ok(z):
-        xs = np.sort(z[:M])
-        ys = np.sort(z[M:])
-        seq = []
-        for i in range(M):
-            seq.append(xs[i])
-            if i < len(ys):
-                seq.append(ys[i])
-        return all(seq[i] < seq[i + 1] - 1e-13 * B for i in range(len(seq) - 1))
-
-    def newton(z, tol, maxit=60):
-        z = z.copy()
-        for it in range(maxit):
-            R = resid(z)
-            nR = float(np.max(np.abs(R)))
-            if nR < tol * scale:
-                return z, True, it, nR / scale
-            h = 1e-7 * B
-            J = np.empty((len(R), len(z)))
-            for j in range(len(z)):
-                zp, zm = z.copy(), z.copy()
-                zp[j] += h
-                zm[j] -= h
-                J[:, j] = (resid(zp) - resid(zm)) / (2 * h)
-            try:
-                dz = np.linalg.solve(J, -R)
-            except np.linalg.LinAlgError:
-                return z, False, it, nR / scale
-            t, moved = 1.0, False
-            for _ in range(45):
-                zn = z + t * dz
-                if phase_ok(zn) and np.max(np.abs(resid(zn))) < nR:
-                    z, moved = zn, True
-                    break
-                t /= 2
-            if not moved:
-                return z, nR < 100 * tol * scale, it, nR / scale
-        return z, False, maxit, float(np.max(np.abs(resid(z)))) / scale
+        return _interlaced(z[:M], z[M:], -math.inf, math.inf, 1e-13 * B)
 
     grid = np.linspace(-B, B, 2001)
     qv = np.polyval(q[::-1], grid)
 
-    def lm(z0):
-        try:
-            sol = least_squares(resid, z0, method="lm", xtol=1e-15, ftol=1e-15,
-                                gtol=1e-15, max_nfev=600)
-            return sol.x
-        except Exception:
-            return z0
-
     def valid(z):
-        if not phase_ok(z) and M > 1:
+        if not phase_ok(z):
             return False
-        xs = np.sort(z[:M])
-        fl = lead * _poly_from_roots_sq(xs)
+        fl = lead * _poly_from_roots_sq(np.sort(z[:M]))
         flv = np.polyval(fl[::-1], grid)
         dv = qv - flv
         sc = float(np.max(np.abs(qv)))
         return flv.min() >= -1e-9 * sc and dv.min() >= -1e-9 * sc
 
     # center the initial layout on the balance point of the leading terms
-    center = -a_odd / (2 * lead * M)
+    center = -q[-2] / (2 * lead * M)
     spread = max(B / 2, 1e-3)
-    best = None
+    best = math.inf
     for width in (spread, spread / 4, spread * 2, B, spread / 16):
         xs0 = center + width * np.cos(np.pi * (2 * np.arange(1, M + 1) - 1) / (2 * M))[::-1]
         ys0 = (xs0[:-1] + xs0[1:]) / 2 if M > 1 else np.array([])
-        z0 = np.concatenate([xs0, ys0])
-        z, ok, it, res = newton(z0, CONVERGED_TOL)
-        z = lm(z)
-        res = float(np.max(np.abs(resid(z)))) / scale
-        if valid(z) and res < 1e-8:
+        z, ok, it, res = _newton(system, np.concatenate([xs0, ys0]), CONVERGED_TOL * scale, 60,
+                                 phase_ok)
+        res /= scale
+        if ok and valid(z):
             return np.sort(z[:M]), np.sort(z[M:]), {
-                "iterations": it, "converged": res < CONVERGED_TOL, "path": "newton",
-                "residual": res,
+                "iterations": it, "converged": True, "path": "newton", "residual": res,
             }
-        if best is None or res < best[1]:
-            best = (z, res)
-    raise NoConvergence("real-line tangency solver failed", {"center": center, "best_residual": best[1]})
+        best = min(best, res)
+    raise NoConvergence("real-line tangency solver failed", {"center": center, "best_residual": best})
 
 
 # -- Lukacs/Markov closed forms (dense polynomials, companion-matrix path) ----
@@ -1134,8 +1097,6 @@ def _lukacs_halfline(q: np.ndarray):
     EA, OA = _even_odd_parts(A)
     EB, OB = _even_odd_parts(Bc)
     # one of A, B is even (the F part), the other odd (the sqrt(x) G part)
-    if np.max(np.abs(OA)) if len(OA) else 0 <= (np.max(np.abs(EA)) if len(EA) else 0):
-        pass
     evenA = (np.max(np.abs(EA)) if len(EA) else 0) >= (np.max(np.abs(OA)) if len(OA) else 0)
     F = EA if evenA else EB
     G = OA if not evenA else OB

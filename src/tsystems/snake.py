@@ -18,7 +18,7 @@ from .errors import (
     SNotStrictlyPositive,
     TSystemError,
 )
-from .extremal import extremal_test_polys, search
+from .extremal import _search_window, extremal_test_polys, search
 from .family import FamilySpec
 from .moments import _locally_nonneg, _probes
 from .zeros import SparsePoly
@@ -491,7 +491,9 @@ def optimize_ratio(
     quotient rule from one solve for both functionals; S(p) <= 0 is
     inadmissible.  An end point counts when it is nonnegative against its
     local magnitude on the probe grids of the moment dual and S(p) > 0.
-    Returns (value, argmax, top5), top5 listing (value, pattern, theta).
+    Returns (value, argmax, top5), top5 listing (value, pattern, theta) for
+    up to five distinct basins: end points of one pattern whose theta differ
+    by less than 1e-6 of the search window count once, at their best value.
     """
     if certificate is None:
         certificate = certify(family, "ET")
@@ -521,5 +523,12 @@ def optimize_ratio(
         raise InvariantViolation("no admissible extremal pattern found")
     results.sort(key=lambda r: sgn * r[0], reverse=True)
     value, tag, theta, poly = results[0]
-    top5 = [(float(r[0]), r[1], r[2]) for r in results[:5]]
+    lo, hi = _search_window(family)
+    top5 = []
+    for v, pattern, th, _ in results:
+        if len(top5) < 5 and not any(
+            q == pattern and np.max(np.abs(np.subtract(t, th)), initial=0.0) < 1e-6 * (hi - lo)
+            for _, q, t in top5
+        ):
+            top5.append((v, pattern, th))
     return value, poly, top5

@@ -22,6 +22,14 @@ from tsystems.errors import (
     OddDegree,
     TooManyZeros,
 )
+from tsystems.family import halfline_xmax
+from tsystems.karlin import (
+    CONVERGED_TOL,
+    _newton,
+    _realline_system,
+    _solve_span,
+    _TangencySolver,
+)
 
 from conftest import random_nonneg_dense, random_strictly_positive
 
@@ -37,7 +45,8 @@ def check_decomposition(dec, f, grid=None):
     # parts' own coefficient magnitude
     part_scale = max(float(np.max(np.abs(dec.f_lower.a))), 1.0)
     assert np.max(np.abs(dec.f_lower.a + dec.f_upper.a - f.a)) <= 4e-16 * part_scale
-    assert dec.residual_sup <= 1e-11 * scale * part_scale / max(np.max(np.abs(f.a)), 1.0)
+    if dec.converged:
+        assert dec.touch_residual < CONVERGED_TOL
     # nonnegativity of both parts
     assert dec.f_lower(xs).min() >= -1e-9 * scale
     assert dec.f_upper(xs).min() >= -1e-9 * scale
@@ -284,3 +293,129 @@ def test_decomposition_json():
     dec = decompose_pos_ab(SparsePoly((1.0, 0.0, 1.0), fam))
     d = dec.to_dict()
     assert d["converged"] is True and "f_lower" in d
+    assert d["touch_residual"] == dec.touch_residual < CONVERGED_TOL
+
+
+# -- the Newton driver and its analytic Jacobian ---------------------------------
+
+
+def test_newton_stall_above_tol_is_not_converged():
+    # (z - 1)^2 + floor bottoms out at floor, which lies between tol and 100 tol:
+    # the line search stalls there, and a stall is never converged
+    tol = 1e-10
+    floor = 10 * tol
+
+    def system(z):
+        return np.array([(z[0] - 1) ** 2 + floor]), lambda: np.array([[2 * (z[0] - 1)]])
+
+    z, ok, _, res = _newton(system, np.array([3.0]), tol, 200, lambda z: True)
+    assert not ok
+    assert tol < res < 100 * tol
+
+
+def test_newton_runs_past_tol_to_the_rounding_floor():
+    def system(z):
+        return np.array([z[0] ** 2 - 2]), lambda: np.array([[2 * z[0]]])
+
+    z, ok, _, res = _newton(system, np.array([3.0]), 1e-3, 40, lambda z: True)
+    assert ok and res <= 4.5e-16
+    assert abs(z[0] - math.sqrt(2)) <= 4.5e-16
+
+
+def _central_difference(system, z, h):
+    cols = []
+    for e in np.eye(len(z)):
+        cols.append((system(z + h * e)[0] - system(z - h * e)[0]) / (2 * h))
+    return np.column_stack(cols)
+
+
+def _solved_tangency(family, f, shared, n_eff, hi, pin, grid):
+    solver = _TangencySolver(family, np.asarray(f.a), shared, n_eff, family.domain.a, hi, pin, grid)
+    xs, ys, _, info = solver.solve()
+    assert info["converged"]
+    return solver, np.concatenate([xs, ys])
+
+
+def _tangency_cases(rng):
+    ab = interval(0.2, 1.7)
+    ab_grid = np.linspace(0.2, 1.7, 2000)
+    for n in (4, 5):  # endpoint pin, even and odd n
+        fam = monomial_family(list(range(n + 1)), ab)
+        yield f"ab:{n}", _solved_tangency(fam, random_strictly_positive(fam, rng), (), n, 1.7,
+                                          "endpoint", ab_grid)
+    # leading pin, odd and even n
+    for params, co in (((0, 0.5, 2, 3.5), (2.0, -1.8, 1.0, 0.3)),
+                       ((0, 1, 2, 3, 4), np.convolve([2.0, -2.0, 1.0], [3.0, -3.0, 1.0]))):
+        fam = power_family(list(params), halfline(0.0))
+        f = SparsePoly(tuple(co), fam)
+        n = fam.order
+        hl_grid = np.linspace(0.0, _solve_span(f, halfline_xmax(fam)), 2000)
+        yield f"halfline:{n}", _solved_tangency(fam, f, (), n, None, "leading", hl_grid)
+    # nonneg on [0, 1] with shared zeros: an interior double zero at 0.4
+    # (n_eff = 3), and a double zero at the endpoint 0 (n_eff = 2, k_lo = 2)
+    fam = monomial_family(list(range(6)), interval(0, 1))
+    co = np.convolve([0.16, -0.8, 1.0], [1.0, 0.5, -0.3, 0.8])
+    yield "shared:interior", _solved_tangency(fam, SparsePoly(tuple(co), fam), ((0.4, 2),), 3, 1.0,
+                                              "endpoint", np.linspace(0, 1, 2000))
+    fam = monomial_family(list(range(5)), interval(0, 1))
+    f = SparsePoly((0.0, 0.0, 1.0, 0.0, 1.0), fam)
+    yield "shared:endpoint", _solved_tangency(fam, f, ((0.0, 2),), 2, 1.0, "endpoint",
+                                              np.linspace(0, 1, 2000))
+
+
+def _off_solution(z, step):
+    """z moved off the solution, where d'(y) no longer vanishes at the touch points."""
+    return z + step * np.cos(np.arange(len(z)) + 1.0)
+
+
+def test_tangency_jacobian_matches_central_differences(rng):
+    for label, (solver, z) in _tangency_cases(rng):
+        def system(zz):
+            return solver.system(zz, solver.f)
+
+        off = _off_solution(z, 1e-3 * solver.width)
+        assert solver.phase_ok(off)
+        for at in (z, off):
+            J = system(at)[1]()
+            Jfd = _central_difference(system, at, 1e-6 * solver.width)
+            err = np.max(np.abs(J - Jfd)) / np.max(np.abs(J))
+            assert err <= 1e-6, (label, err)
+
+
+def test_realline_jacobian_matches_central_differences():
+    for co in ([1.0, 0.0, 1.0],
+               np.convolve([1.0, -0.5, 2.0], [3.0, 1.0, 1.0]),
+               np.convolve(np.convolve([1.0, -0.5, 2.0], [3.0, 1.0, 1.0]), [0.7, 0.2, 1.5])):
+        q = np.asarray(co, dtype=float)
+        M = (len(q) - 1) // 2
+        fam = monomial_family(list(range(len(q))), real_line())
+        dec = decompose_realline(SparsePoly(tuple(q), fam))
+        z = np.array([p for p, *_ in dec.zeros_lower.zeros] + [p for p, *_ in dec.zeros_upper.zeros])
+        system = _realline_system(q, M)
+        for at in (z, _off_solution(z, 1e-3)):
+            J = system(at)[1]()
+            err = np.max(np.abs(J - _central_difference(system, at, 1e-6))) / np.max(np.abs(J))
+            assert err <= 1e-6, (M, err)
+
+
+# Criterion-7-style instances of degree 2-4 (seed 7) that Newton solves from the
+# direct start; ab 8 and half-line 2-5, 8 and 10 need the fallback ladder.
+DIRECT_WINS = {"ab": [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11], "halfline": [0, 1, 6, 7, 9, 11]}
+
+
+def test_direct_wins_stay_direct_at_the_rounding_floor():
+    rng = np.random.default_rng(7)
+    for kind in ("ab", "halfline"):
+        dom = interval(0.2, 1.7) if kind == "ab" else halfline(0.0)
+        done = 0
+        while done < 12:
+            deg = int(rng.integers(2, 5))
+            pd = random_nonneg_dense(deg, dom, rng)
+            if kind == "halfline" and (pd[-1] <= 0 or pd[0] <= 0):
+                continue
+            f = SparsePoly(tuple(pd), monomial_family(list(range(len(pd))), dom))
+            if done in DIRECT_WINS[kind]:
+                dec = decompose_pos_ab(f) if kind == "ab" else decompose_halfline(f, mode="nonneg")
+                assert dec.solver_path.startswith("newton:direct"), (kind, done, dec.solver_path)
+                assert dec.touch_residual <= 1e-13, (kind, done, dec.touch_residual)
+            done += 1

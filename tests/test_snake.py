@@ -188,6 +188,20 @@ def test_optimize_ratio_constant_family():
     assert abs(val - 0.5) < 1e-12
 
 
+def test_optimize_ratio_top5_lists_distinct_basins():
+    # the documented optimize_ratio problem file: every start of the interior
+    # pattern ends at theta = 0.915, which must be listed once
+    fam = monomial_family([0, 1, 2], interval(0, 1))
+    L = MomentFunctional((1.0, 0.3, 0.09), fam)
+    S = MomentFunctional((1.0, 0.5, 0.333), fam)
+    val, _, top5 = optimize_ratio(fam, L, S, sense="max")
+    assert top5[0][0] == val and abs(top5[0][2][0] - 0.915) < 1e-8
+    assert len(top5) >= 2
+    for i, (_, pat_i, th_i) in enumerate(top5):
+        for _, pat_j, th_j in top5[i + 1 :]:
+            assert pat_i != pat_j or np.max(np.abs(np.subtract(th_i, th_j)), initial=0.0) >= 1e-6
+
+
 def test_optimize_ratio_halfline():
     # L = delta_1, S = delta_0.5 + delta_20: the optimum (x - theta)^2 has its
     # double zero at 20.527, beyond the 10-wide window of the domain
