@@ -213,10 +213,16 @@ class FamilySpec:
                 al = alphas[int(np.argmin(is_int))]
                 raise NonDifferentiable(f"derivative of x^{al} at 0 requires a natural exponent")
             flat = np.where(at_zero, 1.0, flat)
-        out = _power_columns(flat, alphas - order)
+        e = alphas - order
+        if order:
+            # a member whose order-th derivative vanishes identically gets +0 x^0:
+            # x^(alpha - order) of a tiny x would overflow, and fac may be -0
+            dead = fac == 0.0
+            e = np.where(dead, 0.0, e)
+            fac = np.where(dead, 0.0, fac)
+        out = _power_columns(flat, e)
         if order:
             out *= fac
-            out[:, fac == 0.0] = 0.0
         if at_zero is not None:
             # the order-th derivative of x^alpha at 0 is order! for alpha = order, else 0
             out[at_zero] = np.where(is_int & (alphas == order), math.factorial(order), 0.0)

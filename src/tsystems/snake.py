@@ -20,6 +20,7 @@ from .errors import (
 )
 from .extremal import _search_window, extremal_test_polys, search
 from .family import FamilySpec
+from .karlin import _newton
 from .moments import _locally_nonneg, _probes
 from .zeros import SparsePoly
 
@@ -245,56 +246,45 @@ def _exchange(ref, sides, x_new, side_new):
 
 
 def _polish_snake(family, ref, sides, G1, G2, lo, hi):
-    """Newton on the touch system: values at all touches, slopes at interior."""
-    n = family.order
+    """Newton on the touch system, run to the rounding floor by karlin._newton.
+
+    The polynomial interpolates the bounds at every touch point; the unknowns
+    are the interior touches, where its slope must match the bound's.  The
+    Jacobian is by central differences: a bound may be a plain callable with
+    no second derivative.
+    """
     ref = np.asarray(ref, dtype=float).copy()
     interior = [i for i, t in enumerate(ref) if lo + 1e-12 < t < hi - 1e-12]
-
-    def system(r):
-        A = family.eval_grid(r)
-        coeffs = _interp_bounds(family, r, sides, G1, G2)
-        out = []
-        for i in interior:
-            bound = G2 if sides[i] == UPPER else G1
-            d1 = family.eval_grid(np.array([r[i]]), 1)[0] @ coeffs
-            out.append(d1 - float(_call(bound, r[i], 1)))
-        return np.array(out), coeffs
-
-    coeffs = _interp_bounds(family, ref, sides, G1, G2)
     if not interior:
-        return ref, coeffs
-    for _ in range(50):
-        R, coeffs = system(ref)
-        if np.max(np.abs(R)) < 1e-13 * (1 + np.max(np.abs(coeffs))):
-            break
-        h = 1e-7 * (hi - lo)
-        J = np.zeros((len(R), len(interior)))
-        for j, idx in enumerate(interior):
-            rp, rm = ref.copy(), ref.copy()
-            rp[idx] += h
-            rm[idx] -= h
-            J[:, j] = (system(rp)[0] - system(rm)[0]) / (2 * h)
-        try:
-            dz = np.linalg.solve(J, -R)
-        except np.linalg.LinAlgError:
-            break
-        t = 1.0
-        ok = False
-        for _ in range(30):
-            rn = ref.copy()
-            for j, idx in enumerate(interior):
-                rn[idx] += t * dz[j]
-            if np.all(np.diff(rn) > 0) and rn[0] >= lo and rn[-1] <= hi:
-                Rn, _ = system(rn)
-                if np.max(np.abs(Rn)) < np.max(np.abs(R)):
-                    ref = rn
-                    ok = True
-                    break
-            t /= 2
-        if not ok:
-            break
-    coeffs = _interp_bounds(family, ref, sides, G1, G2)
-    return ref, coeffs
+        return ref, _interp_bounds(family, ref, sides, G1, G2)
+
+    def at(z):
+        r = ref.copy()
+        r[interior] = z
+        return r
+
+    def residual(z):
+        r = at(z)
+        coeffs = _interp_bounds(family, r, sides, G1, G2)
+        slopes = family.eval_grid(r[interior], 1) @ coeffs
+        return slopes - [float(_call(G2 if sides[i] == UPPER else G1, r[i], 1)) for i in interior]
+
+    h = 1e-7 * (hi - lo)
+
+    def system(z):
+        def jac():
+            steps = h * np.eye(len(z))
+            return np.column_stack([(residual(z + e) - residual(z - e)) / (2 * h) for e in steps])
+
+        return residual(z), jac
+
+    def admissible(z):
+        r = at(z)
+        return bool(np.all(np.diff(r) > 0) and r[0] >= lo and r[-1] <= hi)
+
+    z, *_ = _newton(system, ref[interior], 0.0, 50, admissible)
+    r = at(z)
+    return r, _interp_bounds(family, r, sides, G1, G2)
 
 
 def _band_violation(poly, xs, v1, v2) -> float:

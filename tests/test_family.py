@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,15 @@ def test_power_derivative_at_zero_integer_exponents():
     fam = power_family([0, 2, 3], halfline(0.0))
     assert np.allclose(eval_basis(fam, 0.0, 2), [0, 2, 0])
     assert np.allclose(eval_basis(fam, 0.0, 3), [0, 0, 6])
+
+
+def test_power_derivative_vanishing_member_near_zero_is_silent():
+    # x and 1 have identically zero second derivatives: no power x^(d - 2) of a
+    # tiny x may overflow on their behalf
+    fam = monomial_family([0, 1, 2], interval(-1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(fam.eval_grid([1e-200], 2), [[0.0, 0.0, 2.0]])
 
 
 def test_power_noninteger_derivative_at_zero_raises():

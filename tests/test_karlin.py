@@ -25,6 +25,7 @@ from tsystems.errors import (
 from tsystems.family import halfline_xmax
 from tsystems.karlin import (
     CONVERGED_TOL,
+    POS_GRID,
     _newton,
     _realline_system,
     _solve_span,
@@ -399,7 +400,7 @@ def test_realline_jacobian_matches_central_differences():
 
 
 # Criterion-7-style instances of degree 2-4 (seed 7) that Newton solves from the
-# direct start; ab 8 and half-line 2-5, 8 and 10 need the fallback ladder.
+# direct start; ab 8 and half-line 2-5, 8 and 10 need continuation.
 DIRECT_WINS = {"ab": [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11], "halfline": [0, 1, 6, 7, 9, 11]}
 
 
@@ -419,3 +420,29 @@ def test_direct_wins_stay_direct_at_the_rounding_floor():
                 assert dec.solver_path.startswith("newton:direct"), (kind, done, dec.solver_path)
                 assert dec.touch_residual <= 1e-13, (kind, done, dec.touch_residual)
             done += 1
+
+
+def test_continuation_reaches_degree_7_in_few_newton_solves():
+    # criterion 7's [a, b] draws 0, 2 and 3 (degree 7): their parts' rounding
+    # floor lies near 1e-11, so intermediate steps held to that level fail,
+    # halve the step and take over 100 Newton solves (draw 3 never converges)
+    rng = np.random.default_rng(73)
+    dom = interval(0.2, 1.7)
+    for draw in range(4):
+        deg = int(rng.integers(2, 9))
+        pd = random_nonneg_dense(deg, dom, rng)
+        if draw == 1:
+            continue
+        assert deg == 7
+        fam = monomial_family(list(range(len(pd))), dom)
+        solver = _TangencySolver(fam, pd, (), fam.order, 0.2, 1.7, "endpoint",
+                                 np.linspace(0.2, 1.7, POS_GRID))
+        calls, newton = [0], solver.newton
+
+        def counted(*args, **kw):
+            calls[0] += 1
+            return newton(*args, **kw)
+
+        solver.newton = counted
+        z, res = solver.continuation(solver.chebyshev_init(), 100 * CONVERGED_TOL)
+        assert calls[0] <= 10 and res < CONVERGED_TOL and solver._valid(z), (draw, calls[0], res)
