@@ -149,40 +149,47 @@ def wronskian(family: FamilySpec, k: int, x: float) -> float:
 
 
 def null_vector(B: np.ndarray) -> np.ndarray:
-    """Unit-infinity-norm null vector of an n x (n+1) node matrix.
+    """The cofactor vector of an n x (n+1) node matrix B at unit max-norm;
+    zero when B is rank-deficient.
 
-    Full-pivot elimination in long double; this is the coefficient vector of
-    the polynomial vanishing at the nodes (up to scale, the cofactor vector).
+    The cofactor vector c has r.c = det([r; B]) for every row r, so it is
+    the coefficient vector of the polynomial vanishing at the nodes, with
+    the sign of the bordered determinant.  Full-pivot elimination in long
+    double: the entry at perm[n] is (-1)^n det(B without that column), and
+    that det is the product of the pivots, negated once per row or column
+    swap.
     """
     B = np.array(B, dtype=np.longdouble, copy=True)
     nr, nc = B.shape
     if nc != nr + 1:
         raise DimensionMismatch(f"expected n x (n+1) matrix, got {B.shape}")
     perm = list(range(nc))
-    rank = nr
+    sign = -1.0 if nr % 2 else 1.0
     for k in range(nr):
         i, j = divmod(int(abs(B[k:, k:]).argmax()), nc - k)
         i += k
         j += k
         piv = B[i, j]
         if piv == 0:
-            rank = k
-            break
+            return np.zeros(nc)
+        if piv < 0:
+            sign = -sign
         if i != k:
             B[[k, i]] = B[[i, k]]
+            sign = -sign
         if j != k:
             B[:, [k, j]] = B[:, [j, k]]
             perm[k], perm[j] = perm[j], perm[k]
+            sign = -sign
         below = B[k + 1 :]
         below[:, k:] -= (below[:, k] / piv)[:, None] * B[k, k:]
     x = np.zeros(nc, dtype=np.longdouble)
-    x[rank] = 1.0
-    for k in range(rank - 1, -1, -1):
+    x[nr] = 1.0
+    for k in range(nr - 1, -1, -1):
         x[k] = -(B[k, k + 1 :] @ x[k + 1 :]) / B[k, k]
     a = np.zeros(nc)
     a[perm] = x
-    nrm = np.max(np.abs(a))
-    return a / nrm if nrm > 0 else a
+    return sign * (a / np.max(np.abs(a)))
 
 
 def null_vector_tangent(family: FamilySpec, B: np.ndarray, a: np.ndarray, pts, rows) -> np.ndarray:
@@ -456,17 +463,19 @@ def _certify_tuples(family, xs, target, sign, budget, seed, window) -> SystemCer
     )
 
 
+def _wronskians(tables, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """W(f_0..f_k) and its det_scale at every grid point, where tables[j]
+    holds f^(j) on the grid (one row per point)."""
+    mats = np.stack(tables[: k + 1], axis=-1)[:, : k + 1]  # [gi, i, j] = f_i^(j)
+    return np.array([det(m) for m in mats]), np.array([det_scale(m) for m in mats])
+
+
 def _certify_ect(family, xs, sign, seed, window) -> SystemCertificate:
     n = family.order
     tables = [family.eval_grid(xs, k) * sign for k in range(n + 1)]
     min_scaled = math.inf
     for k in range(n + 1):
-        vals = np.empty(len(xs))
-        scales = np.empty(len(xs))
-        for gi in range(len(xs)):
-            m = np.column_stack([tables[j][gi, : k + 1] for j in range(k + 1)])
-            vals[gi] = det(m)
-            scales[gi] = det_scale(m)
+        vals, scales = _wronskians(tables, k)
         scaled = np.abs(vals) / np.where(scales > 0, scales, 1.0)
         min_scaled = min(min_scaled, float(scaled.min()))
         bad = vals <= 0
@@ -555,11 +564,8 @@ def ect_canonical_weights(
     lo, hi = certificate.window if certificate.window else family.domain.window()
     xs = np.linspace(lo, hi, grid)
     n = family.order
-    W = np.empty((n + 1, grid))
     tables = [family.eval_grid(xs, k) * sign for k in range(n + 1)]
-    for k in range(n + 1):
-        for gi in range(grid):
-            W[k, gi] = det(np.column_stack([tables[j][gi, : k + 1] for j in range(k + 1)]))
+    W = np.array([_wronskians(tables, k)[0] for k in range(n + 1)])
     G = np.empty((n + 1, grid))
     G[0] = W[0]
     if n >= 1:

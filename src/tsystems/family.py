@@ -46,6 +46,12 @@ class Domain:
             return x >= self.a
         return self.a <= x <= self.b
 
+    def is_endpoint(self, x: float) -> bool:
+        """x is a closed end of the domain: a or b of [a, b], a of [a, inf)."""
+        if self.kind == CLOSED_INTERVAL:
+            return x == self.a or x == self.b
+        return self.kind == LEFT_CLOSED_HALFLINE and x == self.a
+
     @property
     def inf(self) -> float:
         return -math.inf if self.kind == REAL_LINE else float(self.a)

@@ -481,7 +481,7 @@ def decompose_nonneg_ab(
     if r >= n:
         raise TooManyZeros(f"f has {r} zeros; needs fewer than n = {n}")
     for p, m, _ in cfg.zeros:
-        if not cfg.is_endpoint(p) and m % 2 == 1:
+        if not cfg.domain.is_endpoint(p) and m % 2 == 1:
             raise OddInteriorMultiplicity(f"interior zero at {p} has odd multiplicity {m}")
     xs_grid = np.linspace(a, b, grid)
     solver = _TangencySolver(family, f.a, shared, n - r, a, b, "endpoint", xs_grid)

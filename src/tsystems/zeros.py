@@ -1,9 +1,10 @@
 """Index calculus, generalized polynomials with prescribed zeros, zero counting.
 
 A "polynomial" here is a linear combination f = sum a_i f_i over a family.
-Prescribed-zero construction expands the bordered confluent determinant along
-its symbolic first row, so the coefficients are the signed cofactors of the
-node matrix.
+The polynomial with prescribed zeros is the bordered confluent determinant
+det([f(x); B]) of the node matrix B, expanded along its symbolic first row:
+its coefficients are B's cofactor vector, which colloc.null_vector computes
+by one elimination.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .colloc import (
     NodeSet,
     SystemCertificate,
     certify,
-    det,
     node_rows,
+    null_vector,
 )
 from .errors import (
     CertificationRequired,
@@ -28,7 +29,7 @@ from .errors import (
     NonDifferentiable,
     ZeroPolynomial,
 )
-from .family import CLOSED_INTERVAL, Domain, FamilySpec
+from .family import Domain, FamilySpec
 
 NODAL = "nodal"
 NON_NODAL = "non_nodal"
@@ -54,14 +55,6 @@ class ZeroConfig:
     def total_multiplicity(self) -> int:
         return sum(int(z[1]) for z in self.zeros)
 
-    def is_endpoint(self, x: float) -> bool:
-        d = self.domain
-        if d.kind == CLOSED_INTERVAL and (x == d.a or x == d.b):
-            return True
-        if d.kind == "left_closed_halfline" and x == d.a:
-            return True
-        return False
-
     def to_dict(self) -> dict:
         return {
             "zeros": [[float(p), int(m), k] for p, m, k in self.zeros],
@@ -77,7 +70,7 @@ def index_of(config: ZeroConfig) -> int:
     endpoints weigh their multiplicity (1 for simple endpoint zeros)."""
     total = 0
     for p, m, _kind in config.zeros:
-        if config.is_endpoint(p):
+        if config.domain.is_endpoint(p):
             total += int(m)
         else:
             total += max(2, int(m))
@@ -129,12 +122,9 @@ class SparsePoly:
 
 
 def cofactor_coefficients(family: FamilySpec, nodes: NodeSet) -> np.ndarray:
-    """Signed cofactors along the symbolic first row of the bordered matrix."""
-    B = node_rows(family, nodes.nodes)
-    n1 = family.size
-    return np.array(
-        [(-1.0) ** i * det(np.delete(B, i, axis=1)) for i in range(n1)]
-    )
+    """Cofactors along the symbolic first row of the bordered node matrix,
+    at unit max-norm (colloc.null_vector); zero when the nodes are degenerate."""
+    return null_vector(node_rows(family, nodes.nodes))
 
 
 def poly_from_zeros(
@@ -143,28 +133,24 @@ def poly_from_zeros(
     sign: str = "auto_nonneg",
     certificate: SystemCertificate | None = None,
     check_certificate: bool = True,
-    probe: int = 2000,
 ) -> SparsePoly:
-    """Polynomial with the prescribed zeros, via determinant cofactors.
+    """Polynomial with the prescribed zeros: the cofactor vector of the node
+    matrix, at unit max-norm.
 
-    ``sign="auto_nonneg"`` scales so the polynomial is >= 0 on a probe grid
-    (possible when interior multiplicities are even and the total index does
-    not exceed the order); ``sign="raw"`` keeps the cofactor orientation.
-    Coefficients are normalized to unit max-norm.
+    ``sign="raw"`` keeps the cofactor orientation, so p(x) has the sign of
+    det([f(x); B]).  ``sign="auto_nonneg"`` (interior multiplicities even,
+    total index at most the order, so p keeps one sign) orients p positive
+    at the middle of the widest gap between the zeros and the window ends.
     """
     n = family.order
     if nodes.total_multiplicity != n:
         raise IndexTooLarge(
             f"total multiplicity {nodes.total_multiplicity} must equal order {n}"
         )
-    lo, hi = family.domain.window()
     if sign == "auto_nonneg":
         idx = 0
         for p, m in nodes.nodes:
-            at_end = p in (lo, hi) and family.domain.kind == CLOSED_INTERVAL or (
-                family.domain.kind == "left_closed_halfline" and p == lo
-            )
-            if at_end:
+            if family.domain.is_endpoint(p):
                 idx += int(m)
             else:
                 if m % 2 == 1:
@@ -181,14 +167,12 @@ def poly_from_zeros(
             )
 
     a = cofactor_coefficients(family, nodes)
-    nrm = np.max(np.abs(a))
-    if nrm == 0:
+    if not a.any():
         raise InvariantViolation("degenerate node matrix: zero cofactor vector")
-    a = a / nrm
     if sign == "auto_nonneg":
-        xs = np.linspace(lo, hi, probe)
-        vals = family.eval_grid(xs) @ a
-        if vals[np.argmax(np.abs(vals))] < 0:
+        pts = np.sort([*family.domain.window(), *nodes.points])
+        i = int(np.argmax(np.diff(pts)))
+        if family.eval_grid([(pts[i] + pts[i + 1]) / 2])[0] @ a < 0:
             a = -a
     return SparsePoly(tuple(a), family)
 
@@ -293,11 +277,9 @@ def _merge_basins(f, roots, tol, local_scale, width):
             prev = merged[-1]
             if abs(r - prev) <= 1e-9 * width:
                 continue
-            probes = np.linspace(prev, r, 9)[1:-1]
-            if len(probes) == 0 or np.all(
-                np.abs(f(probes)) <= 10 * tol * local_scale((prev + r) / 2)
-            ):
-                merged[-1] = min([prev, r] + list(probes), key=lambda t: abs(f(t)))
+            between = np.linspace(prev, r, 9)[1:-1]
+            if np.all(np.abs(f(between)) <= 10 * tol * local_scale((prev + r) / 2)):
+                merged[-1] = min([prev, r] + list(between), key=lambda t: abs(f(t)))
                 continue
         merged.append(r)
     return merged
@@ -382,11 +364,11 @@ def _classify(f: SparsePoly, r: float, lo: float, hi: float, width: float, sloc:
     # endpoint zeros are nodal by convention
     if abs(r - lo) <= 1e-12 * width or abs(r - hi) <= 1e-12 * width:
         return NODAL
-    # both probes stay strictly inside the window: a probe clamped onto an
-    # endpoint reads f there, not beside the zero
+    # both side points stay strictly inside the window: a side point clamped
+    # onto an endpoint reads f there, not beside the zero
     delta = min(1e-4 * width, 0.5 * (r - lo), 0.5 * (hi - r))
     floor = min(1e-9 * width, delta)
-    # a probe below the rounding error of evaluating f has no sign
+    # a side value below the rounding error of evaluating f has no sign
     terms = np.abs(f.family.eval_grid(np.array([r]))[0] * f.a)
     small = max(1e-11 * sloc, np.finfo(float).eps * float(terms.sum()))
     while delta >= floor:

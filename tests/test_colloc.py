@@ -158,14 +158,32 @@ def test_ect_starred_determinants_positive(rng):
         assert det(np.array(rows)) > 0
 
 
+def _unit_cofactors(B):
+    """Signed cofactors along the first row of [r; B], at unit max-norm."""
+    cof = np.array([(-1.0) ** i * det(np.delete(B, i, axis=1)) for i in range(B.shape[1])])
+    return cof / np.max(np.abs(cof))
+
+
 def test_null_vector_matches_cofactors():
+    # the sign too: r.null_vector(B) has the sign of det([r; B])
     fam = power_family([0, 1, 2, 4], interval(0.3, 2.0))
-    nodes = ((0.5, 2), (1.5, 1))
-    B = node_rows(fam, nodes)
-    nv = null_vector(B)
-    cof = np.array([(-1.0) ** i * det(np.delete(B, i, axis=1)) for i in range(4)])
-    cof /= np.max(np.abs(cof))
-    assert min(np.max(np.abs(nv - cof)), np.max(np.abs(nv + cof))) < 1e-12
+    B = node_rows(fam, ((0.5, 2), (1.5, 1)))
+    assert np.max(np.abs(null_vector(B) - _unit_cofactors(B))) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_null_vector_random_cofactors(n):
+    rng = np.random.default_rng(n)
+    for _ in range(25):
+        B = rng.standard_normal((n, n + 1)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+        assert np.max(np.abs(null_vector(B) - _unit_cofactors(B))) < 1e-14
+
+
+def test_null_vector_rank_deficient_is_zero():
+    # f'(0) of (1, x^2, x^4) is a zero row: every cofactor vanishes
+    fam = monomial_family([0, 2, 4], interval(-1, 1))
+    assert not null_vector(node_rows(fam, ((0.0, 2),))).any()
+    assert not null_vector(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])).any()
 
 
 def test_reduced_system_monomials():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tsystems import (
     NodeSet,
     SparsePoly,
     ZeroConfig,
     count_zeros,
+    det,
     halfline,
     index_of,
     interval,
@@ -13,7 +16,8 @@ from tsystems import (
     poly_from_zeros,
     power_family,
 )
-from tsystems.errors import IndexTooLarge, ZeroPolynomial
+from tsystems.colloc import node_rows
+from tsystems.errors import IndexTooLarge, InvariantViolation, ZeroPolynomial
 from tsystems.zeros import NODAL, NON_NODAL
 
 SEVEN_TERM_EXPS = [0, 2, 3, 5, 8, 11, 13]
@@ -72,6 +76,52 @@ def test_poly_from_zeros_raw_allows_nodal():
     fam = monomial_family([0, 1, 2], interval(0, 1))
     p = poly_from_zeros(fam, NodeSet.of(0.3, 0.7), sign="raw")
     assert abs(p(0.3)) < 1e-14 and abs(p(0.7)) < 1e-14
+
+
+@pytest.mark.parametrize("sign", ["auto_nonneg", "raw"])
+def test_poly_from_zeros_degenerate_nodes_raise(sign):
+    # f'(0) of (1, x^2, x^4) is a zero row, so no polynomial has exactly
+    # this zero set: the cofactor vector is zero, not an arbitrary direction
+    fam = monomial_family([0, 2, 4], interval(-1, 1))
+    with pytest.raises(InvariantViolation):
+        poly_from_zeros(fam, NodeSet.of((0.0, 2)), sign=sign, check_certificate=False)
+
+
+@st.composite
+def zero_placements(draw):
+    """A power family of order n = 2..7 on [0.1, 1.2] or [0, inf) with an
+    index-n zero set: n // 2 separated interior doubles, plus a simple zero
+    at the left end when n is odd."""
+    n = draw(st.integers(2, 7))
+    halves = draw(st.lists(st.integers(1, 3 * n), min_size=n, max_size=n, unique=True))
+    on_halfline = draw(st.booleans())
+    fam = power_family([0.0] + sorted(0.5 * h for h in halves),
+                       halfline(0.0) if on_halfline else interval(0.1, 1.2))
+    lo, hi = (0.05, 4.0) if on_halfline else (0.12, 1.18)
+    m = n // 2
+    # one double per m-th of [lo, hi], kept off the cell ends
+    cells = draw(st.lists(st.floats(0.15, 0.85), min_size=m, max_size=m))
+    nodes = [(lo + (hi - lo) * (j + u) / m, 2) for j, u in enumerate(cells)]
+    if n % 2:
+        nodes.append((fam.domain.a, 1))
+    return fam, NodeSet.of(*nodes), draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(zero_placements())
+def test_poly_from_zeros_orientation(case):
+    fam, nodes, u = case
+    lo, hi = fam.domain.window()
+    # auto_nonneg: p >= 0 up to the rounding of unit max-norm coefficients
+    p = poly_from_zeros(fam, nodes, check_certificate=False)
+    F = fam.eval_grid(np.linspace(lo, hi, 2001))
+    assert np.all(F @ p.a >= -np.finfo(float).eps * np.abs(F).sum(axis=1))
+    # raw: p(x) has the sign of the bordered determinant det([f(x); B])
+    x = lo + u * (hi - lo)
+    assume(min(abs(x - t) for t in nodes.points) > 0.02)
+    q = poly_from_zeros(fam, nodes, sign="raw", check_certificate=False)
+    d = det(np.vstack([fam.eval_grid([x]), node_rows(fam, nodes.nodes)]))
+    assert np.sign(q(x)) == np.sign(d) != 0
 
 
 def test_count_zeros_double_zero():
