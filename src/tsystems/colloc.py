@@ -9,6 +9,7 @@ stay trustworthy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -148,48 +149,88 @@ def wronskian(family: FamilySpec, k: int, x: float) -> float:
 # -- null vectors of node matrices (pattern polynomials) ----------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _pivot_moves(nr: int) -> tuple:
+    """Index tables for null_vector's elimination on n = nr rows.
+
+    The working array is (nr + 2) x (nr + 1): the matrix, a row of column
+    labels and a parity row.  gathers[k, f] is the index array that moves
+    the pivot found at flat position f of step k's trailing block to (k, k):
+    it swaps two rows of the matrix and two columns of the matrix and the
+    labels, as the pivot requires, and swaps the first two entries of the
+    parity row when it makes exactly one swap.  ``start`` holds the labels
+    0..nr and the parity row (s, -s, ..., -s), s = (-1)^nr.
+    """
+    nc = nr + 1
+    gathers = np.zeros((nr, nr * nc, nr + 2, nc), dtype=np.intp)
+    for k in range(nr):
+        for f in range((nr - k) * (nc - k)):
+            i, j = divmod(f, nc - k)
+            g = np.arange((nr + 2) * nc).reshape(nr + 2, nc)
+            g[[k, k + i]] = g[[k + i, k]]
+            g[: nr + 1, [k, k + j]] = g[: nr + 1, [k + j, k]]
+            if (i == 0) != (j == 0):
+                g[nr + 1, :2] = g[nr + 1, 1::-1]
+            gathers[k, f] = g
+    start = np.zeros((nr + 2, nc), dtype=np.longdouble)
+    start[nr] = np.arange(nc)
+    start[nr + 1] = -((-1.0) ** nr)
+    start[nr + 1, 0] = (-1.0) ** nr
+    gathers.flags.writeable = start.flags.writeable = False  # shared by every call
+    return gathers, start
+
+
 def null_vector(B: np.ndarray) -> np.ndarray:
     """The cofactor vector of an n x (n+1) node matrix B at unit max-norm;
-    zero when B is rank-deficient.
+    zero when B is rank-deficient.  A stack of k such matrices, k x n x
+    (n+1), gives the k x (n+1) array of their cofactor vectors, each equal
+    bit for bit to its one-matrix result.
 
     The cofactor vector c has r.c = det([r; B]) for every row r, so it is
     the coefficient vector of the polynomial vanishing at the nodes, with
     the sign of the bordered determinant.  Full-pivot elimination in long
-    double: the entry at perm[n] is (-1)^n det(B without that column), and
-    that det is the product of the pivots, negated once per row or column
-    swap.
+    double, each matrix with its own pivots: the entry at perm[n] is
+    (-1)^n det(B without that column), and that det is the product of the
+    pivots, negated once per row or column swap.  The swaps are one gather
+    per step from the tables of _pivot_moves, which carry the column
+    permutation and the swap parity along.
     """
-    B = np.array(B, dtype=np.longdouble, copy=True)
-    nr, nc = B.shape
-    if nc != nr + 1:
-        raise DimensionMismatch(f"expected n x (n+1) matrix, got {B.shape}")
-    perm = list(range(nc))
-    sign = -1.0 if nr % 2 else 1.0
-    for k in range(nr):
-        i, j = divmod(int(abs(B[k:, k:]).argmax()), nc - k)
-        i += k
-        j += k
-        piv = B[i, j]
-        if piv == 0:
-            return np.zeros(nc)
-        if piv < 0:
-            sign = -sign
-        if i != k:
-            B[[k, i]] = B[[i, k]]
-            sign = -sign
-        if j != k:
-            B[:, [k, j]] = B[:, [j, k]]
-            perm[k], perm[j] = perm[j], perm[k]
-            sign = -sign
-        below = B[k + 1 :]
-        below[:, k:] -= (below[:, k] / piv)[:, None] * B[k, k:]
-    x = np.zeros(nc, dtype=np.longdouble)
-    x[nr] = 1.0
-    for k in range(nr - 1, -1, -1):
-        x[k] = -(B[k, k + 1 :] @ x[k + 1 :]) / B[k, k]
-    a = np.zeros(nc)
-    a[perm] = x
-    return sign * (a / np.max(np.abs(a)))
+    B = np.asarray(B, dtype=np.longdouble)
+    nr, nc = B.shape[-2:]
+    if B.ndim not in (2, 3) or nc != nr + 1:
+        raise DimensionMismatch(f"expected n x (n+1) matrix or a stack of them, got {B.shape}")
+    gathers, start = _pivot_moves(nr)
+    lead = B.shape[:-2]
+    M = np.empty(lead + start.shape, dtype=np.longdouble)
+    M[...] = start
+    M[..., :nr, :] = B
+    # indices of the stacked matrices, for gathering and scattering per matrix
+    mats = (np.arange(len(B))[:, None, None],) if lead else ()
+    # a rank-deficient matrix meets a zero pivot; its NaNs stay in its row
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(nr):
+            f = np.abs(M[..., k:nr, k:]).reshape(lead + (-1,)).argmax(axis=-1)
+            M = M.reshape(lead + (-1,))[(*mats, gathers[k, f])]
+            if k + 1 < nr:
+                below = M[..., k + 1 : nr, k:]
+                row = M[..., k, None, k:]
+                below -= below[..., :1] / row[..., :1] * row
+        piv = M.reshape(lead + (-1,))[..., : nr * (nc + 1) : nc + 1]
+        # x_k = -(row_k . x)/piv_k, computed as (row_k . x)/(-piv_k): the
+        # same bits, one negation fewer per step
+        x = np.empty(lead + (nc, 1), dtype=np.longdouble)
+        x[..., nr, 0] = 1.0
+        neg_piv = -piv[..., None, None]
+        for k in range(nr - 1, -1, -1):
+            np.divide(np.matmul(M[..., k : k + 1, k + 1 : nc], x[..., k + 1 :, :]), neg_piv[..., k, :, :],
+                      out=x[..., k : k + 1, :])
+        a = np.empty(lead + (nc,))
+        a[(*(m[..., 0] for m in mats), M[..., nr, :].astype(np.intp))] = x[..., 0]
+        a /= np.abs(a).max(axis=-1, keepdims=True)
+        a *= (M[..., nr + 1, 0] * np.sign(piv).prod(axis=-1))[..., None]
+    if not piv.all():
+        a[~piv.all(axis=-1)] = 0.0
+    return a
 
 
 def null_vector_tangent(family: FamilySpec, B: np.ndarray, a: np.ndarray, pts, rows) -> np.ndarray:
@@ -204,7 +245,8 @@ def null_vector_tangent(family: FamilySpec, B: np.ndarray, a: np.ndarray, pts, r
     the (n+1) x len(pts) array whose column j is da/dpts[j].
     """
     n1 = B.shape[1]
-    M = np.vstack([B, np.zeros(n1)])
+    M = np.zeros((n1, n1))
+    M[:-1] = B
     M[-1, int(np.argmax(np.abs(a)))] = 1.0
     rhs = np.zeros((n1, len(pts)))
     rhs[rows, np.arange(len(pts))] = -(family.eval_grid(pts, 2) @ a)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize
 
-from .colloc import NodeSet, node_rows, null_vector, null_vector_tangent
+from .colloc import NodeSet, null_vector, null_vector_tangent
 from .errors import TSystemError
 from .family import FamilySpec, halfline_xmax
 from .zeros import SparsePoly, poly_from_zeros
@@ -99,29 +99,77 @@ def _search_window(family: FamilySpec) -> tuple[float, float]:
     return lo, hi
 
 
+def _interior(family: FamilySpec, seeds) -> list:
+    """The seeds strictly inside the search window: those ``search`` reads."""
+    lo, hi = _search_window(family)
+    return [t for t in seeds if lo + 1e-9 < t < hi - 1e-9]
+
+
+def _pattern_vectors(fam: FamilySpec, fixed, thetas, window) -> tuple:
+    """Node matrix B and null vector a of the extremal polynomial with the
+    ``fixed`` (point, multiplicity) nodes and a double zero at each entry of
+    ``thetas`` (an m-vector, or a k x m stack of placements, giving stacks
+    of k matrices and vectors).
+
+    a is the null vector of B, oriented so p > 0 at the middle of the
+    widest gap between p's zeros on ``window`` and scaled to unit max-norm
+    (a_k = +-1, as poly_from_zeros scales).  A stack takes one eval_grid
+    and one null_vector call.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    lead, m = thetas.shape[:-1], thetas.shape[-1]
+    nf = len(fixed)
+    mult = [mu for _, mu in fixed] + [2] * m
+    pts = np.empty(lead + (nf + m + 2,))
+    pts[..., :2] = window
+    pts[..., 2 : nf + 2] = [x for x, _ in fixed]
+    pts[..., nf + 2 :] = thetas
+    at = np.empty(lead + (sum(mult) + 1,))
+    at[..., :-1] = pts[..., np.repeat(np.arange(2, nf + m + 2), mult)]
+    pts.sort(axis=-1)
+    widest = (pts[..., 1:] - pts[..., :-1]).argmax(axis=-1)[..., None]
+    at[..., -1:] = np.take_along_axis((pts[..., :-1] + pts[..., 1:]) / 2, widest, axis=-1)
+    orders = np.array([d for mu in mult for d in range(mu)] + [0])
+    rows = fam.eval_grid(at, np.tile(orders, at.size // orders.size))
+    B = rows[..., :-1, :]
+    a = null_vector(B)
+    np.negative(a, out=a, where=(np.matmul(rows[..., -1:, :], a[..., None])[..., 0] < 0))
+    return B, a
+
+
 def _pattern_value_grad(fam: FamilySpec, nodes, m: int, s: np.ndarray, window) -> tuple:
     """L(p) and dL(p)/dtheta for the extremal polynomial p of a node list
     whose last m >= 1 nodes are the free double zeros theta.
 
     ``s`` is one functional (n+1 moments, giving a value and an m-vector)
     or a block of k functionals (k x (n+1), giving k values and a k x m
-    array), all from one solve.  p's coefficients a are the null vector of
-    the node matrix B, oriented so p > 0 at the middle of the widest gap
-    between its zeros on ``window`` and scaled to unit max-norm (a_k = +-1,
-    as poly_from_zeros scales); da/dtheta comes from null_vector_tangent,
-    and dL/dtheta_j = s.da/dtheta_j.  L takes the first fam.size moments of s.
+    array), all from one solve.  p's coefficients a come from
+    _pattern_vectors; da/dtheta comes from null_vector_tangent, and
+    dL/dtheta_j = s.da/dtheta_j.  L takes the first fam.size moments of s.
     """
-    pts = np.sort([*window, *(x for x, _ in nodes)])
-    i = int(np.argmax(np.diff(pts)))
-    rows = node_rows(fam, [*nodes, ((pts[i] + pts[i + 1]) / 2, 1)])
-    B = rows[:-1]
-    a = null_vector(B)
-    if rows[-1] @ a < 0:
-        a = -a
+    theta = [x for x, _ in nodes[-m:]]
+    B, a = _pattern_vectors(fam, nodes[:-m], theta, window)
     n1 = fam.size
     s = s[..., :n1]
-    theta = [x for x, _ in nodes[-m:]]
     return s @ a, s @ null_vector_tangent(fam, B, a, theta, n1 - 2 * m + 2 * np.arange(m))
+
+
+def _pattern_values(family: FamilySpec, pattern: str, thetas, s: np.ndarray) -> np.ndarray:
+    """The values of _pattern_value_grad at each row of ``thetas`` (k x m,
+    each row sorted), bit for bit, from one _pattern_vectors call: k values
+    for one functional, k x r for a block of r.  A placement whose node
+    matrix is singular has no polynomial and gets nan.
+    """
+    fam, fixed = _pattern_nodes(family, pattern, ())
+    _, a = _pattern_vectors(fam, fixed, thetas, _search_window(family))
+    vals = np.matmul(s[..., : fam.size], a[:, :, None])[..., 0]
+    vals[~a.any(axis=1)] = np.nan
+    return vals
+
+
+#: a start stops once it comes this close (in units of the window width,
+#: max-norm in theta) to an end point of its pattern at no lower a value
+SAME_END = 1e-4
 
 
 def search(family: FamilySpec, s: np.ndarray, objective, rng, starts: int, seeds=()):
@@ -131,14 +179,20 @@ def search(family: FamilySpec, s: np.ndarray, objective, rng, starts: int, seeds
     ``s`` at a theta to the value and theta-gradient to minimize; it may
     raise TSystemError where a theta is inadmissible.  Each pattern's theta
     runs L-BFGS-B, boxed inside the search window, from the ``seeds`` that
-    lie inside it (padded with random points), the best three of a coarse
-    scan, an equispaced placement and ``starts`` - 1 random placements,
-    drawn from ``rng`` in that order.  Yields (pattern, theta, value) for
-    each search's end point, pattern by pattern; a pattern without free
-    zeros is yielded once with theta () and value None.
+    lie inside it (the first m, or all of them padded with random points),
+    the best three of a coarse scan, an equispaced placement and ``starts``
+    - 1 random placements, drawn from ``rng`` in that order.  The coarse
+    scan is one batched evaluation (_pattern_values) of a grid of 40
+    positions per zero for m <= 2, of 400 random placements otherwise.  A
+    start whose iterate comes within SAME_END of the window width of an end
+    point its pattern already reached, at no lower a value, is stopped and
+    yields nothing: it would re-derive that end point.  Yields (pattern,
+    theta, value) for each other search's end point, pattern by pattern; a
+    pattern without free zeros is yielded once with theta () and value
+    None.
     """
     lo, hi = _search_window(family)
-    interior_seeds = [t for t in seeds if lo + 1e-9 < t < hi - 1e-9]
+    interior_seeds = _interior(family, seeds)
     for pattern, m in _patterns_for(family):
         if m == 0:
             yield pattern, (), None
@@ -166,31 +220,45 @@ def search(family: FamilySpec, s: np.ndarray, objective, rng, starts: int, seeds
             while len(pad) < m:
                 pad.append(float(rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))))
             inits.append(np.sort(np.array(pad)))
-        # deterministic coarse scan: the optimum's basin can be narrow
-        axis = lo + (hi - lo) * np.linspace(0.015, 0.985, 40 if m <= 2 else 12)
-        if m == 1:
-            cands = [(obj(np.array([t]))[0], (t,)) for t in axis]
-        elif m == 2:
-            cands = [
-                (obj(np.array([t1, t2]))[0], (t1, t2))
-                for i, t1 in enumerate(axis)
-                for t2 in axis[i + 1 :]
-            ]
+        # deterministic coarse scan, one batched evaluation: the optimum's
+        # basin can be narrow
+        if m <= 2:
+            axis = lo + (hi - lo) * np.linspace(0.015, 0.985, 40)
+            cands = axis[:, None] if m == 1 else axis[np.column_stack(np.triu_indices(40, 1))]
         else:
-            cands = []
-            for _ in range(400):
-                th = np.sort(rng.uniform(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), m))
-                cands.append((obj(th)[0], tuple(th)))
-        cands.sort(key=lambda c: c[0])
-        inits.extend(np.array(c[1]) for c in cands[:3] if c[0] < 1e90)
+            cands = np.sort(rng.uniform(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), (400, m)), axis=1)
+        try:
+            vals = _pattern_values(family, pattern, cands, s)
+        except TSystemError:  # a node the family cannot evaluate: no scan start
+            vals = np.full((len(cands),) + s.shape[:-1], np.nan)
+        scan = np.full(len(cands), 1e100)
+        admissible = np.all(np.diff(cands, axis=1) > 1e-6 * (hi - lo), axis=1)
+        admissible &= np.isfinite(vals.reshape(len(cands), -1)).all(axis=1)
+        for c in np.flatnonzero(admissible):
+            try:
+                scan[c] = objective(vals[c], np.zeros(vals.shape[1:] + (m,)))[0]
+            except TSystemError:
+                pass
+        inits.extend(cands[c] for c in np.argsort(scan, kind="stable")[:3] if scan[c] < 1e90)
         inits.append(lo + (hi - lo) * np.arange(1, m + 1) / (m + 1))
         for _ in range(starts - 1):
             inits.append(np.sort(lo + (hi - lo) * rng.uniform(0.02, 0.98, m)))
         box = [(lo + 1e-10 * (hi - lo), hi - 1e-10 * (hi - lo))] * m
+        ends = []  # (theta, value) of this pattern's searches so far
+
+        def repeats(theta, value):
+            theta = np.sort(theta)
+            return any(value >= v and np.max(np.abs(theta - t)) <= SAME_END * (hi - lo) for t, v in ends)
+
+        def stop_at_old_end(intermediate_result):
+            if repeats(intermediate_result.x, intermediate_result.fun):
+                raise StopIteration
+
         # gtol bounds the first-order change of the objective across the
         # whole window: a per-unit bound stops early on long half-line windows
         for th0 in inits:
-            res = minimize(obj, th0, jac=True, method="L-BFGS-B", bounds=box,
+            res = minimize(obj, th0, jac=True, method="L-BFGS-B", bounds=box, callback=stop_at_old_end,
                            options={"ftol": 1e-14, "gtol": 1e-10 / (hi - lo), "maxiter": 200})
-            if res.fun < 1e90:
-                yield pattern, np.sort(res.x), res.fun
+            if res.fun < 1e90 and not repeats(res.x, res.fun):
+                ends.append((np.sort(res.x), res.fun))
+                yield pattern, ends[-1][0], res.fun

@@ -3,14 +3,15 @@
 Feasibility runs a primal/dual pair.  The primal engine, shared with atomic
 recovery, fits the moment vector by nonnegative least squares on samples of
 the moment curve and polishes the fit to at most n+1 atoms; a fit within
-tolerance is the witness.  Otherwise one phase-1 LP on the engine's grid
-gives the gap and a separating functional, which seeds the dual:
-minimization of L over the extremal nonnegative polynomials (index-n zero
-patterns) by the search of ``extremal``, a gradient search on the zero
-positions; a negative minimum that passes the soundness checks here is the
-certificate.  Neither passing leaves the verdict undecided with the LP gap
-reported; a numeric tool must admit a gap since the exact conditions
-quantify over continua.
+tolerance is the witness.  Otherwise the dual minimizes L over the extremal
+nonnegative polynomials (index-n zero patterns) by the search of
+``extremal``, a gradient search on the zero positions seeded with the
+engine's atoms; a negative minimum that passes the soundness checks here is
+the certificate.  One phase-1 LP on the engine's grid runs only where its
+output is read: its separating functional seeds the dual when the atoms are
+too few, and its value is the gap reported when neither side passes and
+the verdict is undecided; a numeric tool must admit a gap since the exact
+conditions quantify over continua.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.optimize import least_squares, linprog, nnls
 
 from .errors import NonDifferentiable, NotFeasible, TooShort, TSystemError
-from .extremal import _search_window, extremal_test_polys, search
+from .extremal import _interior, _patterns_for, _search_window, extremal_test_polys, search
 from .family import CLOSED_INTERVAL, REAL_LINE, FamilySpec, halfline_xmax
 from .zeros import (
     NODAL,
@@ -104,10 +105,15 @@ class FeasibilityVerdict:
     certificate_poly: SparsePoly | None = None
     gap: float = 0.0
     determinacy_hint: dict = field(default_factory=dict)
+    #: what decided the verdict: "basis" (a nonnegative basis direction),
+    #: "primal" (the atomic witness), "dual" (the extremal certificate) or
+    #: "none" (undecided)
+    route: str = "none"
 
     def to_dict(self) -> dict:
         return {
             "status": self.status,
+            "route": self.route,
             "witness_measure": None
             if self.witness_measure is None
             else self.witness_measure.to_dict(),
@@ -253,9 +259,19 @@ def caratheodory_prune(V: np.ndarray, w: np.ndarray, max_atoms: int):
     return w
 
 
-def _polish_atoms(family: FamilySpec, s: np.ndarray, positions, weights, lo, hi):
+class _Polished(Exception):
+    """Ends a polish from inside its residual function."""
+
+
+def _polish_atoms(family: FamilySpec, s: np.ndarray, positions, weights, lo, hi, abs_tol):
     """Bounded least-squares polish of (positions, weights) on the moment
-    equations, with row equilibration (moment rows can span many decades)."""
+    equations, with row equilibration (moment rows can span many decades).
+
+    The tolerances ask for the rounding floor, which an ill-conditioned fit
+    approaches by tiny steps until max_nfev; so the polish also ends, at its
+    best point, at the first trial step that does not halve the cost once
+    that point matches the moments to 1e-2 * abs_tol.
+    """
     x = np.asarray(positions, dtype=float).copy()
     w = np.asarray(weights, dtype=float).copy()
     k = len(x)
@@ -263,10 +279,19 @@ def _polish_atoms(family: FamilySpec, s: np.ndarray, positions, weights, lo, hi)
         return x, w, float(np.max(np.abs(s)))
     scale = max(float(np.max(np.abs(s))), 1e-300)
     rsc = np.maximum(np.abs(s), 1e-6 * scale)
+    best = [math.inf, math.inf, None]  # cost, moment residual, z
 
     def resid(z):
         xs_, ws_ = z[:k], z[k:]
-        return (family.eval_grid(xs_).T @ ws_ - s) / rsc
+        d = family.eval_grid(xs_).T @ ws_ - s
+        r = d / rsc
+        cost = float(r @ r)
+        settled = best[1] <= 1e-2 * abs_tol and cost > best[0] / 2
+        if cost < best[0]:
+            best[:] = cost, float(np.max(np.abs(d))), z.copy()
+        if settled:
+            raise _Polished
+        return r
 
     def jac(z):
         xs_, ws_ = z[:k], z[k:]
@@ -284,6 +309,8 @@ def _polish_atoms(family: FamilySpec, s: np.ndarray, positions, weights, lo, hi)
             xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400,
         )
         x, w = sol.x[:k], sol.x[k:]
+    except _Polished:
+        x, w = best[2][:k], best[2][k:]
     except Exception:
         pass
     res = float(np.max(np.abs(family.eval_grid(x).T @ w - s)))
@@ -504,15 +531,18 @@ def sparse_feasibility(
     Primal: the engine of ``recover_atoms`` (grid nonnegative least squares
     refined twice near its support, Caratheodory pruning, Newton polish,
     support reduction); moments matched to tol * scale by at most n+1 atoms
-    give "feasible" with that witness.  Only otherwise does the phase-1 LP
-    run, once, on the engine's final grid: its value is the reported gap
-    and its dual marginals seed the dual search.  Dual: minimize L over
-    extremal nonnegative polynomials by a gradient search on their zero
-    positions, the derivative of L coming from the node null vector
-    (implicit differentiation of B a = 0), seeded by the LP dual, the
-    engine's atoms, a coarse scan and ``starts`` random placements drawn
-    from ``seed``; a certified negative value is an infeasibility
-    certificate.  Neither passing yields "undecided" with the LP gap.
+    give "feasible" with that witness.  Dual: minimize L over extremal
+    nonnegative polynomials by a gradient search on their zero positions,
+    the derivative of L coming from the node null vector (implicit
+    differentiation of B a = 0), seeded by the engine's atoms, a coarse
+    scan and ``starts`` random placements drawn from ``seed``; a certified
+    negative value is an infeasibility certificate.  The search reads at
+    most m seeds for a pattern with m free zeros, so the phase-1 LP on the
+    engine's final grid, whose dual marginals give further seeds, runs
+    before the search only when fewer than the largest m atoms lie inside
+    the search window; its value is the gap of an "undecided" verdict, so
+    it runs (once) for that too.  ``route`` names what decided the
+    verdict: "basis", "primal", "dual" or "none".
 
     Guarantee: an "infeasible" verdict carries a certificate p with
     L(p) < 0 that passed every check of ``_certificate_is_sound``:
@@ -538,21 +568,27 @@ def sparse_feasibility(
         if np.all(base_vals[:, i] >= 0) and s[i] < -tol * scale:
             e = SparsePoly(tuple(np.eye(family.size)[i]), family)
             if _certificate_is_sound(e, probes):
-                return FeasibilityVerdict(INFEASIBLE, None, e, float(-s[i]), hint)
+                return FeasibilityVerdict(INFEASIBLE, None, e, float(-s[i]), hint, "basis")
 
     pos, wts, res, xs = _primal_atoms(family, s, grid, tol * scale)
     if res <= tol * scale and len(pos) <= family.size:
         witness = AtomicMeasure(tuple(zip(map(float, pos), map(float, wts))))
-        return FeasibilityVerdict(FEASIBLE, witness, None, float(res), hint)
+        return FeasibilityVerdict(FEASIBLE, witness, None, float(res), hint, "primal")
 
     # dual pass, seeded with the engine's atoms, which localize where a
-    # certificate must vanish, and the separating functional of one LP on the
-    # engine's grid (certificate basins can be narrow)
-    _, gap, y_dual = _primal_lp(family.eval_grid(xs).T, s)
-    seeds = [float(p) for p in pos] + _dual_seeds(family, y_dual, xs)
+    # certificate must vanish; the search reads no more seeds than a
+    # pattern has free zeros, so the LP's seeds (certificate basins can be
+    # narrow) are read only when the atoms inside the window are fewer
+    seeds = [float(p) for p in pos]
+    gap = None
+    if len(_interior(family, seeds)) < max(m for _, m in _patterns_for(family)):
+        _, gap, y_dual = _primal_lp(family.eval_grid(xs).T, s)
+        seeds += _dual_seeds(family, y_dual, xs)
     cert = _dual_search(L, tol=tol, seed=seed, starts=starts, theta_seeds=seeds)
     if cert is not None and _certificate_is_sound(cert[0], probes):
-        return FeasibilityVerdict(INFEASIBLE, None, cert[0], float(-cert[1]), hint)
+        return FeasibilityVerdict(INFEASIBLE, None, cert[0], float(-cert[1]), hint, "dual")
+    if gap is None:
+        _, gap, _ = _primal_lp(family.eval_grid(xs).T, s)
     return FeasibilityVerdict(UNDECIDED, None, None, float(gap), hint)
 
 
@@ -692,11 +728,11 @@ def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) 
     merged = _merge_atoms(xs[idx], w[idx])
     pos = np.array([p for p, _ in merged])
     wts = np.array([w_ for _, w_ in merged])
-    pos, wts, res = _polish_atoms(family, s, pos, wts, lo, hi)
+    pos, wts, res = _polish_atoms(family, s, pos, wts, lo, hi, abs_tol)
     keep = wts > 1e-12 * float(wts.max())
     pos, wts = pos[keep], wts[keep]
     if len(pos):
-        pos, wts, res = _polish_atoms(family, s, pos, wts, lo, hi)
+        pos, wts, res = _polish_atoms(family, s, pos, wts, lo, hi, abs_tol)
     pos, wts, res = _reduce_support(family, s, pos, wts, res, lo, hi, abs_tol)
     return pos, wts, res, xs
 
@@ -705,13 +741,13 @@ def _reduce_support(family, s, pos, wts, res, lo, hi, abs_tol):
     """Try smaller atom counts (toward the principal representation)."""
     keep = wts > 1e-9 * max(float(np.sum(wts)), 1e-300)
     if not np.all(keep) and np.any(keep):
-        p_try, w_try, r_try = _polish_atoms(family, s, pos[keep], wts[keep], lo, hi)
+        p_try, w_try, r_try = _polish_atoms(family, s, pos[keep], wts[keep], lo, hi, abs_tol)
         if r_try <= max(abs_tol, res):
             pos, wts, res = p_try, w_try, r_try
     best = (pos, wts, res)
     for k in range(1, len(pos)):
         p_try, w_try = _merge_to_k(pos, wts, k)
-        p_try, w_try, r_try = _polish_atoms(family, s, p_try, w_try, lo, hi)
+        p_try, w_try, r_try = _polish_atoms(family, s, p_try, w_try, lo, hi, abs_tol)
         if r_try <= abs_tol and np.all(w_try > 0) and len(np.unique(np.round(p_try, 12))) == k:
             return p_try, w_try, r_try
     return best

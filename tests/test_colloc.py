@@ -186,6 +186,60 @@ def test_null_vector_rank_deficient_is_zero():
     assert not null_vector(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])).any()
 
 
+def _loop_null_vector(B):
+    """Reference: the one-matrix full-pivot elimination by explicit row and
+    column swaps, tracking the determinant's sign as it goes."""
+    B = np.array(B, dtype=np.longdouble)
+    nr, nc = B.shape
+    perm = list(range(nc))
+    sign = -1.0 if nr % 2 else 1.0
+    for k in range(nr):
+        i, j = divmod(int(abs(B[k:, k:]).argmax()), nc - k)
+        i += k
+        j += k
+        piv = B[i, j]
+        if piv == 0:
+            return np.zeros(nc)
+        if piv < 0:
+            sign = -sign
+        if i != k:
+            B[[k, i]] = B[[i, k]]
+            sign = -sign
+        if j != k:
+            B[:, [k, j]] = B[:, [j, k]]
+            perm[k], perm[j] = perm[j], perm[k]
+            sign = -sign
+        below = B[k + 1 :]
+        below[:, k:] -= (below[:, k] / piv)[:, None] * B[k, k:]
+    x = np.zeros(nc, dtype=np.longdouble)
+    x[nr] = 1.0
+    for k in range(nr - 1, -1, -1):
+        x[k] = -(B[k, k + 1 :] @ x[k + 1 :]) / B[k, k]
+    a = np.zeros(nc)
+    a[perm] = x
+    return sign * (a / np.max(np.abs(a)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_null_vector_stack_matches_loop_elimination(n):
+    # a stack gives, bit for bit, each matrix's one-matrix result, and both
+    # are the swap-by-swap elimination's: rounded entries tie in the pivot
+    # search, node rows of a power family share their leading 1
+    rng = np.random.default_rng(100 + n)
+    stack = rng.standard_normal((30, n, n + 1)) * 10.0 ** rng.uniform(-3, 3, (30, n, 1))
+    stack[::4] = np.round(stack[::4])
+    fam = power_family([0.0, 0.5, 1.5, 2.5, 4.0, 5.0, 6.5, 7.0, 8.5][: n + 1], interval(0.1, 1.2))
+    stack[1] = node_rows(fam, [(x, 1) for x in np.linspace(0.2, 1.1, n)])
+    stack[2, -1] = 2.0 * stack[2, 0] if n > 1 else 0.0  # rank-deficient
+    stack[5] = 0.0
+    got = null_vector(stack)
+    assert got.shape == (30, n + 1)
+    for B, row in zip(stack, got):
+        ref = _loop_null_vector(B).view(np.int64)  # the sign of a zero too
+        assert np.array_equal(row.view(np.int64), ref) and np.array_equal(null_vector(B).view(np.int64), ref)
+    assert not got[2].any() and not got[5].any()
+
+
 def test_reduced_system_monomials():
     # monomials (0,1,2): g_i = (x^{i+1})' = (1, 2x)
     fam = monomial_family([0, 1, 2], interval(0.2, 1.0))

@@ -23,6 +23,7 @@ from tsystems import extremal, moments
 from tsystems.extremal import (
     _pattern_nodes,
     _pattern_value_grad,
+    _pattern_values,
     _patterns_for,
     _search_window,
 )
@@ -317,7 +318,9 @@ def test_small_top_exponent_halfline_window():
     fam = power_family([0.0, 0.001], halfline(0.0))
     assert _search_window(fam) == (0.0, 1e30)
     assert sparse_feasibility(MomentFunctional.from_measure(fam, [(2.0, 1.0)])).status == "feasible"
-    assert sparse_feasibility(MomentFunctional((1.0, -1.0), fam)).status == "infeasible"
+    v = sparse_feasibility(MomentFunctional((1.0, -1.0), fam))
+    assert (v.status, v.route) == ("infeasible", "basis")
+    assert v.to_dict()["route"] == "basis"
 
 
 def perturbed_functional(fam, atom, pattern, tol=1e-8):
@@ -358,6 +361,29 @@ def test_dual_gradient_matches_central_difference(dom):
                 for e in np.eye(m)
             ])
             assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd)), (n, pattern, grad, fd)
+
+
+@pytest.mark.parametrize("dom", [interval(0.1, 1.2), halfline(0.0)], ids=["ab", "halfline"])
+def test_batched_scan_matches_pointwise(dom):
+    # the coarse scan's one eval_grid and one stacked null_vector per pattern
+    # give, bit for bit, the values of _pattern_value_grad point by point:
+    # for one functional and for optimize_ratio's two-row block, m = 1, 2, 3
+    exps = [0.0, 0.5, 1.5, 2.5, 4.0, 5.5, 7.0]
+    rng = np.random.default_rng(11)
+    for n in range(2, 7):
+        fam = power_family(exps[: n + 1], dom)
+        lo, hi = _search_window(fam)
+        for pattern, m in _patterns_for(fam):
+            if m == 0:
+                continue
+            thetas = np.sort(rng.uniform(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), (20, m)), axis=1)
+            for s in (rng.uniform(0.5, 2.0, n + 1), rng.uniform(0.5, 2.0, (2, n + 1))):
+                vals = _pattern_values(fam, pattern, thetas, s)
+                assert vals.shape == (20,) + s.shape[:-1]
+                for theta, v in zip(thetas, vals):
+                    sub, nodes = _pattern_nodes(fam, pattern, theta)
+                    ref = np.atleast_1d(_pattern_value_grad(sub, nodes, m, s, (lo, hi))[0])
+                    assert np.array_equal(np.atleast_1d(v).view(np.int64), ref.view(np.int64))
 
 
 @pytest.mark.parametrize("exps,dom,atom,pattern", [
@@ -403,22 +429,97 @@ def test_dual_search_builds_few_polys(monkeypatch):
 
 
 def test_feasible_functional_solves_no_lp(monkeypatch):
-    # the primal engine decides a feasible functional; only a functional it
-    # cannot fit pays for one LP (its gap and dual seeds)
-    calls = []
+    # the primal engine decides a feasible functional; the phase-1 LP runs
+    # only when its output is read: its dual seeds when the engine leaves
+    # fewer atoms inside the window than a pattern has free zeros, its gap
+    # when the verdict is undecided
+    values = []
     original = moments.linprog
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        res = original(*args, **kwargs)
+        values.append(res.fun)
+        return res
 
     monkeypatch.setattr(moments, "linprog", counting)
     fam = power_family([0.0, 0.5, 3.0], interval(0.1, 1.2))
-    assert sparse_feasibility(MomentFunctional.from_measure(fam, [(0.7, 0.8)])).status == "feasible"
-    assert calls == []
+    v = sparse_feasibility(MomentFunctional.from_measure(fam, [(0.7, 0.8)]))
+    assert (v.status, v.route) == ("feasible", "primal")
+    assert values == []
+    # the engine's atom at 0.7 is the one seed the dual search reads
     L = perturbed_functional(fam, (0.7, 0.8), "interior_doubles")
+    v = sparse_feasibility(L)
+    assert (v.status, v.route) == ("infeasible", "dual")
+    assert values == []
+    # an atom at the window's end is no seed: the LP's seeds are read
+    L = perturbed_functional(fam, (1.2, 0.8), "interior_doubles")
     assert sparse_feasibility(L).status == "infeasible"
-    assert calls == [1]
+    assert len(values) == 1
+    # undecided: the gap reported is the LP's value
+    values.clear()
+    # (the moments of delta_0.5 over 1, x, ..., x^4 with s_0 lowered by 1e-7)
+    v = sparse_feasibility(MomentFunctional((1.0 - 1e-7, 0.5, 0.25, 0.125, 0.0625),
+                                            power_family([0.0, 1.0, 2.0, 3.0, 4.0], interval(0.0, 1.0))))
+    assert v.status == "undecided" and v.route == "none"
+    assert len(values) == 1 and v.gap == values[0]
+
+
+def test_search_yields_each_end_point_once(monkeypatch):
+    # a start that reaches an end point its pattern already has stops there
+    # and yields nothing: the eight starts into one basin give one end point
+    # for far fewer evaluations than running each start to its end
+    nfev = []
+    original = extremal.minimize
+
+    def counting(*args, **kwargs):
+        res = original(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(extremal, "minimize", counting)
+    fam = power_family([0.0, 0.5, 3.0], interval(0.1, 1.2))
+    s = MomentFunctional.from_measure(fam, [(0.7, 0.8)]).s - np.array([1e-6, 0.0, 0.0])
+
+    def ends():
+        return [theta for pattern, theta, _ in extremal.search(fam, s, lambda v, g: (v, g),
+                                                               np.random.default_rng(0), 4, [0.7])
+                if pattern == "interior_doubles"]
+
+    found = ends()
+    assert len(found) == 1 and abs(found[0][0] - 0.7) < 1e-5
+    stopped = sum(nfev)
+    nfev.clear()
+    monkeypatch.setattr(extremal, "SAME_END", 0.0)
+    assert len(ends()) == 8 and sum(nfev) > 1.5 * stopped
+
+
+def test_polish_ends_once_settled(monkeypatch):
+    # an ill-conditioned fit far inside tol lowers its cost by a few percent
+    # a step: the polish ends there instead of running to max_nfev
+    evaluations = []
+    original = moments.least_squares
+
+    def counting(fun, x0, **kwargs):
+        count = [0]
+
+        def counted(z):
+            count[0] += 1
+            return fun(z)
+
+        try:
+            return original(counted, x0, **kwargs)
+        finally:
+            evaluations.append(count[0])
+
+    monkeypatch.setattr(moments, "least_squares", counting)
+    fam = power_family([0.0, 0.5, 4.5, 5.0, 5.5, 7.0, 8.0], interval(0.1, 1.2))
+    atoms = [(0.1301116528808206, 0.8447325299228715), (0.4118958010193691, 0.406148745114975),
+             (0.4934852036395183, 0.48361652799181204)]
+    L = MomentFunctional.from_measure(fam, atoms)
+    m = recover_atoms(L)
+    assert len(m.atoms) == 3
+    assert np.max(np.abs(m.moments(fam) - L.s)) <= 1e-8 * np.max(np.abs(L.s))
+    assert max(evaluations) < 400
 
 
 @pytest.mark.parametrize("exps,dom,atoms", [
