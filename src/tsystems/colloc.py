@@ -261,10 +261,22 @@ class SystemCertificate:
     """Outcome of a T/ET/ECT check.
 
     ``level`` is the requested target when the check passed, else ``"none"``
-    with a refuting NodeSet attached.  A pass for T/ET is grid-level evidence
-    (``exhaustive`` tells whether the tuple enumeration was complete); a
-    refutation is sound: the counterexample determinant is below the
-    scale-invariant vanishing tolerance.
+    with a refuting NodeSet attached.  ``route`` says what decided it.
+
+    ``"theory"``: a classical theorem decides the family on the window (see
+    ``certify``).  A pass holds for every node tuple (``exhaustive`` is
+    True), and ``evidence`` is the scaled determinant at n+1 ordered
+    interior points.  The one theory refutation is of ET/ECT for a power or
+    monomial family whose exponents are not 0, 1, ..., n, on a window
+    starting at 0: the counterexample is the node 0 of multiplicity n+1, and
+    ``evidence`` is 0.  There an exponent alpha > n gives an all-zero
+    column (its derivatives of order <= n vanish at 0), and a non-natural
+    alpha < n has no derivative of order ceil(alpha) at 0.
+
+    ``"grid"``: a pass for T/ET is grid-level evidence (``exhaustive``
+    tells whether the tuple enumeration was complete); a refutation is
+    sound: the counterexample determinant is below the scale-invariant
+    vanishing tolerance.
     """
 
     level: str
@@ -275,6 +287,7 @@ class SystemCertificate:
     seed: int = 0
     exhaustive: bool = True
     window: tuple = ()
+    route: str = "grid"
 
     def __bool__(self) -> bool:
         return self.level != "none"
@@ -289,6 +302,7 @@ class SystemCertificate:
             "seed": self.seed,
             "exhaustive": self.exhaustive,
             "window": list(self.window),
+            "route": self.route,
         }
 
     def to_json(self) -> str:
@@ -306,43 +320,114 @@ def certify(
     seed: int = 0,
     window: tuple | None = None,
 ) -> SystemCertificate:
-    """Certify (grid-level) or refute (soundly) T/ET/ECT structure.
+    """Certify or refute (soundly) T/ET/ECT structure.
 
-    ECT is a deterministic scan of the n+1 Wronskian functions with
-    sign-change bisection.  T and ET sample ordered node tuples: all of them
-    when the count fits the budget, otherwise ``budget`` random sorted tuples
-    (fixed seed), always including the full diagonal (x, ..., x) scan for ET.
+    The built-in families the classical theory decides (Karlin & Studden,
+    *Tchebycheff Systems*, 1966, ch. I) get an exact verdict, route
+    ``"theory"``, with canonical sign all +1 and no grid work:
+
+    - ``power``/``monomial`` on a window with lo > 0 (Descartes systems);
+    - ``power``/``monomial`` with exponents exactly 0, 1, ..., n, on any
+      window (polynomials; W = prod k!);
+    - ``exponential`` on any window;
+    - ``rational`` with lo > -params[0] (Cauchy kernels).
+
+    Each also needs strictly increasing params and a window inside the
+    domain, checked here (``FamilySpec.from_dict`` does not validate), and a
+    positive determinant at n+1 ordered interior points in doubles.  A power
+    or monomial family on a window starting at 0 is refuted for ET and ECT
+    at the node 0 of multiplicity n+1 unless its exponents are 0, ..., n
+    (see ``SystemCertificate``).
+
+    Everything else takes route ``"grid"``.  ECT is a deterministic scan of
+    the n+1 Wronskian functions with sign-change bisection.  T and ET sample
+    ordered node tuples: all of them when the count fits the budget,
+    otherwise ``budget`` random sorted tuples (fixed seed), always including
+    the full diagonal (x, ..., x) scan for ET.
     """
     target = target.upper()
     if target not in ("T", "ET", "ECT"):
         raise ValueError(f"target must be T, ET, or ECT, not {target!r}")
+    lo, hi = family.domain.window() if window is None else window
+    cert = _certify_theory(family, target, grid, seed, (lo, hi))
+    if cert is not None:
+        return cert
     key = None
     if family.variant != "custom":
         key = (family.to_json(), target, grid, budget, seed, window)
         if key in _CERT_CACHE:
             return _CERT_CACHE[key]
-    lo, hi = family.domain.window() if window is None else window
-    xs = np.linspace(lo, hi, grid)
-    n = family.order
-
-    sign = _canonical_sign(family, lo, hi)
-
-    if target == "ECT":
-        cert = _certify_ect(family, xs, sign, seed, (lo, hi))
-    else:
-        cert = _certify_tuples(family, xs, target, sign, budget, seed, (lo, hi))
+    cert = _certify_grid(family, target, grid, budget, seed, (lo, hi))
     if key is not None:
         _CERT_CACHE[key] = cert
     return cert
 
 
-def _canonical_sign(family: FamilySpec, lo: float, hi: float) -> np.ndarray:
-    """+1 per member, with f_n flipped if the ordered determinant is negative."""
+def _certify_grid(family, target, grid, budget, seed, window) -> SystemCertificate:
+    """The grid route of ``certify``: the Wronskian scan or the tuple screen."""
+    lo, hi = window
+    xs = np.linspace(lo, hi, grid)
+    sign = _canonical_sign(family, lo, hi)
+    if target == "ECT":
+        return _certify_ect(family, xs, sign, seed, window)
+    return _certify_tuples(family, xs, target, sign, budget, seed, window)
+
+
+def _theory_verdict(family: FamilySpec, target: str, lo: float, hi: float) -> bool | None:
+    """True when a theorem proves ``target`` on [lo, hi], False when the node
+    0 of multiplicity n+1 refutes it, None when no theorem applies."""
+    p = family.params
+    if family.variant == "custom" or not p:
+        return None
+    if not all(math.isfinite(a) for a in p) or not all(a < b for a, b in zip(p, p[1:])):
+        return None
+    dom = family.domain
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi
+            and dom.contains(lo) and dom.contains(hi)):
+        return None
+    if family.variant in ("power", "monomial"):
+        if all(a == k for k, a in enumerate(p)) or lo > 0:
+            return True
+        if lo == 0 and target != "T" and p[0] >= 0:
+            return False
+        return None
+    if family.variant == "exponential":
+        return True
+    if family.variant == "rational" and lo > -p[0]:
+        return True
+    return None
+
+
+def _certify_theory(family, target, grid, seed, window) -> SystemCertificate | None:
+    """The ``certify`` verdict of the theorems, or None for the grid route."""
+    lo, hi = window
+    verdict = _theory_verdict(family, target, lo, hi)
+    if verdict is None:
+        return None
+    rows = _ordered_rows(family, lo, hi)
+    d = det(rows)
+    if not d > 0:
+        return None
+    sign = (1.0,) * family.size
+    if not verdict:
+        ce = NodeSet(((0.0, family.size),))
+        return SystemCertificate("none", 0.0, ce, sign, grid, seed, True, window, "theory")
+    return SystemCertificate(
+        target, d / det_scale(rows), None, sign, grid, seed, True, window, "theory"
+    )
+
+
+def _ordered_rows(family: FamilySpec, lo: float, hi: float) -> np.ndarray:
+    """Collocation matrix at n+1 equispaced interior points of [lo, hi]."""
     n = family.order
     pts = np.linspace(lo, hi, n + 3)[1:-1] if n > 0 else np.array([(lo + hi) / 2])
+    return family.eval_grid(pts[: n + 1])
+
+
+def _canonical_sign(family: FamilySpec, lo: float, hi: float) -> np.ndarray:
+    """+1 per member, with f_n flipped if the ordered determinant is negative."""
     sign = np.ones(family.size)
-    d = det(family.eval_grid(pts[: n + 1]))
-    if d < 0:
+    if det(_ordered_rows(family, lo, hi)) < 0:
         sign[-1] = -1.0
     return sign
 
@@ -417,6 +502,7 @@ def _certify_tuples(family, xs, target, sign, budget, seed, window) -> SystemCer
     grid = len(xs)
     max_order = n if target == "ET" else 0
     tables = np.stack([family.eval_grid(xs, k) * sign for k in range(max_order + 1)])
+    row_norms = np.max(np.abs(tables), axis=2)  # gathered like the rows, for det_scale
 
     if target == "T":
         count = math.comb(grid, n + 1)
@@ -462,7 +548,7 @@ def _certify_tuples(family, xs, target, sign, budget, seed, window) -> SystemCer
         oo = orders[start : start + chunk]
         rows = tables[oo, tt, :]  # (B, n+1, n+1)
         dets = np.linalg.det(rows)
-        scales = np.prod(np.max(np.abs(rows), axis=2), axis=1)
+        scales = np.prod(row_norms[oo, tt], axis=1)
         scaled = np.abs(dets) / np.where(scales > 0, scales, 1.0)
         bmin = float(scaled.min())
         if bmin < min_scaled:

@@ -34,6 +34,16 @@ def test_certify_refuted_exit_code():
     assert out["level"] == "none" and out["counterexample"]["nodes"] == [[0.0, 3]]
 
 
+@pytest.mark.parametrize("target", ["ect", "et"])
+def test_certify_fractional_exponents_at_zero_refuted(target):
+    # x^0.5 has no derivative at 0: refuted at the node 0 of multiplicity 3
+    r = run_cli("certify", "--family", "power:0,0.5,1.5", "--domain", "0,1", "--target", target)
+    assert r.returncode == 2
+    out = json.loads(r.stdout)
+    assert out["level"] == "none" and out["counterexample"]["nodes"] == [[0.0, 3]]
+    assert out["route"] == "theory"
+
+
 def test_decompose_power_alpha():
     r = run_cli(
         "decompose", "--mode", "pos_ab", "--family", "power:0,0.5",

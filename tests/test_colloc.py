@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsystems import (
+    FamilySpec,
     NodeSet,
     certify,
     confluent_matrix,
@@ -14,12 +17,14 @@ from tsystems import (
     krein_matrix,
     monomial_family,
     power_family,
+    rational_family,
     real_line,
     reduced_system,
     wronskian,
 )
+from tsystems import colloc
 from tsystems.colloc import det_scale, null_vector, node_rows
-from tsystems.errors import DimensionMismatch
+from tsystems.errors import DimensionMismatch, DomainViolation
 
 
 def test_krein_matrix_vandermonde():
@@ -133,6 +138,72 @@ def test_certify_t_counterexample_is_sound():
     assert c.level == "none"
     pts = np.array([p for p, _ in c.counterexample.nodes])
     assert vanishes(fam.eval_grid(pts))
+
+
+def _increasing(draw, first, n):
+    """first, then n steps of 0.3 to 1.5: params well apart for a small grid."""
+    steps = draw(st.lists(st.floats(0.3, 1.5), min_size=n, max_size=n))
+    return [first + sum(steps[:k]) for k in range(n + 1)]
+
+
+@st.composite
+def theory_cases(draw):
+    """A family of one case the theorems cover, a target and a window."""
+    case = draw(st.sampled_from(["descartes", "polynomial", "exponential", "cauchy", "gap_at_0"]))
+    n = draw(st.integers(1, 3))
+    lo = draw(st.floats(0.2, 1.0) if case == "descartes" else st.floats(-1.5, 1.0))
+    hi = lo + draw(st.floats(0.5, 2.5))
+    if case == "descartes":
+        fam = power_family(_increasing(draw, draw(st.floats(-1.0, 1.0)), n), interval(lo, hi))
+    elif case == "polynomial":
+        fam = monomial_family(list(range(n + 1)), interval(lo, hi))
+    elif case == "exponential":
+        fam = exponential_family(_increasing(draw, draw(st.floats(-2.0, 1.0)), n), interval(lo, hi))
+    elif case == "cauchy":
+        fam = rational_family(_increasing(draw, -lo + draw(st.floats(0.3, 1.0)), n), interval(lo, hi))
+    else:
+        # natural exponents with a gap on [0, b]: refuted for ET and ECT at 0
+        degrees = [0] + sorted(draw(st.sets(st.integers(1, n + 2), min_size=n, max_size=n)))
+        if degrees == list(range(n + 1)):
+            degrees[-1] += 1
+        fam = monomial_family(degrees, interval(0.0, hi - lo))
+    targets = ["ET", "ECT"] if case == "gap_at_0" else ["T", "ET", "ECT"]
+    return fam, draw(st.sampled_from(targets))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(theory_cases())
+def test_theory_route_agrees_with_grid_scan(case):
+    fam, target = case
+    cached = len(colloc._CERT_CACHE)
+    theory = certify(fam, target)
+    assert theory.route == "theory" and len(colloc._CERT_CACHE) == cached
+    grid = colloc._certify_grid(fam, target, 41, 2000, 0, fam.domain.window())
+    assert grid.route == "grid"
+    assert (theory.level, theory.canonical_sign) == (grid.level, grid.canonical_sign)
+    if theory:
+        assert theory.evidence > 0 and theory.exhaustive and theory.counterexample is None
+    else:
+        assert theory.counterexample.nodes == ((0.0, fam.size),)
+
+
+def test_theory_route_needs_increasing_params_and_a_positive_determinant():
+    # FamilySpec skips validation; with exponents (2, 0, 1), W(f_0, f_1) = -2x
+    fam = FamilySpec("power", (2.0, 0.0, 1.0), interval(0.5, 2.0))
+    cert = certify(fam, "ECT")
+    assert cert.route == "grid" and cert.level == "none"
+    # x^600 underflows on [0.1, 0.2]: the ordered determinant is 0 in doubles
+    fam = power_family([0, 300, 600], interval(0.1, 0.2))
+    assert certify(fam, "T", grid=41, budget=2000).route == "grid"
+
+
+def test_theory_route_needs_window_inside_domain():
+    # the interior points of (-0.1, 1) lie in [0, 1], its left end does not
+    fam = exponential_family([-1.0, 0.0, 2.0], interval(0.0, 1.0))
+    assert colloc._certify_theory(fam, "T", 201, 0, (-0.1, 1.0)) is None
+    with pytest.raises(DomainViolation):
+        certify(fam, "T", window=(-0.1, 1.0))
+    assert certify(fam, "T", window=(0.1, 1.0)).route == "theory"
 
 
 def test_certificate_serialization():
