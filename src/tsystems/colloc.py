@@ -132,10 +132,17 @@ def confluent_matrix(family: FamilySpec, nodes: NodeSet) -> np.ndarray:
 
 def node_rows(family: FamilySpec, nodes) -> np.ndarray:
     """Derivative-row block for arbitrary (point, multiplicity) pairs."""
-    pts = [float(x) for x, m in nodes for _ in range(int(m))]
+    pts, orders = node_points(nodes)
     if not pts:
         return np.zeros((0, family.size))
-    return family.eval_grid(pts, [k for _, m in nodes for k in range(int(m))])
+    return family.eval_grid(pts, orders)
+
+
+def node_points(nodes) -> tuple[list, list]:
+    """The points and derivative orders of node_rows' rows, for callers that
+    evaluate more rows in the same eval_grid call."""
+    return ([float(x) for x, m in nodes for _ in range(int(m))],
+            [k for _, m in nodes for k in range(int(m))])
 
 
 def wronskian(family: FamilySpec, k: int, x: float) -> float:
@@ -191,26 +198,37 @@ def null_vector(B: np.ndarray) -> np.ndarray:
     the sign of the bordered determinant.  Full-pivot elimination in long
     double, each matrix with its own pivots: the entry at perm[n] is
     (-1)^n det(B without that column), and that det is the product of the
-    pivots, negated once per row or column swap.  The swaps are one gather
-    per step from the tables of _pivot_moves, which carry the column
-    permutation and the swap parity along.
+    pivots, negated once per row or column swap.  One matrix (B.ndim == 2)
+    is eliminated entry by entry on long-double scalars (_null_vector_one):
+    at these sizes numpy's per-call overhead costs more than the arithmetic.
+    A stack is eliminated all at once, each step's swaps one gather from the
+    tables of _pivot_moves, which carry the column permutation and the swap
+    parity along.  Both do the same arithmetic in the same order; a matrix
+    in which a NaN turns up goes the stacked way, where numpy's argmax takes
+    the first NaN as pivot.
     """
     B = np.asarray(B, dtype=np.longdouble)
     nr, nc = B.shape[-2:]
     if B.ndim not in (2, 3) or nc != nr + 1:
         raise DimensionMismatch(f"expected n x (n+1) matrix or a stack of them, got {B.shape}")
+    one = B.ndim == 2
+    if one:
+        a = _null_vector_one(B.tolist(), nr)
+        if a is not None:
+            return a
+        B = B[None]
     gathers, start = _pivot_moves(nr)
     lead = B.shape[:-2]
     M = np.empty(lead + start.shape, dtype=np.longdouble)
     M[...] = start
     M[..., :nr, :] = B
     # indices of the stacked matrices, for gathering and scattering per matrix
-    mats = (np.arange(len(B))[:, None, None],) if lead else ()
+    mats = np.arange(len(B))[:, None, None]
     # a rank-deficient matrix meets a zero pivot; its NaNs stay in its row
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(nr):
             f = np.abs(M[..., k:nr, k:]).reshape(lead + (-1,)).argmax(axis=-1)
-            M = M.reshape(lead + (-1,))[(*mats, gathers[k, f])]
+            M = M.reshape(lead + (-1,))[mats, gathers[k, f]]
             if k + 1 < nr:
                 below = M[..., k + 1 : nr, k:]
                 row = M[..., k, None, k:]
@@ -225,31 +243,93 @@ def null_vector(B: np.ndarray) -> np.ndarray:
             np.divide(np.matmul(M[..., k : k + 1, k + 1 : nc], x[..., k + 1 :, :]), neg_piv[..., k, :, :],
                       out=x[..., k : k + 1, :])
         a = np.empty(lead + (nc,))
-        a[(*(m[..., 0] for m in mats), M[..., nr, :].astype(np.intp))] = x[..., 0]
+        a[mats[..., 0], M[..., nr, :].astype(np.intp)] = x[..., 0]
         a /= np.abs(a).max(axis=-1, keepdims=True)
         a *= (M[..., nr + 1, 0] * np.sign(piv).prod(axis=-1))[..., None]
     if not piv.all():
         a[~piv.all(axis=-1)] = 0.0
-    return a
+    return a[0] if one else a
 
 
-def null_vector_tangent(family: FamilySpec, B: np.ndarray, a: np.ndarray, pts, rows) -> np.ndarray:
+def _null_vector_one(rows: list, nr: int):
+    """null_vector of one matrix, given as nr lists of long-double scalars
+    (modified in place), or None if a NaN turns up.
+
+    The pivot is the first entry of largest magnitude of the trailing block
+    in row-major order, as numpy's argmax picks it.  Each row r below the
+    pivot row p becomes r - (r[k]/piv) p, and the back substitution sums
+    from zero, as numpy's long-double matmul does.
+    """
+    nc = nr + 1
+    perm = list(range(nc))
+    negate = nr % 2 == 1
+    for k in range(nr):
+        best, pi, pj = -1.0, k, k
+        for i in range(k, nr):
+            r = rows[i]
+            for j in range(k, nc):
+                v = abs(r[j])
+                if v > best:
+                    best, pi, pj = v, i, j
+                elif v != v:
+                    return None
+        if pi != k:
+            rows[k], rows[pi] = rows[pi], rows[k]
+            negate = not negate
+        if pj != k:
+            for r in rows:
+                r[k], r[pj] = r[pj], r[k]
+            perm[k], perm[pj] = perm[pj], perm[k]
+            negate = not negate
+        top = rows[k]
+        piv = top[k]
+        if piv == 0:
+            return np.zeros(nc)
+        if piv < 0:
+            negate = not negate
+        for r in rows[k + 1 :]:
+            f = r[k] / piv
+            for j in range(k + 1, nc):
+                r[j] = r[j] - f * top[j]
+    x = [0.0] * nc
+    x[nr] = np.longdouble(1.0)
+    zero = np.longdouble(0.0)
+    for k in range(nr - 1, -1, -1):
+        r = rows[k]
+        s = zero
+        for j in range(k + 1, nc):
+            s = s + r[j] * x[j]
+        x[k] = s / -r[k]
+    a = [0.0] * nc
+    for k, p in enumerate(perm):
+        a[p] = float(x[k])
+    norm = max(abs(v) for v in a)
+    sign = -1.0 if negate else 1.0
+    a = [v / norm * sign for v in a]
+    if any(v != v for v in a):
+        return None
+    return np.array(a)
+
+
+def null_vector_tangent(B: np.ndarray, a: np.ndarray, rows, second: np.ndarray) -> np.ndarray:
     """Derivatives of the null vector a of B in the positions of double nodes.
 
-    B holds the rows f(x), f'(x) of a double node at each pts[j], the f'
-    row at rows[j]; a is scaled to unit max-norm (a_k = +-1, as null_vector
-    scales).  Differentiating B a = 0 in pts[j]: the row f(x).a = 0 gives
-    f(x).a' = -f'(x).a = 0, the row f'(x).a = 0 gives f'(x).a' = -f''(x).a,
-    every other row r.a' = 0, and the scaling a'_k = 0.  So a' solves the
-    bordered system [B; e_k] a' = -(f''(x).a) e_r, r = rows[j].  Returns
-    the (n+1) x len(pts) array whose column j is da/dpts[j].
+    B holds the rows f(x), f'(x) of a double node at each x_j, the f' row
+    at rows[j], and second[j] is the row f''(x_j); a is scaled to unit
+    max-norm (a_k = +-1, as null_vector scales).  Differentiating B a = 0 in
+    x_j: the row f(x).a = 0 gives f(x).a' = -f'(x).a = 0, the row
+    f'(x).a = 0 gives f'(x).a' = -f''(x).a, every other row r.a' = 0, and
+    the scaling a'_k = 0.  So a' solves the bordered system
+    [B; e_k] a' = -(f''(x).a) e_r, r = rows[j].  Returns the (n+1) x m
+    array whose column j is da/dx_j.  The caller evaluates the f'' rows
+    with B's, in one eval_grid call.
     """
     n1 = B.shape[1]
     M = np.zeros((n1, n1))
     M[:-1] = B
     M[-1, int(np.argmax(np.abs(a)))] = 1.0
-    rhs = np.zeros((n1, len(pts)))
-    rhs[rows, np.arange(len(pts))] = -(family.eval_grid(pts, 2) @ a)
+    rhs = np.zeros((n1, len(second)))
+    rhs[rows, np.arange(len(second))] = -(second @ a)
     return np.linalg.solve(M, rhs)
 
 
@@ -625,15 +705,6 @@ def _certify_ect(family, xs, sign, seed, window) -> SystemCertificate:
                 "none", float(scaled.min()), ce, tuple(sign), len(xs), seed, True, window
             )
     return SystemCertificate("ECT", min_scaled, None, tuple(sign), len(xs), seed, True, window)
-
-
-def require_certificate(family: FamilySpec, target: str, **kw) -> SystemCertificate:
-    cert = certify(family, target, **kw)
-    if not cert:
-        raise CertificationRequired(
-            f"family failed {target} certification; counterexample {cert.counterexample}"
-        )
-    return cert
 
 
 # -- reduction and canonical ECT weights --------------------------------------

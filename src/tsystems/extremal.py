@@ -11,6 +11,8 @@ implicit differentiation.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.optimize import minimize
 
@@ -105,7 +107,20 @@ def _interior(family: FamilySpec, seeds) -> list:
     return [t for t in seeds if lo + 1e-9 < t < hi - 1e-9]
 
 
-def _pattern_vectors(fam: FamilySpec, fixed, thetas, window) -> tuple:
+@functools.lru_cache(maxsize=None)
+def _block_layout(fixed_mult: tuple, m: int, curvature: bool) -> tuple:
+    """(nb, gather, orders) of _pattern_vectors' eval_grid block: its first
+    nb rows are the node rows, taken from the point list (lo, hi, fixed
+    points, thetas) at ``gather``; then one order-0 row at the middle of
+    the widest gap and, with ``curvature``, an order-2 row per theta."""
+    mult = list(fixed_mult) + [2] * m
+    gather = np.repeat(np.arange(2, len(mult) + 2), mult)
+    orders = np.array([d for mu in mult for d in range(mu)] + [0] + [2] * (m if curvature else 0))
+    gather.flags.writeable = orders.flags.writeable = False  # shared by every call
+    return len(gather), gather, orders
+
+
+def _pattern_vectors(fam: FamilySpec, fixed, thetas, window, curvature: bool = False) -> tuple:
     """Node matrix B and null vector a of the extremal polynomial with the
     ``fixed`` (point, multiplicity) nodes and a double zero at each entry of
     ``thetas`` (an m-vector, or a k x m stack of placements, giving stacks
@@ -113,28 +128,33 @@ def _pattern_vectors(fam: FamilySpec, fixed, thetas, window) -> tuple:
 
     a is the null vector of B, oriented so p > 0 at the middle of the
     widest gap between p's zeros on ``window`` and scaled to unit max-norm
-    (a_k = +-1, as poly_from_zeros scales).  A stack takes one eval_grid
-    and one null_vector call.
+    (a_k = +-1, as poly_from_zeros scales).  With ``curvature`` a third
+    item holds the rows f''(theta_j) that null_vector_tangent needs.  Every
+    row comes from one eval_grid call, and a stack takes one null_vector
+    call.
     """
     thetas = np.asarray(thetas, dtype=float)
     lead, m = thetas.shape[:-1], thetas.shape[-1]
-    nf = len(fixed)
-    mult = [mu for _, mu in fixed] + [2] * m
-    pts = np.empty(lead + (nf + m + 2,))
-    pts[..., :2] = window
-    pts[..., 2 : nf + 2] = [x for x, _ in fixed]
-    pts[..., nf + 2 :] = thetas
-    at = np.empty(lead + (sum(mult) + 1,))
-    at[..., :-1] = pts[..., np.repeat(np.arange(2, nf + m + 2), mult)]
-    pts.sort(axis=-1)
-    widest = (pts[..., 1:] - pts[..., :-1]).argmax(axis=-1)[..., None]
-    at[..., -1:] = np.take_along_axis((pts[..., :-1] + pts[..., 1:]) / 2, widest, axis=-1)
-    orders = np.array([d for mu in mult for d in range(mu)] + [0])
-    rows = fam.eval_grid(at, np.tile(orders, at.size // orders.size))
-    B = rows[..., :-1, :]
+    th = thetas.reshape(-1, m)
+    k, nf = len(th), len(fixed)
+    nb, gather, orders = _block_layout(tuple(mu for _, mu in fixed), m, curvature)
+    pts = np.empty((k, nf + m + 2))
+    pts[:, :2] = window
+    pts[:, 2 : nf + 2] = [x for x, _ in fixed]
+    pts[:, nf + 2 :] = th
+    at = np.empty((k, len(orders)))
+    at[:, :nb] = pts[:, gather]
+    if curvature:
+        at[:, nb + 1 :] = th
+    pts.sort(axis=1)
+    widest = (pts[:, 1:] - pts[:, :-1]).argmax(axis=1)
+    each = np.arange(k)
+    at[:, nb] = (pts[each, widest] + pts[each, widest + 1]) / 2
+    rows = fam.eval_grid(at, orders if k == 1 else np.tile(orders, k)).reshape(lead + at.shape[1:] + (-1,))
+    B = rows[..., :nb, :]
     a = null_vector(B)
-    np.negative(a, out=a, where=(np.matmul(rows[..., -1:, :], a[..., None])[..., 0] < 0))
-    return B, a
+    np.negative(a, out=a, where=(np.matmul(rows[..., nb : nb + 1, :], a[..., None])[..., 0] < 0))
+    return (B, a, rows[..., nb + 1 :, :]) if curvature else (B, a)
 
 
 def _pattern_value_grad(fam: FamilySpec, nodes, m: int, s: np.ndarray, window) -> tuple:
@@ -148,10 +168,10 @@ def _pattern_value_grad(fam: FamilySpec, nodes, m: int, s: np.ndarray, window) -
     dL/dtheta_j = s.da/dtheta_j.  L takes the first fam.size moments of s.
     """
     theta = [x for x, _ in nodes[-m:]]
-    B, a = _pattern_vectors(fam, nodes[:-m], theta, window)
+    B, a, second = _pattern_vectors(fam, nodes[:-m], theta, window, curvature=True)
     n1 = fam.size
     s = s[..., :n1]
-    return s @ a, s @ null_vector_tangent(fam, B, a, theta, n1 - 2 * m + 2 * np.arange(m))
+    return s @ a, s @ null_vector_tangent(B, a, n1 - 2 * m + 2 * np.arange(m), second)
 
 
 def _pattern_values(family: FamilySpec, pattern: str, thetas, s: np.ndarray) -> np.ndarray:

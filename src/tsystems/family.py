@@ -7,6 +7,7 @@ inside the library), and it carries the domain the system lives on.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -96,22 +97,118 @@ def real_line() -> Domain:
     return Domain(REAL_LINE)
 
 
+#: numpy computes a scalar exponent 2, 0.5 or -1 as square, square root and
+#: reciprocal; an array of exponents takes pow everywhere, which can differ in
+#: the last bit, so those entries are recomputed with the scalar call
 _SCALAR_POWER_CASES = (2.0, 0.5, -1.0)
 
 
-def _power_columns(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Columns x**e_i, bit-identical to one np.power(x, e_i) call per column.
+class _PowerPlan:
+    """Per-order tables for evaluating the members x^alpha_i of a power or
+    monomial family, built once per (variant, params) (``_power_plan``) and
+    grown when a higher derivative order is asked for.
 
-    With a scalar exponent numpy computes 2, 0.5 and -1 as square, square
-    root and reciprocal, and pow otherwise; an array of exponents takes pow
-    everywhere, which can differ in the last bit.  Those columns are
-    recomputed with the scalar call so vectorizing changes no value.
+    Row k of each table belongs to derivative order k, so a block of rows
+    with orders k_j is one gather and one broadcast
+    x_j^exps[k_j] * facs[k_j].  ``facs[k]`` is the falling factorial
+    alpha (alpha - 1) ... (alpha - k + 1); a member whose k-th derivative
+    vanishes identically gets +0 x^0, since x^(alpha - k) of a tiny x would
+    overflow and the factorial may be -0.  ``zeros[k]`` is the k-th
+    derivative at x = 0 (k! for alpha = k, else 0), defined only for natural
+    alpha; ``rough`` is the first exponent that is not.  ``fixups[k]`` lists
+    the (exponent, column) pairs of order k that the scalar call computes
+    (see _SCALAR_POWER_CASES), ``special`` marks them in one table.
     """
-    out = np.power(x[:, None], e)
-    for i, ei in enumerate(e.tolist()):
-        if ei in _SCALAR_POWER_CASES:
-            out[:, i] = np.power(x, ei)
-    return out
+
+    BLOCK_ROWS = 32
+    BLOCK_COUNT = 64
+
+    def __init__(self, params: tuple):
+        self.alphas = np.asarray(params, dtype=float)
+        self.natural = (self.alphas >= 0) & (self.alphas == np.floor(self.alphas))
+        self.rough = None if self.natural.all() else self.alphas[int(np.argmin(self.natural))]
+        self._blocks = {}
+        self._tabulate(self.alphas.size + 2)
+
+    def _tabulate(self, orders: int) -> None:
+        al = self.alphas
+        fac = np.ones(al.size)
+        exps, facs, zeros = [], [], []
+        for k in range(orders):
+            if k:
+                fac = fac * (al - (k - 1))
+            dead = fac == 0.0
+            exps.append(np.where(dead, 0.0, al - k))
+            facs.append(np.where(dead, 0.0, fac))
+            zeros.append(np.where(self.natural & (al == k), math.factorial(k), 0.0))
+        self.exps, self.facs, self.zeros = np.array(exps), np.array(facs), np.array(zeros)
+        for table in (self.exps, self.facs, self.zeros):
+            table.flags.writeable = False  # shared by every family with these params
+        self.special = np.isin(self.exps, _SCALAR_POWER_CASES)
+        self.fixups = [tuple((e, i) for i, e in enumerate(row) if e in _SCALAR_POWER_CASES)
+                       for row in self.exps.tolist()]
+
+    def eval(self, x: np.ndarray, order) -> np.ndarray:
+        """Rows f^(k)(x_j) on a flat array of in-domain points; ``order`` is
+        one natural k for every point or an int array of them, one per point."""
+        mixed = isinstance(order, np.ndarray)
+        if mixed:
+            e, fac, fixups = self._block(order)
+        else:
+            if order >= len(self.exps):
+                self._tabulate(order + 1)
+            e, fac = self.exps[order], self.facs[order] if order else None
+        at_zero = None
+        if np.count_nonzero(x) != x.size:
+            at_zero = x == 0.0
+            if self.rough is not None and (order[at_zero].any() if mixed else order >= 1):
+                raise NonDifferentiable(f"derivative of x^{self.rough} at 0 requires a natural exponent")
+            x = np.where(at_zero, 1.0, x)
+        out = np.power(x[:, None], e)
+        if mixed:
+            flat_out = out.ravel()
+            for s, rows, entries in fixups:
+                flat_out[entries] = np.power(x[rows], s)
+        else:
+            for s, i in self.fixups[order]:
+                out[:, i] = np.power(x, s)
+        if fac is not None:
+            out *= fac
+        if at_zero is not None:
+            out[at_zero] = self.zeros[order[at_zero] if mixed else order]
+        return out
+
+    def _block(self, order: np.ndarray) -> tuple:
+        """(exponents, factorials, fixups) of a block of rows with orders
+        ``order``; fixups are (s, rows, flat entries) of the exponents s that
+        the scalar call computes.  Kept for blocks of up to BLOCK_ROWS rows,
+        the node matrices that searches evaluate over and over."""
+        key = order.tobytes()
+        block = self._blocks.get(key)
+        if block is not None:
+            return block
+        if order.size and order.max() >= len(self.exps):
+            self._tabulate(int(order.max()) + 1)
+        e = self.exps[order]
+        rows, cols = np.nonzero(self.special[order])
+        fixups = []
+        for s in _SCALAR_POWER_CASES:
+            hit = e[rows, cols] == s
+            if hit.any():
+                fixups.append((s, rows[hit], rows[hit] * e.shape[1] + cols[hit]))
+        fac = self.facs[order]
+        e.flags.writeable = fac.flags.writeable = False  # kept for later calls
+        block = e, fac, tuple(fixups)
+        if order.size <= self.BLOCK_ROWS and len(self._blocks) < self.BLOCK_COUNT:
+            self._blocks[key] = block
+        return block
+
+
+@functools.lru_cache(maxsize=256)
+def _power_plan(variant: str, params: tuple) -> _PowerPlan:
+    """The shared evaluation plan of every power/monomial FamilySpec with these
+    params, such as the sub-families the extremal patterns build per call."""
+    return _PowerPlan(params)
 
 
 @dataclass(frozen=True)
@@ -155,10 +252,15 @@ class FamilySpec:
         """Matrix of f_i^(order)(x) with shape (len(xs), size).
 
         ``order`` is one derivative order for every point, or a sequence of
-        orders, one per point (row j is then f^(order[j])(xs[j])), so a whole
-        block of derivative rows costs one call.  Raises DomainViolation for
-        points outside the domain and NonDifferentiable for power families
-        asked for derivatives at 0 with non-integer exponents.
+        natural orders, one per point (row j is then f^(order[j])(xs[j])), so
+        a whole block of derivative rows costs one call.  Power and monomial
+        families evaluate any block as one broadcast x_j^(alpha - k_j) *
+        fac[k_j] from their evaluation plan (_PowerPlan), which is built once
+        per (variant, params) and is no part of the family's identity; every
+        row equals, bit for bit, the one-order call at its point.  Raises
+        DomainViolation for points outside the domain and NonDifferentiable
+        for power families asked, in some row at 0, for a derivative of
+        order >= 1 of a non-natural exponent.
         """
         xs = np.asarray(xs, dtype=float)
         flat = xs.ravel()
@@ -167,30 +269,33 @@ class FamilySpec:
             inside = flat >= dom.a
             if dom.kind == CLOSED_INTERVAL:
                 inside &= flat <= dom.b
-            if not inside.all():
+            if np.count_nonzero(inside) != inside.size:
                 x = flat[int(np.argmin(inside))]
                 raise DomainViolation(f"x = {x} outside {dom.kind}")
-        if np.ndim(order) == 0:
-            out = self._eval_flat(flat, int(order))
+        if isinstance(order, (int, np.integer)):
+            order = int(order)
         else:
-            orders = np.asarray(order, dtype=int)
-            if orders.shape != flat.shape:
-                raise ValueError(f"{orders.size} orders for {flat.size} points")
-            out = np.empty((flat.size, self.size))
-            for k in range(int(orders.max()) + 1 if orders.size else 0):
-                rows = orders == k
-                if rows.any():
-                    out[rows] = self._eval_flat(flat[rows], k)
+            order = np.asarray(order, dtype=int)
+            if order.ndim == 0:
+                order = int(order)
+            elif order.shape != flat.shape:
+                raise ValueError(f"{order.size} orders for {flat.size} points")
+        out = self._eval_flat(flat, order)
         return out.reshape(xs.shape + (self.size,)) if xs.ndim > 1 else out
 
-    def _eval_flat(self, flat: np.ndarray, order: int) -> np.ndarray:
-        """All members at once on a flat array of in-domain points."""
+    def _eval_flat(self, flat: np.ndarray, order) -> np.ndarray:
+        """All members at once on a flat array of in-domain points; ``order``
+        is an int or an int array with one order per point."""
         if self.variant in ("power", "monomial"):
-            return self._eval_power(flat, order)
+            return _power_plan(self.variant, self.params).eval(flat, order)
+        mixed = isinstance(order, np.ndarray)
         if self.variant == "exponential":
             alphas = np.asarray(self.params, dtype=float)
             vals = np.exp(flat[:, None] * alphas)
-            return np.array([al**order for al in alphas]) * vals if order else vals
+            if not mixed:
+                return np.array([al**order for al in alphas]) * vals if order else vals
+            top = int(order.max()) if order.size else 0
+            return np.array([[al**k for al in alphas] for k in range(top + 1)])[order] * vals
         if self.variant == "rational":
             alphas = np.asarray(self.params, dtype=float)
             den = flat[:, None] + alphas
@@ -198,41 +303,21 @@ class FamilySpec:
             if poles.any():
                 al = alphas[int(np.argmax(poles))]
                 raise DomainViolation(f"pole of 1/(x+{al}) inside evaluation set")
-            return (-1.0) ** order * math.factorial(order) / den ** (order + 1)
+            if not mixed:
+                return (-1.0) ** order * math.factorial(order) / den ** (order + 1)
+            top = int(order.max()) if order.size else 0
+            sign_fac = np.array([(-1.0) ** k * math.factorial(k) for k in range(top + 1)])
+            powers = np.power(den, order[:, None] + 1.0)
+            squared = order == 1  # the scalar exponent 2 squares
+            powers[squared] = np.power(den[squared], 2.0)
+            return sign_fac[order][:, None] / powers
         if self.variant == "custom":
+            orders = order.tolist() if mixed else [order] * flat.size
             out = np.empty((flat.size, self.size))
             for i, ev in enumerate(self.evaluators):
-                out[:, i] = [ev(float(x), order) for x in flat]
+                out[:, i] = [ev(float(x), k) for x, k in zip(flat, orders)]
             return out
         raise ValueError(f"unknown variant {self.variant!r}")
-
-    def _eval_power(self, flat: np.ndarray, order: int) -> np.ndarray:
-        alphas = np.asarray(self.params, dtype=float)
-        fac = np.ones(alphas.size)  # falling factorial alpha (alpha-1) ... (alpha-order+1)
-        for j in range(order):
-            fac = fac * (alphas - j)
-        at_zero = None
-        if not flat.all():
-            at_zero = flat == 0.0
-            is_int = (alphas >= 0) & (alphas == np.floor(alphas))
-            if order >= 1 and not is_int.all():
-                al = alphas[int(np.argmin(is_int))]
-                raise NonDifferentiable(f"derivative of x^{al} at 0 requires a natural exponent")
-            flat = np.where(at_zero, 1.0, flat)
-        e = alphas - order
-        if order:
-            # a member whose order-th derivative vanishes identically gets +0 x^0:
-            # x^(alpha - order) of a tiny x would overflow, and fac may be -0
-            dead = fac == 0.0
-            e = np.where(dead, 0.0, e)
-            fac = np.where(dead, 0.0, fac)
-        out = _power_columns(flat, e)
-        if order:
-            out *= fac
-        if at_zero is not None:
-            # the order-th derivative of x^alpha at 0 is order! for alpha = order, else 0
-            out[at_zero] = np.where(is_int & (alphas == order), math.factorial(order), 0.0)
-        return out
 
     # -- serialization ------------------------------------------------------
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .colloc import node_rows, null_vector, null_vector_tangent
+from .colloc import node_points, node_rows, null_vector, null_vector_tangent
 from .errors import (
     InvariantViolation,
     LeadingCoefficientNonpositive,
@@ -224,18 +224,21 @@ class _TangencySolver:
         m = self.m
         ox, oy = np.argsort(z[:m]), np.argsort(z[m:])
         xs, ys = z[:m][ox], z[m:][oy]
-        B = node_rows(self.family, self.lower_nodes(xs))
+        k = len(ys)
+        # one eval_grid: the node rows of f_*, f''(xs) and f, f', f'' at ys
+        pts, orders = node_points(self.lower_nodes(xs))
+        nb = len(pts)
+        block = self.family.eval_grid(pts + [*xs, *ys, *ys, *ys], orders + [2] * m + [0] * k + [1] * k + [2] * k)
+        B, second, Y = block[:nb], block[nb : nb + m], block[nb + m :]
         P = null_vector(B)
         h = self.pin_row
         c = (h @ fc) / (h @ P)
         d = fc - c * P
-        k = len(ys)
-        Y = self.family.eval_grid(np.tile(ys, 3), np.repeat([0, 1, 2], k))
         rows = np.vstack([self.lo_row, Y[: 2 * k]])
         R = rows @ d
 
         def jac():
-            dP = null_vector_tangent(self.family, B, P, xs, self.n_fixed + 1 + 2 * np.arange(m))
+            dP = null_vector_tangent(B, P, self.n_fixed + 1 + 2 * np.arange(m), second)
             J = np.zeros((len(R), len(z)))
             J[:, ox] = -c * rows @ (dP - np.outer(P, (h @ dP) / (h @ P)))
             e = len(self.lo_row) + np.arange(k)

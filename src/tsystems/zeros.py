@@ -213,27 +213,25 @@ def count_zeros(
 
     roots: list[float] = []
     s = np.sign(vals)
-    for i in range(grid - 1):
-        if s[i] != 0 and s[i] * s[i + 1] < 0:
-            a_, b_ = xs[i], xs[i + 1]
-            fa = vals[i]
-            for _ in range(100):
-                m_ = (a_ + b_) / 2
-                fm = f(m_)
-                if fa * fm <= 0:
-                    b_ = m_
-                else:
-                    a_, fa = m_, fm
-            roots.append(float((a_ + b_) / 2))
+    for i in np.flatnonzero(s[:-1] * s[1:] < 0):
+        state = (xs[i], xs[i + 1], vals[i])  # (a, b, f(a))
+        for _ in range(100):
+            a_, b_, fa = state
+            m_ = (a_ + b_) / 2
+            fm = f(m_)
+            nxt = (a_, m_, fa) if fa * fm <= 0 else (m_, b_, fm)
+            if list(map(float.hex, nxt)) == list(map(float.hex, state)):
+                break  # unchanged bit for bit: every later halving repeats it
+            state = nxt
+        roots.append(float((state[0] + state[1]) / 2))
 
     absv = np.abs(vals)
-    for i in range(grid):
-        left = absv[max(i - 1, 0)]
-        right = absv[min(i + 1, grid - 1)]
-        if absv[i] <= left and absv[i] <= right and absv[i] < 1e-2 * sloc[i]:
-            x0 = _polish_critical(f, float(xs[i]), lo, hi, width)
-            if abs(f(x0)) <= tol * local_scale(x0):
-                roots.append(x0)
+    left = np.concatenate([absv[:1], absv[:-1]])
+    right = np.concatenate([absv[1:], absv[-1:]])
+    for i in np.flatnonzero((absv <= left) & (absv <= right) & (absv < 1e-2 * sloc)):
+        x0 = _polish_critical(f, float(xs[i]), lo, hi, width)
+        if abs(f(x0)) <= tol * local_scale(x0):
+            roots.append(x0)
     for xe in (lo, hi):
         if abs(f(xe)) <= tol * local_scale(xe):
             roots.append(float(xe))

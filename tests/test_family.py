@@ -1,9 +1,14 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsystems import (
     FamilySpec,
@@ -163,3 +168,70 @@ def test_vectorized_columns_match_column_loop_bitwise(fam):
     orders = rng.integers(0, 4, len(xs))
     rows = np.array([fam.eval_grid([x], int(k))[0] for x, k in zip(xs, orders)])
     assert np.array_equal(fam.eval_grid(xs, orders), rows)
+
+
+@st.composite
+def power_blocks(draw):
+    """A power or monomial family and a block of (point, order) rows.  Half
+    exponents make alpha - k land on 2, 0.5 and -1 (numpy's scalar-power
+    cases), natural ones have derivatives that vanish identically, and the
+    points include 0, where only natural exponents are differentiable."""
+    if draw(st.booleans()):
+        halves = draw(st.lists(st.integers(-4, 12), min_size=1, max_size=6, unique=True))
+        fam = FamilySpec("power", tuple(sorted(h / 2 for h in halves)), halfline(0.0))
+        point = st.floats(1e-3, 6.0)
+    else:
+        degrees = draw(st.lists(st.integers(0, 8), min_size=1, max_size=6, unique=True))
+        fam = FamilySpec("monomial", tuple(sorted(degrees)), real_line())
+        point = st.floats(-3.0, 3.0)
+    n = draw(st.integers(1, 8))
+    xs = draw(st.lists(st.one_of(st.just(0.0), st.just(1.0), point), min_size=n, max_size=n))
+    orders = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    return fam, xs, orders
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(power_blocks())
+def test_mixed_orders_match_single_order_rows_bitwise(block):
+    fam, xs, orders = block
+    rows = []
+    for x, k in zip(xs, orders):
+        try:
+            rows.append(fam.eval_grid([x], k)[0])
+        except NonDifferentiable:
+            rows.append(None)
+        if x != 0.0:  # the one-order rows are the column loop's
+            ref = column_loop_reference(fam, np.array([x]), k)[0]
+            assert np.array_equal(rows[-1].view(np.int64), ref.view(np.int64))
+    if any(r is None for r in rows):
+        # raised only for a row at 0 of order >= 1
+        assert any(x == 0.0 and k >= 1 for x, k in zip(xs, orders))
+        with pytest.raises(NonDifferentiable):
+            fam.eval_grid(xs, orders)
+        return
+    got = fam.eval_grid(xs, orders)
+    assert np.array_equal(got.view(np.int64), np.array(rows).view(np.int64))
+
+
+def test_evaluation_plan_is_not_part_of_identity():
+    xs = [0.0, 0.5, 0.5, 1.0, 1.0, 1.0, 2.0]
+    orders = [0, 0, 1, 0, 1, 2, 3]
+    for fam, fresh in [
+        (power_family([0, 0.5, 1.5, 3], interval(0, 2)), power_family([0, 0.5, 1.5, 3], interval(0, 2))),
+        (monomial_family([0, 1, 2, 4], interval(0, 2)), monomial_family([0, 1, 2, 4], interval(0, 2))),
+    ]:
+        json_before = fam.to_json()
+        vals = fam.eval_grid(xs, orders)
+        # nothing is cached on the instance: equality, hashing and JSON see the fields only
+        assert vars(fam).keys() == {f.name for f in dataclasses.fields(fam)}
+        assert fam == fresh and hash(fam) == hash(fresh)
+        assert fam.to_json() == json_before == fresh.to_json()
+        for clone in (pickle.loads(pickle.dumps(fam)), copy.copy(fam), copy.deepcopy(fam)):
+            assert clone == fam and hash(clone) == hash(fam)
+            assert np.array_equal(clone.eval_grid(xs, orders), vals)
+        # a sub-family built directly, as the extremal patterns and karlin do
+        sub = FamilySpec(fam.variant, fam.params[:-1], fam.domain)
+        built = (power_family if fam.variant == "power" else monomial_family)(fam.params[:-1], fam.domain)
+        assert sub == built
+        assert np.array_equal(sub.eval_grid(xs, orders), built.eval_grid(xs, orders))
+        assert np.array_equal(sub.eval_grid(xs, orders), vals[:, :-1])
