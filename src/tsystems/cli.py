@@ -30,7 +30,7 @@ from .moments import (
     recover_atoms,
     sparse_feasibility,
 )
-from .smooth import KernelSpec, gaussian_smooth, tabulate_smoothed
+from .smooth import KernelSpec, gaussian_smooth
 from .snake import best_approx, optimize_ratio, snake
 from .zeros import NodeSet, SparsePoly, count_zeros, poly_from_zeros
 
@@ -81,11 +81,20 @@ def _emit(obj: dict, out_path: str | None) -> None:
         print(text)
 
 
-def _plot_csv(path: str, header: list, columns: list) -> None:
-    with open(path, "w", newline="") as fh:
+def _window_grid(family: FamilySpec, args) -> np.ndarray:
+    lo, hi = family.domain.window()
+    return np.linspace(lo, hi, args.grid)
+
+
+def _plot_window(args, family: FamilySpec, header: list, columns_at) -> None:
+    """With --plot, write the CSV of x over the window grid and columns_at(x)."""
+    if not args.plot:
+        return
+    xs = _window_grid(family, args)
+    with open(args.plot, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
+        writer.writerow(["x", *header])
+        for row in zip(xs, *columns_at(xs)):
             writer.writerow([repr(float(v)) for v in row])
 
 
@@ -138,14 +147,10 @@ def cmd_decompose(args) -> int:
     out["task"] = "decompose"
     out["seed"] = args.seed
     _emit(out, args.out)
-    if args.plot:
-        lo, hi = family.domain.window()
-        xs = np.linspace(lo, hi, args.grid)
-        _plot_csv(
-            args.plot,
-            ["x", "f", "f_star", "f_upper_star"],
-            [xs, f(xs), dec.f_lower(xs), dec.f_upper(xs)],
-        )
+    _plot_window(
+        args, family, ["f", "f_star", "f_upper_star"],
+        lambda xs: [f(xs), dec.f_lower(xs), dec.f_upper(xs)],
+    )
     return EXIT_OK if dec.converged else EXIT_UNDECIDED
 
 
@@ -162,14 +167,10 @@ def cmd_snake(args) -> int:
     out["task"] = "snake"
     out["seed"] = args.seed
     _emit(out, args.out)
-    if args.plot:
-        lo, hi = family.domain.window()
-        xs = np.linspace(lo, hi, args.grid)
-        _plot_csv(
-            args.plot,
-            ["x", "g1", "g2", "poly"],
-            [xs, np.full_like(xs, g1), np.full_like(xs, g2), sol.poly(xs)],
-        )
+    _plot_window(
+        args, family, ["g1", "g2", "poly"],
+        lambda xs: [np.full_like(xs, g1), np.full_like(xs, g2), sol.poly(xs)],
+    )
     return EXIT_OK
 
 
@@ -183,12 +184,12 @@ def cmd_approx(args) -> int:
     out["task"] = "approx"
     out["seed"] = args.seed
     _emit(out, args.out)
-    if args.plot:
-        lo, hi = family.domain.window()
-        xs = np.linspace(lo, hi, args.grid)
-        fv = f(xs)
-        pv = res.poly(xs)
-        _plot_csv(args.plot, ["x", "f", "poly", "error"], [xs, fv, pv, fv - pv])
+
+    def columns_at(xs):
+        fv, pv = f(xs), res.poly(xs)
+        return [fv, pv, fv - pv]
+
+    _plot_window(args, family, ["f", "poly", "error"], columns_at)
     return EXIT_OK if not res.stalled else EXIT_UNDECIDED
 
 
@@ -234,21 +235,17 @@ def cmd_smooth(args) -> int:
     family = _family_from_args(args)
     kernel = KernelSpec("gaussian", args.sigma, None, args.panels, args.truncation)
     smoothed = gaussian_smooth(family, kernel)
-    lo, hi = family.domain.window()
-    xs = np.linspace(lo, hi, args.grid)
     out = {
         "task": "smooth",
         "sigma": args.sigma,
         "panels": args.panels,
         "truncation": args.truncation,
-        "mesh_points": len(xs),
+        "mesh_points": len(_window_grid(family, args)),
         "seed": args.seed,
     }
     _emit(out, args.out)
-    if args.plot:
-        table = tabulate_smoothed(smoothed, xs, max_order=0)
-        header = ["x"] + [f"f{i}" for i in range(family.size)]
-        _plot_csv(args.plot, header, [table[:, j] for j in range(table.shape[1])])
+    header = [f"f{i}" for i in range(family.size)]
+    _plot_window(args, family, header, lambda xs: smoothed.eval_grid(xs).T)
     return EXIT_OK
 
 
@@ -302,7 +299,7 @@ def cmd_run(args) -> int:
     return main(argv)
 
 
-def _add_common(p, domain_required=True):
+def _add_common(p):
     p.add_argument("--family", required=False, help="e.g. power:0,2,3")
     p.add_argument("--domain", required=False, default="0,1", help="'a,b', 'a,inf', or 'R'")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")

@@ -642,7 +642,7 @@ def _certify_tuples(family, xs, target, sign, budget, seed, window) -> SystemCer
         # tiny determinants); only exact zeros, row collapse, or a confirmed
         # sign crossing refute.
         suspicious = np.nonzero(dets <= 0)[0]
-        suspicious = sorted(suspicious, key=lambda si: scaled[si])
+        suspicious = suspicious[np.argsort(scaled[suspicious], kind="stable")]
         for si in suspicious:
             tup_x = xs[tt[si]]
             rws = family.eval_grid(tup_x, oo[si]) * sign

@@ -5,7 +5,9 @@ ET-system; derivatives of the smoothed members come from differentiating
 the kernel, so they are quadrature-exact rather than finite differences.
 Members are extended by constant continuation outside [a, b], which keeps
 the interior limits while avoiding the endpoint-halving of the truncated
-convolution.
+convolution.  One panel quadrature per point and derivative order
+(``_convolve``) gives every member at once: the source family is evaluated
+once on all the nodes, and each member is a weighted sum of its column.
 """
 
 from __future__ import annotations
@@ -79,17 +81,17 @@ def gaussian_kernel(u, sigma: float, order: int = 0) -> np.ndarray:
 def gaussian_smooth(
     family: FamilySpec,
     kernel: KernelSpec | None = None,
-    max_order: int | None = None,
     tol: float = 1e-10,
     return_report: bool = False,
 ):
     """Convolve each member with the Gaussian kernel; returns a custom family.
 
-    The smoothed members come with derivative evaluators up to ``max_order``
-    (default: the family order), computed by panel Gauss-Legendre quadrature
-    of f_i against kernel derivatives over [x - T sigma, x + T sigma].  The
-    source members use constant continuation outside [a, b].  Evaluations are
-    cached, so grid-based certification reuses quadratures.
+    The smoothed members and their derivatives of any order come from one
+    panel Gauss-Legendre quadrature per point against the kernel derivative
+    over [x - T sigma, x + T sigma]: a single evaluation of all source members
+    on the nodes gives every member's value there.  The source members use
+    constant continuation outside [a, b].  Each (x, order) is quadratured
+    once and memoized, so grid-based certification reuses quadratures.
     """
     if kernel is None:
         kernel = KernelSpec("gaussian", 0.05)
@@ -97,50 +99,24 @@ def gaussian_smooth(
         raise ValueError("gaussian_smooth needs a gaussian kernel")
     sigma, T, panels = kernel.sigma, kernel.truncation, kernel.panels
     lo, hi = family.domain.window()
-    if max_order is None:
-        max_order = family.order
+    memo: dict = {}
 
-    def source(i: int, ys: np.ndarray) -> np.ndarray:
-        yc = np.clip(ys, lo, hi)  # constant continuation
-        return family.eval_grid(yc)[:, i]
+    def smoothed(x: float, order: int) -> np.ndarray:
+        key = (float(x), order)
+        if key not in memo:
+            memo[key] = _convolve(family, key[0], order, sigma, T, panels, lo, hi)
+        return memo[key]
 
-    nodes, weights = _gauss_legendre(8)
-    cache: dict = {}
+    def member(i: int):
+        return lambda x, order=0: float(smoothed(x, order)[i])
 
-    def smooth_eval(i: int):
-        def ev(x: float, order: int = 0) -> float:
-            key = (i, float(x), order)
-            if key in cache:
-                return cache[key]
-            a_, b_ = x - T * sigma, x + T * sigma
-            cuts = np.unique(np.concatenate([np.linspace(a_, b_, panels + 1), [lo, hi]]))
-            cuts = cuts[(cuts >= a_) & (cuts <= b_)]
-            total = 0.0
-            for c0, c1 in zip(cuts[:-1], cuts[1:]):
-                mid = (c0 + c1) / 2
-                half = (c1 - c0) / 2
-                ys = mid + half * nodes
-                total += half * float(
-                    np.sum(weights * source(i, ys) * gaussian_kernel(x - ys, sigma, order))
-                )
-            cache[key] = total
-            return total
-
-        return ev
-
-    evs = tuple(smooth_eval(i) for i in range(family.size))
+    evs = tuple(member(i) for i in range(family.size))
     out = custom_family(evs, family.domain, name=f"smoothed({family.variant}, sigma={sigma})")
 
     # quadrature error estimate: compare against doubled panel count at probes
     probes = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 5)
-    err = 0.0
-    ref_kernel = KernelSpec(kernel.kind, sigma, None, panels * 2, T)
-    for i in range(family.size):
-        ev = evs[i]
-        for x in probes:
-            coarse = ev(float(x))
-            fine = _one_shot(family, i, float(x), ref_kernel, lo, hi)
-            err = max(err, abs(coarse - fine))
+    fine = [_convolve(family, float(x), 0, sigma, T, 2 * panels, lo, hi) for x in probes]
+    err = max(float(np.max(np.abs(smoothed(x, 0) - f))) for x, f in zip(probes, fine))
     scale = max(1.0, float(np.max(np.abs(family.eval_grid(probes)))))
     if err > max(tol * scale, 10 * np.exp(-T * T / 2)):
         raise QuadratureBudgetExceeded(
@@ -157,21 +133,19 @@ def gaussian_smooth(
     return out
 
 
-def _one_shot(family, i, x, kernel, lo, hi) -> float:
-    sigma, T, panels = kernel.sigma, kernel.truncation, kernel.panels
+def _convolve(family, x, order, sigma, T, panels, lo, hi) -> np.ndarray:
+    """Every member's smoothed order-th derivative at x: 8-point Gauss-Legendre
+    on ``panels`` equal panels of [x - T sigma, x + T sigma], also cut at the
+    continuation kinks lo and hi, as one basis evaluation and one weighted sum."""
     nodes, weights = _gauss_legendre(8)
     a_, b_ = x - T * sigma, x + T * sigma
     cuts = np.unique(np.concatenate([np.linspace(a_, b_, panels + 1), [lo, hi]]))
     cuts = cuts[(cuts >= a_) & (cuts <= b_)]
-    total = 0.0
-    for c0, c1 in zip(cuts[:-1], cuts[1:]):
-        mid, half = (c0 + c1) / 2, (c1 - c0) / 2
-        ys = mid + half * nodes
-        yc = np.clip(ys, lo, hi)
-        total += half * float(
-            np.sum(weights * family.eval_grid(yc)[:, i] * gaussian_kernel(x - ys, sigma))
-        )
-    return total
+    mid = (cuts[:-1] + cuts[1:])[:, None] / 2
+    half = (cuts[1:] - cuts[:-1])[:, None] / 2
+    ys = (mid + half * nodes).ravel()
+    w = (half * weights).ravel() * gaussian_kernel(x - ys, sigma, order)
+    return w @ family.eval_grid(np.clip(ys, lo, hi))  # constant continuation
 
 
 def tabulate_smoothed(family: FamilySpec, xs: np.ndarray, max_order: int = 0) -> np.ndarray:
@@ -201,13 +175,6 @@ def kernel_tp_check(
     yg = np.sort(np.asarray(ygrid, dtype=float))
     if k > min(len(xg), len(yg)):
         raise ValueError("k exceeds grid sizes")
-
-    def kval(x, y, order=0):
-        if isinstance(kernel, KernelSpec):
-            return kernel(x, y, order)
-        if order == 0:
-            return kernel(x, y)
-        return kernel(x, y, order)
 
     rng = np.random.default_rng(seed)
     xcombos = list(itertools.combinations(range(len(xg)), k))
@@ -240,7 +207,8 @@ def kernel_tp_check(
         for yi in yc:
             order = order + 1 if prev == yi else 0
             prev = yi
-            rows.append([kval(xg[xi], yg[yi], order) for xi in xc])
+            args = (order,) if order else ()  # plain K(x, y) needs no order
+            rows.append([kernel(xg[xi], yg[yi], *args) for xi in xc])
         M = np.array(rows).T  # rows indexed by x, columns by (y, derivative)
         d = det(M)
         sc = det_scale(M)

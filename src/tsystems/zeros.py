@@ -99,12 +99,6 @@ class SparsePoly:
         out = vals @ self.a
         return float(out[0]) if np.isscalar(x) else out
 
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        return SparsePoly(tuple(self.a + other.a), self.family)
-
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return SparsePoly(tuple(self.a - other.a), self.family)
-
     def __mul__(self, c: float) -> "SparsePoly":
         return SparsePoly(tuple(c * self.a), self.family)
 

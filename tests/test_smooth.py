@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tsystems import certify, interval, monomial_family
+from tsystems import certify, custom_family, interval, monomial_family
+from tsystems.errors import QuadratureBudgetExceeded
 from tsystems.smooth import (
     KernelSpec,
     gaussian_kernel,
@@ -49,6 +50,69 @@ def test_smoothed_family_passes_et():
     sm = gaussian_smooth(fam, KernelSpec("gaussian", 0.05))
     cert = certify(sm, "ET", grid=61, budget=2000, window=(0.1, 0.9))
     assert cert.level == "ET"
+
+
+def test_one_quadrature_serves_all_members():
+    # every smoothed member at a new point comes from one pass over the nodes
+    calls = [0, 0, 0]
+
+    def member(i):
+        def ev(x, order=0):
+            calls[i] += 1
+            return x**i
+        return ev
+
+    src = custom_family([member(i) for i in range(3)], interval(0, 1))
+    panels = 16
+    sm = gaussian_smooth(src, KernelSpec("gaussian", 0.05, None, panels))
+    calls[:] = [0, 0, 0]
+    sm.eval_grid(np.array([0.37]))
+    assert all(0 < c <= (panels + 2) * 8 for c in calls), calls
+
+
+def _smoothed_reference(fam, x, sigma, order, truncation=8.0):
+    """Every member's order-th smoothed derivative at x, orders 0-2: 32-point
+    Gauss-Legendre on 200 panels per piece, split where the clipping kinks."""
+    a, b = fam.domain.a, fam.domain.b
+    lo, hi = x - truncation * sigma, x + truncation * sigma
+    cuts = np.unique(np.clip([lo, a, b, hi], lo, hi))
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    total = np.zeros(fam.size)
+    for c0, c1 in zip(cuts[:-1], cuts[1:]):
+        edges = np.linspace(c0, c1, 201)
+        mid = (edges[:-1] + edges[1:])[:, None] / 2
+        half = (edges[1:] - edges[:-1])[:, None] / 2
+        ys = (mid + half * nodes).ravel()
+        t = (x - ys) / sigma
+        phi = np.exp(-0.5 * t * t) / (sigma * math.sqrt(2 * math.pi))
+        kern = phi * [1.0, -t / sigma, (t * t - 1) / sigma**2][order]
+        total += ((half * weights).ravel() * kern) @ fam.eval_grid(np.clip(ys, a, b))
+    return total
+
+
+@pytest.mark.parametrize(
+    "degrees, sigma", [([0, 1, 3], 0.05), ([0, 2, 5], 0.03), ([0, 1, 2, 4], 0.08)]
+)
+def test_smoothed_values_and_derivatives_match_reference(degrees, sigma):
+    fam = monomial_family(degrees, interval(0, 1))
+    sm = gaussian_smooth(fam, KernelSpec("gaussian", sigma))
+    xs = np.array([0.0, 0.02, 0.31, 0.5, 0.97, 1.0])
+    for order in (0, 1, 2):
+        got = sm.eval_grid(xs, order)
+        for x, row in zip(xs, got):
+            want = _smoothed_reference(fam, float(x), sigma, order)
+            assert np.all(np.abs(row - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), (x, order)
+
+
+def test_quadrature_report_and_budget():
+    fam = monomial_family([0, 3, 5], interval(0, 1))
+    tol, T = 1e-10, 8.0
+    _, report = gaussian_smooth(fam, KernelSpec("gaussian", 0.05), tol=tol, return_report=True)
+    scale = max(1.0, float(np.max(np.abs(fam.eval_grid(np.linspace(0.05, 0.95, 5))))))
+    assert report["quadrature_error_estimate"] <= max(tol * scale, 10 * math.exp(-T * T / 2))
+    assert report["panels"] == 64 and report["sigma"] == 0.05
+    with pytest.raises(QuadratureBudgetExceeded):
+        gaussian_smooth(fam, KernelSpec("gaussian", 0.05, None, 4, 8.0))
 
 
 def test_sigma_to_zero_interior_convergence():
