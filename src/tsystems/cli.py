@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 usage/parse error, 2 infeasible/refuted,
 3 undecided/no-convergence.  All randomness is seeded and the seed is echoed
 in the output, so identical invocations produce byte-identical JSON.
+
+Each subcommand but ``run`` is one row of ``COMMANDS``: its flags, library
+call, JSON, exit rule, reported errors and plot columns.  ``_run_command``
+does the steps they share.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -63,7 +69,7 @@ def parse_family(text: str, domain: Domain) -> FamilySpec:
     variant = variant.strip().lower()
     makers = {
         "power": fam_mod.power_family,
-        "monomial": lambda p, d: fam_mod.monomial_family([int(v) for v in p], d),
+        "monomial": fam_mod.monomial_family,
         "exponential": fam_mod.exponential_family,
         "rational": fam_mod.rational_family,
     }
@@ -86,196 +92,209 @@ def _window_grid(family: FamilySpec, args) -> np.ndarray:
     return np.linspace(lo, hi, args.grid)
 
 
-def _plot_window(args, family: FamilySpec, header: list, columns_at) -> None:
-    """With --plot, write the CSV of x over the window grid and columns_at(x)."""
-    if not args.plot:
-        return
-    xs = _window_grid(family, args)
-    with open(args.plot, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", *header])
-        for row in zip(xs, *columns_at(xs)):
-            writer.writerow([repr(float(v)) for v in row])
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(","))
 
 
-def _family_from_args(args) -> FamilySpec:
-    domain = parse_domain(args.domain)
-    return parse_family(args.family, domain)
+def _coeff_poly(args, family: FamilySpec) -> SparsePoly:
+    return SparsePoly(_floats(args.coeffs), family)
 
 
-def cmd_certify(args) -> int:
-    family = _family_from_args(args)
-    cert = certify(family, args.target.upper(), grid=args.grid, seed=args.seed)
-    out = cert.to_dict()
-    out["task"] = "certify"
-    _emit(out, args.out)
-    return EXIT_OK if cert.level != "none" else EXIT_REFUTED
+def _approx_target(args, family: FamilySpec) -> SparsePoly:
+    return _coeff_poly(args, parse_family(args.target_fn, family.domain))
 
 
-def cmd_build_poly(args) -> int:
-    family = _family_from_args(args)
+def _build_poly(args, family: FamilySpec) -> dict:
     nodes = NodeSet.of(*[tuple(map(float, n.split(":"))) for n in args.nodes.split(",")])
     poly = poly_from_zeros(family, nodes, sign=args.sign)
-    cfg = count_zeros(poly, tol=args.tol) if args.count else None
-    out = {"task": "build_poly", "poly": poly.to_dict(), "seed": args.seed}
-    if cfg is not None:
-        out["zeros"] = cfg.to_dict()
-    _emit(out, args.out)
-    return EXIT_OK
+    out = {"poly": poly.to_dict()}
+    if args.count:
+        out["zeros"] = count_zeros(poly, tol=args.tol).to_dict()
+    return out
 
 
-def cmd_decompose(args) -> int:
-    family = _family_from_args(args)
-    f = SparsePoly(tuple(float(c) for c in args.coeffs.split(",")), family)
-    mode = args.mode
-    try:
-        if mode == "pos_ab":
-            dec = decompose_pos_ab(f)
-        elif mode == "nonneg_ab":
-            dec = decompose_nonneg_ab(f)
-        elif mode in ("halfline_pos", "halfline_nonneg"):
-            dec = decompose_halfline(f, "positive" if mode.endswith("pos") else "nonneg")
-        elif mode in ("realline_pos", "realline_nonneg"):
-            dec = decompose_realline(f, "positive" if mode.endswith("pos") else "nonneg")
-        else:
-            print(f"unknown decomposition mode {mode!r}", file=sys.stderr)
-            return EXIT_USAGE
-    except NoConvergence as exc:
-        _emit({"task": "decompose", "error": str(exc)}, args.out)
-        return EXIT_UNDECIDED
-    out = dec.to_dict()
-    out["task"] = "decompose"
-    out["seed"] = args.seed
-    _emit(out, args.out)
-    _plot_window(
-        args, family, ["f", "f_star", "f_upper_star"],
-        lambda xs: [f(xs), dec.f_lower(xs), dec.f_upper(xs)],
-    )
-    return EXIT_OK if dec.converged else EXIT_UNDECIDED
+def _moments_check(args, family: FamilySpec | None):
+    """Sparse feasibility over the family; the Hankel tests without one."""
+    s = _floats(args.moments)
+    if family is None:
+        return hankel_check(s, args.variant, tol=args.tol)
+    return sparse_feasibility(MomentFunctional(s, family), grid=args.grid, tol=args.tol,
+                              seed=args.seed)
 
 
-def cmd_snake(args) -> int:
-    family = _family_from_args(args)
-    g1 = float(args.g1)
-    g2 = float(args.g2)
-    try:
-        sol = snake(family, g1, g2, which=args.which)
-    except NoSeparator as exc:
-        _emit({"task": "snake", "error": str(exc)}, args.out)
-        return EXIT_REFUTED
-    out = sol.to_dict()
-    out["task"] = "snake"
-    out["seed"] = args.seed
-    _emit(out, args.out)
-    _plot_window(
-        args, family, ["g1", "g2", "poly"],
-        lambda xs: [np.full_like(xs, g1), np.full_like(xs, g2), sol.poly(xs)],
-    )
-    return EXIT_OK
+def _optimize_ratio(args, family: FamilySpec) -> dict:
+    L, S = _floats(args.numerator), _floats(args.denominator)
+    value, poly, top5 = optimize_ratio(family, MomentFunctional(L, family),
+                                       MomentFunctional(S, family), sense=args.sense,
+                                       seed=args.seed)
+    top = [[v, tag, list(theta)] for v, tag, theta in top5]
+    return {"value": value, "poly": poly.to_dict(), "top5": top}
 
 
-def cmd_approx(args) -> int:
-    family = _family_from_args(args)
-    target_domain = family.domain
-    tf = parse_family(args.target_fn, target_domain)
-    f = SparsePoly(tuple(float(c) for c in args.coeffs.split(",")), tf)
-    res = best_approx(family, f, grid=args.grid)
-    out = res.to_dict()
-    out["task"] = "approx"
-    out["seed"] = args.seed
-    _emit(out, args.out)
-
-    def columns_at(xs):
-        fv, pv = f(xs), res.poly(xs)
-        return [fv, pv, fv - pv]
-
-    _plot_window(args, family, ["f", "poly", "error"], columns_at)
-    return EXIT_OK if not res.stalled else EXIT_UNDECIDED
+def _approx_columns(args, family: FamilySpec, res, xs) -> dict:
+    fv, pv = _approx_target(args, family)(xs), res.poly(xs)
+    return {"f": fv, "poly": pv, "error": fv - pv}
 
 
-def cmd_moments_check(args) -> int:
-    if args.family:
-        family = _family_from_args(args)
-        s = tuple(float(v) for v in args.moments.split(","))
-        L = MomentFunctional(s, family)
-        verdict = sparse_feasibility(L, grid=args.grid, tol=args.tol, seed=args.seed)
-        out = verdict.to_dict()
-        out["task"] = "moments_check"
-        out["seed"] = args.seed
-        _emit(out, args.out)
-        return {
-            "feasible": EXIT_OK,
-            "infeasible": EXIT_REFUTED,
-            "undecided": EXIT_UNDECIDED,
-        }[verdict.status]
-    s = [float(v) for v in args.moments.split(",")]
-    out = hankel_check(s, args.variant, tol=args.tol)
-    out["task"] = "moments_check"
-    _emit(out, args.out)
+DECOMPOSE_MODES = {
+    "pos_ab": decompose_pos_ab,
+    "nonneg_ab": decompose_nonneg_ab,
+    "halfline_pos": lambda f: decompose_halfline(f, "positive"),
+    "halfline_nonneg": lambda f: decompose_halfline(f, "nonneg"),
+    "realline_pos": lambda f: decompose_realline(f, "positive"),
+    "realline_nonneg": lambda f: decompose_realline(f, "nonneg"),
+}
+
+STATUS_EXIT = {"feasible": EXIT_OK, "infeasible": EXIT_REFUTED, "undecided": EXIT_UNDECIDED}
+
+
+def _moments_check_exit(out: dict) -> int:
+    if "status" in out:  # sparse feasibility
+        return STATUS_EXIT[out["status"]]
     return EXIT_OK if out["all_psd"] else EXIT_REFUTED
 
 
-def cmd_moments_recover(args) -> int:
-    family = _family_from_args(args)
-    s = tuple(float(v) for v in args.moments.split(","))
-    L = MomentFunctional(s, family)
+@dataclass(frozen=True)
+class Command:
+    """The facts of one subcommand; ``_run_command`` does what they share."""
+
+    help: str
+    #: (flag, add_argument keywords) after the common flags
+    flags: tuple
+    #: the library call, (args, family) -> result
+    call: Callable
+    #: the JSON of a result, (args, family, result) -> dict; a dict is its own JSON
+    to_json: Callable = lambda args, family, res: res if isinstance(res, dict) else res.to_dict()
+    #: the exit code of the JSON output
+    exit: Callable = lambda out: EXIT_OK
+    #: library errors written as {"task", "error"} JSON, with their exit codes
+    errors: dict = field(default_factory=dict)
+    #: with --plot, (args, family, result, xs) -> {CSV header: values at the window grid xs}
+    plot: Callable | None = None
+    #: --family is required (the Hankel moments-check works without one)
+    needs_family: bool = True
+
+
+# keyed by task name; the subcommand is the name with dashes, as `tsys run` maps it
+COMMANDS = {
+    "certify": Command(
+        "certify or refute T/ET/ECT structure",
+        (("--target", dict(default="T", choices=["T", "ET", "ECT", "t", "et", "ect"])),),
+        lambda args, family: certify(family, args.target.upper(), grid=args.grid, seed=args.seed),
+        exit=lambda out: EXIT_OK if out["level"] != "none" else EXIT_REFUTED,
+    ),
+    "build_poly": Command(
+        "polynomial with prescribed zeros",
+        (("--nodes", dict(required=True, help="x:m pairs, e.g. '1:2,2:4'")),
+         ("--sign", dict(default="auto_nonneg", choices=["auto_nonneg", "raw"])),
+         ("--count", dict(action="store_true", help="also run count_zeros"))),
+        _build_poly,
+    ),
+    "decompose": Command(
+        "Karlin decomposition f = f_* + f^*",
+        (("--coeffs", dict(required=True, help="comma-separated coefficients")),
+         ("--mode", dict(default="pos_ab", choices=list(DECOMPOSE_MODES)))),
+        lambda args, family: DECOMPOSE_MODES[args.mode](_coeff_poly(args, family)),
+        exit=lambda out: EXIT_OK if out["converged"] else EXIT_UNDECIDED,
+        errors={NoConvergence: EXIT_UNDECIDED},
+        plot=lambda args, family, dec, xs: {
+            "f": _coeff_poly(args, family)(xs), "f_star": dec.f_lower(xs),
+            "f_upper_star": dec.f_upper(xs)},
+    ),
+    "snake": Command(
+        "snake-theorem band polynomial",
+        (("--g1", dict(required=True)),
+         ("--g2", dict(required=True)),
+         ("--which", dict(default="f_star", choices=["f_star", "f_upper_star"]))),
+        lambda args, family: snake(family, float(args.g1), float(args.g2), which=args.which),
+        errors={NoSeparator: EXIT_REFUTED},
+        plot=lambda args, family, sol, xs: {
+            "g1": np.full_like(xs, float(args.g1)), "g2": np.full_like(xs, float(args.g2)),
+            "poly": sol.poly(xs)},
+    ),
+    "approx": Command(
+        "best sup-norm approximation",
+        (("--target-fn", dict(required=True, help="family of the target, e.g. monomial:0,1,2")),
+         ("--coeffs", dict(required=True, help="coefficients of the target"))),
+        lambda args, family: best_approx(family, _approx_target(args, family), grid=args.grid),
+        exit=lambda out: EXIT_UNDECIDED if out["stalled"] else EXIT_OK,
+        plot=_approx_columns,
+    ),
+    "moments_check": Command(
+        "Hankel tests or sparse feasibility",
+        (("--moments", dict(required=True)),
+         ("--variant", dict(default="hamburger",
+                            choices=["hamburger", "stieltjes", "hausdorff", "svenco"]))),
+        _moments_check,
+        exit=_moments_check_exit,
+        needs_family=False,
+    ),
+    "moments_recover": Command(
+        "atomic representing measure",
+        (("--moments", dict(required=True)),),
+        lambda args, family: recover_atoms(MomentFunctional(_floats(args.moments), family),
+                                           grid=args.grid, tol=args.tol),
+        errors={NotFeasible: EXIT_REFUTED},
+    ),
+    "smooth": Command(
+        "Gaussian smoothing of a family",
+        (("--sigma", dict(type=float, default=0.05)),
+         ("--panels", dict(type=int, default=64)),
+         ("--truncation", dict(type=float, default=8.0))),
+        lambda args, family: gaussian_smooth(
+            family, KernelSpec("gaussian", args.sigma, None, args.panels, args.truncation)),
+        to_json=lambda args, family, smoothed: {
+            "sigma": args.sigma, "panels": args.panels, "truncation": args.truncation,
+            "mesh_points": len(_window_grid(family, args))},
+        plot=lambda args, family, smoothed, xs: {
+            f"f{i}": col for i, col in enumerate(smoothed.eval_grid(xs).T)},
+    ),
+    "optimize_ratio": Command(
+        "optimize L(p)/S(p) over the cone",
+        (("--numerator", dict(required=True, help="moments of L")),
+         ("--denominator", dict(required=True, help="moments of S")),
+         ("--sense", dict(default="max", choices=["min", "max"]))),
+        _optimize_ratio,
+    ),
+}
+
+
+def _run_command(args) -> int:
+    """Parse the family, call the library, write the JSON and the --plot CSV;
+    return the exit code."""
+    spec = COMMANDS[args.task]
+    family = None
+    if args.family or spec.needs_family:
+        family = parse_family(args.family, parse_domain(args.domain))
     try:
-        measure = recover_atoms(L, grid=args.grid, tol=args.tol)
-    except NotFeasible as exc:
-        _emit({"task": "moments_recover", "error": str(exc)}, args.out)
-        return EXIT_REFUTED
-    out = measure.to_dict()
-    out["task"] = "moments_recover"
-    out["seed"] = args.seed
+        result = spec.call(args, family)
+    except tuple(spec.errors) as exc:
+        _emit({"task": args.task, "error": str(exc)}, args.out)
+        return next(code for cls, code in spec.errors.items() if isinstance(exc, cls))
+    out = spec.to_json(args, family, result)
+    out["task"] = args.task
+    if family is not None:
+        out["seed"] = args.seed
     _emit(out, args.out)
-    return EXIT_OK
-
-
-def cmd_smooth(args) -> int:
-    family = _family_from_args(args)
-    kernel = KernelSpec("gaussian", args.sigma, None, args.panels, args.truncation)
-    smoothed = gaussian_smooth(family, kernel)
-    out = {
-        "task": "smooth",
-        "sigma": args.sigma,
-        "panels": args.panels,
-        "truncation": args.truncation,
-        "mesh_points": len(_window_grid(family, args)),
-        "seed": args.seed,
-    }
-    _emit(out, args.out)
-    header = [f"f{i}" for i in range(family.size)]
-    _plot_window(args, family, header, lambda xs: smoothed.eval_grid(xs).T)
-    return EXIT_OK
-
-
-def cmd_optimize_ratio(args) -> int:
-    family = _family_from_args(args)
-    L = tuple(float(v) for v in args.numerator.split(","))
-    S = tuple(float(v) for v in args.denominator.split(","))
-    value, poly, top5 = optimize_ratio(
-        family,
-        MomentFunctional(L, family),
-        MomentFunctional(S, family),
-        sense=args.sense,
-        seed=args.seed,
-    )
-    out = {
-        "task": "optimize_ratio",
-        "value": value,
-        "poly": poly.to_dict(),
-        "top5": [[v, tag, list(theta)] for v, tag, theta in top5],
-        "seed": args.seed,
-    }
-    _emit(out, args.out)
-    return EXIT_OK
+    if spec.plot and args.plot:
+        xs = _window_grid(family, args)
+        columns = spec.plot(args, family, result, xs)
+        with open(args.plot, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", *columns])
+            for row in zip(xs, *columns.values()):
+                writer.writerow([repr(float(v)) for v in row])
+    return spec.exit(out)
 
 
 def cmd_run(args) -> int:
     try:
         with open(args.problem) as fh:
             problem = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        if not (isinstance(problem, dict) and isinstance(problem.get("payload", {}), dict)
+                and isinstance(problem.get("task") or "", str)):
+            raise TypeError("want an object with a string task and an object payload")
+    except (OSError, TypeError, json.JSONDecodeError) as exc:
         print(f"cannot read problem file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if problem.get("schema_version") != SCHEMA_VERSION:
@@ -299,8 +318,8 @@ def cmd_run(args) -> int:
     return main(argv)
 
 
-def _add_common(p):
-    p.add_argument("--family", required=False, help="e.g. power:0,2,3")
+def _add_common(p, needs_family: bool):
+    p.add_argument("--family", required=needs_family, help="e.g. power:0,2,3")
     p.add_argument("--domain", required=False, default="0,1", help="'a,b', 'a,inf', or 'R'")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.add_argument("--plot", default=None, help="write plot CSV here")
@@ -314,75 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tsys", description="Tchebycheff-system toolkit command line"
     )
     sub = ap.add_subparsers(dest="command")
-
-    p = sub.add_parser("certify", help="certify or refute T/ET/ECT structure")
-    _add_common(p)
-    p.add_argument("--target", default="T", choices=["T", "ET", "ECT", "t", "et", "ect"])
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("build-poly", help="polynomial with prescribed zeros")
-    _add_common(p)
-    p.add_argument("--nodes", required=True, help="x:m pairs, e.g. '1:2,2:4'")
-    p.add_argument("--sign", default="auto_nonneg", choices=["auto_nonneg", "raw"])
-    p.add_argument("--count", action="store_true", help="also run count_zeros")
-    p.set_defaults(func=cmd_build_poly)
-
-    p = sub.add_parser("decompose", help="Karlin decomposition f = f_* + f^*")
-    _add_common(p)
-    p.add_argument("--coeffs", required=True, help="comma-separated coefficients")
-    p.add_argument(
-        "--mode",
-        default="pos_ab",
-        choices=[
-            "pos_ab",
-            "nonneg_ab",
-            "halfline_pos",
-            "halfline_nonneg",
-            "realline_pos",
-            "realline_nonneg",
-        ],
-    )
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("snake", help="snake-theorem band polynomial")
-    _add_common(p)
-    p.add_argument("--g1", required=True)
-    p.add_argument("--g2", required=True)
-    p.add_argument("--which", default="f_star", choices=["f_star", "f_upper_star"])
-    p.set_defaults(func=cmd_snake)
-
-    p = sub.add_parser("approx", help="best sup-norm approximation")
-    _add_common(p)
-    p.add_argument("--target-fn", required=True, help="family of the target, e.g. monomial:0,1,2")
-    p.add_argument("--coeffs", required=True, help="coefficients of the target")
-    p.set_defaults(func=cmd_approx)
-
-    p = sub.add_parser("moments-check", help="Hankel tests or sparse feasibility")
-    _add_common(p)
-    p.add_argument("--moments", required=True)
-    p.add_argument(
-        "--variant", default="hamburger", choices=["hamburger", "stieltjes", "hausdorff", "svenco"]
-    )
-    p.set_defaults(func=cmd_moments_check)
-
-    p = sub.add_parser("moments-recover", help="atomic representing measure")
-    _add_common(p)
-    p.add_argument("--moments", required=True)
-    p.set_defaults(func=cmd_moments_recover)
-
-    p = sub.add_parser("smooth", help="Gaussian smoothing of a family")
-    _add_common(p)
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--panels", type=int, default=64)
-    p.add_argument("--truncation", type=float, default=8.0)
-    p.set_defaults(func=cmd_smooth)
-
-    p = sub.add_parser("optimize-ratio", help="optimize L(p)/S(p) over the cone")
-    _add_common(p)
-    p.add_argument("--numerator", required=True, help="moments of L")
-    p.add_argument("--denominator", required=True, help="moments of S")
-    p.add_argument("--sense", default="max", choices=["min", "max"])
-    p.set_defaults(func=cmd_optimize_ratio)
+    for task, spec in COMMANDS.items():
+        p = sub.add_parser(task.replace("_", "-"), help=spec.help)
+        _add_common(p, spec.needs_family)
+        for flag, options in spec.flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=_run_command, task=task)
 
     p = sub.add_parser("run", help="execute a problem file")
     p.add_argument("problem")

@@ -397,7 +397,9 @@ def power_family(exponents: Sequence[float], domain: Domain) -> FamilySpec:
 
 
 def monomial_family(degrees: Sequence[int], domain: Domain) -> FamilySpec:
-    return _checked(FamilySpec("monomial", tuple(int(d) for d in degrees), domain))
+    degrees = tuple(degrees)
+    _checked(FamilySpec("monomial", degrees, domain))  # before int() can truncate 1.5 to 1
+    return FamilySpec("monomial", tuple(int(d) for d in degrees), domain)
 
 
 def exponential_family(rates: Sequence[float], domain: Domain) -> FamilySpec:

@@ -448,7 +448,6 @@ def decompose_pos_ab(
     f: SparsePoly,
     init: str = "chebyshev",
     grid: int = POS_GRID,
-    certificate=None,
 ) -> KarlinDecomposition:
     """Karlin decomposition of a strictly positive polynomial on [a, b]."""
     family = f.family

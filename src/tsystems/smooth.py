@@ -148,14 +148,6 @@ def _convolve(family, x, order, sigma, T, panels, lo, hi) -> np.ndarray:
     return w @ family.eval_grid(np.clip(ys, lo, hi))  # constant continuation
 
 
-def tabulate_smoothed(family: FamilySpec, xs: np.ndarray, max_order: int = 0) -> np.ndarray:
-    """Mesh table (x, f_0..f_n, then derivative blocks) for reuse/export."""
-    blocks = [np.asarray(xs, dtype=float)[:, None]]
-    for k in range(max_order + 1):
-        blocks.append(family.eval_grid(np.asarray(xs, dtype=float), k))
-    return np.hstack(blocks)
-
-
 def kernel_tp_check(
     kernel,
     xgrid,

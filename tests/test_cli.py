@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import tsystems as ts
 from tsystems import cli
+from tsystems.errors import TSystemError
 
 
 def run_cli(*args):
@@ -181,3 +183,125 @@ def test_documented_problem_files(index, tmp_path, capsys):
     expected_code, check = DOC_EXPECTED[index]
     assert code == expected_code
     assert check(out), out
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--domain", "0,1"],
+    ["moments-recover", "--moments", "1,0.5"],
+])
+def test_missing_family_is_a_usage_error(argv, capsys):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --family" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("problem", [
+    [1, 2],
+    {"schema_version": "1", "task": "certify", "payload": [1]},
+    {"schema_version": "1", "task": 5, "payload": {}},
+])
+def test_malformed_problem_file_exit_1(problem, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    r = run_cli("run", str(path))
+    assert r.returncode == 1
+    assert r.stderr.startswith("cannot read problem file")
+    assert "Traceback" not in r.stderr
+
+
+def test_fractional_monomial_degree_exit_1(capsys):
+    assert cli.main(["certify", "--family", "monomial:0,1.5,2", "--domain", "0,1"]) == 1
+    assert "monomial degrees must be naturals" in capsys.readouterr().err
+
+
+def test_schema_doc_names_every_task():
+    headings = re.findall(r"^### (\S+)$", DOC.read_text(), re.M)
+    assert sorted(headings) == sorted(cli.COMMANDS)
+
+
+def _oracle_build_poly():
+    fam = ts.monomial_family([0, 1, 2], ts.interval(0, 1))
+    poly = ts.poly_from_zeros(fam, ts.NodeSet.of((0.5, 2)), sign="auto_nonneg")
+    return {"poly": poly.to_dict(), "zeros": ts.count_zeros(poly, tol=1e-8).to_dict()}
+
+
+def _oracle_optimize_ratio():
+    fam = ts.monomial_family([0, 1, 2], ts.interval(0, 1))
+    value, poly, top5 = ts.optimize_ratio(
+        fam, ts.MomentFunctional((1, 0.3, 0.09), fam),
+        ts.MomentFunctional((1, 0.5, 0.333), fam), sense="max", seed=2,
+    )
+    return {"value": value, "poly": poly.to_dict(),
+            "top5": [[v, tag, list(theta)] for v, tag, theta in top5]}
+
+
+def _error_of(call):
+    with pytest.raises(TSystemError) as info:
+        call()
+    return {"error": str(info.value)}
+
+
+_MON2 = ts.monomial_family([0, 1, 2], ts.interval(0, 1))
+_LINE = ts.monomial_family([0, 1], ts.interval(-1, 1))
+
+# (argv, the library's own result, exit code); the CLI adds task, and seed
+# whenever --family is given
+JSON_ORACLES = [
+    (["certify", "--family", "power:0,2,3", "--domain", "0.5,2", "--target", "ect",
+      "--seed", "4"],
+     lambda: ts.certify(ts.power_family([0, 2, 3], ts.interval(0.5, 2)), "ECT", grid=2001,
+                        seed=4).to_dict(), 0),
+    (["certify", "--family", "monomial:0,1,3", "--domain", "0,1", "--target", "et",
+      "--grid", "101"],
+     lambda: ts.certify(ts.monomial_family([0, 1, 3], ts.interval(0, 1)), "ET",
+                        grid=101).to_dict(), 2),
+    (["build-poly", "--family", "monomial:0,1,2", "--domain", "0,1", "--nodes", "0.5:2",
+      "--count"], _oracle_build_poly, 0),
+    (["decompose", "--mode", "halfline_pos", "--family", "monomial:0,1,2", "--domain", "0,inf",
+      "--coeffs", "2,-2,1"],
+     lambda: ts.decompose_halfline(
+         ts.SparsePoly((2.0, -2.0, 1.0), ts.monomial_family([0, 1, 2], ts.halfline(0))),
+         "positive").to_dict(), 0),
+    (["snake", "--family", "monomial:0,1", "--domain=-1,1", "--g1=-1", "--g2=1"],
+     lambda: ts.snake(_LINE, -1.0, 1.0).to_dict(), 0),
+    (["snake", "--family", "monomial:0,1", "--domain=-1,1", "--g1=1", "--g2=-1"],
+     lambda: _error_of(lambda: ts.snake(_LINE, 1.0, -1.0)), 2),
+    (["approx", "--family", "monomial:0,1", "--domain=-1,1", "--target-fn", "monomial:0,1,2",
+      "--coeffs", "0,0,1"],
+     lambda: ts.best_approx(_LINE, ts.SparsePoly(
+         (0.0, 0.0, 1.0), ts.monomial_family([0, 1, 2], ts.interval(-1, 1)))).to_dict(), 0),
+    (["moments-check", "--moments", "1,0,-1", "--variant", "hamburger"],
+     lambda: ts.hankel_check([1, 0, -1], "hamburger", tol=1e-8), 2),
+    (["moments-check", "--family", "monomial:0,1,2", "--domain", "0,1",
+      "--moments", "1,0.5,0.25", "--seed", "1"],
+     lambda: ts.sparse_feasibility(ts.MomentFunctional((1, 0.5, 0.25), _MON2), grid=2001,
+                                   tol=1e-8, seed=1).to_dict(), 0),
+    (["moments-recover", "--family", "monomial:0,1,2,3", "--domain", "0,1",
+      "--moments", "1,0.5,0.3125,0.2265625"],
+     lambda: ts.recover_atoms(ts.MomentFunctional(
+         (1, 0.5, 0.3125, 0.2265625), ts.monomial_family([0, 1, 2, 3], ts.interval(0, 1))),
+         grid=2001, tol=1e-8).to_dict(), 0),
+    (["moments-recover", "--family", "monomial:0,1,2", "--domain", "0,1",
+      "--moments", "1,0.5,0.1"],
+     lambda: _error_of(lambda: ts.recover_atoms(ts.MomentFunctional((1, 0.5, 0.1), _MON2),
+                                                grid=2001, tol=1e-8)), 2),
+    (["smooth", "--family", "monomial:0,1,3", "--domain", "0,1", "--sigma", "0.1",
+      "--grid", "301"],
+     lambda: {"sigma": 0.1, "panels": 64, "truncation": 8.0, "mesh_points": 301}, 0),
+    (["optimize-ratio", "--family", "monomial:0,1,2", "--domain", "0,1",
+      "--numerator", "1,0.3,0.09", "--denominator", "1,0.5,0.333", "--seed", "2"],
+     _oracle_optimize_ratio, 0),
+]
+
+
+@pytest.mark.parametrize("argv,oracle,code", JSON_ORACLES,
+                         ids=[f"{i}-{argv[0]}" for i, (argv, _, _) in enumerate(JSON_ORACLES)])
+def test_json_is_the_library_result(argv, oracle, code, capsys):
+    assert cli.main(argv) == code
+    out = json.loads(capsys.readouterr().out)
+    # through JSON, as the CLI writes it: tuples read back as lists
+    expected = dict(json.loads(json.dumps(oracle())), task=argv[0].replace("-", "_"))
+    if "--family" in argv and "error" not in expected:
+        expected["seed"] = int(argv[argv.index("--seed") + 1]) if "--seed" in argv else 0
+    assert out == expected

@@ -235,3 +235,15 @@ def test_evaluation_plan_is_not_part_of_identity():
         assert sub == built
         assert np.array_equal(sub.eval_grid(xs, orders), built.eval_grid(xs, orders))
         assert np.array_equal(sub.eval_grid(xs, orders), vals[:, :-1])
+
+
+@pytest.mark.parametrize("degrees", [[0, 1.5, 2], [0, 1, 2.5], [0, 0.5]])
+def test_monomial_family_rejects_fractional_degrees(degrees):
+    with pytest.raises(ValueError, match="naturals"):
+        monomial_family(degrees, interval(0, 1))
+
+
+def test_monomial_family_accepts_integral_floats_and_numpy_ints():
+    fam = monomial_family([0, 1.0, np.int64(2)], interval(0, 1))
+    assert fam.params == (0, 1, 2)
+    assert all(type(d) is int for d in fam.params)

@@ -10,7 +10,6 @@ from tsystems.smooth import (
     gaussian_kernel,
     gaussian_smooth,
     kernel_tp_check,
-    tabulate_smoothed,
 )
 
 
@@ -178,14 +177,6 @@ def test_composition_formula_spot_check(rng):
             dL = L(ys[i], zs[0]) * L(ys[j], zs[1]) - L(ys[i], zs[1]) * L(ys[j], zs[0])
             total += dK * dL
     assert abs(detM - total) < 1e-10 * max(abs(detM), 1.0)
-
-
-def test_tabulate_smoothed_shape():
-    fam = monomial_family([0, 1], interval(0, 1))
-    sm = gaussian_smooth(fam, KernelSpec("gaussian", 0.1))
-    xs = np.linspace(0.2, 0.8, 5)
-    table = tabulate_smoothed(sm, xs, max_order=1)
-    assert table.shape == (5, 1 + 2 * 2)
 
 
 def test_kernel_spec_validation():
