@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 
 from .colloc import NodeSet, null_vector, null_vector_tangent
 from .errors import TSystemError
-from .family import FamilySpec, halfline_xmax
+from .family import FamilySpec, _subfamily, halfline_xmax
 from .zeros import SparsePoly, poly_from_zeros
 
 
@@ -88,8 +88,8 @@ def _pattern_nodes(family: FamilySpec, pattern: str, theta) -> tuple:
     if pattern == "doubles_b":
         return family, [(hi, 1)] + doubles
     if pattern in ("hl_upper_even", "hl_upper_odd"):
-        sub = FamilySpec(family.variant, family.params[:-1], family.domain)
-        return sub, ([(lo, 1)] if pattern == "hl_upper_even" else []) + doubles
+        fixed = [(lo, 1)] if pattern == "hl_upper_even" else []
+        return _subfamily(family, slice(0, -1)), fixed + doubles
     raise ValueError(f"unknown pattern {pattern!r}")
 
 

@@ -424,6 +424,13 @@ def custom_family(
     return FamilySpec("custom", (), domain, tuple(evaluators), name)
 
 
+def _subfamily(family: FamilySpec, cols: slice) -> FamilySpec:
+    """The members ``cols`` of a family, custom evaluators included."""
+    if family.variant == "custom":
+        return FamilySpec("custom", (), family.domain, family.evaluators[cols], family.name)
+    return FamilySpec(family.variant, family.params[cols], family.domain)
+
+
 def eval_basis(family: FamilySpec, x: float, order: int = 0) -> np.ndarray:
     """Vector (f_0^(order)(x), ..., f_n^(order)(x))."""
     return family.eval_grid(np.array([float(x)]), order)[0]

@@ -1,18 +1,19 @@
 """Karlin decompositions f = f_* + f^* on [a,b], [0,inf), and the real line.
 
-The primary solver is Newton on the tangency system: the unknowns are the
-interior double zeros of f_* and the touch points of f - f_*, the equations
-are value/derivative vanishing at the touch points plus the endpoint
-condition.  One damped Newton driver, ``_newton``, serves every domain.  Its
-Jacobian is analytic: on [a,b] and the half-line the f_* columns come from
-implicit differentiation of the node null vector (colloc.null_vector_tangent),
-on the real line from dense polynomial arithmetic.  Newton halves its step
-until the residual falls and keeps stepping past its tolerance until the
-residual stops falling, so every solve ends at the rounding floor; a stall
-above the tolerance is not converged.  When the direct starts fail, the
-same driver follows a continuation from a surrogate whose decomposition is
-known exactly: a sum of the two pattern polynomials, which by uniqueness is
-its own decomposition.
+The solver is Newton on the tangency system: the unknowns are the interior
+double zeros of f_* and the touch points of f - f_*, the equations are
+value/derivative vanishing at the touch points plus the endpoint condition
+(on the real line, the vanishing x^(n-1) coefficient of f - f_*).  One
+tangency system, ``_TangencySolver``, and one damped Newton driver,
+``_newton``, serve every domain.  The Jacobian is analytic: the f_* columns
+come from implicit differentiation of the node null vector
+(colloc.null_vector_tangent).  Newton halves its step until the residual
+falls and keeps stepping past its tolerance until the residual stops
+falling, so every solve ends at the rounding floor; a stall above the
+tolerance is not converged.  When the direct starts fail, the same driver
+follows a continuation from a surrogate whose decomposition is known
+exactly: a sum of the two pattern polynomials, which by uniqueness is its
+own decomposition.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .colloc import node_points, node_rows, null_vector, null_vector_tangent
 from .errors import (
@@ -37,10 +37,11 @@ from .errors import (
     TooManyZeros,
     ValueAtZeroNonpositive,
 )
-from .family import FamilySpec, halfline_xmax
+from .family import FamilySpec, _subfamily, halfline_xmax
 from .zeros import NODAL, NON_NODAL, SparsePoly, ZeroConfig, count_zeros
 
 CONVERGED_TOL = 1e-10
+TOUCH_LOCAL_TOL = 1e-6  # solutions reach 2e-10 on degree-8 [a, b] draws; stalls reach 1
 POS_GRID = 5000
 
 
@@ -49,8 +50,8 @@ class KarlinDecomposition:
     """The unique pair (f_*, f^*) with interlacing full-index zero sets.
 
     ``touch_residual`` is the max-norm of the tangency system at the solution
-    relative to max |f| on the solver's grid (on the real line, max |q| within
-    the roots' reach, q being f with its shared zeros divided out).
+    relative to max |f| on the solver's grid: [a, b], the half-line's working
+    span, or on the real line the window that holds every root of f.
     """
 
     f_lower: SparsePoly
@@ -136,12 +137,14 @@ def _interlaced(first, second, lo, hi, eps) -> bool:
 
 
 class _TangencySolver:
-    """Tangency system, Newton starts and fallbacks for [a,b] and half-line patterns.
+    """Tangency system, Newton starts and fallbacks for every domain's patterns.
 
     z holds the m double zeros xs of f_* and then the touch points ys of
     f - f_*.  f_* = c P, with P the null vector of the lower pattern's node
     rows and c = (h.f)/(h.P) fixed by the pin h: the row of f^(k_hi)(hi) on
-    [a,b] ("endpoint"), the top coefficient on the half-line ("leading").
+    [a,b] ("endpoint"), the top coefficient on the half-line and the real
+    line ("leading").  The real line is lo = -inf, hi = None; its check grid
+    is a window holding every root of f.
     ``system`` gives the residual and its analytic Jacobian; ``newton`` runs
     _newton on it to the rounding floor.  ``solve`` tries Newton from
     Chebyshev and equispaced starts ("newton:direct*"), then continuation
@@ -164,20 +167,25 @@ class _TangencySolver:
         self.shared = shared
         self.even = n_eff % 2 == 0
         self.m = n_eff // 2
-        self.lo = lo
-        self.hi = hi  # None on the half-line
+        self.lo = lo  # -inf on the real line
+        self.hi = hi  # None on the half-line and the real line
         self.pin = pin  # "endpoint" (at hi) or "leading" (coefficient of f_n)
         self.grid = grid
         self.grid_rows = family.eval_grid(grid)  # basis on the check grid, reused
         self.scale = float(np.max(np.abs(self.grid_rows @ self.f)))
-        self.width = (hi - lo) if hi is not None else max(1.0, 2 * float(grid[-1] - lo))
+        self.width = (hi - lo) if hi is not None else max(1.0, 2 * float(grid[-1] - grid[0]))
         k_lo = next((m for z, m in shared if math.isclose(z, lo, abs_tol=1e-14)), 0)
         if hi is not None:
             k_hi = next((m for z, m in shared if math.isclose(z, hi, abs_tol=1e-14)), 0)
             self.pin_row = family.eval_grid([hi], k_hi)[0]
         else:
             self.pin_row = np.eye(family.size)[-1]
-        self.lo_row = family.eval_grid([lo], k_lo) if self.even else np.zeros((0, family.size))
+        if not self.even:
+            self.lo_row = np.zeros((0, family.size))
+        elif math.isinf(lo):  # f^* has degree n - 2: no x^(n-1) term in f - f_*
+            self.lo_row = np.eye(family.size)[-2:-1]
+        else:
+            self.lo_row = family.eval_grid([lo], k_lo)
         # fixed zeros of f_*, ahead of its double zeros in the node rows
         self.lower_fixed = _merge_nodes(list(shared) + ([] if self.even else [(lo, 1)]))
         self.n_fixed = sum(m for _, m in self.lower_fixed)
@@ -189,7 +197,7 @@ class _TangencySolver:
 
     def upper_nodes(self, ys) -> tuple:
         pat = [(y, 2) for y in np.sort(ys)]
-        if self.even:
+        if self.even and not math.isinf(self.lo):
             pat.append((self.lo, 1))
         if self.hi is not None:
             pat.append((self.hi, 1))
@@ -201,8 +209,9 @@ class _TangencySolver:
 
     def upper_pattern_poly(self, ys) -> np.ndarray:
         """Unit-scale f^*-pattern polynomial (embedded in the full family;
-        on the half-line the pattern drops f_n)."""
-        cols = slice(0, self.family.size - (1 if self.pin == "leading" else 0))
+        on the half-line the pattern drops f_n, on the real line f_(n-1) too)."""
+        drop = 0 if self.pin == "endpoint" else 2 if math.isinf(self.lo) else 1
+        cols = slice(0, self.family.size - drop)
         sub = _subfamily(self.family, cols)
         nodes = self.upper_nodes(ys)
         Q = null_vector(node_rows(sub, nodes))
@@ -215,9 +224,10 @@ class _TangencySolver:
     def system(self, z, fc):
         """Residual at z and a callable for its Jacobian.
 
-        With d = fc - f_*, the residual is d^(k_lo)(lo) for even n, then
-        d(ys) and d'(ys).  A touch point y moves only its own two rows, by
-        d'(y) and d''(y).  A double zero x moves f_* = c P by
+        With d = fc - f_*, the residual is d^(k_lo)(lo) for even n (the
+        x^(n-1) coefficient of d on the real line), then d(ys) and d'(ys).
+        A touch point y moves only its own two rows, by d'(y) and d''(y).
+        A double zero x moves f_* = c P by
         c (P' - (h.P'/h.P) P), the second term from the pin scale c, with P'
         from null_vector_tangent.
         """
@@ -261,11 +271,12 @@ class _TangencySolver:
         return z, ok, it, nR / sc
 
     # -- initial configurations ------------------------------------------------
-    # Both starts spread over the check grid: [a, b] itself, or the half-line's
-    # working span.
+    # Both starts spread over the check grid: [a, b] itself, the half-line's
+    # working span, or the real line's root window.
 
     def chebyshev_init(self) -> np.ndarray:
-        lo, w = self.lo, float(self.grid[-1]) - self.lo
+        lo = float(self.grid[0])
+        w = float(self.grid[-1]) - lo
         m = self.m
         if m == 0:
             return np.array([])
@@ -273,7 +284,7 @@ class _TangencySolver:
         return lo + (xs - lo) * 0.8 + 0.1 * w
 
     def equispaced_init(self) -> np.ndarray:
-        lo, hi = self.lo, float(self.grid[-1])
+        lo, hi = float(self.grid[0]), float(self.grid[-1])
         m = self.m
         if m == 0:
             return np.array([])
@@ -372,13 +383,21 @@ class _TangencySolver:
         )
 
     def _valid(self, z) -> bool:
+        """Interlaced, both parts nonnegative on the grid, and f - f_* zero at
+        each touch point y to TOUCH_LOCAL_TOL of the local size sum |a_i f_i(y)|
+        of f.  The touch residual is relative to max |f| on the grid, which
+        on a wide real-line window can exceed f near its roots by many
+        orders, so a Newton stall far from any solution can pass it."""
         if not self.phase_ok(z):
             return False
         xs = np.sort(z[: self.m])
         fl = self.f_lower(xs, self.f)
         flv = self.grid_rows @ fl
         dv = self.grid_rows @ (self.f - fl)
-        return float(flv.min()) >= -1e-9 * self.scale and float(dv.min()) >= -1e-9 * self.scale
+        Y = self.family.eval_grid(z[self.m :])
+        touch = np.abs(Y @ (self.f - fl)) <= TOUCH_LOCAL_TOL * (np.abs(Y) @ np.abs(self.f))
+        nonneg = min(float(flv.min()), float(dv.min())) >= -1e-9 * self.scale
+        return nonneg and bool(touch.all())
 
     def _unpack(self, z, path, it, res, tol):
         xs = np.sort(z[: self.m])
@@ -390,12 +409,6 @@ class _TangencySolver:
             "residual": res,
             "converged": res < tol,
         }
-
-
-def _subfamily(family: FamilySpec, cols: slice) -> FamilySpec:
-    if family.variant == "custom":
-        return FamilySpec("custom", (), family.domain, family.evaluators[cols], family.name)
-    return FamilySpec(family.variant, family.params[cols], family.domain)
 
 
 def _zero_config(nodes, domain) -> ZeroConfig:
@@ -417,7 +430,7 @@ def _zero_config(nodes, domain) -> ZeroConfig:
 def _build_decomposition(solver, xs, ys, fl, info, family) -> KarlinDecomposition:
     f_lower = SparsePoly(tuple(fl), family)
     f_upper = SparsePoly(tuple(solver.f - fl), family)
-    zl = _zero_config(solver.lower_nodes(xs), family.domain)
+    zl = _zero_config(_merge_nodes(solver.lower_nodes(xs)), family.domain)
     zu = _zero_config(solver.upper_nodes(ys), family.domain)
     return KarlinDecomposition(
         f_lower,
@@ -431,17 +444,10 @@ def _build_decomposition(solver, xs, ys, fl, info, family) -> KarlinDecompositio
     )
 
 
-def _check_positive(f: SparsePoly, grid: np.ndarray, extra=()):
+def _check_positive(f: SparsePoly, grid: np.ndarray) -> None:
     vals = f(grid)
-    scale = float(np.max(np.abs(vals)))
-    pts = list(extra)
-    if pts:
-        vals_extra = f(np.array(pts))
-        if float(np.min(vals_extra)) <= 0:
-            raise NotPositive("f must be strictly positive")
     if float(vals.min()) <= 0:
         raise NotPositive(f"min f = {vals.min():.3e} on the check grid")
-    return scale
 
 
 def decompose_pos_ab(
@@ -620,8 +626,9 @@ def _solve_span(f: SparsePoly, X: float) -> float:
 def decompose_realline(f: SparsePoly, mode: str = "positive") -> KarlinDecomposition:
     """Karlin decomposition on the real line for dense monomial families.
 
-    f = a prod (x-x_i)^2 + b prod (x-y_i)^2 (after factoring shared zeros in
-    nonneg mode); a equals the leading coefficient.
+    f = f_* + f^* with f_* = a_n prod (x - x_i)^2 and f^* of degree n - 2
+    with double zeros at the touch points (times the zeros f shares with
+    both parts in nonneg mode).
     """
     family = f.family
     if family.variant != "monomial" or family.domain.kind != "real_line":
@@ -636,48 +643,38 @@ def decompose_realline(f: SparsePoly, mode: str = "positive") -> KarlinDecomposi
     if a_lead <= 0:
         raise NegativeLeading(f"leading coefficient {a_lead} must be positive")
 
-    coeffs = f.a.copy()
-    shared: list = []
+    lo, hi = _root_window(f)
+    shared: tuple = ()
     if mode == "nonneg":
-        B = 1.0 + float(np.max(np.abs(coeffs[:-1] / coeffs[-1]))) if n > 0 else 1.0
-        cfg = count_zeros(f, window=(-B, B))
+        cfg = count_zeros(f, window=(lo, hi))
         for p, m, _ in cfg.zeros:
             if m % 2 == 1:
                 raise OddInteriorMultiplicity(f"zero at {p} has odd multiplicity {m}")
-            shared.append((p, m))
-        for p, m in shared:
-            for _ in range(m):
-                coeffs = _deflate(coeffs, p)
+        shared = tuple((p, m) for p, m, _ in cfg.zeros)
     elif mode != "positive":
         raise ValueError(f"mode must be 'positive' or 'nonneg', not {mode!r}")
 
-    q = coeffs  # ascending dense coefficients, positive on R
-    deg = len(q) - 1
-    M = deg // 2
-    B = 1.0 + (float(np.max(np.abs(q[:-1] / q[-1]))) if deg > 0 else 1.0)
-    grid = np.linspace(-B, B, 3001)
-    if np.polyval(q[::-1], grid).min() <= 0 and mode == "positive":
+    n_eff = n - sum(m for _, m in shared)
+    grid = np.linspace(lo, hi, 2001)
+    solver = _TangencySolver(family, f.a, shared, n_eff, -math.inf, None, "leading", grid)
+    if mode == "positive" and float((solver.grid_rows @ solver.f).min()) <= 0:
         raise NotPositive("f must be strictly positive on R")
+    xs, ys, fl, info = solver.solve()
+    return _build_decomposition(solver, xs, ys, fl, info, family)
 
-    xs, ys, info = _realline_tangency(q, M, B)
-    fl_dense = q[-1] * _poly_from_roots_sq(xs)
-    # rebuild in the original (pre-deflation) basis
-    for p, m in shared:
-        for _ in range(m):
-            fl_dense = np.convolve(fl_dense, [-p, 1.0])
-    fl = np.zeros(family.size)
-    fl[: len(fl_dense)] = fl_dense
-    f_lower = SparsePoly(tuple(fl), family)
-    f_upper = SparsePoly(tuple(f.a - fl), family)
 
-    zl_nodes = _merge_nodes(shared + [(x, 2) for x in xs])
-    zu_nodes = _merge_nodes(shared + [(y, 2) for y in ys])
-    zl = ZeroConfig(tuple((p, m, NON_NODAL) for p, m in zl_nodes), family.domain)
-    zu = ZeroConfig(tuple((p, m, NON_NODAL) for p, m in zu_nodes), family.domain)
-    return KarlinDecomposition(
-        f_lower, f_upper, zl, zu, info["iterations"], info["converged"],
-        info["path"], info["residual"],
-    )
+def _root_window(f: SparsePoly) -> tuple[float, float]:
+    """A window holding every root of a dense f of degree n on R: c +- Fujiwara's
+    bound of f(x + c), c = -a_(n-1) / (n a_n) the balance point of the top two
+    terms.  The Taylor coefficients of f at c are f^(k)(c) / k!."""
+    n = f.family.order
+    if n == 0:
+        return -1.0, 1.0
+    c = -float(f.a[-2]) / (n * float(f.a[-1]))
+    k = np.arange(n + 1)
+    taylor = f.family.eval_grid(np.full(n + 1, c), k) @ f.a / [math.factorial(i) for i in k]
+    r = _root_bound(taylor) or 1.0  # 0 for f = a_n (x - c)^n
+    return c - r, c + r
 
 
 def _deflate(coeffs: np.ndarray, root: float) -> np.ndarray:
@@ -691,102 +688,10 @@ def _deflate(coeffs: np.ndarray, root: float) -> np.ndarray:
     return out[::-1]
 
 
-def _poly_from_roots_sq(roots) -> np.ndarray:
-    out = np.array([1.0])
-    for r in roots:
-        out = np.convolve(out, [-r, 1.0])
-    return np.convolve(out, out)
-
-
 def _root_bound(q: np.ndarray) -> float:
     """Fujiwara's bound on the moduli of the roots of q (ascending coefficients)."""
     n = len(q) - 1
     return 2 * max(abs(q[n - k] / q[n]) ** (1 / k) for k in range(1, n + 1))
-
-
-def _realline_system(q: np.ndarray, M: int):
-    """The real-line tangency system for q > 0 (ascending coefficients, degree 2M).
-
-    z holds the double zeros xs of f_* = lead G^2, G = prod (x - x_i), then
-    the touch points ys of d = q - f_*.  The residual is the x^(2M-1)
-    coefficient of d, then d(ys) and d'(ys).  Its Jacobian is closed-form:
-    the coefficient moves by 2 lead in each x_j, d by 2 lead G G_j with
-    G_j = G / (x - x_j), and a touch point y moves its own rows by d'(y)
-    and d''(y).
-    """
-    lead = q[-1]
-
-    def system(z):
-        ox, oy = np.argsort(z[:M]), np.argsort(z[M:])
-        xs, ys = z[:M][ox], z[M:][oy]
-        G = npp.polyfromroots(xs)
-        d = q - lead * npp.polymul(G, G)
-        d1 = npp.polyder(d)
-        R = np.concatenate([[q[-2] + 2 * lead * np.sum(xs)], npp.polyval(ys, d), npp.polyval(ys, d1)])
-
-        def jac():
-            k = M - 1
-            Jx = np.empty((2 * k + 1, M))
-            Jx[0] = 2 * lead
-            for j in range(M):
-                H = 2 * lead * npp.polymul(G, npp.polyfromroots(np.delete(xs, j)))
-                Jx[1 : k + 1, j] = npp.polyval(ys, H)
-                Jx[k + 1 :, j] = npp.polyval(ys, npp.polyder(H))
-            J = np.zeros((2 * k + 1, 2 * k + 1))
-            J[:, ox] = Jx
-            J[1 + np.arange(k), M + oy] = npp.polyval(ys, d1)
-            J[1 + k + np.arange(k), M + oy] = npp.polyval(ys, npp.polyder(d, 2))
-            return J
-
-        return R, jac
-
-    return system
-
-
-def _realline_tangency(q: np.ndarray, M: int, B: float):
-    """Newton on the real-line tangency system for q > 0 (ascending coeffs)."""
-    if M == 0:
-        return np.array([]), np.array([]), {
-            "iterations": 0, "converged": True, "path": "direct", "residual": 0.0,
-        }
-    # the residual's scale is max |q| within the roots' reach: on the Cauchy
-    # window [-B, B], which can be wider by orders of magnitude, the top term
-    # dominates and a relative tolerance accepts configurations far from a solution
-    r = _root_bound(q)
-    scale = float(np.max(np.abs(np.polyval(q[::-1], np.linspace(-r, r, 1001)))))
-    lead = q[-1]
-    system = _realline_system(q, M)
-
-    def phase_ok(z):
-        return _interlaced(z[:M], z[M:], -math.inf, math.inf, 1e-13 * B)
-
-    grid = np.linspace(-B, B, 2001)
-    qv = np.polyval(q[::-1], grid)
-
-    def valid(z):
-        if not phase_ok(z):
-            return False
-        fl = lead * _poly_from_roots_sq(np.sort(z[:M]))
-        flv = np.polyval(fl[::-1], grid)
-        dv = qv - flv
-        sc = float(np.max(np.abs(qv)))
-        return flv.min() >= -1e-9 * sc and dv.min() >= -1e-9 * sc
-
-    # center the initial layout on the balance point of the leading terms
-    center = -q[-2] / (2 * lead * M)
-    best = math.inf
-    for width in (B / 2, B / 8, B, B / 32):
-        xs0 = center + width * np.cos(np.pi * (2 * np.arange(1, M + 1) - 1) / (2 * M))[::-1]
-        ys0 = (xs0[:-1] + xs0[1:]) / 2 if M > 1 else np.array([])
-        z, ok, it, res = _newton(system, np.concatenate([xs0, ys0]), CONVERGED_TOL * scale, 60,
-                                 phase_ok)
-        res /= scale
-        if ok and valid(z):
-            return np.sort(z[:M]), np.sort(z[M:]), {
-                "iterations": it, "converged": True, "path": "newton", "residual": res,
-            }
-        best = min(best, res)
-    raise NoConvergence("real-line tangency solver failed", {"center": center, "best_residual": best})
 
 
 # -- Lukacs/Markov closed forms (dense polynomials, companion-matrix path) ----
@@ -1047,10 +952,6 @@ def _lukacs_interval(q: np.ndarray, a: float, b: float):
     evenA = (np.max(np.abs(EA)) if len(EA) else 0) >= (np.max(np.abs(OA)) if len(OA) else 0)
     F = EA if evenA else EB  # even part: plain square in u
     G = OA if not evenA else OB  # odd part: u-weighted square
-    m_even = d // 2
-
-    def back_map(u: float) -> float:
-        return (a + b * u) / (1 + u)
 
     def lift(H: np.ndarray, top: int) -> np.ndarray:
         """sum H_k (x-a)^k (b-x)^(top-k) as dense ascending coefficients."""
@@ -1072,7 +973,7 @@ def _lukacs_interval(q: np.ndarray, a: float, b: float):
         fl = scale * np.convolve(At, At)
         w = np.convolve([-a, 1.0], [b, -1.0])
         fu = scale * np.convolve(w, np.convolve(Bt, Bt)) if len(G) else np.array([])
-        alpha = scale * At[-1] ** 2 if len(At) == m + 1 else scale * At[-1] ** 2
+        alpha = scale * At[-1] ** 2
         beta = scale * Bt[-1] ** 2 if len(Bt) else 0.0
         xs = _real_roots_polished(At) if len(At) > 1 else np.array([])
         ys = _real_roots_polished(Bt) if len(Bt) > 1 else np.array([])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tsystems import (
     NodeSet,
     SparsePoly,
+    custom_family,
     extremal_test_polys,
     halfline,
     hankel_check,
@@ -134,6 +135,17 @@ def test_extremal_halfline_patterns_drop_top_member():
     assert abs(p2(0.0)) < 1e-12 and p2(xs).min() >= -1e-10
     p3 = extremal_test_polys(fam5, "hl_upper_odd", (1.0, 3.0))
     assert p3.a[-1] == 0.0 and p3(xs).min() >= -1e-10
+
+
+def test_extremal_halfline_upper_patterns_keep_custom_evaluators():
+    # the upper patterns drop the top member: for a custom family the
+    # sub-family must keep the remaining evaluators
+    dom = halfline(0.0)
+    evs = [lambda x, k, d=d: math.perm(d, k) * x ** (d - k) if k <= d else 0.0 for d in range(3)]
+    power = extremal_test_polys(power_family([0, 1, 2], dom), "hl_upper_even", [])
+    custom = extremal_test_polys(custom_family(evs, dom), "hl_upper_even", [])
+    assert np.allclose(power.a, [0.0, 1.0, 0.0], atol=1e-15)
+    assert np.array_equal(custom.a, power.a)
 
 
 def test_extremal_m0_patterns_are_basis_multiples():
