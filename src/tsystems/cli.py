@@ -242,12 +242,16 @@ COMMANDS = {
          ("--panels", dict(type=int, default=64)),
          ("--truncation", dict(type=float, default=8.0))),
         lambda args, family: gaussian_smooth(
-            family, KernelSpec("gaussian", args.sigma, None, args.panels, args.truncation)),
-        to_json=lambda args, family, smoothed: {
+            family, KernelSpec("gaussian", args.sigma, None, args.panels, args.truncation),
+            return_report=True),
+        # the result is (smoothed family, report); mesh_points is the --plot grid's size
+        to_json=lambda args, family, res: {
             "sigma": args.sigma, "panels": args.panels, "truncation": args.truncation,
-            "mesh_points": len(_window_grid(family, args))},
-        plot=lambda args, family, smoothed, xs: {
-            f"f{i}": col for i, col in enumerate(smoothed.eval_grid(xs).T)},
+            "mesh_points": len(_window_grid(family, args)),
+            "quadrature_error_estimate": res[1]["quadrature_error_estimate"],
+            "truncation_error_bound": res[1]["truncation_error_bound"]},
+        plot=lambda args, family, res, xs: {
+            f"f{i}": col for i, col in enumerate(res[0].eval_grid(xs).T)},
     ),
     "optimize_ratio": Command(
         "optimize L(p)/S(p) over the cone",

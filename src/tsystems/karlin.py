@@ -855,7 +855,10 @@ def lukacs_decompose(p, domain) -> LukacsDecomposition:
             orientation = -orientation
         for _ in range(m):
             q = _deflate(q, z)
-    q = orientation * _trim(q, 1e-12)
+    # deflation keeps p's leading coefficient; on an unbounded domain a small
+    # one still shapes the decomposition (1 + 1e-20 x^8 on R has parts with
+    # zeros out to 556), so trimming it would decompose another polynomial
+    q = orientation * (_trim(q, 1e-12) if kind == "closed_interval" else q)
     d = len(q) - 1
     if kind != "closed_interval" and q[-1] < 0:
         raise NegativeSomewhere("cofactor has negative leading coefficient")

@@ -16,6 +16,7 @@ conditions quantify over continua.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -530,18 +531,20 @@ def sparse_feasibility(
 
     Primal: the engine of ``recover_atoms`` (grid nonnegative least squares
     refined twice near its support, Caratheodory pruning, Newton polish,
-    support reduction); moments matched to tol * scale by at most n+1 atoms
-    give "feasible" with that witness.  Dual: minimize L over extremal
-    nonnegative polynomials by a gradient search on their zero positions,
-    the derivative of L coming from the node null vector (implicit
-    differentiation of B a = 0), seeded by the engine's atoms, a coarse
-    scan and ``starts`` random placements drawn from ``seed``; a certified
-    negative value is an infeasibility certificate.  The search reads at
-    most m seeds for a pattern with m free zeros, so the phase-1 LP on the
-    engine's final grid, whose dual marginals give further seeds, runs
-    before the search only when fewer than the largest m atoms lie inside
-    the search window; its value is the gap of an "undecided" verdict, so
-    it runs (once) for that too.  ``route`` names what decided the
+    support reduction), whose result is shared per (family, moments, grid,
+    tol) with a later ``recover_atoms`` on the same functional; moments
+    matched to tol * scale by at most n+1 atoms give "feasible" with that
+    witness.  Dual: minimize L over extremal nonnegative polynomials by a
+    gradient search on their zero positions, the derivative of L coming
+    from the node null vector (implicit differentiation of B a = 0),
+    seeded by the engine's atoms, a coarse scan and ``starts`` random
+    placements drawn from ``seed``; a certified negative value is an
+    infeasibility certificate.  The search reads at most m seeds for a
+    pattern with m free zeros, so the phase-1 LP on the engine's final
+    grid, whose dual marginals give further seeds, runs before the search
+    only when fewer than the largest m atoms lie inside the search window;
+    its value is the gap of an "undecided" verdict, so it runs (once) for
+    that too.  ``route`` names what decided the
     verdict: "basis", "primal", "dual" or "none".
 
     Guarantee: an "infeasible" verdict carries a certificate p with
@@ -570,7 +573,7 @@ def sparse_feasibility(
             if _certificate_is_sound(e, probes):
                 return FeasibilityVerdict(INFEASIBLE, None, e, float(-s[i]), hint, "basis")
 
-    pos, wts, res, xs = _primal_atoms(family, s, grid, tol * scale)
+    pos, wts, res, xs = _shared_primal_atoms(family, s, grid, tol * scale)
     if res <= tol * scale and len(pos) <= family.size:
         witness = AtomicMeasure(tuple(zip(map(float, pos), map(float, wts))))
         return FeasibilityVerdict(FEASIBLE, witness, None, float(res), hint, "primal")
@@ -677,15 +680,17 @@ def recover_atoms(
 
     The primal engine shared with ``sparse_feasibility``: grid nonnegative
     least squares -> Caratheodory pruning -> Newton polish on positions and
-    weights -> support reduction.  The zero functional yields the empty
-    measure; a moment residual above tol * scale raises NotFeasible unless
-    ``assume_feasible``.
+    weights -> support reduction.  Its result is shared per (family,
+    moments, grid, tol): after ``sparse_feasibility`` on the same functional
+    the engine does not run again, and the measure is that call's witness.
+    The zero functional yields the empty measure; a moment residual above
+    tol * scale raises NotFeasible unless ``assume_feasible``.
     """
     s = L.s
     scale = float(np.max(np.abs(s)))
     if scale == 0.0:
         return AtomicMeasure(())
-    pos, wts, res, _ = _primal_atoms(L.family, s, grid, tol * scale)
+    pos, wts, res, _ = _shared_primal_atoms(L.family, s, grid, tol * scale)
     if len(pos) == 0:
         raise NotFeasible("nonnegative least squares found no support")
     measure = AtomicMeasure(tuple(zip(map(float, pos), map(float, wts))))
@@ -695,6 +700,56 @@ def recover_atoms(
             "run sparse_feasibility first or pass assume_feasible=True"
         )
     return measure
+
+
+class _EngineCall:
+    """The arguments of one primal engine run, hashed and compared by what
+    the engine reads: the family's variant, params as float64 bytes (so an
+    array of params needs no hashing), domain and evaluators (pure, so the
+    objects themselves identify them), the moments as float64 bytes, the
+    grid size and the absolute tolerance."""
+
+    __slots__ = ("args", "key", "hash")
+
+    def __init__(self, family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float):
+        self.args = (family, s, grid, abs_tol)
+        self.key = (family.variant, np.asarray(family.params, dtype=float).tobytes(),
+                    family.domain, family.evaluators, np.asarray(s, dtype=float).tobytes(),
+                    grid, abs_tol)
+        self.hash = hash(self.key)  # TypeError for evaluators that cannot be hashed
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+
+#: engine results kept, least recently used first out.  One serves the
+#: sparse_feasibility -> recover_atoms pair on a functional; a few more let a
+#: caller interleave the pairs of a few functionals
+_PRIMAL_RESULTS = 4
+
+
+@functools.lru_cache(maxsize=_PRIMAL_RESULTS)
+def _primal_memo(call: _EngineCall) -> tuple:
+    result = _primal_atoms(*call.args)
+    for part in result:
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False  # handed to every later caller
+    return result
+
+
+def _shared_primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) -> tuple:
+    """``_primal_atoms``, run once per (family, moments, grid, abs_tol): the
+    engine is deterministic, so ``recover_atoms`` after ``sparse_feasibility``
+    on one functional reads the result the first call made.  The memo's
+    arrays are read-only."""
+    try:
+        call = _EngineCall(family, s, grid, abs_tol)
+    except TypeError:  # custom evaluators that cannot be hashed: no memo
+        return _primal_atoms(family, s, grid, abs_tol)
+    return _primal_memo(call)
 
 
 def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) -> tuple:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from tsystems import SparsePoly
+from tsystems import SparsePoly, moments
 
 
 def random_nonneg_dense(deg, dom, rng):
@@ -60,3 +60,10 @@ def lp_best_approx_oracle(family, fvals, xs):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240808)
+
+
+@pytest.fixture(autouse=True)
+def fresh_primal_memo():
+    """Each test starts with no memoized primal engine result, so one that
+    counts the engine's work does not find a result an earlier test made."""
+    moments._primal_memo.cache_clear()

@@ -236,6 +236,15 @@ def _oracle_optimize_ratio():
             "top5": [[v, tag, list(theta)] for v, tag, theta in top5]}
 
 
+def _oracle_smooth():
+    _, report = ts.gaussian_smooth(ts.monomial_family([0, 1, 3], ts.interval(0, 1)),
+                                   ts.KernelSpec("gaussian", 0.1, None, 64, 8.0),
+                                   return_report=True)
+    return {"sigma": 0.1, "panels": 64, "truncation": 8.0, "mesh_points": 301,
+            "quadrature_error_estimate": report["quadrature_error_estimate"],
+            "truncation_error_bound": report["truncation_error_bound"]}
+
+
 def _error_of(call):
     with pytest.raises(TSystemError) as info:
         call()
@@ -288,7 +297,7 @@ JSON_ORACLES = [
                                                 grid=2001, tol=1e-8)), 2),
     (["smooth", "--family", "monomial:0,1,3", "--domain", "0,1", "--sigma", "0.1",
       "--grid", "301"],
-     lambda: {"sigma": 0.1, "panels": 64, "truncation": 8.0, "mesh_points": 301}, 0),
+     _oracle_smooth, 0),
     (["optimize-ratio", "--family", "monomial:0,1,2", "--domain", "0,1",
       "--numerator", "1,0.3,0.09", "--denominator", "1,0.5,0.333", "--seed", "2"],
      _oracle_optimize_ratio, 0),

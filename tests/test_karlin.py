@@ -264,9 +264,7 @@ def test_realline_small_top_coefficient():
     dec = decompose_realline(SparsePoly(tuple(pd), fam))
     assert dec.converged
     _agrees_with_oracle(dec, pd)
-    # at eps = 1e-20 the oracle trims the top coefficient as rounding noise and
-    # decomposes the constant 1, so it cannot judge this input; x -> 10^1.5 x
-    # maps the eps = 1e-8 decomposition onto it instead
+    # at eps = 1e-20, x -> 10^1.5 x maps the eps = 1e-8 decomposition onto it
     f = SparsePoly((1.0, 0, 0, 0, 0, 0, 0, 0, 1e-20), fam)
     tiny = decompose_realline(f)
     assert tiny.converged
@@ -279,6 +277,24 @@ def test_realline_small_top_coefficient():
     sides = [s for _, s in sorted([(z[0], "l") for z in tiny.zeros_lower.zeros]
                                   + [(z[0], "u") for z in tiny.zeros_upper.zeros])]
     assert sides == ["l", "u"] * 3 + ["l"]
+
+
+@pytest.mark.parametrize("dom", [real_line(), halfline(0.0)], ids=["realline", "halfline"])
+def test_lukacs_keeps_small_leading_coefficient(dom):
+    # 1 + 1e-20 x^8 = 1 + 1e-8 (x / 10^1.5)^8, so the zeros of its parts are
+    # the 1e-8 ones times 10^1.5; dropping the top coefficient as noise would
+    # give the constant 1's decomposition, with no zeros and error 1e-20
+    pd = np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 1e-20])
+    small = lukacs_decompose([1.0, 0, 0, 0, 0, 0, 0, 0, 1e-8], dom)
+    tiny = lukacs_decompose(pd, dom)
+    assert tiny.alpha == pytest.approx(1e-20, rel=1e-12)
+    assert tiny.reconstruction_error <= 1e-14
+    for near, far in ((small.xs, tiny.xs), (small.ys, tiny.ys)):
+        assert len(near) == len(far) > 0
+        assert np.allclose(np.array(near) * 10**1.5, far, rtol=1e-9, atol=1e-9)
+    if dom.kind == "real_line":  # and the tangency solver agrees with it
+        fam = monomial_family(list(range(9)), dom)
+        _agrees_with_oracle(decompose_realline(SparsePoly(tuple(pd), fam)), pd)
 
 
 def test_realline_degree_8_draws_agree_with_oracle():

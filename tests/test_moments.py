@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsystems import (
+    FamilySpec,
     NodeSet,
     SparsePoly,
     custom_family,
@@ -545,6 +546,100 @@ def test_witness_is_recover_atoms(exps, dom, atoms):
     v = sparse_feasibility(L)
     assert v.status == "feasible"
     assert v.witness_measure == recover_atoms(L)
+
+
+def _count_engine_runs(monkeypatch) -> list:
+    runs = []
+    original = moments._primal_atoms
+
+    def counting(*args):
+        runs.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(moments, "_primal_atoms", counting)
+    return runs
+
+
+def test_feasibility_then_recovery_runs_the_engine_once(monkeypatch):
+    runs = _count_engine_runs(monkeypatch)
+    fam = power_family([0.0, 0.5, 1.0, 2.0], interval(0.1, 1.0))
+    L = MomentFunctional.from_measure(fam, [(0.2, 0.3), (0.8, 0.7)])
+    v = sparse_feasibility(L)
+    assert v.status == "feasible" and len(runs) == 1
+    assert recover_atoms(L) == v.witness_measure
+    assert len(runs) == 1
+    # the same functional rebuilt from its values is the same key
+    assert recover_atoms(MomentFunctional(tuple(L.s), fam)) == v.witness_measure
+    assert len(runs) == 1
+
+
+def test_changed_inputs_run_the_engine_again(monkeypatch):
+    runs = _count_engine_runs(monkeypatch)
+    fam = power_family([0.0, 0.5, 1.0, 2.0], interval(0.1, 1.0))
+    L = MomentFunctional.from_measure(fam, [(0.2, 0.3), (0.8, 0.7)])
+    recover_atoms(L)
+    other_family = power_family([0.0, 0.5, 1.0, 2.0], interval(0.1, 1.1))
+    s = L.s.copy()
+    s[2] *= 1 + 1e-12
+    recover_atoms(L, tol=1e-9)
+    recover_atoms(L, grid=1001)
+    recover_atoms(MomentFunctional(tuple(s), fam), assume_feasible=True)
+    recover_atoms(MomentFunctional(tuple(L.s), other_family), assume_feasible=True)
+    assert len(runs) == 5
+    recover_atoms(L, grid=1001)
+    assert len(runs) == 5
+
+
+def test_memoized_engine_result_is_read_only():
+    fam = power_family([0.0, 1.0, 2.5, 4.0], interval(0.1, 1.2))
+    s = MomentFunctional.from_measure(fam, [(0.45, 0.6)]).s
+    first = moments._shared_primal_atoms(fam, s, 2001, 1e-8)
+    kept = [np.array(part) for part in first]
+    for part in (first[0], first[1], first[3]):
+        with pytest.raises(ValueError):
+            part[0] = 0.5
+    again = moments._shared_primal_atoms(fam, s, 2001, 1e-8)
+    for part, copy in zip(again, kept):
+        assert np.array_equal(part, copy)
+
+
+def test_array_params_family_is_decided_and_recovered():
+    # params held as an array, which cannot be hashed
+    fam = FamilySpec("exponential", np.array([0.0, 1.0, 2.0]), interval(0, 1))
+    L = MomentFunctional.from_measure(fam, [(0.4, 1.0)])
+    v = sparse_feasibility(L)
+    assert v.status == "feasible"
+    m = recover_atoms(L)
+    assert m == v.witness_measure
+    assert len(m.atoms) == 1 and abs(m.atoms[0][0] - 0.4) < 1e-9
+    # L((e^x - e^0.4)^2) = -1e-3 e^0.8 < 0
+    bad = MomentFunctional((1.0 - 1e-3, math.exp(0.4), math.exp(0.8)), fam)
+    assert sparse_feasibility(bad).status == "infeasible"
+    with pytest.raises(NotFeasible, match="run sparse_feasibility first"):
+        recover_atoms(bad)
+
+
+class _Monomial:
+    """x^d as an evaluator object that compares by value, so it has no hash."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def __eq__(self, other):
+        return self.d == other.d
+
+    def __call__(self, x, k):
+        return math.perm(self.d, k) * x ** (self.d - k) if k <= self.d else 0.0
+
+
+def test_unhashable_evaluators_skip_the_memo(monkeypatch):
+    runs = _count_engine_runs(monkeypatch)
+    fam = custom_family([_Monomial(d) for d in range(3)], interval(0, 1))
+    L = MomentFunctional.from_measure(fam, [(0.4, 1.0)])
+    v = sparse_feasibility(L, grid=201)
+    assert v.status == "feasible"
+    assert recover_atoms(L, grid=201) == v.witness_measure
+    assert len(runs) == 2
 
 
 @st.composite
