@@ -419,7 +419,9 @@ def custom_family(
 
     Evaluators must return exact analytic derivatives; the library refuses to
     differentiate numerically because confluent determinants are only as good
-    as their derivative rows.
+    as their derivative rows.  They must also be pure: the moment engine's
+    last result is reused for the same evaluator objects, so an evaluator
+    whose output changes between calls can be served a stale result.
     """
     return FamilySpec("custom", (), domain, tuple(evaluators), name)
 

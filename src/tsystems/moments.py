@@ -16,7 +16,6 @@ conditions quantify over continua.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -531,8 +530,8 @@ def sparse_feasibility(
 
     Primal: the engine of ``recover_atoms`` (grid nonnegative least squares
     refined twice near its support, Caratheodory pruning, Newton polish,
-    support reduction), whose result is shared per (family, moments, grid,
-    tol) with a later ``recover_atoms`` on the same functional; moments
+    support reduction), whose last result is kept per (family, moments,
+    grid, tol) for a next ``recover_atoms`` on the same functional; moments
     matched to tol * scale by at most n+1 atoms give "feasible" with that
     witness.  Dual: minimize L over extremal nonnegative polynomials by a
     gradient search on their zero positions, the derivative of L coming
@@ -680,10 +679,10 @@ def recover_atoms(
 
     The primal engine shared with ``sparse_feasibility``: grid nonnegative
     least squares -> Caratheodory pruning -> Newton polish on positions and
-    weights -> support reduction.  Its result is shared per (family,
-    moments, grid, tol): after ``sparse_feasibility`` on the same functional
-    the engine does not run again, and the measure is that call's witness.
-    The zero functional yields the empty measure; a moment residual above
+    weights -> support reduction.  Its last result is kept per (family,
+    moments, grid, tol): right after ``sparse_feasibility`` on the same
+    functional the engine does not run again, and the measure is that
+    call's witness.  The zero functional yields the empty measure; a moment residual above
     tol * scale raises NotFeasible unless ``assume_feasible``.
     """
     s = L.s
@@ -702,54 +701,30 @@ def recover_atoms(
     return measure
 
 
-class _EngineCall:
-    """The arguments of one primal engine run, hashed and compared by what
-    the engine reads: the family's variant, params as float64 bytes (so an
-    array of params needs no hashing), domain and evaluators (pure, so the
-    objects themselves identify them), the moments as float64 bytes, the
-    grid size and the absolute tolerance."""
-
-    __slots__ = ("args", "key", "hash")
-
-    def __init__(self, family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float):
-        self.args = (family, s, grid, abs_tol)
-        self.key = (family.variant, np.asarray(family.params, dtype=float).tobytes(),
-                    family.domain, family.evaluators, np.asarray(s, dtype=float).tobytes(),
-                    grid, abs_tol)
-        self.hash = hash(self.key)  # TypeError for evaluators that cannot be hashed
-
-    def __hash__(self) -> int:
-        return self.hash
-
-    def __eq__(self, other) -> bool:
-        return self.key == other.key
-
-
-#: engine results kept, least recently used first out.  One serves the
-#: sparse_feasibility -> recover_atoms pair on a functional; a few more let a
-#: caller interleave the pairs of a few functionals
-_PRIMAL_RESULTS = 4
-
-
-@functools.lru_cache(maxsize=_PRIMAL_RESULTS)
-def _primal_memo(call: _EngineCall) -> tuple:
-    result = _primal_atoms(*call.args)
-    for part in result:
-        if isinstance(part, np.ndarray):
-            part.flags.writeable = False  # handed to every later caller
-    return result
+#: the last primal engine run, as (key, family, result); the family is held
+#: so that the ids of its evaluators in the key stay valid
+_last_primal = None
 
 
 def _shared_primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) -> tuple:
-    """``_primal_atoms``, run once per (family, moments, grid, abs_tol): the
-    engine is deterministic, so ``recover_atoms`` after ``sparse_feasibility``
-    on one functional reads the result the first call made.  The memo's
-    arrays are read-only."""
-    try:
-        call = _EngineCall(family, s, grid, abs_tol)
-    except TypeError:  # custom evaluators that cannot be hashed: no memo
-        return _primal_atoms(family, s, grid, abs_tol)
-    return _primal_memo(call)
+    """``_primal_atoms``, run once for back-to-back calls on one (family,
+    moments, grid, abs_tol): the engine is deterministic, so ``recover_atoms``
+    after ``sparse_feasibility`` on one functional reads the result the first
+    call made.  The key holds params and moments as float64 bytes (array
+    params need no hashing) and custom evaluators by id.  The kept arrays are
+    read-only."""
+    global _last_primal
+    key = (family.variant, np.asarray(family.params, dtype=float).tobytes(), family.domain,
+           tuple(map(id, family.evaluators)), np.asarray(s, dtype=float).tobytes(),
+           grid, abs_tol)
+    if _last_primal is not None and _last_primal[0] == key:
+        return _last_primal[2]
+    result = _primal_atoms(family, s, grid, abs_tol)
+    for part in result:
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False  # handed to the next caller too
+    _last_primal = (key, family, result)
+    return result
 
 
 def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) -> tuple:

@@ -66,4 +66,4 @@ def rng():
 def fresh_primal_memo():
     """Each test starts with no memoized primal engine result, so one that
     counts the engine's work does not find a result an earlier test made."""
-    moments._primal_memo.cache_clear()
+    moments._last_primal = None
