@@ -1,10 +1,11 @@
 """Collocation matrices, Wronskians, and T/ET/ECT certification.
 
-Determinants are evaluated by partial-pivot LU with extended-precision
-(long double) accumulation.  Dimensions are capped at 12: the constructions
-in this toolkit never need more than n+1 rows, and confluent Vandermonde
-matrices grow too ill-conditioned beyond desk scale for the certificates to
-stay trustworthy.
+Determinants and cofactor vectors come from one full-pivot elimination in
+extended-precision (long double) accumulation: det([r; B]) = r.C(B), with
+C(B) the signed cofactor vector of the node matrix B.  Dimensions are
+capped at 12: the constructions in this toolkit never need more than n+1
+rows, and confluent Vandermonde matrices grow too ill-conditioned beyond
+desk scale for the certificates to stay trustworthy.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .family import FamilySpec, custom_family
 DET_DIM_CAP = 12
 #: |det| <= REL_TOL * (product of row max-norms) counts as vanishing.
 REL_TOL = 1e-12
+_LD0, _LD1 = np.longdouble(0.0), np.longdouble(1.0)  # built once: each costs a microsecond
 
 
 @dataclass(frozen=True)
@@ -62,48 +64,47 @@ class NodeSet:
         return NodeSet(tuple(norm))
 
 
-def det(matrix: np.ndarray) -> float:
-    """Determinant by partial-pivot LU in long-double accumulation (dim <= 12)."""
-    A = np.array(matrix, dtype=np.longdouble, copy=True)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+def det(matrix: np.ndarray):
+    """Determinant in long-double accumulation (dim <= 12), expanded along
+    the first row: det([r; B]) = r.C(B), with B's cofactor vector C(B) from
+    null_vector's elimination.  A stack of square matrices gives their
+    determinants, each equal bit for bit to its one-matrix result."""
+    A = np.asarray(matrix, dtype=np.longdouble)
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatch(f"square matrix required, got {A.shape}")
-    n = A.shape[0]
+    n = A.shape[-1]
     if n > DET_DIM_CAP:
         raise DimensionMismatch(f"dimension {n} exceeds cap {DET_DIM_CAP}")
-    d = np.longdouble(1.0)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if A[p, k] == 0:
-            return 0.0
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            d = -d
-        d *= A[k, k]
-        A[k + 1 :, k] /= A[k, k]
-        A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k, k + 1 :])
-    return float(d)
+    if n == 0:
+        return 1.0 if A.ndim == 2 else np.ones(len(A))
+    run = _eliminate_one(A[1:].tolist(), n - 1) if A.ndim == 2 else None
+    if run is not None:  # r.C summed from zero, as the stack's matmul sums
+        x, perm, d = run
+        r = A[0].tolist()
+        return float(sum((r[p] * v for p, v in zip(perm, x)), _LD0) * d) if d else 0.0
+    S = A.reshape((-1, n, n))
+    x, perm, d = _eliminate_stack(S[:, 1:])
+    r = np.take_along_axis(S[:, 0], perm, axis=-1)
+    with np.errstate(invalid="ignore"):
+        dets = np.where(d != 0, (r[:, None, :] @ x[:, :, None])[:, 0, 0] * d, 0.0).astype(float)
+    return dets if A.ndim == 3 else float(dets[0])
 
 
 def det_scale(matrix: np.ndarray) -> float:
     """Product of row max-norms; the reference scale for the vanishing test."""
-    m = np.asarray(matrix, dtype=float)
-    return float(np.prod(np.max(np.abs(m), axis=1)))
+    return float(np.prod(np.max(np.abs(np.asarray(matrix, dtype=float)), axis=1)))
 
 
 def vanishes(matrix: np.ndarray) -> bool:
-    return _vanishing(matrix, det(matrix))
+    """Scale-invariant vanishing test; a collapsed row also counts."""
+    sc = det_scale(matrix)
+    return sc == 0.0 or abs(det(matrix)) <= REL_TOL * sc or _collapsed(matrix)
 
 
-def _vanishing(rows: np.ndarray, d: float) -> bool:
-    """Scale-invariant vanishing test; a row collapsing relative to the rest
-    (all entries tiny) also counts, since the limit matrix has a zero row."""
+def _collapsed(rows: np.ndarray) -> bool:
+    """A row tiny relative to the rest: the limit matrix has a zero row."""
     rowmax = np.max(np.abs(rows), axis=1)
-    sc = float(np.prod(rowmax))
-    if sc == 0.0:
-        return True
-    if abs(d) <= REL_TOL * sc:
-        return True
-    return float(np.min(rowmax)) <= 1e-30 * float(np.max(rowmax))
+    return float(rowmax.min()) <= 1e-30 * float(rowmax.max())
 
 
 def krein_matrix(family: FamilySpec, nodes: NodeSet) -> np.ndarray:
@@ -158,7 +159,7 @@ def wronskian(family: FamilySpec, k: int, x: float) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _pivot_moves(nr: int) -> tuple:
-    """Index tables for null_vector's elimination on n = nr rows.
+    """Index tables for _eliminate_stack on n = nr rows.
 
     The working array is (nr + 2) x (nr + 1): the matrix, a row of column
     labels and a parity row.  gathers[k, f] is the index array that moves
@@ -195,35 +196,107 @@ def null_vector(B: np.ndarray) -> np.ndarray:
 
     The cofactor vector c has r.c = det([r; B]) for every row r, so it is
     the coefficient vector of the polynomial vanishing at the nodes, with
-    the sign of the bordered determinant.  Full-pivot elimination in long
-    double, each matrix with its own pivots: the entry at perm[n] is
-    (-1)^n det(B without that column), and that det is the product of the
-    pivots, negated once per row or column swap.  One matrix (B.ndim == 2)
-    is eliminated entry by entry on long-double scalars (_null_vector_one):
-    at these sizes numpy's per-call overhead costs more than the arithmetic.
-    A stack is eliminated all at once, each step's swaps one gather from the
-    tables of _pivot_moves, which carry the column permutation and the swap
-    parity along.  Both do the same arithmetic in the same order; a matrix
-    in which a NaN turns up goes the stacked way, where numpy's argmax takes
-    the first NaN as pivot.
+    the sign of the bordered determinant.  One matrix is eliminated on
+    long-double scalars (_eliminate_one): at these sizes numpy's per-call
+    overhead costs more than the arithmetic.  A stack, or a matrix in which
+    a NaN turns up, is eliminated all at once (_eliminate_stack).
     """
     B = np.asarray(B, dtype=np.longdouble)
     nr, nc = B.shape[-2:]
     if B.ndim not in (2, 3) or nc != nr + 1:
         raise DimensionMismatch(f"expected n x (n+1) matrix or a stack of them, got {B.shape}")
-    one = B.ndim == 2
-    if one:
-        a = _null_vector_one(B.tolist(), nr)
-        if a is not None:
-            return a
-        B = B[None]
+    run = _eliminate_one(B.tolist(), nr) if B.ndim == 2 else None
+    if run is not None:
+        x, perm, d = run
+        if d == 0:
+            return np.zeros(nc)
+        a = [0.0] * nc
+        for k, p in enumerate(perm):
+            a[p] = float(x[k])
+        norm = max(abs(v) for v in a)
+        sign = -1.0 if d < 0 else 1.0
+        a = [v / norm * sign for v in a]
+        if all(v == v for v in a):
+            return np.array(a)
+    x, perm, d = _eliminate_stack(B.reshape((-1, nr, nc)))
+    a = np.empty(x.shape)
+    np.put_along_axis(a, perm, x, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a /= np.abs(a).max(axis=-1, keepdims=True)
+        a *= np.sign(d)[:, None]
+    a[d == 0] = 0.0
+    return a if B.ndim == 3 else a[0]
+
+
+def _eliminate_one(rows: list, nr: int):
+    """Full-pivot long-double elimination of one n x (n+1) matrix, given as
+    nr lists of long-double scalars (modified in place): (x, perm, d), with
+    the cofactor vector C[perm[k]] = d x[k], d = 0 for a rank-deficient
+    matrix; None if a NaN turns up.
+
+    The pivot is the first entry of largest magnitude of the trailing block
+    in row-major order, as numpy's argmax picks it; each row r below the
+    pivot row p becomes r - (r[k]/piv) p.  x is the back-substituted null
+    vector with x[n] = 1, its sums taken from zero as numpy's long-double
+    matmul takes them.  C[perm[n]] = (-1)^n det(B without that column) is
+    d, the product of the pivots negated once per row or column swap.
+    """
+    nc = nr + 1
+    perm = list(range(nc))
+    d = -1.0 if nr % 2 else 1.0  # long double from the first pivot on
+    for k in range(nr):
+        best, pi, pj = -1.0, k, k
+        for i in range(k, nr):
+            r = rows[i]
+            for j in range(k, nc):
+                v = abs(r[j])
+                if v > best:
+                    best, pi, pj = v, i, j
+                elif v != v:
+                    return None
+        if pi != k:
+            rows[k], rows[pi] = rows[pi], rows[k]
+            d = -d
+        if pj != k:
+            for r in rows:
+                r[k], r[pj] = r[pj], r[k]
+            perm[k], perm[pj] = perm[pj], perm[k]
+            d = -d
+        top = rows[k]
+        piv = top[k]
+        if piv == 0:
+            return None, perm, 0.0
+        d = d * piv
+        for r in rows[k + 1 :]:
+            f = r[k] / piv
+            for j in range(k + 1, nc):
+                r[j] = r[j] - f * top[j]
+    x = [0.0] * nc
+    x[nr] = _LD1
+    for k in range(nr - 1, -1, -1):
+        r = rows[k]
+        s = _LD0
+        for j in range(k + 1, nc):
+            s = s + r[j] * x[j]
+        x[k] = s / -r[k]
+    return x, perm, d
+
+
+def _eliminate_stack(B: np.ndarray):
+    """_eliminate_one on a stack k x n x (n+1), each matrix with its own
+    pivots, in the same arithmetic and order: (x, perm, d) as k x (n+1),
+    k x (n+1) and k arrays.  Each step's swaps are one gather from the
+    tables of _pivot_moves, which carry the column permutation and the swap
+    parity along.  A matrix in which a NaN turns up keeps it: numpy's
+    argmax takes the first NaN as pivot.
+    """
+    nr, nc = B.shape[-2:]
     gathers, start = _pivot_moves(nr)
     lead = B.shape[:-2]
     M = np.empty(lead + start.shape, dtype=np.longdouble)
     M[...] = start
     M[..., :nr, :] = B
-    # indices of the stacked matrices, for gathering and scattering per matrix
-    mats = np.arange(len(B))[:, None, None]
+    mats = np.arange(len(B))[:, None, None]  # gathers per matrix
     # a rank-deficient matrix meets a zero pivot; its NaNs stay in its row
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(nr):
@@ -242,73 +315,8 @@ def null_vector(B: np.ndarray) -> np.ndarray:
         for k in range(nr - 1, -1, -1):
             np.divide(np.matmul(M[..., k : k + 1, k + 1 : nc], x[..., k + 1 :, :]), neg_piv[..., k, :, :],
                       out=x[..., k : k + 1, :])
-        a = np.empty(lead + (nc,))
-        a[mats[..., 0], M[..., nr, :].astype(np.intp)] = x[..., 0]
-        a /= np.abs(a).max(axis=-1, keepdims=True)
-        a *= (M[..., nr + 1, 0] * np.sign(piv).prod(axis=-1))[..., None]
-    if not piv.all():
-        a[~piv.all(axis=-1)] = 0.0
-    return a[0] if one else a
-
-
-def _null_vector_one(rows: list, nr: int):
-    """null_vector of one matrix, given as nr lists of long-double scalars
-    (modified in place), or None if a NaN turns up.
-
-    The pivot is the first entry of largest magnitude of the trailing block
-    in row-major order, as numpy's argmax picks it.  Each row r below the
-    pivot row p becomes r - (r[k]/piv) p, and the back substitution sums
-    from zero, as numpy's long-double matmul does.
-    """
-    nc = nr + 1
-    perm = list(range(nc))
-    negate = nr % 2 == 1
-    for k in range(nr):
-        best, pi, pj = -1.0, k, k
-        for i in range(k, nr):
-            r = rows[i]
-            for j in range(k, nc):
-                v = abs(r[j])
-                if v > best:
-                    best, pi, pj = v, i, j
-                elif v != v:
-                    return None
-        if pi != k:
-            rows[k], rows[pi] = rows[pi], rows[k]
-            negate = not negate
-        if pj != k:
-            for r in rows:
-                r[k], r[pj] = r[pj], r[k]
-            perm[k], perm[pj] = perm[pj], perm[k]
-            negate = not negate
-        top = rows[k]
-        piv = top[k]
-        if piv == 0:
-            return np.zeros(nc)
-        if piv < 0:
-            negate = not negate
-        for r in rows[k + 1 :]:
-            f = r[k] / piv
-            for j in range(k + 1, nc):
-                r[j] = r[j] - f * top[j]
-    x = [0.0] * nc
-    x[nr] = np.longdouble(1.0)
-    zero = np.longdouble(0.0)
-    for k in range(nr - 1, -1, -1):
-        r = rows[k]
-        s = zero
-        for j in range(k + 1, nc):
-            s = s + r[j] * x[j]
-        x[k] = s / -r[k]
-    a = [0.0] * nc
-    for k, p in enumerate(perm):
-        a[p] = float(x[k])
-    norm = max(abs(v) for v in a)
-    sign = -1.0 if negate else 1.0
-    a = [v / norm * sign for v in a]
-    if any(v != v for v in a):
-        return None
-    return np.array(a)
+        d = np.where(piv.all(axis=-1), M[..., nr + 1, 0] * piv.prod(axis=-1), 0.0)
+    return x[..., 0], M[..., nr, :].astype(np.intp), d
 
 
 def null_vector_tangent(B: np.ndarray, a: np.ndarray, rows, second: np.ndarray) -> np.ndarray:
@@ -512,11 +520,13 @@ def _canonical_sign(family: FamilySpec, lo: float, hi: float) -> np.ndarray:
     return sign
 
 
-def _bisect_vanishing(family, tup_lo, tup_hi, sign, d_lo, d_hi):
+def _bisect_vanishing(family, tup_lo, tup_hi, sign, d_lo):
     """Bisect between two sorted node tuples until the determinant vanishes.
 
     Each midpoint is evaluated with its own coincidence pattern; the sign of
     the starred determinant is continuous along sorted interpolation paths.
+    The bisection stops once the midpoint tuple equals the tuple at an end
+    of the bracket: float64 cannot split the bracket any further.
     """
     a = np.array(tup_lo, dtype=float)
     b = np.array(tup_hi, dtype=float)
@@ -527,16 +537,18 @@ def _bisect_vanishing(family, tup_lo, tup_hi, sign, d_lo, d_hi):
         return mid, rows, det(rows)
 
     t0, t1 = 0.0, 1.0
+    ends = [a, b]  # the tuples at t0 and t1
     for _ in range(100):
         tm = (t0 + t1) / 2
         mid, rows, dm = at(tm)
-        rowmax = np.max(np.abs(rows), axis=1)
-        if dm == 0.0 or np.min(rowmax) <= 1e-30 * max(np.max(rowmax), 1e-300):
+        if dm == 0.0 or _collapsed(rows):
             return mid, True
+        if any(np.array_equal(mid, e) for e in ends):
+            break
         if (dm > 0) == (d_lo > 0):
-            t0 = tm
+            t0, ends[0] = tm, mid
         else:
-            t1 = tm
+            t1, ends[1] = tm, mid
     # bracket collapsed; confirm the crossing is real (not determinant noise)
     ts = (t0 + t1) / 2
     delta = 1e-5
@@ -564,13 +576,11 @@ def _tuple_to_nodeset(tup) -> NodeSet:
 
 
 def _orders_of(tup) -> list:
-    orders = []
-    prev = None
-    k = 0
-    for x in tup:
-        k = k + 1 if prev is not None and x == prev else 0
-        orders.append(k)
-        prev = x
+    """Derivative order of each point of a sorted tuple: equal points before it."""
+    orders = [0] * len(tup)
+    for i in range(1, len(tup)):
+        if tup[i] == tup[i - 1]:
+            orders[i] = orders[i - 1] + 1
     return orders
 
 
@@ -584,19 +594,12 @@ def _certify_tuples(family, xs, target, sign, budget, seed, window) -> SystemCer
     tables = np.stack([family.eval_grid(xs, k) * sign for k in range(max_order + 1)])
     row_norms = np.max(np.abs(tables), axis=2)  # gathered like the rows, for det_scale
 
-    if target == "T":
-        count = math.comb(grid, n + 1)
-    else:
-        count = math.comb(grid + n, n + 1)
+    count = math.comb(grid, n + 1) if target == "T" else math.comb(grid + n, n + 1)
     rng = np.random.default_rng(seed)
     exhaustive = count <= budget
     if exhaustive:
-        it = (
-            itertools.combinations(range(grid), n + 1)
-            if target == "T"
-            else itertools.combinations_with_replacement(range(grid), n + 1)
-        )
-        tuples = np.array(list(it), dtype=int)
+        pick = itertools.combinations if target == "T" else itertools.combinations_with_replacement
+        tuples = np.array(list(pick(range(grid), n + 1)), dtype=int)
     else:
         if target == "T":
             draws = rng.integers(0, grid, size=(int(budget * 1.2), n + 1))
@@ -648,26 +651,21 @@ def _certify_tuples(family, xs, target, sign, budget, seed, window) -> SystemCer
             rws = family.eval_grid(tup_x, oo[si]) * sign
             d = det(rws)
             sc = det_scale(rws)
-            rowmax = np.max(np.abs(rws), axis=1)
-            collapsed = float(np.min(rowmax)) <= 1e-30 * max(float(np.max(rowmax)), 1e-300)
-            if d == 0.0 or sc == 0.0 or collapsed:
+            if d == 0.0 or sc == 0.0 or _collapsed(rws):
                 counterexample = _tuple_to_nodeset(tup_x)
                 min_scaled = min(min_scaled, 0.0 if sc <= 0 else abs(d) / sc)
                 break
             if d < 0 and ref_x is not None and abs(d) >= 1e-13 * sc:
-                mid, sound = _bisect_vanishing(family, ref_x, tup_x, sign, ref_det, d)
+                mid, sound = _bisect_vanishing(family, ref_x, tup_x, sign, ref_det)
                 if sound:
                     counterexample = _tuple_to_nodeset(mid)
                     break
         if counterexample is not None:
             break
 
-    if counterexample is not None:
-        return SystemCertificate(
-            "none", min_scaled, counterexample, tuple(sign), len(xs), seed, exhaustive, window
-        )
+    level = target if counterexample is None else "none"
     return SystemCertificate(
-        target, min_scaled, None, tuple(sign), len(xs), seed, exhaustive, window
+        level, min_scaled, counterexample, tuple(sign), len(xs), seed, exhaustive, window
     )
 
 
@@ -675,7 +673,7 @@ def _wronskians(tables, k: int) -> tuple[np.ndarray, np.ndarray]:
     """W(f_0..f_k) and its det_scale at every grid point, where tables[j]
     holds f^(j) on the grid (one row per point)."""
     mats = np.stack(tables[: k + 1], axis=-1)[:, : k + 1]  # [gi, i, j] = f_i^(j)
-    return np.array([det(m) for m in mats]), np.array([det_scale(m) for m in mats])
+    return det(mats), np.prod(np.max(np.abs(mats), axis=-1), axis=-1)
 
 
 def _certify_ect(family, xs, sign, seed, window) -> SystemCertificate:
@@ -693,13 +691,13 @@ def _certify_ect(family, xs, sign, seed, window) -> SystemCertificate:
             # refine by bisection toward an actual sign change when available
             if 0 < gi < len(xs) - 1 and vals[gi - 1] > 0 > vals[min(gi + 1, len(xs) - 1)]:
                 lo_x, hi_x = xs[gi - 1], xs[gi + 1]
-                for _ in range(200):
-                    mid = (lo_x + hi_x) / 2
-                    if wronskian(family, k, mid) > 0:
-                        lo_x = mid
-                    else:
-                        hi_x = mid
                 x_bad = (lo_x + hi_x) / 2
+                while x_bad not in (lo_x, hi_x):  # until float64 cannot split the bracket
+                    if wronskian(family, k, x_bad) > 0:
+                        lo_x = x_bad
+                    else:
+                        hi_x = x_bad
+                    x_bad = (lo_x + hi_x) / 2
             ce = NodeSet(((float(x_bad), k + 1),))
             return SystemCertificate(
                 "none", float(scaled.min()), ce, tuple(sign), len(xs), seed, True, window

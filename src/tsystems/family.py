@@ -207,7 +207,8 @@ class _PowerPlan:
 @functools.lru_cache(maxsize=256)
 def _power_plan(variant: str, params: tuple) -> _PowerPlan:
     """The shared evaluation plan of every power/monomial FamilySpec with these
-    params, such as the sub-families the extremal patterns build per call."""
+    params, such as the sub-families the extremal patterns build per call.
+    Callers key it on the params as a float tuple, so an array of them works."""
     return _PowerPlan(params)
 
 
@@ -287,7 +288,7 @@ class FamilySpec:
         """All members at once on a flat array of in-domain points; ``order``
         is an int or an int array with one order per point."""
         if self.variant in ("power", "monomial"):
-            return _power_plan(self.variant, self.params).eval(flat, order)
+            return _power_plan(self.variant, tuple(map(float, self.params))).eval(flat, order)
         mixed = isinstance(order, np.ndarray)
         if self.variant == "exponential":
             alphas = np.asarray(self.params, dtype=float)

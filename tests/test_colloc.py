@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -309,6 +310,69 @@ def test_null_vector_stack_matches_loop_elimination(n):
         ref = _loop_null_vector(B).view(np.int64)  # the sign of a zero too
         assert np.array_equal(row.view(np.int64), ref) and np.array_equal(null_vector(B).view(np.int64), ref)
     assert not got[2].any() and not got[5].any()
+
+
+def _mp_det(M):
+    """50-digit determinant of a float matrix (1 for 0 x 0)."""
+    if len(M) == 0:
+        return mpmath.mpf(1)
+    with mpmath.workdps(50):
+        return mpmath.det(mpmath.matrix(np.asarray(M, dtype=float).tolist()))
+
+
+def _reference_matrices():
+    """Random square matrices of dimension 1-12 with row scales 1e-3 to 1e3,
+    and confluent node matrices of power and monomial families."""
+    rng = np.random.default_rng(16)
+    for n in range(1, 13):
+        for _ in range(6):
+            yield rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    fam = power_family([0.0, 0.5, 1.5, 2.5, 4.0, 5.0, 6.5], interval(0.1, 1.2))
+    for nodes in (((0.3, 2), (0.7, 3), (1.1, 2)), ((0.5, 4), (0.9, 3)),
+                  ((0.2, 1), (0.6, 2), (0.8, 2), (1.0, 2))):
+        yield node_rows(fam, nodes)
+    yield node_rows(monomial_family(list(range(8)), interval(-1, 1)), ((-0.5, 3), (0.0, 2), (0.5, 3)))
+    yield node_rows(monomial_family(list(range(12)), interval(-1, 1)),
+                    ((-0.9, 3), (-0.2, 3), (0.4, 3), (0.8, 3)))
+
+
+def test_det_and_cofactors_match_50_digit_reference():
+    # an oracle independent of the elimination: mpmath's determinant of the
+    # matrix and of the minors, C_j = (-1)^j det(B without column j)
+    for M in _reference_matrices():
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpf(det(M)) - _mp_det(M)) <= 1e-14 * det_scale(M)
+            B = M[1:]
+            C = [(-1) ** j * _mp_det(np.delete(B, j, axis=1)) for j in range(B.shape[1])]
+            c_max = max(abs(c) for c in C)
+            err = max(abs(mpmath.mpf(v) * c_max - c) for v, c in zip(null_vector(B), C))
+            assert err <= 1e-14 * (det_scale(B) if len(B) else 1.0)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_det_stack_matches_one_matrix_bitwise(n):
+    rng = np.random.default_rng(200 + n)
+    stack = rng.standard_normal((20, n, n)) * 10.0 ** rng.uniform(-3, 3, (20, n, 1))
+    stack[::4] = np.round(stack[::4])  # ties in the pivot search
+    stack[2, -1] = 2.0 * stack[2, -2] if n > 2 else 0.0  # singular below the first row
+    stack[5] = 0.0
+    got = det(stack)
+    assert got.shape == (20,) and got[2] == got[5] == 0.0
+    for M, d in zip(stack, got):
+        assert np.float64(det(M)).view(np.int64) == d.view(np.int64)
+
+
+def test_t_refutation_bisection_stops_when_float64_cannot_split(monkeypatch):
+    # {1, x, x^3} on [-a, b]: det = Vandermonde * (x_0 + x_1 + x_2), so the
+    # bisected counterexample is a tuple summing to about 0
+    monkeypatch.setattr(colloc, "_CERT_CACHE", {})
+    calls = []
+    real_det = colloc.det
+    monkeypatch.setattr(colloc, "det", lambda m: calls.append(1) or real_det(m))
+    cert = certify(monomial_family([0, 1, 3], interval(-0.6, 0.8)), "T")
+    assert cert.level == "none" and len(calls) <= 64
+    pts = [p for p, _ in cert.counterexample.nodes]
+    assert len(pts) == 3 and abs(sum(pts)) <= 1e-15
 
 
 def test_reduced_system_monomials():

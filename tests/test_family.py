@@ -247,3 +247,12 @@ def test_monomial_family_accepts_integral_floats_and_numpy_ints():
     fam = monomial_family([0, 1.0, np.int64(2)], interval(0, 1))
     assert fam.params == (0, 1, 2)
     assert all(type(d) is int for d in fam.params)
+
+
+@pytest.mark.parametrize("variant", ["power", "monomial"])
+def test_array_params_evaluate_as_their_tuple(variant):
+    # params given as an array, as exponential and rational families take them
+    xs, orders = [0.25, 0.5, 0.5, 1.0], [0, 0, 1, 2]
+    fam = FamilySpec(variant, np.array([0.0, 1.0, 2.0]), interval(0, 1))
+    ref = FamilySpec(variant, (0.0, 1.0, 2.0), interval(0, 1))
+    assert np.array_equal(fam.eval_grid(xs, orders).view(np.int64), ref.eval_grid(xs, orders).view(np.int64))
