@@ -692,8 +692,9 @@ def _certify_ect(family, xs, sign, seed, window) -> SystemCertificate:
             if 0 < gi < len(xs) - 1 and vals[gi - 1] > 0 > vals[min(gi + 1, len(xs) - 1)]:
                 lo_x, hi_x = xs[gi - 1], xs[gi + 1]
                 x_bad = (lo_x + hi_x) / 2
+                signed = float(np.prod(sign[: k + 1]))  # the scan's orientation
                 while x_bad not in (lo_x, hi_x):  # until float64 cannot split the bracket
-                    if wronskian(family, k, x_bad) > 0:
+                    if signed * wronskian(family, k, x_bad) > 0:
                         lo_x = x_bad
                     else:
                         hi_x = x_bad

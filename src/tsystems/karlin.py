@@ -891,9 +891,10 @@ def _lukacs_realline(q: np.ndarray):
     d = len(q) - 1
     if d == 0:
         return q[0], 0.0, (), (), q.copy(), np.array([])
+    # A has degree d/2 and B degree d/2 - 1 (its top is exactly 0): cut
+    # there, since a small leading coefficient is still the polynomial's
     A, Bc = _hb_split(q)
-    A = _trim(A, 1e-13)
-    Bc = _trim(Bc, 1e-13)
+    A, Bc = A[: d // 2 + 1], Bc[: d // 2]
     xs = _real_roots_polished(A) if len(A) > 1 else np.array([])
     ys = _real_roots_polished(Bc) if len(Bc) > 1 else np.array([])
     fl = np.convolve(A, A)
@@ -901,11 +902,16 @@ def _lukacs_realline(q: np.ndarray):
     return A[-1] ** 2, (Bc[-1] ** 2 if len(Bc) else 0.0), xs, ys, fl, fu
 
 
-def _even_odd_parts(C: np.ndarray):
-    """C(t) = E(t^2) + t*O(t^2); returns (E, O) in the squared variable."""
-    E = C[0::2].copy()
-    O = C[1::2].copy()
-    return _trim(E, 1e-11), _trim(O, 1e-11)
+def _parity_parts(Q: np.ndarray, d: int):
+    """(F, G) with Q(t) = F(t^2)^2 + t^2 G(t^2)^2 for an even Q > 0 of
+    degree 2d.  Of the Hermite-Biehler factors of Q, the one of degree d,
+    A, is even for even d and odd otherwise, and B the other way round; F
+    takes the even one's coefficients in t^2 and G the odd one's over t,
+    cut at their degrees by construction, d//2 and (d+1)//2 - 1.
+    """
+    A, Bc = _hb_split(Q)
+    even, odd = (A, Bc) if d % 2 == 0 else (Bc, A)
+    return even[0::2][: d // 2 + 1], odd[1::2][: (d + 1) // 2]
 
 
 def _lukacs_halfline(q: np.ndarray):
@@ -914,14 +920,7 @@ def _lukacs_halfline(q: np.ndarray):
         return q[0], 0.0, (), (), q.copy(), np.array([])
     Q = np.zeros(2 * d + 1)
     Q[0::2] = q  # Q(t) = q(t^2)
-    A, Bc = _hb_split(Q)
-    EA, OA = _even_odd_parts(A)
-    EB, OB = _even_odd_parts(Bc)
-    # one of A, B is even (the F part), the other odd (the sqrt(x) G part)
-    evenA = (np.max(np.abs(EA)) if len(EA) else 0) >= (np.max(np.abs(OA)) if len(OA) else 0)
-    F = EA if evenA else EB
-    G = OA if not evenA else OB
-    # q = F(x)^2 + x*G(x)^2
+    F, G = _parity_parts(Q, d)  # q = F(x)^2 + x*G(x)^2
     xs = _real_roots_polished(F) if len(F) > 1 else np.array([])
     ys = _real_roots_polished(G) if len(G) > 1 else np.array([])
     sq = np.convolve(F, F)
@@ -949,12 +948,7 @@ def _lukacs_interval(q: np.ndarray, a: float, b: float):
         R[: len(term)] += qk * term
     Q = np.zeros(2 * d + 1)
     Q[0::2] = R
-    A, Bc = _hb_split(Q)
-    EA, OA = _even_odd_parts(A)
-    EB, OB = _even_odd_parts(Bc)
-    evenA = (np.max(np.abs(EA)) if len(EA) else 0) >= (np.max(np.abs(OA)) if len(OA) else 0)
-    F = EA if evenA else EB  # even part: plain square in u
-    G = OA if not evenA else OB  # odd part: u-weighted square
+    F, G = _parity_parts(Q, d)  # plain square in u, u-weighted square
 
     def lift(H: np.ndarray, top: int) -> np.ndarray:
         """sum H_k (x-a)^k (b-x)^(top-k) as dense ascending coefficients."""

@@ -7,11 +7,12 @@ tolerance is the witness.  Otherwise the dual minimizes L over the extremal
 nonnegative polynomials (index-n zero patterns) by the search of
 ``extremal``, a gradient search on the zero positions seeded with the
 engine's atoms; a negative minimum that passes the soundness checks here is
-the certificate.  One phase-1 LP on the engine's grid runs only where its
-output is read: its separating functional seeds the dual when the atoms are
-too few, and its value is the gap reported when neither side passes and
-the verdict is undecided; a numeric tool must admit a gap since the exact
-conditions quantify over continua.
+the certificate.  The grid fit is its own dual certificate: with NNLS
+residual r = s - A w, the optimality conditions give A^T r <= 0 and
+w . A^T r = 0, so p = -sum r_i f_i is >= 0 on the grid and L(p) = -|r|^2.
+p's near-zero minima are further seeds of the search, and |r| is the gap
+reported when neither side passes and the verdict is undecided; a numeric
+tool must admit a gap since the exact conditions quantify over continua.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares, linprog, nnls
+from scipy.optimize import least_squares, nnls
 
 from .errors import NonDifferentiable, NotFeasible, TooShort, TSystemError
-from .extremal import _interior, _patterns_for, _search_window, extremal_test_polys, search
+from .extremal import _search_window, extremal_test_polys, search
 from .family import CLOSED_INTERVAL, REAL_LINE, FamilySpec, halfline_xmax
 from .zeros import (
     NODAL,
@@ -100,6 +101,14 @@ class AtomicMeasure:
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
+    """A feasibility verdict and its evidence.
+
+    ``gap`` by status: "feasible", the witness's moment residual (max-norm);
+    "infeasible", -L(certificate); "undecided", |r|, the 2-norm of the
+    engine's grid NNLS residual r, which is -L(p) up to the NNLS tolerance
+    for p with coefficients -r/|r|, nonnegative on the engine's grid.
+    """
+
     status: str
     witness_measure: AtomicMeasure | None = None
     certificate_poly: SparsePoly | None = None
@@ -193,30 +202,6 @@ def _primal_grid(family: FamilySpec, points: int) -> np.ndarray:
         geo = family.domain.a + np.geomspace(1e-4, hi - family.domain.a, points // 4)
         return np.unique(np.concatenate([lin, geo]))
     return np.linspace(lo, hi, points)
-
-
-def _primal_lp(A: np.ndarray, s: np.ndarray):
-    """Phase-1 LP: min sum(u+ + u-) s.t. A w + u+ - u- = s, w >= 0.
-
-    Rows are equilibrated first; half-line moment curves span many decades.
-    Returns (w, gap, separating_direction): the dual marginals give a
-    functional nonpositive on the sampled moment curve with y . s = gap > 0
-    whenever the grid problem is infeasible.
-    """
-    r = np.maximum(np.max(np.abs(A), axis=1), np.abs(s))
-    r[r == 0] = 1.0
-    As = A / r[:, None]
-    ss = s / r
-    G, nv = A.shape[1], A.shape[0]
-    c = np.concatenate([np.zeros(G), np.ones(2 * nv)])
-    A_eq = np.hstack([As, np.eye(nv), -np.eye(nv)])
-    res = linprog(c, A_eq=A_eq, b_eq=ss, bounds=(0, None), method="highs")
-    if not res.success:
-        return None, math.inf, None
-    y = None
-    if res.eqlin is not None and res.eqlin.marginals is not None:
-        y = np.asarray(res.eqlin.marginals, dtype=float) / r
-    return res.x[:G], float(res.fun), y
 
 
 def caratheodory_prune(V: np.ndarray, w: np.ndarray, max_atoms: int):
@@ -538,13 +523,13 @@ def sparse_feasibility(
     from the node null vector (implicit differentiation of B a = 0),
     seeded by the engine's atoms, a coarse scan and ``starts`` random
     placements drawn from ``seed``; a certified negative value is an
-    infeasibility certificate.  The search reads at most m seeds for a
-    pattern with m free zeros, so the phase-1 LP on the engine's final
-    grid, whose dual marginals give further seeds, runs before the search
-    only when fewer than the largest m atoms lie inside the search window;
-    its value is the gap of an "undecided" verdict, so it runs (once) for
-    that too.  ``route`` names what decided the
-    verdict: "basis", "primal", "dual" or "none".
+    infeasibility certificate.  The engine's atoms come first among the
+    seeds, then the near-zero minima of p = -sum r_i f_i, r the residual of
+    its last grid NNLS fit; p is >= 0 on that grid, and the search reads at
+    most m seeds for a pattern with m free zeros, so p's seeds count only
+    where fewer atoms lie inside the search window.  An "undecided"
+    verdict's gap is |r|.  ``route`` names what decided the verdict:
+    "basis", "primal", "dual" or "none".
 
     Guarantee: an "infeasible" verdict carries a certificate p with
     L(p) < 0 that passed every check of ``_certificate_is_sound``:
@@ -572,47 +557,30 @@ def sparse_feasibility(
             if _certificate_is_sound(e, probes):
                 return FeasibilityVerdict(INFEASIBLE, None, e, float(-s[i]), hint, "basis")
 
-    pos, wts, res, xs = _shared_primal_atoms(family, s, grid, tol * scale)
+    pos, wts, res, xs, r = _shared_primal_atoms(family, s, grid, tol * scale)
     if res <= tol * scale and len(pos) <= family.size:
         witness = AtomicMeasure(tuple(zip(map(float, pos), map(float, wts))))
         return FeasibilityVerdict(FEASIBLE, witness, None, float(res), hint, "primal")
 
     # dual pass, seeded with the engine's atoms, which localize where a
-    # certificate must vanish; the search reads no more seeds than a
-    # pattern has free zeros, so the LP's seeds (certificate basins can be
-    # narrow) are read only when the atoms inside the window are fewer
-    seeds = [float(p) for p in pos]
-    gap = None
-    if len(_interior(family, seeds)) < max(m for _, m in _patterns_for(family)):
-        _, gap, y_dual = _primal_lp(family.eval_grid(xs).T, s)
-        seeds += _dual_seeds(family, y_dual, xs)
+    # certificate must vanish, then with the zeros of the grid certificate
+    # (certificate basins can be narrow)
+    seeds = [float(p) for p in pos] + _dual_seeds(family, r, xs)
     cert = _dual_search(L, tol=tol, seed=seed, starts=starts, theta_seeds=seeds)
     if cert is not None and _certificate_is_sound(cert[0], probes):
         return FeasibilityVerdict(INFEASIBLE, None, cert[0], float(-cert[1]), hint, "dual")
-    if gap is None:
-        _, gap, _ = _primal_lp(family.eval_grid(xs).T, s)
-    return FeasibilityVerdict(UNDECIDED, None, None, float(gap), hint)
+    return FeasibilityVerdict(UNDECIDED, None, None, float(np.linalg.norm(r)), hint)
 
 
-def _dual_seeds(family, y_dual, xs):
-    """Zero-placement seeds from the LP dual: the separating polynomial's
-    near-zero local minima mark where extremal certificates must vanish."""
-    if y_dual is None:
-        return []
-    q = -y_dual
-    vals = family.eval_grid(xs) @ q
-    if np.min(vals) < 0 and np.max(vals) > 0:
-        if -np.min(vals) > np.max(vals):
-            vals = -vals
-    big = float(np.max(np.abs(vals)))
-    if big == 0:
-        return []
-    mins = []
-    for i in range(1, len(xs) - 1):
-        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1] and vals[i] < 0.05 * big:
-            mins.append((vals[i], float(xs[i])))
-    mins.sort()
-    return [x for _, x in mins[:6]]
+def _dual_seeds(family, r, xs):
+    """Zero-placement seeds from the NNLS residual r on the grid xs: the
+    near-zero local minima of p = -sum r_i f_i, which is >= 0 there, mark
+    where extremal certificates must vanish."""
+    vals = family.eval_grid(xs) @ -r
+    inner = vals[1:-1]
+    near_zero = inner < 0.05 * np.max(np.abs(vals))
+    mins = 1 + np.flatnonzero((inner <= vals[:-2]) & (inner <= vals[2:]) & near_zero)
+    return [float(x) for x in xs[mins[np.argsort(vals[mins], kind="stable")[:6]]]]
 
 
 def _merge_atoms(pos, wts, rel=1e-6):
@@ -689,7 +657,7 @@ def recover_atoms(
     scale = float(np.max(np.abs(s)))
     if scale == 0.0:
         return AtomicMeasure(())
-    pos, wts, res, _ = _shared_primal_atoms(L.family, s, grid, tol * scale)
+    pos, wts, res, _, _ = _shared_primal_atoms(L.family, s, grid, tol * scale)
     if len(pos) == 0:
         raise NotFeasible("nonnegative least squares found no support")
     measure = AtomicMeasure(tuple(zip(map(float, pos), map(float, wts))))
@@ -728,11 +696,12 @@ def _shared_primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: 
 
 
 def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) -> tuple:
-    """(positions, weights, residual, final grid) of a primal witness.
+    """(positions, weights, residual, final grid, r) of a primal witness.
 
     Grid NNLS refined twice near its support, Caratheodory pruning, merge,
     polish, dropping tiny weights, polish again, and support reduction to
     the fewest atoms within ``abs_tol``.  No atoms if NNLS finds no support.
+    r = s - A w is the residual of the last NNLS fit, on the final grid.
     """
     lo = family.domain.window()[0]
     hi = None if family.domain.kind == "left_closed_halfline" else family.domain.window()[1]
@@ -751,10 +720,11 @@ def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) 
         xs = np.unique(np.concatenate([xs] + extra))
         xs = xs[(xs >= lo) & (xs <= (hi if hi is not None else np.inf))]
 
+    r = s - A @ w
     w = caratheodory_prune(A, w, family.size)
     idx = np.nonzero(w > 0)[0]
     if len(idx) == 0:
-        return np.zeros(0), np.zeros(0), float(np.max(np.abs(s))), xs
+        return np.zeros(0), np.zeros(0), float(np.max(np.abs(s))), xs, r
     merged = _merge_atoms(xs[idx], w[idx])
     pos = np.array([p for p, _ in merged])
     wts = np.array([w_ for _, w_ in merged])
@@ -764,7 +734,7 @@ def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) 
     if len(pos):
         pos, wts, res = _polish_atoms(family, s, pos, wts, lo, hi, abs_tol)
     pos, wts, res = _reduce_support(family, s, pos, wts, res, lo, hi, abs_tol)
-    return pos, wts, res, xs
+    return pos, wts, res, xs, r
 
 
 def _reduce_support(family, s, pos, wts, res, lo, hi, abs_tol):

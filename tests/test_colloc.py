@@ -188,6 +188,15 @@ def test_theory_route_agrees_with_grid_scan(case):
         assert theory.counterexample.nodes == ((0.0, fam.size),)
 
 
+def test_ect_refutation_bisects_the_signed_wronskian():
+    # the canonical sign flips x^3 on [-1, 0.5], so the scan sees -W(1, x, x^3)
+    # = -6x change sign at 0; the bisection must refine that same function
+    cert = certify(monomial_family([0, 1, 3], interval(-1, 0.5)), "ECT", grid=200)
+    assert cert.level == "none" and cert.canonical_sign[2] == -1
+    ((x, m),) = cert.counterexample.nodes
+    assert m == 3 and abs(x) <= 1e-12
+
+
 def test_theory_route_needs_increasing_params_and_a_positive_determinant():
     # FamilySpec skips validation; with exponents (2, 0, 1), W(f_0, f_1) = -2x
     fam = FamilySpec("power", (2.0, 0.0, 1.0), interval(0.5, 2.0))

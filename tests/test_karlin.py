@@ -279,19 +279,28 @@ def test_realline_small_top_coefficient():
     assert sides == ["l", "u"] * 3 + ["l"]
 
 
-@pytest.mark.parametrize("dom", [real_line(), halfline(0.0)], ids=["realline", "halfline"])
-def test_lukacs_keeps_small_leading_coefficient(dom):
-    # 1 + 1e-20 x^8 = 1 + 1e-8 (x / 10^1.5)^8, so the zeros of its parts are
-    # the 1e-8 ones times 10^1.5; dropping the top coefficient as noise would
-    # give the constant 1's decomposition, with no zeros and error 1e-20
-    pd = np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 1e-20])
+@pytest.mark.parametrize("dom,eps", [
+    pytest.param(real_line(), 1e-20, id="realline"),
+    pytest.param(halfline(0.0), 1e-20, id="halfline"),
+    pytest.param(real_line(), 1e-26, id="realline-1e-26"),
+    pytest.param(halfline(0.0), 1e-24, id="halfline-1e-24"),
+])
+def test_lukacs_keeps_small_leading_coefficient(dom, eps):
+    # 1 + eps x^8 = 1 + 1e-8 (x / c)^8 with c = (1e-8 / eps)^(1/8), so the
+    # zeros of its parts are the 1e-8 ones times c; dropping the top
+    # coefficient as noise would give the constant 1's decomposition, with
+    # no zeros and error eps.  So must the Hermite-Biehler factors keep
+    # their degree: on R at eps = 1e-26 the top coefficient of the square's
+    # factor is 1e-13 of its largest
+    pd = np.array([1.0, 0, 0, 0, 0, 0, 0, 0, eps])
     small = lukacs_decompose([1.0, 0, 0, 0, 0, 0, 0, 0, 1e-8], dom)
     tiny = lukacs_decompose(pd, dom)
-    assert tiny.alpha == pytest.approx(1e-20, rel=1e-12)
+    assert tiny.alpha == pytest.approx(eps, rel=1e-12)
     assert tiny.reconstruction_error <= 1e-14
+    assert len(tiny.xs) == 4
     for near, far in ((small.xs, tiny.xs), (small.ys, tiny.ys)):
         assert len(near) == len(far) > 0
-        assert np.allclose(np.array(near) * 10**1.5, far, rtol=1e-9, atol=1e-9)
+        assert np.allclose(np.array(near) * (1e-8 / eps) ** 0.125, far, rtol=1e-9, atol=1e-9)
     if dom.kind == "real_line":  # and the tangency solver agrees with it
         fam = monomial_family(list(range(9)), dom)
         _agrees_with_oracle(decompose_realline(SparsePoly(tuple(pd), fam)), pd)

@@ -441,40 +441,29 @@ def test_dual_search_builds_few_polys(monkeypatch):
     assert len(calls) <= 20
 
 
-def test_feasible_functional_solves_no_lp(monkeypatch):
-    # the primal engine decides a feasible functional; the phase-1 LP runs
-    # only when its output is read: its dual seeds when the engine leaves
-    # fewer atoms inside the window than a pattern has free zeros, its gap
-    # when the verdict is undecided
-    values = []
-    original = moments.linprog
-
-    def counting(*args, **kwargs):
-        res = original(*args, **kwargs)
-        values.append(res.fun)
-        return res
-
-    monkeypatch.setattr(moments, "linprog", counting)
+def test_feasible_functional_solves_no_lp():
+    # no LP at all: the residual r of the engine's grid NNLS fit gives the
+    # dual search's seeds after the engine's atoms, and an undecided gap
+    assert not hasattr(moments, "linprog")
     fam = power_family([0.0, 0.5, 3.0], interval(0.1, 1.2))
     v = sparse_feasibility(MomentFunctional.from_measure(fam, [(0.7, 0.8)]))
     assert (v.status, v.route) == ("feasible", "primal")
-    assert values == []
     # the engine's atom at 0.7 is the one seed the dual search reads
     L = perturbed_functional(fam, (0.7, 0.8), "interior_doubles")
     v = sparse_feasibility(L)
     assert (v.status, v.route) == ("infeasible", "dual")
-    assert values == []
-    # an atom at the window's end is no seed: the LP's seeds are read
+    # an atom at the window's end is no seed, nor is p's minimum there (the
+    # grid's last point): the coarse scan's starts find the certificate
     L = perturbed_functional(fam, (1.2, 0.8), "interior_doubles")
     assert sparse_feasibility(L).status == "infeasible"
-    assert len(values) == 1
-    # undecided: the gap reported is the LP's value
-    values.clear()
+    # undecided: the gap reported is |r|
     # (the moments of delta_0.5 over 1, x, ..., x^4 with s_0 lowered by 1e-7)
-    v = sparse_feasibility(MomentFunctional((1.0 - 1e-7, 0.5, 0.25, 0.125, 0.0625),
-                                            power_family([0.0, 1.0, 2.0, 3.0, 4.0], interval(0.0, 1.0))))
+    L = MomentFunctional((1.0 - 1e-7, 0.5, 0.25, 0.125, 0.0625),
+                         power_family([0.0, 1.0, 2.0, 3.0, 4.0], interval(0.0, 1.0)))
+    v = sparse_feasibility(L)
     assert v.status == "undecided" and v.route == "none"
-    assert len(values) == 1 and v.gap == values[0]
+    r = moments._primal_atoms(L.family, L.s, 2001, 1e-8 * float(np.max(np.abs(L.s))))[4]
+    assert v.gap == float(np.linalg.norm(r)) > 0
 
 
 def test_search_yields_each_end_point_once(monkeypatch):
@@ -593,7 +582,7 @@ def test_memoized_engine_result_is_read_only():
     s = MomentFunctional.from_measure(fam, [(0.45, 0.6)]).s
     first = moments._shared_primal_atoms(fam, s, 2001, 1e-8)
     kept = [np.array(part) for part in first]
-    for part in (first[0], first[1], first[3]):
+    for part in (first[0], first[1], first[3], first[4]):
         with pytest.raises(ValueError):
             part[0] = 0.5
     again = moments._shared_primal_atoms(fam, s, 2001, 1e-8)
@@ -667,3 +656,31 @@ def test_atomic_functionals_are_feasible(L):
     assert 1 <= len(v.witness_measure.atoms) <= L.family.order
     res = np.max(np.abs(v.witness_measure.moments(L.family) - L.s))
     assert res <= tol * np.max(np.abs(L.s))
+
+
+@st.composite
+def functionals_around_the_cone(draw):
+    """An atomic functional, kept or moved off along a random direction by
+    up to 1e-1 of its scale (inside and outside the cone)."""
+    L = draw(atomic_functionals())
+    size = draw(st.sampled_from([0.0, 1e-6, 1e-3, 1e-1]))
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=L.family.size,
+                               max_size=L.family.size)))
+    return L.s + size * float(np.max(np.abs(L.s))) * u, L.family
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(functionals_around_the_cone())
+def test_nnls_residual_is_a_grid_certificate(case):
+    # the KKT conditions of the engine's grid fit min |s - A w|, w >= 0:
+    # A^T r <= 0 (p = -sum r_i f_i >= 0 on the grid) and w . A^T r = 0,
+    # so s . r = |r|^2, i.e. L(p) = -|r|^2; both to 1e-6 of |r|, above the
+    # rounding of r = s - A w itself, about 1e-13 |s| (a fit inside the cone
+    # leaves r at that level)
+    s, fam = case
+    _, _, _, xs, r = moments._primal_atoms(fam, s, 2001, 1e-8 * float(np.max(np.abs(s))))
+    A = fam.eval_grid(xs).T
+    norm, snorm = float(np.linalg.norm(r)), float(np.linalg.norm(s))
+    slack = 1e-6 * norm + 1e-13 * snorm
+    assert np.min(-(A.T @ r)) >= -slack * float(np.max(np.linalg.norm(A, axis=0)))
+    assert abs(float(s @ r) - norm**2) <= slack * snorm
