@@ -430,8 +430,9 @@ def certify(
     Everything else takes route ``"grid"``.  ECT is a deterministic scan of
     the n+1 Wronskian functions with sign-change bisection.  T and ET sample
     ordered node tuples: all of them when the count fits the budget,
-    otherwise ``budget`` random sorted tuples (fixed seed), always including
-    the full diagonal (x, ..., x) scan for ET.
+    otherwise ``budget`` random sorted tuples (fixed seed, drawn chunk by
+    chunk as they are screened), always including the full diagonal
+    (x, ..., x) scan for ET.
     """
     target = target.upper()
     if target not in ("T", "ET", "ECT"):
@@ -594,41 +595,19 @@ def _certify_tuples(family, xs, target, sign, budget, seed, window) -> SystemCer
     tables = np.stack([family.eval_grid(xs, k) * sign for k in range(max_order + 1)])
     row_norms = np.max(np.abs(tables), axis=2)  # gathered like the rows, for det_scale
 
-    count = math.comb(grid, n + 1) if target == "T" else math.comb(grid + n, n + 1)
-    rng = np.random.default_rng(seed)
-    exhaustive = count <= budget
-    if exhaustive:
-        pick = itertools.combinations if target == "T" else itertools.combinations_with_replacement
-        tuples = np.array(list(pick(range(grid), n + 1)), dtype=int)
-    else:
-        if target == "T":
-            draws = rng.integers(0, grid, size=(int(budget * 1.2), n + 1))
-            draws.sort(axis=1)
-            keep = np.all(np.diff(draws, axis=1) > 0, axis=1)
-            tuples = draws[keep][:budget]
-        else:
-            draws = rng.integers(0, grid, size=(budget, n + 1))
-            draws.sort(axis=1)
-            # Diagonal tuples first: confluent failures (e.g. a flat
-            # Wronskian point) live on the diagonal.
-            diag = np.tile(np.arange(grid)[:, None], (1, n + 1))
-            tuples = np.vstack([diag, draws])
-
-    orders = np.zeros_like(tuples)
-    if target == "ET":
-        same = tuples[:, 1:] == tuples[:, :-1]
-        for c in range(1, n + 1):
-            orders[:, c] = np.where(same[:, c - 1], orders[:, c - 1] + 1, 0)
-
+    chunks = _tuple_chunks(grid, n, target, budget, seed)
+    exhaustive = next(chunks)
     min_scaled = math.inf
     ref_x = None
     ref_det = 0.0
     counterexample = None
 
-    chunk = 20_000
-    for start in range(0, len(tuples), chunk):
-        tt = tuples[start : start + chunk]
-        oo = orders[start : start + chunk]
+    for tt in chunks:
+        oo = np.zeros_like(tt)
+        if target == "ET":
+            same = tt[:, 1:] == tt[:, :-1]
+            for c in range(1, n + 1):
+                oo[:, c] = np.where(same[:, c - 1], oo[:, c - 1] + 1, 0)
         rows = tables[oo, tt, :]  # (B, n+1, n+1)
         dets = np.linalg.det(rows)
         scales = np.prod(row_norms[oo, tt], axis=1)
@@ -667,6 +646,48 @@ def _certify_tuples(family, xs, target, sign, budget, seed, window) -> SystemCer
     return SystemCertificate(
         level, min_scaled, counterexample, tuple(sign), len(xs), seed, exhaustive, window
     )
+
+
+def _tuple_chunks(grid: int, n: int, target: str, budget: int, seed: int):
+    """Whether the screen of ``_certify_tuples`` is exhaustive, then its
+    node-index tuples, a chunk at a time.
+
+    Every sorted tuple when their count fits the budget, 20,000 a chunk.
+    Otherwise ``budget`` random sorted tuples from ``seed`` (for ET after the
+    diagonal tuples (x, ..., x), where confluent failures such as a flat
+    Wronskian point live), drawn as they are screened, in the order of one
+    draw of them all: 1,000 first, where a refutation mostly ends, then
+    20,000 a chunk.
+    """
+    count = math.comb(grid, n + 1) if target == "T" else math.comb(grid + n, n + 1)
+    size = 20_000
+    if count <= budget:
+        yield True
+        pick = itertools.combinations if target == "T" else itertools.combinations_with_replacement
+        tuples = np.array(list(pick(range(grid), n + 1)), dtype=int)
+        yield from (tuples[i : i + size] for i in range(0, len(tuples), size))
+        return
+    yield False
+    size = 1_000
+    rng = np.random.default_rng(seed)
+    # T keeps the strictly increasing tuples among 1.2 * budget draws
+    draws = int(budget * 1.2) if target == "T" else budget
+    rows = np.tile(np.arange(grid)[:, None], (1, n + 1))[: grid if target == "ET" else 0]
+    left = budget + len(rows)
+    while left > 0:
+        block = rng.integers(0, grid, size=(min(size, draws), n + 1))
+        draws -= len(block)
+        block.sort(axis=1)
+        if target == "T":
+            block = block[np.all(np.diff(block, axis=1) > 0, axis=1)]
+        rows = np.concatenate([rows, block])
+        while left > 0 and len(rows) and (len(rows) >= size or draws == 0):
+            out, rows = rows[: min(size, left)], rows[min(size, left) :]
+            left -= len(out)
+            size = 20_000
+            yield out
+        if draws == 0:
+            return
 
 
 def _wronskians(tables, k: int) -> tuple[np.ndarray, np.ndarray]:

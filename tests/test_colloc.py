@@ -384,6 +384,46 @@ def test_t_refutation_bisection_stops_when_float64_cannot_split(monkeypatch):
     assert len(pts) == 3 and abs(sum(pts)) <= 1e-15
 
 
+@pytest.mark.parametrize("target", ["T", "ET"])
+def test_tuple_chunks_are_one_draw_in_order(target):
+    # the chunks are the tuples of one draw of them all, in order: for T the
+    # strictly increasing ones among 1.2 * budget draws, for ET the diagonal
+    # and then budget draws
+    grid, n, budget, seed = 101, 2, 45_000, 4
+    chunks = colloc._tuple_chunks(grid, n, target, budget, seed)
+    assert next(chunks) is False
+    got = list(chunks)
+    assert [len(c) for c in got[:2]] == [1_000, 20_000]
+    rng = np.random.default_rng(seed)
+    draws = rng.integers(0, grid, size=(int(budget * 1.2) if target == "T" else budget, n + 1))
+    draws.sort(axis=1)
+    if target == "T":
+        expected = draws[np.all(np.diff(draws, axis=1) > 0, axis=1)][:budget]
+    else:
+        expected = np.vstack([np.tile(np.arange(grid)[:, None], (1, n + 1)), draws])
+    assert np.array_equal(np.concatenate(got), expected)
+    # a count within the budget: every sorted tuple
+    chunks = colloc._tuple_chunks(6, n, target, budget, seed)
+    assert next(chunks) is True
+    assert len(np.concatenate(list(chunks))) == math.comb(6 + (0 if target == "T" else n), n + 1)
+
+
+def test_t_refutation_screens_only_its_first_chunk(monkeypatch):
+    monkeypatch.setattr(colloc, "_CERT_CACHE", {})
+    screened = []
+    real = colloc._tuple_chunks
+
+    def counting(*args):
+        for chunk in real(*args):
+            screened.append(chunk if isinstance(chunk, bool) else len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(colloc, "_tuple_chunks", counting)
+    cert = certify(monomial_family([0, 1, 3], interval(-0.6, 0.8)), "T")
+    assert cert.level == "none"
+    assert screened == [False, 1_000]
+
+
 def test_reduced_system_monomials():
     # monomials (0,1,2): g_i = (x^{i+1})' = (1, 2x)
     fam = monomial_family([0, 1, 2], interval(0.2, 1.0))

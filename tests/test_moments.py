@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls as scipy_nnls
 
 from tsystems import (
     FamilySpec,
@@ -684,3 +685,105 @@ def test_nnls_residual_is_a_grid_certificate(case):
     slack = 1e-6 * norm + 1e-13 * snorm
     assert np.min(-(A.T @ r)) >= -slack * float(np.max(np.linalg.norm(A, axis=0)))
     assert abs(float(s @ r) - norm**2) <= slack * snorm
+
+
+def _kkt_tol(s) -> float:
+    return 10 * np.finfo(float).eps * float(np.linalg.norm(s))
+
+
+def _assert_matches_full_grid_nnls(A, s, r):
+    # r against scipy's nnls on every column at once: the same optimum, the
+    # optimality condition on every column, and L(p) = -|r|^2
+    colnorm = np.linalg.norm(A, axis=0)
+    colnorm[colnorm == 0] = 1.0
+    _, full = scipy_nnls(A / colnorm, s, maxiter=10 * A.shape[1])
+    norm, snorm = float(np.linalg.norm(r)), float(np.linalg.norm(s))
+    assert abs(norm - full) <= 1e-2 * full + 1e-13 * snorm
+    assert np.all((A / colnorm).T @ r <= _kkt_tol(s))
+    assert abs(float(s @ r) - norm**2) <= (1e-6 * norm + 1e-13 * snorm) * snorm
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(functionals_around_the_cone())
+def test_working_set_nnls_matches_full_grid_nnls(case):
+    s, fam = case
+    _, _, _, xs, r = moments._primal_atoms(fam, s, 2001, 1e-8 * float(np.max(np.abs(s))))
+    _assert_matches_full_grid_nnls(fam.eval_grid(xs).T, s, r)
+
+
+def test_working_set_nnls_edge_cases():
+    fam = power_family([0.0, 0.5, 3.0], interval(0.1, 1.2))
+    xs = moments._primal_grid(fam, 2001)
+    A = fam.eval_grid(xs).T
+    work = np.arange(0, len(xs) - 1, 10)  # every 10th column but the last
+    # s = 0: no weights, r = 0
+    w, r = moments._working_set_nnls(A, np.zeros(3), work)
+    assert not np.any(w) and not np.any(r)
+    # an atom exactly at the window's end, outside the working columns
+    s = MomentFunctional.from_measure(fam, [(1.2, 0.8)]).s
+    w, r = moments._working_set_nnls(A, s, work)
+    _assert_matches_full_grid_nnls(A, s, r)
+    assert float(np.linalg.norm(r)) <= 1e-13 * float(np.linalg.norm(s))
+    # ... and moved off the cone, through the engine
+    s = perturbed_functional(fam, (1.2, 0.8), "interior_doubles").s
+    _, _, _, xs2, r = moments._primal_atoms(fam, s, 2001, 1e-8 * float(np.max(np.abs(s))))
+    _assert_matches_full_grid_nnls(fam.eval_grid(xs2).T, s, r)
+    # a zero column, inside and outside the working set
+    for j in (0, 5):
+        Az = A.copy()
+        Az[:, j] = 0.0
+        w, r = moments._working_set_nnls(Az, s, work)
+        assert w[j] == 0.0
+        _assert_matches_full_grid_nnls(Az, s, r)
+
+
+def test_working_set_nnls_below_the_rounding_of_the_optimality_check():
+    # a criterion-10-style functional (1.5 tol * scale off the cone) whose
+    # grid optimum sits where g = (A/colnorm)^T r is at its rounding level:
+    # the coarse fit passes the check with |r| 2-4 times the optimum, so the
+    # engine must move its support on the whole grid to find the optimum
+    fam = power_family([0.0, 0.5, 1.5, 2.5, 4.0, 5.5, 8.5], halfline(0.0))
+    s = np.array([2.40623568539076, 2.9467082583414523, 5.4030422793862805, 11.449162464241406,
+                  39.23790384315418, 141.99650875362363, 2007.3056152600561])
+    _, _, _, xs, r = moments._primal_atoms(fam, s, 2001, 1e-8 * float(np.max(s)))
+    _assert_matches_full_grid_nnls(fam.eval_grid(xs).T, s, r)
+    v = sparse_feasibility(MomentFunctional(tuple(s), fam))
+    assert v.status == "undecided" and v.gap == float(np.linalg.norm(r))
+
+
+def test_engine_solves_nnls_on_few_columns_and_checks_every_one(monkeypatch):
+    # moment_primal corpus call 10 (stratum 5:3:ab)
+    fam = power_family([0.0, 0.5, 1.0, 1.5, 3.5, 4.5], interval(0.1, 1.2))
+    s = np.array([1.7830169672014002, 1.2550221010663978, 0.9766821217583913,
+                  0.8149657517526863, 0.5194286252679351, 0.43445343132208925])
+    columns = []
+
+    def counting(A, b, **kwargs):
+        columns.append(A.shape[1])
+        return scipy_nnls(A, b, **kwargs)
+
+    monkeypatch.setattr(moments, "nnls", counting)
+    _, _, res, xs, r = moments._primal_atoms(fam, s, 2001, 1e-8 * float(np.max(s)))
+    assert res <= 1e-8 * float(np.max(s))
+    grid = len(moments._primal_grid(fam, 2001))
+    assert columns and max(columns) < grid // 4
+    A = fam.eval_grid(xs).T
+    assert np.all((A / np.linalg.norm(A, axis=0)).T @ r <= _kkt_tol(s))
+
+
+def test_dual_seeds_one_per_basin():
+    fam = power_family([0.0, 0.5, 3.0], interval(0.1, 1.2))
+    # p's only basin holds the window's end: it is a seed
+    s = perturbed_functional(fam, (1.2, 0.8), "interior_doubles").s
+    _, _, _, xs, r = moments._primal_atoms(fam, s, 2001, 1e-8 * float(np.max(np.abs(s))))
+    seeds = moments._dual_seeds(fam, r, xs)
+    assert len(seeds) == 1 and abs(seeds[0] - 1.2) < 1e-3
+    # two atoms, two basins: one seed at each
+    fam = power_family([0.0, 0.5, 1.5, 2.5, 4.0], interval(0.1, 1.2))
+    L = MomentFunctional.from_measure(fam, [(0.3, 0.5), (0.9, 0.7)])
+    s = L.s.copy()
+    s[0] -= 1e-6 * float(np.max(np.abs(s)))
+    _, _, _, xs, r = moments._primal_atoms(fam, s, 2001, 1e-8 * float(np.max(np.abs(s))))
+    seeds = sorted(moments._dual_seeds(fam, r, xs))
+    assert len(seeds) == 2
+    assert abs(seeds[0] - 0.3) < 0.05 and abs(seeds[1] - 0.9) < 0.05
