@@ -302,6 +302,12 @@ def _snake_invariants(touch, n):
 
 # -- best approximation (generalized Remez) ------------------------------------
 
+# err = f - p evaluated in floating point is exact only to about
+# eps * max(|f| + sum |c_i f_i|); on members of the family the first
+# exchange's error reads at most 2.0 of that unit (720 members, orders 0-11,
+# monomial and power families), so 8 units leaves room and no more.
+_ROUNDING_FLOOR = 8 * np.finfo(float).eps
+
 
 def best_approx(
     family: FamilySpec,
@@ -316,7 +322,10 @@ def best_approx(
 
     Multi-point Remez exchange on the n+2 alternation system; extrema are
     located by golden-section refinement on sign-consistent subintervals of
-    the evaluation grid.
+    the evaluation grid, all subintervals in lockstep with one evaluation of
+    f and of the basis per step.  The exchange stops once the grid deviation
+    is at the rounding floor of evaluating f - p (8 eps max(|f| + sum
+    |c_i f_i|)): f is then a member of the span up to rounding.
     """
     if certificate is None:
         certificate = certify(family, "T")
@@ -328,6 +337,7 @@ def best_approx(
     xs = np.linspace(lo, hi, grid)
     fv = _call(F, xs)
     basis = family.eval_grid(xs)
+    abs_fv, abs_basis = np.abs(fv), np.abs(basis)
 
     if init == "chebyshev":
         ref = _initial_reference(lo, hi, n + 2)
@@ -353,7 +363,9 @@ def best_approx(
         best = (coeffs, d, ref.copy())
         if dev_upper - dev_lower <= tol * max(dev_upper, 1e-300):
             break
-        new_ref = _alternant(xs, err, n + 2, F, family, coeffs, lo, hi)
+        if dev_upper <= _ROUNDING_FLOOR * float(np.max(abs_fv + abs_basis @ np.abs(coeffs))):
+            break  # err is rounding noise: f is a member up to evaluation error
+        new_ref = _alternant(xs, err, n + 2, F, family, coeffs)
         if len(new_ref) != n + 2:
             # degenerate error (fewer sign blocks than n+2): single exchange
             new_ref = _single_exchange(ref, xs, err, F, family, coeffs)
@@ -402,64 +414,60 @@ def _single_exchange(ref, xs, err, F, family, coeffs) -> np.ndarray:
     return np.array(sorted(ref))
 
 
-def _alternant(xs, err, count, F, family, coeffs, lo, hi) -> np.ndarray:
-    """Pick an alternating set of local extremum points including the worst."""
-    sign = np.sign(err)
-    sign[sign == 0] = 1
-    blocks = []
-    start = 0
-    for i in range(1, len(xs)):
-        if sign[i] != sign[start]:
-            blocks.append((start, i - 1))
-            start = i
-    blocks.append((start, len(xs) - 1))
+def _alternant(xs, err, count, F, family, coeffs) -> np.ndarray:
+    """Pick an alternating set of local extremum points including the worst.
 
-    def golden(i0, i1, s):
-        a_, b_ = xs[max(i0 - 1, 0)], xs[min(i1 + 1, len(xs) - 1)]
-        phi = (math.sqrt(5) - 1) / 2
+    Each sign block of err on the grid gets a golden-section search for the
+    extremum of sign * err over the block widened by one grid step.  The
+    searches run in lockstep: every step makes one call of F and one basis
+    evaluation on the stacked new points of all blocks.
+    """
+    sign = np.where(err < 0, -1.0, 1.0)
+    cuts = np.flatnonzero(sign[1:] != sign[:-1]) + 1
+    first = np.concatenate([[0], cuts])
+    last = np.concatenate([cuts - 1, [len(xs) - 1]])
+    s = sign[first]
+    a = xs[np.maximum(first - 1, 0)]
+    b = xs[np.minimum(last + 1, len(xs) - 1)]
+    phi = (math.sqrt(5) - 1) / 2
 
-        def h(x):
-            return s * (float(_call(F, x)) - float(family.eval_grid(np.array([x]))[0] @ coeffs))
+    def h(x, s):
+        return s * (_call(F, x) - family.eval_grid(x) @ coeffs)
 
-        c_ = b_ - phi * (b_ - a_)
-        d_ = a_ + phi * (b_ - a_)
-        hc, hd = h(c_), h(d_)
-        for _ in range(60):
-            if hc >= hd:
-                b_, d_, hd = d_, c_, hc
-                c_ = b_ - phi * (b_ - a_)
-                hc = h(c_)
-            else:
-                a_, c_, hc = c_, d_, hd
-                d_ = a_ + phi * (b_ - a_)
-                hd = h(d_)
-        x_ = (a_ + b_) / 2
-        return x_, h(x_)
-
-    cands = []
-    for i0, i1 in blocks:
-        s = float(sign[i0])
-        xloc, hval = golden(i0, i1, s)
-        cands.append((xloc, s, hval))
-    cands.sort()
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    hc, hd = np.split(h(np.concatenate([c, d]), np.concatenate([s, s])), 2)
+    for _ in range(60):
+        # per block the scalar update: hc >= hd keeps [a, d], else [c, b]
+        left = hc >= hd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        kept, hkept = np.where(left, c, d), np.where(left, hc, hd)
+        new = np.where(left, b - phi * (b - a), a + phi * (b - a))
+        hnew = h(new, s)
+        c, hc = np.where(left, new, kept), np.where(left, hnew, hkept)
+        d, hd = np.where(left, kept, new), np.where(left, hkept, hnew)
+    x = (a + b) / 2
+    cands = sorted(zip(x.tolist(), s.tolist(), h(x, s).tolist()))
     # collapse same-sign neighbours, keep the larger
     merged = []
-    for c in cands:
-        if merged and merged[-1][1] == c[1]:
-            if c[2] > merged[-1][2]:
-                merged[-1] = c
+    for cand in cands:
+        if merged and merged[-1][1] == cand[1]:
+            if cand[2] > merged[-1][2]:
+                merged[-1] = cand
         else:
-            merged.append(c)
-    # trim to the requested count keeping the global max
-    while len(merged) > count:
-        imax = max(range(len(merged)), key=lambda i: merged[i][2])
-        if merged[0][2] <= merged[-1][2] and imax != 0:
-            merged.pop(0)
-        elif imax != len(merged) - 1:
-            merged.pop()
+            merged.append(cand)
+    # trim to the requested count from the smaller end, keeping the global max
+    imax = max(range(len(merged)), key=lambda i: merged[i][2])
+    i, j = 0, len(merged) - 1
+    while j - i + 1 > count:
+        if merged[i][2] <= merged[j][2] and imax != i:
+            i += 1
+        elif imax != j:
+            j -= 1
         else:
-            merged.pop(0)
-    return np.array([c[0] for c in merged])
+            i += 1
+    return np.array([cand[0] for cand in merged[i : j + 1]])
 
 
 # -- ratio optimization ---------------------------------------------------------

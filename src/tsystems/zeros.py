@@ -254,11 +254,18 @@ def count_zeros(
 
 
 def _running_max(a: np.ndarray, K: int) -> np.ndarray:
-    out = a.copy()
-    for shift in range(1, K + 1):
-        out[shift:] = np.maximum(out[shift:], a[:-shift])
-        out[:-shift] = np.maximum(out[:-shift], a[shift:])
-    return out
+    """out[i] = max(a[i-K : i+K+1]), the window clipped to the array.
+
+    Doubling: on a copy padded with -inf, maxima over spans of 1, 2, 4, ...
+    points, then each window is the max of two overlapping spans.
+    """
+    width = 2 * K + 1
+    span = np.concatenate([np.full(K, -np.inf), a, np.full(K, -np.inf)])
+    length = 1
+    while 2 * length <= width:
+        span = np.maximum(span[:-length], span[length:])
+        length *= 2
+    return np.maximum(span[: len(a)], span[width - length : width - length + len(a)])
 
 
 def _merge_basins(f, roots, tol, local_scale, width):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -13,9 +14,15 @@ from tsystems import cli
 from tsystems.errors import TSystemError
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args):
+    # the child process imports the checkout's tsystems, not an installed copy
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, "-m", "tsystems.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "tsystems.cli", *args], capture_output=True, text=True, env=env
     )
 
 

@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsystems import (
     NodeSet,
@@ -16,9 +20,12 @@ from tsystems import (
     snake,
 )
 from tsystems.errors import NoSeparator
+from tsystems.family import FamilySpec
 from tsystems.moments import MomentFunctional, _locally_nonneg, _probes
 
 from conftest import lp_best_approx_oracle
+
+snake_mod = sys.modules["tsystems.snake"]
 
 
 def test_best_approx_parabola():
@@ -34,6 +41,70 @@ def test_best_approx_member_is_exact():
     fam = monomial_family([0, 1], interval(-1, 1))
     res = best_approx(fam, SparsePoly((0.3, -0.7), fam))
     assert res.deviation < 1e-13
+
+
+@pytest.mark.parametrize(
+    "fam, coeffs",
+    [
+        (monomial_family([0, 1], interval(-1, 1)), (0.3, -0.7)),
+        (monomial_family([0, 1, 2, 3, 4], interval(0.2, 3.0)), (1e3, -2.0, 0.5, 1e-2, -3e-3)),
+        (power_family([0.0, 0.5, 1.5, 2.5], interval(0.1, 1.2)), (-1.0, 4.0, -2.5, 0.25)),
+    ],
+)
+def test_best_approx_member_stops_at_the_rounding_floor(monkeypatch, fam, coeffs):
+    # the first exchange's error is rounding noise: no extremum search runs
+    def no_search(*args):
+        raise AssertionError("_alternant called on a rounding-noise error")
+
+    monkeypatch.setattr(snake_mod, "_alternant", no_search)
+    res = best_approx(fam, SparsePoly(coeffs, fam))
+    assert len(res.lower_bounds) == 1 and not res.stalled
+    assert res.deviation < 1e-13 * max(1.0, max(map(abs, coeffs)))
+
+
+def test_alternant_evaluation_count_is_independent_of_the_block_count(monkeypatch):
+    # err = 1e-3 cos(40 pi x) on [-1, 1] has 81 sign blocks; the lockstep
+    # search evaluates f and the basis once per golden step for all of them
+    fam = monomial_family([0, 1], interval(-1, 1))
+    coeffs = np.array([0.3, -0.7])
+    f_calls, basis_calls = [], []
+
+    def f(x, order=0):
+        f_calls.append(np.size(x))
+        return 0.3 - 0.7 * x + 1e-3 * np.cos(40 * np.pi * x)
+
+    xs = np.linspace(-1, 1, 4001)
+    err = f(xs) - fam.eval_grid(xs) @ coeffs
+    assert 1 + np.count_nonzero(np.diff(np.sign(err))) >= 50
+    f_calls.clear()
+    real = FamilySpec.eval_grid
+    monkeypatch.setattr(
+        FamilySpec, "eval_grid", lambda self, x, order=0: basis_calls.append(1) or real(self, x, order)
+    )
+    ref = snake_mod._alternant(xs, err, 3, f, fam, coeffs)
+    assert len(f_calls) <= 63 and len(basis_calls) <= 63
+    e = f(ref) - real(fam, ref) @ coeffs
+    assert len(ref) == 3 and np.all(e[1:] * e[:-1] < 0)
+    assert np.all(np.abs(e) >= (1 - 1e-9) * 1e-3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_best_approx_alternation_theorem(n, seed):
+    # the draws of criterion 8: a converged solve equioscillates at n + 2
+    # points with the deviation (the Chebyshev alternation theorem)
+    rng = np.random.default_rng(seed)
+    fam = monomial_family(list(range(n + 1)), interval(-1, 1))
+    ext = monomial_family(list(range(n + 3)), interval(-1, 1))
+    f = SparsePoly(tuple(rng.standard_normal(n + 3)), ext)
+    res = best_approx(fam, f)
+    if res.stalled:
+        return
+    pts = np.array(res.alternation_points)
+    e = f(pts) - res.poly(pts)
+    assert len(pts) == n + 2 and np.all(e[1:] * e[:-1] < 0)
+    assert np.sign(e[0]) == res.sign
+    assert np.all(np.abs(e) >= (1 - 1e-9) * res.deviation)
 
 
 def test_best_approx_cubic_known_value():

@@ -18,7 +18,7 @@ from tsystems import (
 )
 from tsystems.colloc import node_rows
 from tsystems.errors import IndexTooLarge, InvariantViolation, ZeroPolynomial
-from tsystems.zeros import NODAL, NON_NODAL
+from tsystems.zeros import NODAL, NON_NODAL, _running_max
 
 SEVEN_TERM_EXPS = [0, 2, 3, 5, 8, 11, 13]
 SEVEN_TERM_COEFFS = np.array(
@@ -122,6 +122,18 @@ def test_poly_from_zeros_orientation(case):
     q = poly_from_zeros(fam, nodes, sign="raw", check_certificate=False)
     d = det(np.vstack([fam.eval_grid([x]), node_rows(fam, nodes.nodes)]))
     assert np.sign(q(x)) == np.sign(d) != 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_running_max_is_the_window_max(data):
+    # every window size, K >= len - 1 (one window spans the array) included
+    n = data.draw(st.integers(1, 80))
+    K = data.draw(st.integers(0, n + 3))
+    values = st.floats(-1e300, 1e300) | st.sampled_from([-np.inf, np.inf])
+    a = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+    brute = np.array([a[max(i - K, 0) : i + K + 1].max() for i in range(n)])
+    assert np.array_equal(_running_max(a, K), brute)
 
 
 def test_count_zeros_double_zero():
