@@ -129,11 +129,15 @@ def _newton(system, z, tol, maxit, admissible):
 
 
 def _interlaced(first, second, lo, hi, eps) -> bool:
-    """lo < first_1 < second_1 < first_2 < ... < hi, every gap above eps."""
-    seq = np.empty(len(first) + len(second))
-    seq[0::2] = np.sort(first)
-    seq[1::2] = np.sort(second)
-    return bool(np.all(np.diff(np.concatenate([[lo], seq, [hi]])) > eps))
+    """lo < first_1 < second_1 < first_2 < ... < hi, every gap above eps.
+
+    Plain floats: the arrays hold at most a few entries, and this runs on
+    every trial step of Newton's line search.
+    """
+    seq = [0.0] * (len(first) + len(second))
+    seq[0::2], seq[1::2] = sorted(first.tolist()), sorted(second.tolist())
+    seq = [float(lo), *seq, float(hi)]
+    return all(b - a > eps for a, b in zip(seq, seq[1:]))
 
 
 class _TangencySolver:

@@ -118,7 +118,10 @@ def snake(
 
     ``which="f_star"`` touches the upper bound at its rightmost touch point,
     ``which="f_upper_star"`` the lower bound.  Feasibility (existence of a
-    strictly separating polynomial) is certified by a grid LP first.
+    strictly separating polynomial) is decided on the grid first: no
+    separator has a margin above the band's least half-width; the weighted
+    least-squares fit of the midline separates most bands explicitly; a grid
+    LP decides the rest.
     """
     if which not in ("f_star", "f_upper_star"):
         raise ValueError("which must be 'f_star' or 'f_upper_star'")
@@ -135,23 +138,11 @@ def snake(
     v2 = _call(G2, xs)
     basis = family.eval_grid(xs)
     n = family.order
-
-    # separator LP: maximize margin t with g1 + t <= p <= g2 - t on the grid
-    nv = family.size
-    c = np.zeros(nv + 1)
-    c[-1] = -1.0
-    A_ub = np.vstack(
-        [
-            np.hstack([basis, np.ones((grid, 1))]),
-            np.hstack([-basis, np.ones((grid, 1))]),
-        ]
-    )
-    b_ub = np.concatenate([v2, -v1])
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * nv + [(0, None)], method="highs")
+    if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))):
+        raise ValueError("g1 and g2 must be finite on the grid")
     band = float(np.max(v2 - v1))
-    if not res.success or res.x[-1] <= 1e-12 * max(band, 1.0):
+    if not _separable(basis, v1, v2, 1e-12 * max(band, 1.0)):
         raise NoSeparator("no strictly separating polynomial on the grid")
-    sep = res.x[:nv]
 
     if n == 0:
         # single touch point: the constant pinned to the nearer bound
@@ -194,6 +185,43 @@ def snake(
     touch = tuple((float(t), s) for t, s in zip(ref, sides))
     _snake_invariants(touch, n)
     return SnakeSolution(poly, touch, which, viol)
+
+
+def _separable(basis, v1, v2, level) -> bool:
+    """Whether some p = basis @ c has v1 + t <= p <= v2 - t on the grid, t > level.
+
+    Every separator's margin is at most min (v2 - v1)/2, so a band no wider
+    than 2 level has none.  Otherwise the least-squares fit of the midline
+    weighted by 1/half-width is an explicit witness when its margin is above
+    level; the grid LP decides only the bands that witness cannot.
+    """
+    if not float(np.min(v2 - v1)) > 2 * level:
+        return False
+    return _witness_margin(basis, v1, v2) > level or _lp_margin(basis, v1, v2) > level
+
+
+def _witness_margin(basis, v1, v2) -> float:
+    """min(v2 - p, p - v1) on the grid for p the weighted fit of the midline."""
+    w = 2.0 / (v2 - v1)
+    coeffs = np.linalg.lstsq(basis * w[:, None], (v1 + v2) / 2 * w, rcond=None)[0]
+    p = basis @ coeffs
+    return float(min(np.min(v2 - p), np.min(p - v1)))
+
+
+def _lp_margin(basis, v1, v2) -> float:
+    """The largest t >= 0 with v1 + t <= p <= v2 - t on the grid (-inf when HiGHS fails)."""
+    grid, nv = basis.shape
+    c = np.zeros(nv + 1)
+    c[-1] = -1.0
+    A_ub = np.vstack(
+        [
+            np.hstack([basis, np.ones((grid, 1))]),
+            np.hstack([-basis, np.ones((grid, 1))]),
+        ]
+    )
+    b_ub = np.concatenate([v2, -v1])
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * nv + [(0, None)], method="highs")
+    return float(res.x[-1]) if res.success else -math.inf
 
 
 def _sides_for(which: str, n: int) -> list:
@@ -447,8 +475,15 @@ def _alternant(xs, err, count, F, family, coeffs) -> np.ndarray:
         hnew = h(new, s)
         c, hc = np.where(left, new, kept), np.where(left, hnew, hkept)
         d, hd = np.where(left, kept, new), np.where(left, hkept, hnew)
+    # the first and last block also weigh their window end, which a bracket
+    # midpoint never reaches: the end is taken when its |err| is not smaller
     x = (a + b) / 2
-    cands = sorted(zip(x.tolist(), s.tolist(), h(x, s).tolist()))
+    ends = xs[[0, -1]]
+    hx, hend = np.split(h(np.concatenate([x, ends]), np.concatenate([s, s[[0, -1]]])), [len(x)])
+    for k, e in ((0, 0), (-1, 1)):
+        if hend[e] >= hx[k]:
+            x[k], hx[k] = ends[e], hend[e]
+    cands = sorted(zip(x.tolist(), s.tolist(), hx.tolist()))
     # collapse same-sign neighbours, keep the larger
     merged = []
     for cand in cands:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsystems import (
     SparsePoly,
@@ -26,6 +28,7 @@ from tsystems.family import halfline_xmax
 from tsystems.karlin import (
     CONVERGED_TOL,
     POS_GRID,
+    _interlaced,
     _newton,
     _root_window,
     _solve_span,
@@ -466,6 +469,39 @@ def _tangency_cases(rng):
 def _off_solution(z, step):
     """z moved off the solution, where d'(y) no longer vanishes at the touch points."""
     return z + step * np.cos(np.arange(len(z)) + 1.0)
+
+
+def _interlaced_numpy(first, second, lo, hi, eps) -> bool:
+    seq = np.empty(len(first) + len(second))
+    seq[0::2] = np.sort(first)
+    seq[1::2] = np.sort(second)
+    return bool(np.all(np.diff(np.concatenate([[lo], seq, [hi]])) > eps))
+
+
+# multiples of 1/4 make ties and gaps of exactly eps = 1/4 exact in floats
+_POINTS = st.one_of(
+    st.sampled_from([k / 4 for k in range(-8, 9)] + [-0.0, math.inf, -math.inf, math.nan]),
+    st.floats(-3, 3),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda m: st.tuples(
+            st.lists(_POINTS, min_size=m, max_size=m),
+            st.lists(_POINTS, min_size=max(m - 1, 0), max_size=m),
+        )
+    ),
+    st.sampled_from([-math.inf, -2.0, -0.0, 0.0]),
+    st.sampled_from([math.inf, 2.0, 0.0]),
+    st.sampled_from([0.25, 0.0, 1e-13]),
+)
+def test_interlaced_matches_the_numpy_version(pair, lo, hi, eps):
+    first, second = np.array(pair[0], dtype=float), np.array(pair[1], dtype=float)
+    with np.errstate(invalid="ignore"):
+        expect = _interlaced_numpy(first, second, lo, hi, eps)
+    assert _interlaced(first, second, lo, hi, eps) is expect
 
 
 def test_tangency_jacobian_matches_central_differences(rng):

@@ -88,6 +88,20 @@ def test_alternant_evaluation_count_is_independent_of_the_block_count(monkeypatc
     assert np.all(np.abs(e) >= (1 - 1e-9) * 1e-3)
 
 
+def test_alternant_returns_window_end_extrema_exactly():
+    # err = 2x^2 - 1 on [-1, 1] peaks at both window ends: they come back as
+    # -1 and 1, not as the midpoints of the last golden brackets just inside
+    fam = monomial_family([0, 1], interval(-1, 1))
+    xs = np.linspace(-1, 1, 4001)
+    f = lambda x, order=0: 2 * np.asarray(x, float) ** 2 - 1
+    ref = snake_mod._alternant(xs, f(xs), 3, f, fam, np.zeros(2))
+    assert ref[0] == -1.0 and ref[-1] == 1.0 and abs(ref[1]) < 1e-8
+    # err = cos(2.5 pi x) vanishes at the ends: the interior extrema stay
+    f = lambda x, order=0: np.cos(2.5 * np.pi * np.asarray(x, float))
+    ref = snake_mod._alternant(xs, f(xs), 5, f, fam, np.zeros(2))
+    assert np.allclose(ref, [-0.8, -0.4, 0.0, 0.4, 0.8], atol=1e-8)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_best_approx_alternation_theorem(n, seed):
@@ -213,6 +227,135 @@ def test_snake_lp_oracle_for_affine_band(rng):
     res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * 2, method="highs")
     sol = snake(fam, -1.0, 1.0, which="f_star")
     assert np.allclose(res.x, sol.poly.a, atol=1e-9)
+
+
+def _no_lp(*args, **kwargs):
+    raise AssertionError("the grid LP ran")
+
+
+def _count_lp(monkeypatch) -> list:
+    calls, real = [], snake_mod.linprog
+    monkeypatch.setattr(snake_mod, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def _band_on_grid(fam, g1, g2, grid=2001):
+    """basis, g1, g2 and the margin level on snake's grid, as snake evaluates them."""
+    lo, hi = fam.domain.window()
+    xs = np.linspace(lo, hi, grid)
+    v1 = snake_mod._call(snake_mod._as_callable(g1, fam), xs)
+    v2 = snake_mod._call(snake_mod._as_callable(g2, fam), xs)
+    return fam.eval_grid(xs), v1, v2, 1e-12 * max(float(np.max(v2 - v1)), 1.0)
+
+
+def test_snake_crossing_bounds_are_refused_without_the_lp(monkeypatch):
+    # min (g2 - g1)/2 bounds every separator's margin
+    monkeypatch.setattr(snake_mod, "linprog", _no_lp)
+    test_snake_no_separator()
+
+
+@pytest.mark.parametrize("g2", [np.inf, np.nan, lambda x: np.where(np.asarray(x) > 0.5, np.inf, 1.0)])
+def test_snake_rejects_bounds_that_are_not_finite(g2):
+    with pytest.raises(ValueError):
+        snake(monomial_family([0, 1], interval(0, 1)), -1.0, g2)
+
+
+def test_snake_lp_separates_where_the_witness_misses(monkeypatch):
+    # x^2 +- 0.13 over {1, x} on [0, 1]: the least-squares line misses x^2 by
+    # 1/6 at the ends, beyond the half-width, while the minimax error is 1/8
+    fam = monomial_family([0, 1], interval(0, 1))
+    sq = SparsePoly((0.0, 0.0, 1.0), monomial_family([0, 1, 2], interval(0, 1)))
+
+    def g1(x, order=0):
+        return sq(x, order) - (0.13 if order == 0 else 0.0)
+
+    def g2(x, order=0):
+        return sq(x, order) + (0.13 if order == 0 else 0.0)
+
+    basis, v1, v2, _ = _band_on_grid(fam, g1, g2)
+    assert abs(snake_mod._witness_margin(basis, v1, v2) - (0.13 - 1 / 6)) < 1e-3
+    calls = _count_lp(monkeypatch)
+    sol = snake(fam, g1, g2, which="f_star")
+    assert calls == [1] and sol.max_violation <= 1e-10
+
+
+@pytest.mark.parametrize("width", [0.5, 1.0])
+def test_snake_lp_refuses_where_the_witness_misses(monkeypatch, width):
+    # a band that rises by 1 over [0, 1] holds no constant when it is 0.5
+    # wide; 1 wide, the constant 1 touches both bounds and the witness's
+    # margin is 0, not above the level
+    fam = monomial_family([0], interval(0, 1))
+    calls = _count_lp(monkeypatch)
+    with pytest.raises(NoSeparator):
+        snake(fam, lambda x: np.asarray(x, float), lambda x: np.asarray(x, float) + width)
+    assert calls == [1]
+
+
+def test_snake_weighted_witness_separates_a_band_that_narrows(monkeypatch):
+    # x^2 +- (0.01 + 2x) over {1, x} on [0, 1]: the plain least-squares line
+    # misses by 0.16 at x = 0, the fit weighted by 1/half-width separates
+    monkeypatch.setattr(snake_mod, "linprog", _no_lp)
+    fam = monomial_family([0, 1], interval(0, 1))
+    sq = SparsePoly((0.0, 0.0, 1.0), monomial_family([0, 1, 2], interval(0, 1)))
+
+    def g1(x, order=0):
+        return sq(x, order) - (0.01 + 2 * np.asarray(x, float) if order == 0 else 2.0)
+
+    def g2(x, order=0):
+        return sq(x, order) + (0.01 + 2 * np.asarray(x, float) if order == 0 else 2.0)
+
+    sol = snake(fam, g1, g2, which="f_star")
+    assert sol.max_violation <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_snake_desk_bands_need_no_lp(monkeypatch, n):
+    # -1 <= p <= 1 over monomials on [a, b]: the midline 0 is the witness
+    monkeypatch.setattr(snake_mod, "linprog", _no_lp)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        a = float(rng.uniform(-1.0, 0.5))
+        fam = monomial_family(list(range(n + 1)), interval(a, a + float(rng.uniform(0.5, 2.5))))
+        for which in ("f_star", "f_upper_star"):
+            sol = snake(fam, -1.0, 1.0, which=which)
+            assert len(sol.touch_points) == n + 1 and sol.max_violation <= 1e-10
+
+
+def _random_band(kind, n, rng):
+    """g1, g2 on monomials 0..n over a random window: the bound kinds snake accepts."""
+    a = float(rng.uniform(-1.0, 0.5))
+    dom = interval(a, a + float(rng.uniform(0.5, 2.5)))
+    fam = monomial_family(list(range(n + 1)), dom)
+    w1, w2 = 10.0 ** rng.uniform(-3, 0.5, 2) * rng.choice([1.0, 1.0, 1.0, -1.0], 2)
+    if kind == "constant":
+        return fam, -w1, w2
+    if kind == "affine":
+        s1, s2 = rng.standard_normal(2)
+        return fam, (lambda x: s1 * np.asarray(x, float) - w1), (lambda x: s2 * np.asarray(x, float) + w2)
+    if kind == "polynomial":
+        ext = monomial_family(list(range(n + 3)), dom)
+        c = rng.standard_normal(n + 3)
+        e0 = np.eye(n + 3)[0]
+        return fam, SparsePoly(tuple(c - w1 * e0), ext), SparsePoly(tuple(c + w2 * e0), ext)
+    k, phase = rng.uniform(1, 8), rng.uniform(0, np.pi)
+    return (fam, lambda x: np.sin(k * np.asarray(x, float) + phase) - w1,
+            lambda x: np.sin(k * np.asarray(x, float) + phase) + w2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["constant", "affine", "polynomial", "callable"]),
+    st.integers(0, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_separation_decision_equals_the_lp_decision(kind, n, seed):
+    # the bound and the witness decide as the LP does; where only the witness
+    # accepts, its margin is an explicit proof the LP missed
+    fam, g1, g2 = _random_band(kind, n, np.random.default_rng(seed))
+    basis, v1, v2, level = _band_on_grid(fam, g1, g2, grid=501)
+    decided = snake_mod._separable(basis, v1, v2, level)
+    if decided != (snake_mod._lp_margin(basis, v1, v2) > level):
+        assert decided and snake_mod._witness_margin(basis, v1, v2) > level
 
 
 def test_snake_approx_consistency(rng):
