@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -332,7 +333,9 @@ def _add_common(p, needs_family: bool):
     p.add_argument("--tol", type=float, default=1e-8)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: prog is fixed, and parsing leaves the tree unchanged."""
     ap = argparse.ArgumentParser(
         prog="tsys", description="Tchebycheff-system toolkit command line"
     )

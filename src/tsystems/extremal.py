@@ -192,17 +192,43 @@ def _pattern_values(family: FamilySpec, pattern: str, thetas, s: np.ndarray) -> 
 SAME_END = 1e-4
 
 
-def search(family: FamilySpec, s: np.ndarray, objective, rng, starts: int, seeds=()):
+def _scan_starts(family: FamilySpec, pattern: str, m: int, s: np.ndarray, objective, rng) -> list:
+    """The best three placements of search's deterministic coarse scan, one
+    batched evaluation: the optimum's basin can be narrow."""
+    lo, hi = _search_window(family)
+    if m <= 2:
+        axis = lo + (hi - lo) * np.linspace(0.015, 0.985, 40)
+        cands = axis[:, None] if m == 1 else axis[np.column_stack(np.triu_indices(40, 1))]
+    else:
+        cands = np.sort(rng.uniform(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), (400, m)), axis=1)
+    try:
+        vals = _pattern_values(family, pattern, cands, s)
+    except TSystemError:  # a node the family cannot evaluate: no scan start
+        vals = np.full((len(cands),) + s.shape[:-1], np.nan)
+    scan = np.full(len(cands), 1e100)
+    admissible = np.all(np.diff(cands, axis=1) > 1e-6 * (hi - lo), axis=1)
+    admissible &= np.isfinite(vals.reshape(len(cands), -1)).all(axis=1)
+    for c in np.flatnonzero(admissible):
+        try:
+            scan[c] = objective(vals[c], np.zeros(vals.shape[1:] + (m,)))[0]
+        except TSystemError:
+            pass
+    return [cands[c] for c in np.argsort(scan, kind="stable")[:3] if scan[c] < 1e90]
+
+
+def search(family: FamilySpec, s: np.ndarray, objective, rng, starts: int, seeds=(), *,
+           seeded_only: bool = False):
     """Multistart search over the extremal patterns of ``family``.
 
     ``objective(values, grads)`` maps what _pattern_value_grad gives for
     ``s`` at a theta to the value and theta-gradient to minimize; it may
     raise TSystemError where a theta is inadmissible.  Each pattern's theta
-    runs L-BFGS-B, boxed inside the search window, from the ``seeds`` that
-    lie inside it (the first m, or all of them padded with random points),
-    the best three of a coarse scan, an equispaced placement and ``starts``
-    - 1 random placements, drawn from ``rng`` in that order.  The coarse
-    scan is one batched evaluation (_pattern_values) of a grid of 40
+    runs L-BFGS-B, boxed inside the search window, from the seeded start
+    (the first m ``seeds`` inside the window, or all of them padded with
+    random points), then the best three of a coarse scan, an equispaced
+    placement and ``starts`` - 1 random placements, drawn from ``rng`` in
+    that order; with ``seeded_only``, from the seeded start alone.  The
+    coarse scan is one batched evaluation (_pattern_values) of a grid of 40
     positions per zero for m <= 2, of 400 random placements otherwise.  A
     start whose iterate comes within SAME_END of the window width of an end
     point its pattern already reached, at no lower a value, is stopped and
@@ -240,29 +266,10 @@ def search(family: FamilySpec, s: np.ndarray, objective, rng, starts: int, seeds
             while len(pad) < m:
                 pad.append(float(rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))))
             inits.append(np.sort(np.array(pad)))
-        # deterministic coarse scan, one batched evaluation: the optimum's
-        # basin can be narrow
-        if m <= 2:
-            axis = lo + (hi - lo) * np.linspace(0.015, 0.985, 40)
-            cands = axis[:, None] if m == 1 else axis[np.column_stack(np.triu_indices(40, 1))]
-        else:
-            cands = np.sort(rng.uniform(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), (400, m)), axis=1)
-        try:
-            vals = _pattern_values(family, pattern, cands, s)
-        except TSystemError:  # a node the family cannot evaluate: no scan start
-            vals = np.full((len(cands),) + s.shape[:-1], np.nan)
-        scan = np.full(len(cands), 1e100)
-        admissible = np.all(np.diff(cands, axis=1) > 1e-6 * (hi - lo), axis=1)
-        admissible &= np.isfinite(vals.reshape(len(cands), -1)).all(axis=1)
-        for c in np.flatnonzero(admissible):
-            try:
-                scan[c] = objective(vals[c], np.zeros(vals.shape[1:] + (m,)))[0]
-            except TSystemError:
-                pass
-        inits.extend(cands[c] for c in np.argsort(scan, kind="stable")[:3] if scan[c] < 1e90)
-        inits.append(lo + (hi - lo) * np.arange(1, m + 1) / (m + 1))
-        for _ in range(starts - 1):
-            inits.append(np.sort(lo + (hi - lo) * rng.uniform(0.02, 0.98, m)))
+        if not seeded_only:
+            inits.extend(_scan_starts(family, pattern, m, s, objective, rng))
+            inits.append(lo + (hi - lo) * np.arange(1, m + 1) / (m + 1))
+            inits.extend(np.sort(lo + (hi - lo) * rng.uniform(0.02, 0.98, m)) for _ in range(starts - 1))
         box = [(lo + 1e-10 * (hi - lo), hi - 1e-10 * (hi - lo))] * m
         ends = []  # (theta, value) of this pattern's searches so far
 

@@ -99,8 +99,9 @@ def _newton(system, z, tol, maxit, admissible):
     when no halving does before the step no longer moves z.  Passing tol
     does not stop it: the residual keeps falling to the rounding floor, so
     the end point does not depend on where tol lies.  It has converged if
-    it stops below tol; a stall above tol is not converged.  Returns (z,
-    converged, steps, max |R|).
+    it stops below tol; a stall above tol is not converged.  A z without a
+    solution has R = inf and a raising Jacobian (_inadmissible), so no step
+    lands on it and none starts there.  Returns (z, converged, steps, max |R|).
     """
     z = np.asarray(z, dtype=float).copy()
     R, jac = system(z)
@@ -126,6 +127,10 @@ def _newton(system, z, tol, maxit, admissible):
             return z, nR < tol, it, nR
         z, R, jac, nR = zn, Rn, jn, nRn
     return z, nR < tol, maxit, nR
+
+
+def _inadmissible():
+    raise np.linalg.LinAlgError("no Jacobian at a point without a solution")
 
 
 def _interlaced(first, second, lo, hi, eps) -> bool:
@@ -246,9 +251,11 @@ class _TangencySolver:
         B, second, Y = block[:nb], block[nb : nb + m], block[nb + m :]
         P = null_vector(B)
         h = self.pin_row
+        rows = np.vstack([self.lo_row, Y[: 2 * k]])
+        if h @ P == 0:  # no f_* = c P meets the pin (P = 0 where nodes coincide)
+            return np.full(len(rows), np.inf), _inadmissible
         c = (h @ fc) / (h @ P)
         d = fc - c * P
-        rows = np.vstack([self.lo_row, Y[: 2 * k]])
         R = rows @ d
 
         def jac():

@@ -1,18 +1,18 @@
 """Hankel criteria, sparse truncated moment feasibility, atomic recovery.
 
-Feasibility runs a primal/dual pair.  The primal engine, shared with atomic
-recovery, fits the moment vector by nonnegative least squares on samples of
-the moment curve and polishes the fit to at most n+1 atoms; a fit within
-tolerance is the witness.  Otherwise the dual minimizes L over the extremal
-nonnegative polynomials (index-n zero patterns) by the search of
-``extremal``, a gradient search on the zero positions seeded with the
-engine's atoms; a negative minimum that passes the soundness checks here is
-the certificate.  The grid fit is its own dual certificate: NNLS solves on
-a few hundred grid columns and checks (A/colnorm)^T r <= 10 eps |s| for its
-residual r = s - A w on every column; with w . A^T r = 0, p = -sum r_i f_i
-is >= 0 on the grid and L(p) = -|r|^2.  p's basins seed the search, |r| the gap
-reported when neither side passes and the verdict is undecided; a numeric
-tool must admit a gap since the exact conditions quantify over continua.
+Feasibility runs a primal/dual pair on one grid fit: NNLS on a few hundred
+columns of the moment curve, checked on every column by (A/colnorm)^T r <=
+10 eps |s| for its residual r = s - A w; with w . A^T r = 0, p = -sum r_i f_i
+is >= 0 on the grid and L(p) = -|r|^2.  That p is the first certificate
+tried.  The primal engine, shared with atomic recovery, polishes the fit to
+at most n+1 atoms; a fit within tolerance is the witness.  Otherwise the
+dual minimizes L over the extremal nonnegative polynomials (index-n zero
+patterns) by the search of ``extremal``, a gradient search on the zero
+positions seeded with the engine's atoms and p's basins, first from the
+seeded start alone and then from many; a negative minimum that passes the
+soundness checks here is the certificate.  |r| is the gap reported when no
+side passes and the verdict is undecided; a numeric tool must admit a gap
+since the exact conditions quantify over continua.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ class FeasibilityVerdict:
     gap: float = 0.0
     determinacy_hint: dict = field(default_factory=dict)
     #: what decided the verdict: "basis" (a nonnegative basis direction),
-    #: "primal" (the atomic witness), "dual" (the extremal certificate) or
-    #: "none" (undecided)
+    #: "primal" (the atomic witness), "dual" (the grid or an extremal
+    #: certificate) or "none" (undecided)
     route: str = "none"
 
     def to_dict(self) -> dict:
@@ -513,23 +513,23 @@ def sparse_feasibility(
 ) -> FeasibilityVerdict:
     """Decide membership of L in the truncated moment cone.
 
-    Primal: the engine of ``recover_atoms`` (working-set grid nonnegative
-    least squares refined twice near its support, Caratheodory pruning, polish,
-    support reduction), whose last result is kept per (family, moments,
-    grid, tol) for a next ``recover_atoms`` on the same functional; moments
-    matched to tol * scale by at most n+1 atoms give "feasible" with that
-    witness.  Dual: minimize L over extremal nonnegative polynomials by a
-    gradient search on their zero positions, the derivative of L coming
-    from the node null vector (implicit differentiation of B a = 0),
-    seeded by the engine's atoms, a coarse scan and ``starts`` random
-    placements drawn from ``seed``; a certified negative value is an
-    infeasibility certificate.  The engine's atoms come first among the
-    seeds, then one per near-zero basin of p = -sum r_i f_i, r the residual
-    of its last grid NNLS fit; p is >= 0 on that grid, and the search reads at
-    most m seeds for a pattern with m free zeros, so p's seeds count only
-    where fewer atoms lie inside the search window.  An "undecided"
-    verdict's gap is |r|.  ``route`` names what decided the verdict:
-    "basis", "primal", "dual" or "none".
+    Steps, in order, the first to decide giving the verdict: (1) a basis
+    direction >= 0 with a moment below -tol * scale; (2) the grid
+    certificate p = -sum r_i f_i at unit max-norm coefficients, r the
+    residual of the grid NNLS fit the engine starts from, p >= 0 on that
+    grid with L(p) = -|r|^2 / max |r_i|; (3) the witness of the engine of
+    ``recover_atoms`` (Caratheodory pruning, polish, support reduction):
+    at most n+1 atoms matching the moments to tol * scale, the result kept
+    per (family, moments, grid, tol) for a next ``recover_atoms``; (4) a
+    gradient search on the zero positions of extremal nonnegative
+    polynomials (dL from the node null vector, implicit differentiation of
+    B a = 0), one start per pattern seeded by the engine's atoms, then one
+    point per near-zero basin of p (read only where fewer atoms lie inside
+    the window); (5) the full multistart, adding a coarse scan and
+    ``starts`` random placements drawn from ``seed``.  Steps 2, 4 and 5
+    give route "dual" with a certificate below -tol * scale that passes
+    ``_certificate_is_sound``; "undecided" (route "none", gap |r|) means p
+    failed it and neither search found such a certificate.
 
     Guarantee: an "infeasible" verdict carries a certificate p with
     L(p) < 0 that passed every check of ``_certificate_is_sound``:
@@ -539,8 +539,8 @@ def sparse_feasibility(
     unbounded domain p is positive at infinity and the zeros found leave
     no room for a sign change beyond the probe window; and its near-zero
     local minima, re-evaluated in mpmath, are nonnegative to the same
-    relative tolerance.  A candidate that fails any check gives
-    "undecided", never "infeasible".
+    relative tolerance.  A candidate that fails any check is never a
+    certificate.
     """
     family = L.family
     s = L.s
@@ -557,7 +557,15 @@ def sparse_feasibility(
             if _certificate_is_sound(e, probes):
                 return FeasibilityVerdict(INFEASIBLE, None, e, float(-s[i]), hint, "basis")
 
-    pos, wts, res, xs, r = _shared_primal_atoms(family, s, grid, tol * scale)
+    # the grid certificate, at unit max-norm coefficients as poly_from_zeros scales
+    r = _shared(_grid_fit, family, s, grid)[3]
+    if np.any(r):
+        p = SparsePoly(tuple(-r / np.max(np.abs(r))), family)
+        val = float(s @ p.a)
+        if val < -tol * scale and _certificate_is_sound(p, probes):
+            return FeasibilityVerdict(INFEASIBLE, None, p, -val, hint, "dual")
+
+    pos, wts, res, xs, r = _shared(_primal_atoms, family, s, grid, tol * scale)
     if res <= tol * scale and len(pos) <= family.size:
         witness = AtomicMeasure(tuple(zip(map(float, pos), map(float, wts))))
         return FeasibilityVerdict(FEASIBLE, witness, None, float(res), hint, "primal")
@@ -567,7 +575,7 @@ def sparse_feasibility(
     # (certificate basins can be narrow)
     seeds = [float(p) for p in pos] + _dual_seeds(family, r, xs)
     cert = _dual_search(L, tol=tol, seed=seed, starts=starts, theta_seeds=seeds)
-    if cert is not None and _certificate_is_sound(cert[0], probes):
+    if cert is not None:
         return FeasibilityVerdict(INFEASIBLE, None, cert[0], float(-cert[1]), hint, "dual")
     return FeasibilityVerdict(UNDECIDED, None, None, float(np.linalg.norm(r)), hint)
 
@@ -602,40 +610,36 @@ def _merge_atoms(pos, wts, rel=1e-6):
 
 
 def _dual_search(L: MomentFunctional, tol: float, seed: int, starts: int, theta_seeds=()):
-    """Minimize L over the extremal patterns; return (poly, value) if negative.
+    """A sound certificate (poly, value), value < -tol * scale, from the
+    extremal search (which minimizes L(p_theta)/scale), or None.
 
-    extremal.search minimizes L(p_theta)/scale; an end point better than the
-    best so far is built by poly_from_zeros and judged nonnegative.
+    Each pattern's seeded start runs first, alone, and its first sound end
+    point is the certificate.  Otherwise the full multistart runs from a
+    fresh rng(seed), and its lowest sound end point is.  End points are
+    built by poly_from_zeros.
     """
     family = L.family
     s = L.s
     scale = max(float(np.max(np.abs(s))), 1e-300)
     probes = _probes(family)
-    best = None
 
     def objective(val, grad):
         return val / scale, grad / scale
 
-    for pattern, theta, fun in search(family, s, objective, np.random.default_rng(seed), starts,
-                                      theta_seeds):
-        if fun is not None and best is not None and fun * scale >= best[1]:
-            continue
-        try:
-            p = extremal_test_polys(family, pattern, theta)
-        except TSystemError:
-            continue
-        # nonnegativity against the local magnitude: a global max would let a
-        # dip hide under a large top-degree term elsewhere on the window
-        val = float(s @ p.a)
-        if (best is None or val < best[1]) and _locally_nonneg(p, probes):
-            best = (p, val)
+    def ends(seeded_only):
+        for pattern, theta, _ in search(family, s, objective, np.random.default_rng(seed), starts,
+                                        theta_seeds, seeded_only=seeded_only):
+            try:
+                p = extremal_test_polys(family, pattern, theta)
+            except TSystemError:
+                continue
+            yield p, float(s @ p.a)
 
-    if best is None:
-        return None
-    p, val = best
-    if val < -tol * scale:
-        return p, val
-    return None
+    def sound(cert):
+        return cert[1] < -tol * scale and _certificate_is_sound(cert[0], probes)
+
+    return (next(filter(sound, ends(seeded_only=True)), None)
+            or next(filter(sound, sorted(ends(seeded_only=False), key=lambda c: c[1])), None))
 
 
 def recover_atoms(
@@ -658,7 +662,7 @@ def recover_atoms(
     scale = float(np.max(np.abs(s)))
     if scale == 0.0:
         return AtomicMeasure(())
-    pos, wts, res, _, _ = _shared_primal_atoms(L.family, s, grid, tol * scale)
+    pos, wts, res, _, _ = _shared(_primal_atoms, L.family, s, grid, tol * scale)
     if len(pos) == 0:
         raise NotFeasible("nonnegative least squares found no support")
     measure = AtomicMeasure(tuple(zip(map(float, pos), map(float, wts))))
@@ -670,43 +674,37 @@ def recover_atoms(
     return measure
 
 
-#: the last primal engine run, as (key, family, result); the family is held
-#: so that the ids of its evaluators in the key stay valid
-_last_primal = None
+#: the last result of each function run by _shared, as (key, family, result);
+#: the family is held so that the ids of its evaluators in the key stay valid
+_last = {}
 
 
-def _shared_primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) -> tuple:
-    """``_primal_atoms``, run once for back-to-back calls on one (family,
-    moments, grid, abs_tol): the engine is deterministic, so ``recover_atoms``
-    after ``sparse_feasibility`` on one functional reads the result the first
-    call made.  The key holds params and moments as float64 bytes (array
-    params need no hashing) and custom evaluators by id.  The kept arrays are
+def _shared(run, family: FamilySpec, s: np.ndarray, grid: int, *args) -> tuple:
+    """run(family, s, grid, *args), run once for back-to-back calls with one
+    key: ``_grid_fit`` serves the grid certificate and the engine, and
+    ``_primal_atoms`` serves ``recover_atoms`` after ``sparse_feasibility``
+    on one functional (both are deterministic; only a whole engine run is
+    kept).  The key holds params and moments as float64 bytes (array params
+    need no hashing) and custom evaluators by id.  The kept arrays are
     read-only."""
-    global _last_primal
     key = (family.variant, np.asarray(family.params, dtype=float).tobytes(), family.domain,
-           tuple(map(id, family.evaluators)), np.asarray(s, dtype=float).tobytes(),
-           grid, abs_tol)
-    if _last_primal is not None and _last_primal[0] == key:
-        return _last_primal[2]
-    result = _primal_atoms(family, s, grid, abs_tol)
-    for part in result:
-        if isinstance(part, np.ndarray):
-            part.flags.writeable = False  # handed to the next caller too
-    _last_primal = (key, family, result)
-    return result
+           tuple(map(id, family.evaluators)), np.asarray(s, dtype=float).tobytes(), grid, *args)
+    if run not in _last or _last[run][0] != key:
+        result = run(family, s, grid, *args)
+        for part in result:
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False  # handed to the next caller too
+        _last[run] = (key, family, result)
+    return _last[run][2]
 
 
-def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) -> tuple:
-    """(positions, weights, residual, final grid, r) of a primal witness.
-
-    Grid NNLS by ``_working_set_nnls`` from every 10th point, refined twice
-    near its support (solved on the support and the new points); Caratheodory
-    pruning, merge, polish, dropping tiny weights, polish again, and support
-    reduction to the fewest atoms within ``abs_tol``.  No atoms if NNLS finds
-    no support.  r = s - A w, the last fit's residual, is optimal on its grid.
-    """
+def _grid_fit(family: FamilySpec, s: np.ndarray, grid: int) -> tuple:
+    """(xs, A, w, r): grid NNLS min |s - A w| over w >= 0, A = f(xs)^T, by
+    ``_working_set_nnls`` from every 10th point, refined twice near its
+    support (solved on the support and the new points).  r = s - A w is
+    optimal on the final grid xs."""
     lo = family.domain.window()[0]
-    hi = None if family.domain.kind == "left_closed_halfline" else family.domain.window()[1]
+    hi = np.inf if family.domain.kind == "left_closed_halfline" else family.domain.window()[1]
     xs = _primal_grid(family, grid)
     work = np.union1d(np.arange(0, len(xs), 10), [len(xs) - 1])  # every 10th; then ±10 of its support
     for _round in range(3):
@@ -714,13 +712,25 @@ def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) 
         w, r = _working_set_nnls(A, s, work, 10 if _round == 0 else 0)
         support = xs[w > 1e-10 * max(float(w.max()), 1e-300)]
         if len(support) == 0 or _round == 2:
-            break
+            return xs, A, w, r
         step = np.median(np.diff(np.unique(xs)))
         extra = np.concatenate([support + d for d in np.linspace(-step, step, 41)])
         xs = np.unique(np.concatenate([xs, extra]))
-        xs = xs[(xs >= lo) & (xs <= (hi if hi is not None else np.inf))]
+        xs = xs[(xs >= lo) & (xs <= hi)]
         work = np.flatnonzero(np.isin(xs, np.concatenate([support, extra])))
 
+
+def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) -> tuple:
+    """(positions, weights, residual, final grid, r) of a primal witness.
+
+    The shared grid fit (``_grid_fit``); Caratheodory pruning, merge,
+    polish, dropping tiny weights, polish again, and support reduction to the
+    fewest atoms within ``abs_tol``.  No atoms if NNLS finds no support.
+    r = s - A w, the fit's residual, is optimal on its grid.
+    """
+    lo = family.domain.window()[0]
+    hi = None if family.domain.kind == "left_closed_halfline" else family.domain.window()[1]
+    xs, A, w, r = _shared(_grid_fit, family, s, grid)
     w = caratheodory_prune(A, w, family.size)
     idx = np.nonzero(w > 0)[0]
     if len(idx) == 0:

@@ -1,5 +1,9 @@
 """Shared helpers: instance generators and independent oracles."""
 
+import functools
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -57,6 +61,17 @@ def lp_best_approx_oracle(family, fvals, xs):
     return float(res.x[-1]), res.x[:nv]
 
 
+@functools.cache
+def perfbench_checks():
+    """perfbench/checks.py, the benchmark's independent output checks (numpy
+    and scipy only, never the solver they check)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240808)
@@ -64,6 +79,7 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def fresh_primal_memo():
-    """Each test starts with no memoized primal engine result, so one that
-    counts the engine's work does not find a result an earlier test made."""
-    moments._last_primal = None
+    """Each test starts with no memoized grid fit or primal engine result, so
+    one that counts the engine's work does not find a result an earlier test
+    made."""
+    moments._last.clear()

@@ -114,7 +114,8 @@ def test_decompose_plot_csv(tmp_path):
         "--domain=-1,1", "--coeffs", "1,0,1", "--plot", str(plot), "--grid", "21",
     )
     assert r.returncode == 0
-    rows = list(csv.reader(plot.open()))
+    with plot.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["x", "f", "f_star", "f_upper_star"]
     assert len(rows) == 22
     # f = f_star + f_upper pointwise in the CSV

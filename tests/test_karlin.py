@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from tsystems.karlin import (
     _newton,
     _root_window,
     _solve_span,
+    _inadmissible,
     _TangencySolver,
 )
 
@@ -234,6 +236,42 @@ def test_realline_nonneg_with_shared_zero():
     dec = decompose_realline(SparsePoly((0.0, 0.0, 1.0, 0.0, 1.0), fam), mode="nonneg")
     assert [(round(p, 12), m) for p, m, _ in dec.zeros_lower.zeros] == [(0.0, 4)]
     assert np.allclose(dec.f_upper.a, [0.0, 0.0, 1.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_tangency_point_without_a_pinned_solution_is_inadmissible():
+    # x^2 (x^2 + 1) on R with its double zero at 0 shared: a double zero of
+    # f_* placed on it makes the node rows singular, so P = 0 and h.P = 0.
+    # The point gets an infinite residual and a Jacobian that raises, with
+    # no RuntimeWarning (c = h.f / h.P would be inf and d = f - c P NaN)
+    fam = monomial_family([0, 1, 2, 3, 4], real_line())
+    f = np.array([0.0, 0.0, 1.0, 0.0, 1.0])
+    solver = _TangencySolver(fam, f, ((0.0, 2),), 2, -math.inf, None, "leading", np.linspace(-2, 2, 2001))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        R, jac = solver.system(np.array([0.0]), f)
+        assert len(R) and np.all(R == np.inf)
+        with pytest.raises(np.linalg.LinAlgError):
+            jac()
+        # Newton does not start there, and converges from elsewhere
+        assert solver.newton(np.array([0.0]), f, CONVERGED_TOL)[1:] == (False, 0, math.inf)
+        z, ok, _, _ = solver.newton(np.array([0.5]), f, CONVERGED_TOL)
+        assert ok and z[0] != 0.0
+
+
+def test_newton_line_search_never_steps_onto_an_inadmissible_point():
+    # R = z - 1 with no solution at z = 1 itself: each full Newton step lands
+    # there and is halved, so no iterate is 1
+    visited = []
+
+    def system(z):
+        visited.append(float(z[0]))
+        if z[0] == 1.0:
+            return np.array([np.inf]), _inadmissible
+        return z - 1.0, lambda: np.eye(1)
+
+    z, ok, steps, nR = _newton(system, np.zeros(1), 1e-3, 20, lambda z: True)
+    assert ok and 0 < nR < 1e-3 and z[0] != 1.0
+    assert 1.0 in visited and steps > 1
 
 
 def test_realline_constant():

@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter1d
 from scipy.optimize import nnls as scipy_nnls
 
 from tsystems import (
@@ -21,7 +23,7 @@ from tsystems import (
     recover_atoms,
     sparse_feasibility,
 )
-from tsystems.errors import NotFeasible, TooShort
+from tsystems.errors import NotFeasible, TooShort, TSystemError
 from tsystems import extremal, moments
 from tsystems.extremal import (
     _pattern_nodes,
@@ -31,10 +33,13 @@ from tsystems.extremal import (
     _search_window,
 )
 from tsystems.moments import (
+    CERT_TOL,
     MomentFunctional,
     _certificate_is_sound,
     caratheodory_prune,
 )
+
+from conftest import perfbench_checks
 
 
 def bisection_eigen_oracle(H, tol=1e-12):
@@ -457,14 +462,67 @@ def test_feasible_functional_solves_no_lp():
     # grid's last point): the coarse scan's starts find the certificate
     L = perturbed_functional(fam, (1.2, 0.8), "interior_doubles")
     assert sparse_feasibility(L).status == "infeasible"
-    # undecided: the gap reported is |r|
-    # (the moments of delta_0.5 over 1, x, ..., x^4 with s_0 lowered by 1e-7)
+    # the moments of delta_0.5 over 1, x, ..., x^4 with s_0 lowered by 1e-7:
+    # L((x - 1/2)^2) at unit max-norm coefficients is -2.5e-8 < -tol * scale,
+    # and the grid certificate -r / max |r| proves it before any search
     L = MomentFunctional((1.0 - 1e-7, 0.5, 0.25, 0.125, 0.0625),
                          power_family([0.0, 1.0, 2.0, 3.0, 4.0], interval(0.0, 1.0)))
     v = sparse_feasibility(L)
-    assert v.status == "undecided" and v.route == "none"
+    assert (v.status, v.route) == ("infeasible", "dual")
+    r = moments._grid_fit(L.family, L.s, 2001)[3]
+    assert np.array_equal(v.certificate_poly.a, -r / np.max(np.abs(r)))
+    assert perfbench_checks().check_certificate(L.s, v) is None
+
+
+def test_undecided_gap_is_the_grid_residual():
+    # delta_0.8443 (weight 0.6339) over 1, x, ..., x^4 on [0, 1], moved off
+    # the cone by 5.7e-6 of its scale along a random direction (draw 29 of
+    # the near-boundary census in CHANGES.md): neither the grid certificate
+    # nor a search gives a sound certificate, and the gap reported is |r|
+    L = MomentFunctional((0.6338961233963336, 0.535209927423153, 0.45188583181613884,
+                          0.38153914745116263, 0.32214422521709835),
+                         monomial_family(list(range(5)), interval(0.0, 1.0)))
+    v = sparse_feasibility(L)
+    assert (v.status, v.route) == ("undecided", "none")
     r = moments._primal_atoms(L.family, L.s, 2001, 1e-8 * float(np.max(np.abs(L.s))))[4]
     assert v.gap == float(np.linalg.norm(r)) > 0
+
+
+def test_each_stage_runs_only_where_the_one_before_fails(monkeypatch):
+    # grid certificate -> engine -> each pattern's seeded start -> the full
+    # multistart, counted by engine runs and L-BFGS-B starts; order 2 on an
+    # interval has one pattern with a free zero, so the seeded pass makes
+    # at most one start
+    engine = _count_engine_runs(monkeypatch)
+    starts = []
+    original = extremal.minimize
+
+    def counting(*args, **kwargs):
+        starts.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(extremal, "minimize", counting)
+
+    def stages(L):
+        engine.clear()
+        starts.clear()
+        v = sparse_feasibility(L)
+        assert (v.status, v.route) == ("infeasible", "dual")
+        return len(engine), len(starts)
+
+    # the grid certificate: no engine run, no search
+    L = MomentFunctional((1.0 - 1e-7, 0.5, 0.25, 0.125, 0.0625),
+                         power_family([0.0, 1.0, 2.0, 3.0, 4.0], interval(0.0, 1.0)))
+    assert stages(L) == (0, 0)
+    fam = power_family([0.0, 0.5, 3.0], interval(0.1, 1.2))
+    # the seeded start from the engine's atom at 0.7
+    L = perturbed_functional(fam, (0.7, 0.8), "interior_doubles")
+    assert stages(L) == (1, 1)
+    # an atom at the window's end is no seed, nor is p's minimum there: the
+    # seeded pass makes no start and the full multistart finds the certificate
+    L = perturbed_functional(fam, (1.2, 0.8), "interior_doubles")
+    runs, made = stages(L)
+    assert runs == 1 and made > 1
 
 
 def test_search_yields_each_end_point_once(monkeypatch):
@@ -563,6 +621,29 @@ def test_feasibility_then_recovery_runs_the_engine_once(monkeypatch):
     assert len(runs) == 1
 
 
+def test_recovery_after_the_grid_certificate_runs_the_whole_engine(monkeypatch):
+    # the grid certificate decides before the engine runs; recover_atoms
+    # then runs the whole engine, on the grid fit the first call made
+    runs = _count_engine_runs(monkeypatch)
+    fits = []
+    original = moments.nnls
+
+    def counting(*args, **kwargs):
+        fits.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "nnls", counting)
+    L = MomentFunctional((1.0 - 1e-7, 0.5, 0.25, 0.125, 0.0625),
+                         power_family([0.0, 1.0, 2.0, 3.0, 4.0], interval(0.0, 1.0)))
+    assert sparse_feasibility(L).route == "dual" and not runs
+    solves = len(fits)
+    assert recover_atoms(L, assume_feasible=True).atoms
+    assert len(runs) == 1 and len(fits) == solves
+    with pytest.raises(NotFeasible):
+        recover_atoms(L)
+    assert len(runs) == 1
+
+
 def test_changed_inputs_run_the_engine_again(monkeypatch):
     runs = _count_engine_runs(monkeypatch)
     fam = power_family([0.0, 0.5, 1.0, 2.0], interval(0.1, 1.0))
@@ -581,12 +662,12 @@ def test_changed_inputs_run_the_engine_again(monkeypatch):
 def test_memoized_engine_result_is_read_only():
     fam = power_family([0.0, 1.0, 2.5, 4.0], interval(0.1, 1.2))
     s = MomentFunctional.from_measure(fam, [(0.45, 0.6)]).s
-    first = moments._shared_primal_atoms(fam, s, 2001, 1e-8)
+    first = moments._shared(moments._primal_atoms, fam, s, 2001, 1e-8)
     kept = [np.array(part) for part in first]
     for part in (first[0], first[1], first[3], first[4]):
         with pytest.raises(ValueError):
             part[0] = 0.5
-    again = moments._shared_primal_atoms(fam, s, 2001, 1e-8)
+    again = moments._shared(moments._primal_atoms, fam, s, 2001, 1e-8)
     for part, copy in zip(again, kept):
         assert np.array_equal(part, copy)
 
@@ -787,3 +868,89 @@ def test_dual_seeds_one_per_basin():
     seeds = sorted(moments._dual_seeds(fam, r, xs))
     assert len(seeds) == 2
     assert abs(seeds[0] - 0.3) < 0.05 and abs(seeds[1] - 0.9) < 0.05
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MomentFunctional((1.0 - 1e-7, 0.5, 0.25, 0.125, 0.0625),
+                             power_family([0.0, 1.0, 2.0, 3.0, 4.0], interval(0.0, 1.0))),
+    lambda: perturbed_functional(power_family([0.0, 0.5, 3.0], interval(0.1, 1.2)), (0.7, 0.8),
+                                 "interior_doubles"),
+    lambda: perturbed_functional(power_family([0.0, 0.5, 3.0], halfline(0.0)), (0.7, 0.8),
+                                 "interior_doubles"),
+    lambda: criterion_10_instance(0),
+    lambda: criterion_10_instance(5),
+], ids=["delta_0.5", "2ab", "2halfline", "criterion10_0_4ab", "criterion10_5_4halfline"])
+def test_grid_certificate_value_is_minus_r_squared_over_max_r(make):
+    # p_r = -r / max |r_i| has L(p_r) = -|r|^2 / max |r_i| (the KKT
+    # identity s . r = |r|^2 of the grid fit), and |r|^2 / max |r_i| >= |r|:
+    # the screen's L < -tol * scale passes whenever |r| > tol * scale
+    L = make()
+    s = L.s
+    r = moments._grid_fit(L.family, s, 2001)[3]
+    norm, top, snorm = float(np.linalg.norm(r)), float(np.max(np.abs(r))), float(np.linalg.norm(s))
+    assert norm > 0
+    value = float(s @ (-r / top))
+    assert abs(value + norm**2 / top) <= (1e-6 * norm + 1e-13 * snorm) * snorm / top
+    assert norm**2 / top >= norm
+
+
+@st.composite
+def boundary_functionals(draw):
+    """Criterion 10's construction at orders n = 2..6 on [0.1, 1.2] or
+    [0, inf): the moments of 1..n/2 atoms, and the extremal direction p_hat
+    with a double zero at each atom, padded to index n by more doubles and,
+    for odd n, a simple zero at the left end.  The n/2 doubles lie one per
+    n/2-th of the window, off the cell ends, the atoms in k of those cells."""
+    n = draw(st.integers(2, 6))
+    halves = draw(st.lists(st.integers(1, 3 * n), min_size=n, max_size=n, unique=True))
+    on_halfline = draw(st.booleans())
+    fam = power_family([0.0] + sorted(0.5 * h for h in halves),
+                       halfline(0.0) if on_halfline else interval(0.1, 1.2))
+    lo, hi = (0.08, 2.5) if on_halfline else (0.12, 1.18)
+    cells = draw(st.lists(st.floats(0.15, 0.85), min_size=n // 2, max_size=n // 2))
+    doubles = [lo + (hi - lo) * (j + u) / len(cells) for j, u in enumerate(cells)]
+    held = draw(st.lists(st.sampled_from(range(len(doubles))), min_size=1, unique=True))
+    weights = draw(st.lists(st.floats(0.2, 1.0), min_size=len(held), max_size=len(held)))
+    nodes = [(x, 2) for x in doubles] + ([(0.0 if on_halfline else 0.1, 1)] if n % 2 else [])
+    try:
+        p_hat = poly_from_zeros(fam, NodeSet.of(*nodes), check_certificate=False)
+    except TSystemError:
+        assume(False)
+    atoms = [(doubles[j], w) for j, w in zip(sorted(held), weights)]
+    return MomentFunctional.from_measure(fam, atoms), p_hat
+
+
+def _assert_nonneg_at_probe_minima_in_mpmath(p: SparsePoly):
+    # near-zero local minima on each probe grid, re-evaluated from the
+    # coefficients in 50-digit mpmath against the windowed running max of |p|
+    alphas = [mpmath.mpf(float(al)) for al in p.family.params]
+    for probe in moments._probes(p.family):
+        vals = p(probe)
+        local = maximum_filter1d(np.abs(vals), size=2 * (len(probe) // 50) + 1, mode="nearest")
+        inner = (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
+        minima = np.flatnonzero(np.concatenate([[vals[0] <= vals[1]], inner, [vals[-1] <= vals[-2]]])
+                                & (vals < 1e-2 * local))
+        with mpmath.workdps(50):
+            for i in minima:
+                x = mpmath.mpf(float(probe[i]))
+                value = mpmath.fsum(mpmath.mpf(float(c)) * mpmath.power(x, al) for c, al in zip(p.a, alphas))
+                assert value >= -CERT_TOL * local[i], (float(probe[i]), float(value), local[i])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(boundary_functionals())
+def test_grid_certificate_keeps_verdicts_sound(case):
+    # the grid certificate screen never decides a feasible functional; moved
+    # outward along p_hat's coefficients by 10 tol * scale, so that
+    # L(p_hat) <= -10 tol * scale, it is infeasible, with a certificate
+    # nonnegative at 50 digits at its probe-grid minima
+    L, p_hat = case
+    tol = 1e-8
+    scale = float(np.max(np.abs(L.s)))
+    v = sparse_feasibility(L, tol=tol)
+    assert (v.status, v.route) == ("feasible", "primal")
+    s = L.s - 10 * tol * scale * p_hat.a / np.linalg.norm(p_hat.a)
+    v = sparse_feasibility(MomentFunctional(tuple(s), L.family), tol=tol)
+    assert (v.status, v.route) == ("infeasible", "dual")
+    assert float(s @ v.certificate_poly.a) < -tol * scale
+    _assert_nonneg_at_probe_minima_in_mpmath(v.certificate_poly)
