@@ -102,9 +102,14 @@ def _search_window(family: FamilySpec) -> tuple[float, float]:
 
 
 def _interior(family: FamilySpec, seeds) -> list:
-    """The seeds strictly inside the search window: those ``search`` reads."""
+    """The seeds ``search`` reads: those strictly inside the search window and
+    beyond its separation guard, 1e-6 of the window, from each one kept."""
     lo, hi = _search_window(family)
-    return [t for t in seeds if lo + 1e-9 < t < hi - 1e-9]
+    kept = []
+    for t in seeds:
+        if lo + 1e-9 < t < hi - 1e-9 and all(abs(t - u) > 1e-6 * (hi - lo) for u in kept):
+            kept.append(t)
+    return kept
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,15 +4,16 @@ Feasibility runs a primal/dual pair on one grid fit: NNLS on a few hundred
 columns of the moment curve, checked on every column by (A/colnorm)^T r <=
 10 eps |s| for its residual r = s - A w; with w . A^T r = 0, p = -sum r_i f_i
 is >= 0 on the grid and L(p) = -|r|^2.  That p is the first certificate
-tried.  The primal engine, shared with atomic recovery, polishes the fit to
-at most n+1 atoms; a fit within tolerance is the witness.  Otherwise the
-dual minimizes L over the extremal nonnegative polynomials (index-n zero
-patterns) by the search of ``extremal``, a gradient search on the zero
-positions seeded with the engine's atoms and p's basins, first from the
-seeded start alone and then from many; a negative minimum that passes the
-soundness checks here is the certificate.  |r| is the gap reported when no
-side passes and the verdict is undecided; a numeric tool must admit a gap
-since the exact conditions quantify over continua.
+tried.  The primal engine, shared with atomic recovery, first polishes one
+atom per cluster of the fit's support; a fit within tolerance is the witness.
+Otherwise the dual minimizes L over the extremal nonnegative polynomials
+(index-n zero patterns) by the search of ``extremal``, a gradient search on
+the zero positions seeded with those atoms and p's basins, first from the
+seeded start alone, then (after the whole engine) from many; a negative
+minimum that passes the soundness checks here is the certificate.  |r| is
+the gap reported when no side passes and the verdict is undecided; a
+numeric tool must admit a gap since the exact conditions quantify over
+continua.
 """
 
 from __future__ import annotations
@@ -284,10 +285,9 @@ def _polish_atoms(family: FamilySpec, s: np.ndarray, positions, weights, lo, hi,
         D = _safe_deriv_cols(family, xs_)
         return np.hstack([D * ws_, V]) / rsc[:, None]
 
-    hi_b = np.inf if hi is None else hi
-    z0 = np.concatenate([np.clip(x, lo, hi_b), np.maximum(w, 0.0)])
+    z0 = np.concatenate([np.clip(x, lo, hi), np.maximum(w, 0.0)])
     lower = np.concatenate([np.full(k, lo), np.zeros(k)])
-    upper = np.concatenate([np.full(k, hi_b), np.full(k, np.inf)])
+    upper = np.concatenate([np.full(k, hi), np.full(k, np.inf)])
     try:
         sol = least_squares(
             resid, z0, jac=jac, bounds=(lower, upper), method="trf",
@@ -517,17 +517,19 @@ def sparse_feasibility(
     direction >= 0 with a moment below -tol * scale; (2) the grid
     certificate p = -sum r_i f_i at unit max-norm coefficients, r the
     residual of the grid NNLS fit the engine starts from, p >= 0 on that
-    grid with L(p) = -|r|^2 / max |r_i|; (3) the witness of the engine of
-    ``recover_atoms`` (Caratheodory pruning, polish, support reduction):
-    at most n+1 atoms matching the moments to tol * scale, the result kept
-    per (family, moments, grid, tol) for a next ``recover_atoms``; (4) a
+    grid with L(p) = -|r|^2 / max |r_i|; (3) the clustered stage of the
+    engine of ``recover_atoms``, one atom per cluster of the fit's support,
+    polished: where it matches the moments to tol * scale, the witness is
+    the whole engine's (its support reduced to the fewest atoms), kept per
+    (family, moments, grid, tol) for a next ``recover_atoms``; (4) a
     gradient search on the zero positions of extremal nonnegative
     polynomials (dL from the node null vector, implicit differentiation of
-    B a = 0), one start per pattern seeded by the engine's atoms, then one
+    B a = 0), one start per pattern seeded by the clustered atoms, then one
     point per near-zero basin of p (read only where fewer atoms lie inside
-    the window); (5) the full multistart, adding a coarse scan and
-    ``starts`` random placements drawn from ``seed``.  Steps 2, 4 and 5
-    give route "dual" with a certificate below -tol * scale that passes
+    the window); (5) the whole engine's witness, where step 3 did not run
+    it; (6) the full multistart, adding a coarse scan and ``starts`` random
+    placements drawn from ``seed``.  Steps 2, 4 and 6 give route "dual"
+    with a certificate below -tol * scale that passes
     ``_certificate_is_sound``; "undecided" (route "none", gap |r|) means p
     failed it and neither search found such a certificate.
 
@@ -565,18 +567,20 @@ def sparse_feasibility(
         if val < -tol * scale and _certificate_is_sound(p, probes):
             return FeasibilityVerdict(INFEASIBLE, None, p, -val, hint, "dual")
 
-    pos, wts, res, xs, r = _shared(_primal_atoms, family, s, grid, tol * scale)
-    if res <= tol * scale and len(pos) <= family.size:
-        witness = AtomicMeasure(tuple(zip(map(float, pos), map(float, wts))))
-        return FeasibilityVerdict(FEASIBLE, witness, None, float(res), hint, "primal")
-
-    # dual pass, seeded with the engine's atoms, which localize where a
-    # certificate must vanish, then with the zeros of the grid certificate
-    # (certificate basins can be narrow)
+    # seeds: the clustered atoms, which localize where a certificate must
+    # vanish, then the grid certificate's basins (they can be narrow)
+    xs, _, _, r = _shared(_grid_fit, family, s, grid)
+    pos, _, res = _shared(_clustered_atoms, family, s, grid, tol * scale)[:3]
     seeds = [float(p) for p in pos] + _dual_seeds(family, r, xs)
-    cert = _dual_search(L, tol=tol, seed=seed, starts=starts, theta_seeds=seeds)
-    if cert is not None:
-        return FeasibilityVerdict(INFEASIBLE, None, cert[0], float(-cert[1]), hint, "dual")
+    for seeded_only in (True, False):
+        if res <= tol * scale or not seeded_only:
+            pos, wts, res = _shared(_primal_atoms, family, s, grid, tol * scale)[:3]
+            if res <= tol * scale and len(pos) <= family.size:
+                witness = AtomicMeasure(tuple(zip(map(float, pos), map(float, wts))))
+                return FeasibilityVerdict(FEASIBLE, witness, None, float(res), hint, "primal")
+        cert = _dual_search(L, tol, seed, starts, seeds, seeded_only)
+        if cert is not None:
+            return FeasibilityVerdict(INFEASIBLE, None, cert[0], float(-cert[1]), hint, "dual")
     return FeasibilityVerdict(UNDECIDED, None, None, float(np.linalg.norm(r)), hint)
 
 
@@ -609,14 +613,15 @@ def _merge_atoms(pos, wts, rel=1e-6):
     return [(p, w_) for p, w_ in out]
 
 
-def _dual_search(L: MomentFunctional, tol: float, seed: int, starts: int, theta_seeds=()):
+def _dual_search(L: MomentFunctional, tol: float, seed: int, starts: int, theta_seeds=(),
+                 seeded_only: bool = False):
     """A sound certificate (poly, value), value < -tol * scale, from the
     extremal search (which minimizes L(p_theta)/scale), or None.
 
-    Each pattern's seeded start runs first, alone, and its first sound end
-    point is the certificate.  Otherwise the full multistart runs from a
-    fresh rng(seed), and its lowest sound end point is.  End points are
-    built by poly_from_zeros.
+    With ``seeded_only`` each pattern's seeded start runs alone, and its
+    first sound end point is the certificate.  Otherwise the full
+    multistart runs from a fresh rng(seed), and its lowest sound end point
+    is.  End points are built by poly_from_zeros.
     """
     family = L.family
     s = L.s
@@ -626,7 +631,7 @@ def _dual_search(L: MomentFunctional, tol: float, seed: int, starts: int, theta_
     def objective(val, grad):
         return val / scale, grad / scale
 
-    def ends(seeded_only):
+    def ends():
         for pattern, theta, _ in search(family, s, objective, np.random.default_rng(seed), starts,
                                         theta_seeds, seeded_only=seeded_only):
             try:
@@ -638,8 +643,7 @@ def _dual_search(L: MomentFunctional, tol: float, seed: int, starts: int, theta_
     def sound(cert):
         return cert[1] < -tol * scale and _certificate_is_sound(cert[0], probes)
 
-    return (next(filter(sound, ends(seeded_only=True)), None)
-            or next(filter(sound, sorted(ends(seeded_only=False), key=lambda c: c[1])), None))
+    return next(filter(sound, ends() if seeded_only else sorted(ends(), key=lambda c: c[1])), None)
 
 
 def recover_atoms(
@@ -652,11 +656,13 @@ def recover_atoms(
 
     The primal engine shared with ``sparse_feasibility``: grid NNLS on a
     working set of columns, optimal on the whole grid -> Caratheodory
-    pruning -> polish -> support reduction.  Its last result is kept per
-    (family, moments, grid, tol): right after ``sparse_feasibility`` on the
-    same functional the engine does not run again, and the measure is that
-    call's witness.  The zero functional yields the empty measure; a moment
-    residual above tol * scale raises NotFeasible unless ``assume_feasible``.
+    pruning -> one atom per cluster of grid columns, polished (the unmerged
+    support where that misses tol) -> support reduction.  Its last result
+    is kept per (family, moments, grid, tol): right after
+    ``sparse_feasibility`` on the same functional the engine does not run
+    again, and the measure is that call's witness.  The zero functional
+    yields the empty measure; a moment residual above tol * scale raises
+    NotFeasible unless ``assume_feasible``.
     """
     s = L.s
     scale = float(np.max(np.abs(s)))
@@ -681,12 +687,12 @@ _last = {}
 
 def _shared(run, family: FamilySpec, s: np.ndarray, grid: int, *args) -> tuple:
     """run(family, s, grid, *args), run once for back-to-back calls with one
-    key: ``_grid_fit`` serves the grid certificate and the engine, and
+    key: ``_grid_fit`` serves the grid certificate and the engine,
+    ``_clustered_atoms`` the dual search's seeds and the engine, and
     ``_primal_atoms`` serves ``recover_atoms`` after ``sparse_feasibility``
-    on one functional (both are deterministic; only a whole engine run is
-    kept).  The key holds params and moments as float64 bytes (array params
-    need no hashing) and custom evaluators by id.  The kept arrays are
-    read-only."""
+    on one functional (all are deterministic).  The key holds params and
+    moments as float64 bytes (array params need no hashing) and custom
+    evaluators by id.  The kept arrays are read-only."""
     key = (family.variant, np.asarray(family.params, dtype=float).tobytes(), family.domain,
            tuple(map(id, family.evaluators)), np.asarray(s, dtype=float).tobytes(), grid, *args)
     if run not in _last or _last[run][0] != key:
@@ -703,8 +709,7 @@ def _grid_fit(family: FamilySpec, s: np.ndarray, grid: int) -> tuple:
     ``_working_set_nnls`` from every 10th point, refined twice near its
     support (solved on the support and the new points).  r = s - A w is
     optimal on the final grid xs."""
-    lo = family.domain.window()[0]
-    hi = np.inf if family.domain.kind == "left_closed_halfline" else family.domain.window()[1]
+    lo, hi = _polish_box(family)
     xs = _primal_grid(family, grid)
     work = np.union1d(np.arange(0, len(xs), 10), [len(xs) - 1])  # every 10th; then ±10 of its support
     for _round in range(3):
@@ -720,25 +725,55 @@ def _grid_fit(family: FamilySpec, s: np.ndarray, grid: int) -> tuple:
         work = np.flatnonzero(np.isin(xs, np.concatenate([support, extra])))
 
 
+def _polish_box(family: FamilySpec) -> tuple:
+    """(lo, hi) bounds of the atoms' positions (hi = inf on a half-line)."""
+    lo, hi = family.domain.window()
+    return lo, np.inf if family.domain.kind == "left_closed_halfline" else hi
+
+
+def _clustered_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) -> tuple:
+    """(positions, weights, residual, support, support weights), the
+    engine's first stage: the shared grid fit (``_grid_fit``), Caratheodory-
+    pruned to at most n+1 support points; one atom per run of them with no
+    grid point strictly between, its summed weight at its weighted-mean
+    position, polished once.  Around each atom of a boundary functional the
+    fit holds two neighbouring columns, which as two atoms make an
+    ill-conditioned polish.  No atoms if NNLS finds no support."""
+    xs, A, w, _ = _shared(_grid_fit, family, s, grid)
+    w = caratheodory_prune(A, w, family.size)
+    support, weights = xs[w > 0], w[w > 0]
+    idx = np.flatnonzero(w > 1e-10 * w.max())  # the support as _grid_fit reads it
+    if len(idx) == 0:
+        return support, weights, float(np.max(np.abs(s))), support, weights
+    # a grid point lies between this one and the last; the refinement's
+    # copies of a grid point, equal to rounding, are that point
+    rank = np.cumsum(np.diff(xs, prepend=-np.inf) > 1e-12 * (xs[-1] - xs[0]))[idx]
+    new = np.diff(rank, prepend=-2) > 1
+    run = np.cumsum(new) - 1
+    first = xs[idx][new]
+    wts = np.bincount(run, w[idx])
+    pos = first + np.bincount(run, (xs[idx] - first[run]) * w[idx]) / wts  # a lone point stays put
+    return (*_polish_atoms(family, s, pos, wts, *_polish_box(family), abs_tol), support, weights)
+
+
 def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) -> tuple:
     """(positions, weights, residual, final grid, r) of a primal witness.
 
-    The shared grid fit (``_grid_fit``); Caratheodory pruning, merge,
-    polish, dropping tiny weights, polish again, and support reduction to the
-    fewest atoms within ``abs_tol``.  No atoms if NNLS finds no support.
-    r = s - A w, the fit's residual, is optimal on its grid.
+    The clustered stage (``_clustered_atoms``), or, where it merged
+    columns and missed ``abs_tol`` (close atoms may need two), the polish of
+    the pruned support merged only within 1e-6 of its span; then dropping
+    tiny weights, polish again, and support reduction to the fewest atoms
+    within ``abs_tol``.  No atoms if NNLS finds no support.  r = s - A w,
+    the grid fit's residual, is optimal on its grid.
     """
-    lo = family.domain.window()[0]
-    hi = None if family.domain.kind == "left_closed_halfline" else family.domain.window()[1]
-    xs, A, w, r = _shared(_grid_fit, family, s, grid)
-    w = caratheodory_prune(A, w, family.size)
-    idx = np.nonzero(w > 0)[0]
-    if len(idx) == 0:
-        return np.zeros(0), np.zeros(0), float(np.max(np.abs(s))), xs, r
-    merged = _merge_atoms(xs[idx], w[idx])
-    pos = np.array([p for p, _ in merged])
-    wts = np.array([w_ for _, w_ in merged])
-    pos, wts, res = _polish_atoms(family, s, pos, wts, lo, hi, abs_tol)
+    lo, hi = _polish_box(family)
+    xs, _, _, r = _shared(_grid_fit, family, s, grid)
+    pos, wts, res, support, weights = _shared(_clustered_atoms, family, s, grid, abs_tol)
+    if len(pos) == 0:
+        return pos, wts, res, xs, r
+    if res > abs_tol and len(pos) < len(support):
+        merged = np.array(_merge_atoms(support, weights)).T
+        pos, wts, res = _polish_atoms(family, s, merged[0], merged[1], lo, hi, abs_tol)
     keep = wts > 1e-12 * float(wts.max())
     pos, wts = pos[keep], wts[keep]
     if len(pos):

@@ -475,25 +475,46 @@ def test_feasible_functional_solves_no_lp():
 
 
 def test_undecided_gap_is_the_grid_residual():
-    # delta_0.8443 (weight 0.6339) over 1, x, ..., x^4 on [0, 1], moved off
-    # the cone by 5.7e-6 of its scale along a random direction (draw 29 of
+    # delta_0.6633 (weight 0.6803) over 1, x, x^2, x^3 on [0, 1], moved off
+    # the cone by 2.2e-8 of its scale along a random direction (draw 54 of
     # the near-boundary census in CHANGES.md): neither the grid certificate
     # nor a search gives a sound certificate, and the gap reported is |r|
-    L = MomentFunctional((0.6338961233963336, 0.535209927423153, 0.45188583181613884,
-                          0.38153914745116263, 0.32214422521709835),
-                         monomial_family(list(range(5)), interval(0.0, 1.0)))
+    L = MomentFunctional((0.6802781527850223, 0.4512343109041686, 0.2993075697689222,
+                          0.19853325808363484),
+                         monomial_family(list(range(4)), interval(0.0, 1.0)))
     v = sparse_feasibility(L)
     assert (v.status, v.route) == ("undecided", "none")
     r = moments._primal_atoms(L.family, L.s, 2001, 1e-8 * float(np.max(np.abs(L.s))))[4]
     assert v.gap == float(np.linalg.norm(r)) > 0
 
 
+@pytest.mark.parametrize("s", [
+    # draw 29: delta_0.8443 (weight 0.6339) over 1, ..., x^4, moved by 5.7e-6
+    (0.6338961233963336, 0.535209927423153, 0.45188583181613884, 0.38153914745116263,
+     0.32214422521709835),
+    # draw 77: atoms at 0.4059 and 0.9402 over 1, ..., x^5, moved by 1.8e-6
+    (1.3051060096428035, 0.9600169258131346, 0.7942191110591438, 0.7027355091835368,
+     0.6428601512307042, 0.597175372687282),
+], ids=["draw29", "draw77"])
+def test_census_draws_off_the_cone_are_infeasible_and_sound(s):
+    # two near-boundary census draws (CHANGES.md) that a search seeded by
+    # the clustered atoms decides: the certificate passes the benchmark's
+    # independent check and is nonnegative at 50 digits at its minima
+    L = MomentFunctional(s, monomial_family(list(range(len(s))), interval(0.0, 1.0)))
+    v = sparse_feasibility(L)
+    assert (v.status, v.route) == ("infeasible", "dual")
+    assert float(L.s @ v.certificate_poly.a) < -1e-8 * float(np.max(np.abs(L.s)))
+    assert perfbench_checks().check_certificate(L.s, v) is None
+    _assert_nonneg_at_probe_minima_in_mpmath(v.certificate_poly)
+
+
 def test_each_stage_runs_only_where_the_one_before_fails(monkeypatch):
-    # grid certificate -> engine -> each pattern's seeded start -> the full
-    # multistart, counted by engine runs and L-BFGS-B starts; order 2 on an
-    # interval has one pattern with a free zero, so the seeded pass makes
-    # at most one start
-    engine = _count_engine_runs(monkeypatch)
+    # grid certificate -> clustered stage -> each pattern's seeded start ->
+    # the whole engine -> the full multistart, counted by clustered-stage
+    # runs, engine runs and L-BFGS-B starts; order 2 on an interval has one
+    # pattern with a free zero, so the seeded pass makes at most one start
+    clustered = _count_runs(monkeypatch, "_clustered_atoms")
+    engine = _count_runs(monkeypatch, "_primal_atoms")
     starts = []
     original = extremal.minimize
 
@@ -504,25 +525,27 @@ def test_each_stage_runs_only_where_the_one_before_fails(monkeypatch):
     monkeypatch.setattr(extremal, "minimize", counting)
 
     def stages(L):
-        engine.clear()
-        starts.clear()
+        for runs in (clustered, engine, starts):
+            runs.clear()
         v = sparse_feasibility(L)
         assert (v.status, v.route) == ("infeasible", "dual")
-        return len(engine), len(starts)
+        return len(clustered), len(engine), len(starts)
 
-    # the grid certificate: no engine run, no search
+    # the grid certificate: no engine stage, no search
     L = MomentFunctional((1.0 - 1e-7, 0.5, 0.25, 0.125, 0.0625),
                          power_family([0.0, 1.0, 2.0, 3.0, 4.0], interval(0.0, 1.0)))
-    assert stages(L) == (0, 0)
+    assert stages(L) == (0, 0, 0)
     fam = power_family([0.0, 0.5, 3.0], interval(0.1, 1.2))
-    # the seeded start from the engine's atom at 0.7
+    # the seeded start from the clustered atom at 0.7: the whole engine
+    # never runs
     L = perturbed_functional(fam, (0.7, 0.8), "interior_doubles")
-    assert stages(L) == (1, 1)
+    assert stages(L) == (1, 0, 1)
     # an atom at the window's end is no seed, nor is p's minimum there: the
-    # seeded pass makes no start and the full multistart finds the certificate
+    # seeded pass makes no start, and the whole engine and then the full
+    # multistart run
     L = perturbed_functional(fam, (1.2, 0.8), "interior_doubles")
-    runs, made = stages(L)
-    assert runs == 1 and made > 1
+    once, runs, made = stages(L)
+    assert once == 1 and runs == 1 and made > 1
 
 
 def test_search_yields_each_end_point_once(monkeypatch):
@@ -552,6 +575,24 @@ def test_search_yields_each_end_point_once(monkeypatch):
     nfev.clear()
     monkeypatch.setattr(extremal, "SAME_END", 0.0)
     assert len(ends()) == 8 and sum(nfev) > 1.5 * stopped
+
+
+def test_seeds_within_the_separation_guard_are_one_seed():
+    # two seeds closer than search's separation guard (1e-6 of the window)
+    # make a start its objective rejects, which L-BFGS-B never leaves: the
+    # later one is dropped, and the seeded start from the atoms reaches an
+    # end point below zero
+    fam = power_family([0.0, 0.5, 1.5, 2.5, 4.0], interval(0.1, 1.2))
+    seeds = [0.3, 0.3 + 1e-9, 0.05, 0.9, 0.3 + 2e-6]
+    assert extremal._interior(fam, seeds) == [0.3, 0.9, 0.3 + 2e-6]
+    s = MomentFunctional.from_measure(fam, [(0.3, 0.5), (0.9, 0.7)]).s
+    s[0] -= 1e-6
+    ends = [(theta, value) for pattern, theta, value
+            in extremal.search(fam, s, lambda v, g: (v, g), np.random.default_rng(0), 4,
+                               [0.3, 0.3 + 1e-9, 0.9], seeded_only=True)
+            if pattern == "interior_doubles"]
+    assert len(ends) == 1 and ends[0][1] < 0
+    assert np.max(np.abs(ends[0][0] - [0.3, 0.9])) < 1e-3
 
 
 def test_polish_ends_once_settled(monkeypatch):
@@ -596,20 +637,20 @@ def test_witness_is_recover_atoms(exps, dom, atoms):
     assert v.witness_measure == recover_atoms(L)
 
 
-def _count_engine_runs(monkeypatch) -> list:
+def _count_runs(monkeypatch, name: str) -> list:
     runs = []
-    original = moments._primal_atoms
+    original = getattr(moments, name)
 
     def counting(*args):
         runs.append(args)
         return original(*args)
 
-    monkeypatch.setattr(moments, "_primal_atoms", counting)
+    monkeypatch.setattr(moments, name, counting)
     return runs
 
 
 def test_feasibility_then_recovery_runs_the_engine_once(monkeypatch):
-    runs = _count_engine_runs(monkeypatch)
+    runs = _count_runs(monkeypatch, "_primal_atoms")
     fam = power_family([0.0, 0.5, 1.0, 2.0], interval(0.1, 1.0))
     L = MomentFunctional.from_measure(fam, [(0.2, 0.3), (0.8, 0.7)])
     v = sparse_feasibility(L)
@@ -624,7 +665,7 @@ def test_feasibility_then_recovery_runs_the_engine_once(monkeypatch):
 def test_recovery_after_the_grid_certificate_runs_the_whole_engine(monkeypatch):
     # the grid certificate decides before the engine runs; recover_atoms
     # then runs the whole engine, on the grid fit the first call made
-    runs = _count_engine_runs(monkeypatch)
+    runs = _count_runs(monkeypatch, "_primal_atoms")
     fits = []
     original = moments.nnls
 
@@ -645,7 +686,7 @@ def test_recovery_after_the_grid_certificate_runs_the_whole_engine(monkeypatch):
 
 
 def test_changed_inputs_run_the_engine_again(monkeypatch):
-    runs = _count_engine_runs(monkeypatch)
+    runs = _count_runs(monkeypatch, "_primal_atoms")
     fam = power_family([0.0, 0.5, 1.0, 2.0], interval(0.1, 1.0))
     L = MomentFunctional.from_measure(fam, [(0.2, 0.3), (0.8, 0.7)])
     recover_atoms(L)
@@ -702,7 +743,7 @@ class _Monomial:
 
 
 def test_unhashable_evaluators_share_the_engine_run(monkeypatch):
-    runs = _count_engine_runs(monkeypatch)
+    runs = _count_runs(monkeypatch, "_primal_atoms")
     fam = custom_family([_Monomial(d) for d in range(3)], interval(0, 1))
     L = MomentFunctional.from_measure(fam, [(0.4, 1.0)])
     v = sparse_feasibility(L, grid=201)
@@ -954,3 +995,57 @@ def test_grid_certificate_keeps_verdicts_sound(case):
     assert (v.status, v.route) == ("infeasible", "dual")
     assert float(s @ v.certificate_poly.a) < -tol * scale
     _assert_nonneg_at_probe_minima_in_mpmath(v.certificate_poly)
+
+
+@pytest.mark.parametrize("fam,one_atom_up_to", [
+    (monomial_family(list(range(5)), interval(0.0, 1.0)), (3e-5, 1e-4)),
+    (power_family([0.0, 0.5, 1.5, 2.5, 4.0], interval(0.1, 1.2)), (3e-5, 1e-4)),
+    (power_family([0.0, 0.5, 1.5, 2.5, 4.0], halfline(0.0)), (3e-5, 1e-4)),
+    (monomial_family(list(range(7)), interval(0.0, 1.0)), (3e-5, 3e-5)),
+], ids=["mono4", "power_ab", "power_halfline", "mono6"])
+def test_close_atoms_are_recovered(fam, one_atom_up_to):
+    # 0.6 delta_x0 + 0.4 delta_(x0+d): atoms closer than the grid's spacing
+    # are one cluster of grid columns, and where one atom misses tol the
+    # engine polishes the unmerged support.  The recovered measure has at
+    # most the atoms the engine found before the clustered stage: one up to
+    # the separation where one atom matches the moments to tol, else two
+    for x0, one_atom in zip((0.3117, 0.7731), one_atom_up_to):
+        for d in (1e-7, 1e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3):
+            L = MomentFunctional.from_measure(fam, [(x0, 0.6), (x0 + d, 0.4)])
+            v = sparse_feasibility(L)
+            assert (v.status, v.route) == ("feasible", "primal"), (x0, d)
+            assert len(recover_atoms(L).atoms) <= (1 if d <= one_atom else 2), (x0, d)
+
+
+@st.composite
+def separated_boundary_functionals(draw):
+    """The moments of k atoms, 2k <= n, at least 0.05 apart, over a power
+    family of order n = 2..6 on [0.1, 1.2] or [0, inf): boundary functionals,
+    each with one representing measure."""
+    n = draw(st.integers(2, 6))
+    halves = draw(st.lists(st.integers(1, 3 * n), min_size=n, max_size=n, unique=True))
+    on_halfline = draw(st.booleans())
+    fam = power_family([0.0] + sorted(0.5 * h for h in halves),
+                       halfline(0.0) if on_halfline else interval(0.1, 1.2))
+    lo, hi = (0.08, 2.5) if on_halfline else (0.12, 1.18)
+    k = draw(st.integers(1, n // 2))
+    pos = sorted(draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k)))
+    assume(np.all(np.diff(pos) >= 0.05))
+    weights = draw(st.lists(st.floats(0.2, 1.0), min_size=k, max_size=k))
+    return MomentFunctional.from_measure(fam, list(zip(pos, weights))), k
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(separated_boundary_functionals())
+def test_boundary_functionals_polish_one_atom_per_cluster(case):
+    # the grid fit's support around each atom is one cluster of grid
+    # columns: the clustered stage polishes exactly k atoms, and the
+    # recovered measure is the k-atom one
+    L, k = case
+    tol = 1e-8
+    v = sparse_feasibility(L, tol=tol)
+    assert (v.status, v.route) == ("feasible", "primal")
+    atoms = moments._shared(moments._clustered_atoms, L.family, L.s, 2001,
+                            tol * float(np.max(np.abs(L.s))))[0]
+    assert len(atoms) == k
+    assert len(recover_atoms(L, tol=tol).atoms) == k
