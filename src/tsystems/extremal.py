@@ -46,12 +46,7 @@ def _patterns_for(family: FamilySpec):
     return pats
 
 
-def extremal_test_polys(
-    family: FamilySpec,
-    pattern: str,
-    theta,
-    certificate=None,
-) -> SparsePoly:
+def extremal_test_polys(family: FamilySpec, pattern: str, theta) -> SparsePoly:
     """Nonnegative polynomial with the index-n zero placement of a pattern.
 
     Interval patterns: "interior_doubles" (even n), "a_doubles_b" (even),
@@ -61,8 +56,7 @@ def extremal_test_polys(
     """
     theta = tuple(float(t) for t in np.atleast_1d(np.asarray(theta, dtype=float))) if np.size(theta) else ()
     fam, nodes = _pattern_nodes(family, pattern, theta)
-    p = poly_from_zeros(fam, NodeSet(tuple(sorted(nodes))), "auto_nonneg",
-                        certificate=certificate, check_certificate=False)
+    p = poly_from_zeros(fam, NodeSet(tuple(sorted(nodes))), "auto_nonneg", check_certificate=False)
     if fam is family:
         return p
     coeffs = np.zeros(family.size)

@@ -543,7 +543,6 @@ def decompose_halfline(
         if float(vals.min()) <= 0:
             raise NotPositive(f"min f = {vals.min():.3e} on [0, {xs_grid[-1]:.1e}]")
         shared: tuple = ()
-        factor_i = 0
     elif mode == "nonneg":
         if abs(f.a[0]) <= 1e-300 or f.a[0] == 0.0:
             return _halfline_factor_out(f, init=init, grid=grid, zero_tol=zero_tol)
@@ -552,14 +551,11 @@ def decompose_halfline(
         cfg = count_zeros(f, tol=zero_tol, window=(0.0, X))
         shared = tuple((p, m) for p, m, _ in cfg.zeros)
         r = sum(m for _, m in shared)
-        if r >= n:
+        if 0 < n <= r:
             raise TooManyZeros(f"f has {r} zeros; needs fewer than n = {n}")
         for p, m, _ in cfg.zeros:
             if p > 0 and m % 2 == 1:
                 raise OddInteriorMultiplicity(f"zero at {p} has odd multiplicity {m}")
-        if r == 0:
-            shared = ()
-        factor_i = 0
     else:
         raise ValueError(f"mode must be 'positive' or 'nonneg', not {mode!r}")
 
@@ -639,7 +635,7 @@ def decompose_realline(f: SparsePoly, mode: str = "positive") -> KarlinDecomposi
 
     f = f_* + f^* with f_* = a_n prod (x - x_i)^2 and f^* of degree n - 2
     with double zeros at the touch points (times the zeros f shares with
-    both parts in nonneg mode).
+    both parts in nonneg mode, fewer than n of them).
     """
     family = f.family
     if family.variant != "monomial" or family.domain.kind != "real_line":
@@ -665,9 +661,11 @@ def decompose_realline(f: SparsePoly, mode: str = "positive") -> KarlinDecomposi
     elif mode != "positive":
         raise ValueError(f"mode must be 'positive' or 'nonneg', not {mode!r}")
 
-    n_eff = n - sum(m for _, m in shared)
+    r = sum(m for _, m in shared)
+    if 0 < n <= r:
+        raise TooManyZeros(f"f has {r} zeros; needs fewer than n = {n}")
     grid = np.linspace(lo, hi, 2001)
-    solver = _TangencySolver(family, f.a, shared, n_eff, -math.inf, None, "leading", grid)
+    solver = _TangencySolver(family, f.a, shared, n - r, -math.inf, None, "leading", grid)
     if mode == "positive" and float((solver.grid_rows @ solver.f).min()) <= 0:
         raise NotPositive("f must be strictly positive on R")
     xs, ys, fl, info = solver.solve()

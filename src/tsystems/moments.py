@@ -27,7 +27,7 @@ from scipy.optimize import least_squares, nnls
 
 from .errors import NonDifferentiable, NotFeasible, TooShort, TSystemError
 from .extremal import _search_window, extremal_test_polys, search
-from .family import CLOSED_INTERVAL, REAL_LINE, FamilySpec, halfline_xmax
+from .family import CLOSED_INTERVAL, REAL_LINE, FamilySpec
 from .zeros import (
     NODAL,
     SparsePoly,
@@ -196,53 +196,11 @@ def hankel_check(s, variant: str = "hamburger", tol: float = 1e-10) -> dict:
 
 
 def _primal_grid(family: FamilySpec, points: int) -> np.ndarray:
-    lo, hi = family.domain.window()
+    lo, hi = _search_window(family)
     if family.domain.kind == "left_closed_halfline":
-        hi = family.domain.a + halfline_xmax(family)
-        lin = np.linspace(family.domain.a, hi, points)
-        geo = family.domain.a + np.geomspace(1e-4, hi - family.domain.a, points // 4)
-        return np.unique(np.concatenate([lin, geo]))
+        geo = lo + np.geomspace(1e-4, hi - lo, points // 4)
+        return np.unique(np.concatenate([np.linspace(lo, hi, points), geo]))
     return np.linspace(lo, hi, points)
-
-
-def caratheodory_prune(V: np.ndarray, w: np.ndarray, max_atoms: int):
-    """Reduce a conic combination V @ w (w >= 0) to <= max_atoms support points.
-
-    Row/column equilibration keeps the null-vector step accurate when the
-    moment curves span many orders of magnitude.
-    """
-    w = w.copy()
-    target = V @ w
-    base_err = float(np.max(np.abs(V @ w - target)))
-    active = list(np.nonzero(w > 0)[0])
-    while len(active) > max_atoms:
-        Vs = V[:, active]
-        R = np.maximum(np.max(np.abs(Vs), axis=1), 1e-300)
-        W = Vs / R[:, None]
-        C = np.maximum(np.max(np.abs(W), axis=0), 1e-300)
-        W = W / C[None, :]
-        _, sv, Vt = np.linalg.svd(W)
-        eta = Vt[-1] / C
-        pos = eta > 1e-14 * np.max(np.abs(eta))
-        if not np.any(pos):
-            eta = -eta
-            pos = eta > 1e-14 * np.max(np.abs(eta))
-        if not np.any(pos):
-            break
-        ratios = w[active][pos] / eta[pos]
-        t = float(np.min(ratios))
-        w_act = w[active] - t * eta
-        w_act[w_act < 1e-15 * max(1.0, float(w_act.max()))] = 0.0
-        w[active] = w_act
-        active = [i for i in active if w[i] > 0]
-    # guard: if pruning drifted the combination, keep the heaviest atoms instead
-    scale = max(float(np.max(np.abs(target))), 1e-300)
-    if float(np.max(np.abs(V @ w - target))) > max(100 * base_err, 1e-10 * scale):
-        w2 = np.zeros_like(w)
-        heavy = np.argsort(w)[-max_atoms:]
-        w2[heavy] = w[heavy]
-        return w2
-    return w
 
 
 class _Polished(Exception):
@@ -596,23 +554,6 @@ def _dual_seeds(family, r, xs):
     return [float(x) for x in xs[mins[np.argsort(vals[mins], kind="stable")[:6]]]]
 
 
-def _merge_atoms(pos, wts, rel=1e-6):
-    if len(pos) == 0:
-        return []
-    order = np.argsort(pos)
-    pos, wts = pos[order], wts[order]
-    span = max(pos[-1] - pos[0], 1.0)
-    out = [[float(pos[0]), float(wts[0])]]
-    for p, w_ in zip(pos[1:], wts[1:]):
-        if p - out[-1][0] <= rel * span:
-            tot = out[-1][1] + w_
-            out[-1][0] = (out[-1][0] * out[-1][1] + p * w_) / tot
-            out[-1][1] = tot
-        else:
-            out.append([float(p), float(w_)])
-    return [(p, w_) for p, w_ in out]
-
-
 def _dual_search(L: MomentFunctional, tol: float, seed: int, starts: int, theta_seeds=(),
                  seeded_only: bool = False):
     """A sound certificate (poly, value), value < -tol * scale, from the
@@ -655,12 +596,13 @@ def recover_atoms(
     """Atomic representing measure with at most n+1 atoms.
 
     The primal engine shared with ``sparse_feasibility``: grid NNLS on a
-    working set of columns, optimal on the whole grid -> Caratheodory
-    pruning -> one atom per cluster of grid columns, polished (the unmerged
-    support where that misses tol) -> support reduction.  Its last result
-    is kept per (family, moments, grid, tol): right after
-    ``sparse_feasibility`` on the same functional the engine does not run
-    again, and the measure is that call's witness.  The zero functional
+    working set of columns, optimal on the whole grid, whose basic solution
+    has at most n+1 support points (Caratheodory) -> one atom per cluster
+    of grid columns, polished (the whole support where that misses tol)
+    -> support reduction.  Its last result is kept per (family, moments,
+    grid, tol): right after ``sparse_feasibility`` on the same functional
+    the engine does not run again, and the measure is that call's
+    witness.  The zero functional
     yields the empty measure; a moment residual above tol * scale raises
     NotFeasible unless ``assume_feasible``.
     """
@@ -733,14 +675,14 @@ def _polish_box(family: FamilySpec) -> tuple:
 
 def _clustered_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) -> tuple:
     """(positions, weights, residual, support, support weights), the
-    engine's first stage: the shared grid fit (``_grid_fit``), Caratheodory-
-    pruned to at most n+1 support points; one atom per run of them with no
-    grid point strictly between, its summed weight at its weighted-mean
-    position, polished once.  Around each atom of a boundary functional the
-    fit holds two neighbouring columns, which as two atoms make an
+    engine's first stage: the shared grid fit (``_grid_fit``), a basic NNLS
+    solution with at most n+1 support points (its positive columns are
+    linearly independent); one atom per run of them with no grid point
+    strictly between, its summed weight at its weighted-mean position,
+    polished once.  Around each atom of a boundary functional the fit
+    holds two neighbouring columns, which as two atoms make an
     ill-conditioned polish.  No atoms if NNLS finds no support."""
-    xs, A, w, _ = _shared(_grid_fit, family, s, grid)
-    w = caratheodory_prune(A, w, family.size)
+    xs, _, w, _ = _shared(_grid_fit, family, s, grid)
     support, weights = xs[w > 0], w[w > 0]
     idx = np.flatnonzero(w > 1e-10 * w.max())  # the support as _grid_fit reads it
     if len(idx) == 0:
@@ -761,8 +703,8 @@ def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) 
 
     The clustered stage (``_clustered_atoms``), or, where it merged
     columns and missed ``abs_tol`` (close atoms may need two), the polish of
-    the pruned support merged only within 1e-6 of its span; then dropping
-    tiny weights, polish again, and support reduction to the fewest atoms
+    the grid fit's whole support; then dropping weights at most 1e-9 of the
+    total, one polish again, and support reduction to the fewest atoms
     within ``abs_tol``.  No atoms if NNLS finds no support.  r = s - A w,
     the grid fit's residual, is optimal on its grid.
     """
@@ -772,12 +714,9 @@ def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) 
     if len(pos) == 0:
         return pos, wts, res, xs, r
     if res > abs_tol and len(pos) < len(support):
-        merged = np.array(_merge_atoms(support, weights)).T
-        pos, wts, res = _polish_atoms(family, s, merged[0], merged[1], lo, hi, abs_tol)
-    keep = wts > 1e-12 * float(wts.max())
-    pos, wts = pos[keep], wts[keep]
-    if len(pos):
-        pos, wts, res = _polish_atoms(family, s, pos, wts, lo, hi, abs_tol)
+        pos, wts, res = _polish_atoms(family, s, support, weights, lo, hi, abs_tol)
+    keep = wts > 1e-9 * float(np.sum(wts))
+    pos, wts, res = _polish_atoms(family, s, pos[keep], wts[keep], lo, hi, abs_tol)
     pos, wts, res = _reduce_support(family, s, pos, wts, res, lo, hi, abs_tol)
     return pos, wts, res, xs, r
 
@@ -814,18 +753,12 @@ def _working_set_nnls(A, s, work, reach=0):
 
 def _reduce_support(family, s, pos, wts, res, lo, hi, abs_tol):
     """Try smaller atom counts (toward the principal representation)."""
-    keep = wts > 1e-9 * max(float(np.sum(wts)), 1e-300)
-    if not np.all(keep) and np.any(keep):
-        p_try, w_try, r_try = _polish_atoms(family, s, pos[keep], wts[keep], lo, hi, abs_tol)
-        if r_try <= max(abs_tol, res):
-            pos, wts, res = p_try, w_try, r_try
-    best = (pos, wts, res)
     for k in range(1, len(pos)):
         p_try, w_try = _merge_to_k(pos, wts, k)
         p_try, w_try, r_try = _polish_atoms(family, s, p_try, w_try, lo, hi, abs_tol)
         if r_try <= abs_tol and np.all(w_try > 0) and len(np.unique(np.round(p_try, 12))) == k:
             return p_try, w_try, r_try
-    return best
+    return pos, wts, res
 
 
 def _merge_to_k(pos, wts, k):

@@ -545,7 +545,7 @@ def optimize_ratio(
     results = []
     for pattern, theta, _ in search(family, LS, objective, np.random.default_rng(seed), starts):
         try:
-            p = extremal_test_polys(family, pattern, theta, certificate)
+            p = extremal_test_polys(family, pattern, theta)
         except TSystemError:
             continue
         num, den = LS @ p.a

@@ -2,6 +2,7 @@
 
 import functools
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -61,15 +62,35 @@ def lp_best_approx_oracle(family, fvals, xs):
     return float(res.x[-1]), res.x[:nv]
 
 
+def _perfbench_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 @functools.cache
 def perfbench_checks():
     """perfbench/checks.py, the benchmark's independent output checks (numpy
     and scipy only, never the solver they check)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _perfbench_module("checks")
+
+
+@functools.cache
+def perfbench_workloads():
+    """perfbench/workloads.py, the benchmark's instance generators; its
+    ``import checks`` is given perfbench_checks() while it loads."""
+    saved = sys.modules.get("checks")
+    sys.modules["checks"] = perfbench_checks()
+    try:
+        return _perfbench_module("workloads")
+    finally:
+        if saved is None:
+            del sys.modules["checks"]
+        else:
+            sys.modules["checks"] = saved
 
 
 @pytest.fixture

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsystems import (
+    FamilySpec,
     SparsePoly,
     decompose_halfline,
     decompose_nonneg_ab,
     decompose_pos_ab,
     decompose_realline,
+    exponential_family,
     halfline,
     interval,
     lukacs_decompose,
@@ -20,10 +22,15 @@ from tsystems import (
     real_line,
 )
 from tsystems.errors import (
+    InvariantViolation,
+    LeadingCoefficientNonpositive,
+    NegativeLeading,
     NegativeSomewhere,
     NotPositive,
     OddDegree,
+    OddInteriorMultiplicity,
     TooManyZeros,
+    ValueAtZeroNonpositive,
 )
 from tsystems.family import halfline_xmax
 from tsystems.karlin import (
@@ -188,8 +195,9 @@ def test_halfline_linear():
 
 def test_halfline_constant():
     fam = monomial_family([0], halfline(0.0))
-    dec = decompose_halfline(SparsePoly((1.0,), fam))
-    assert dec.f_lower.a[0] == 1.0 and dec.f_upper.a[0] == 0.0
+    for mode in ("positive", "nonneg"):  # no zeros: none too many for n = 0
+        dec = decompose_halfline(SparsePoly((1.0,), fam), mode=mode)
+        assert dec.f_lower.a[0] == 1.0 and dec.f_upper.a[0] == 0.0
 
 
 def test_halfline_factor_out_when_f0_zero():
@@ -391,6 +399,87 @@ def test_lukacs_ab_product_identity():
     t2 = np.convolve([-a, 1.0], np.convolve([b, -1.0], [b, -1.0]))
     rhs = (t1 + t2) / (b - a)
     assert np.allclose(np.pad(lhs, (0, 1)), rhs, atol=1e-14)
+
+
+@pytest.mark.parametrize("deg", [3, 5, 7])
+@pytest.mark.parametrize("shared_zero", [None, 0.9], ids=["positive", "zero_at_0.9"])
+def test_lukacs_interval_odd_degree(deg, shared_zero):
+    # p = (x - a) q^2 + (b - x) r^2 on [0.2, 1.7], times (x - 0.9)^2 where a
+    # zero is shared: the odd branch of the interval oracle rebuilds p from
+    # two nonnegative parts whose double zeros interlace, y first, and on a
+    # positive p it agrees with the tangency solver
+    a, b = 0.2, 1.7
+    rng = np.random.default_rng(deg)
+    m = (deg - 1) // 2 - (shared_zero is not None)
+    q, r = rng.standard_normal(m + 1), rng.standard_normal(m + 1)
+    pd = np.convolve([-a, 1.0], np.convolve(q, q)) + np.convolve([b, -1.0], np.convolve(r, r))
+    if shared_zero is not None:
+        pd = np.convolve(pd, [shared_zero**2, -2 * shared_zero, 1.0])
+    ld = lukacs_decompose(pd, interval(a, b))
+    assert ld.reconstruction_error <= 1e-11
+    xs = np.linspace(a, b, 4001)
+    scale = float(np.max(np.abs(np.polyval(pd[::-1], xs))))
+    for part in (ld.f_lower, ld.f_upper):
+        assert np.polyval(np.array(part)[::-1], xs).min() >= -1e-12 * scale
+    merged = sorted([(x, "x") for x in ld.xs] + [(y, "y") for y in ld.ys])
+    assert [kind for _, kind in merged] == ["y", "x"] * (len(merged) // 2)
+    if shared_zero is not None:
+        assert [(round(z, 9), k) for z, k in ld.zfactors] == [(shared_zero, 2)]
+        return
+    dec = decompose_pos_ab(SparsePoly(tuple(pd), monomial_family(list(range(deg + 1)), interval(a, b))))
+    got = [z[0] for z in dec.zeros_lower.zeros + dec.zeros_upper.zeros]
+    for z in list(ld.xs) + list(ld.ys):
+        assert min(abs(z - k) for k in got) <= 1e-7
+    for part, ref in ((dec.f_lower.a, ld.f_lower), (dec.f_upper.a, ld.f_upper)):
+        assert np.max(np.abs(part - np.array(ref))) <= 1e-7 * np.max(np.abs(pd))
+
+
+_HL = halfline(0.0)
+_R = real_line()
+
+
+@pytest.mark.parametrize("decompose,fam,coeffs,kw,error", [
+    (decompose_pos_ab, monomial_family([0, 1, 2], _HL), (1.0, 0.0, 1.0), {}, InvariantViolation),
+    (decompose_nonneg_ab, monomial_family([0, 1, 2], _R), (1.0, 0.0, 1.0), {}, InvariantViolation),
+    # x - 1/2 on [0, 1] over cubics: one zero, r < n, but odd and interior
+    (decompose_nonneg_ab, monomial_family([0, 1, 2, 3], interval(0, 1)), (-0.5, 1.0, 0.0, 0.0), {},
+     OddInteriorMultiplicity),
+    (decompose_halfline, exponential_family([-1.0, 0.0], _HL), (1.0, 1.0), {}, InvariantViolation),
+    (decompose_halfline, power_family([0, 1, 2], halfline(1.0)), (1.0, 0.0, 1.0), {},
+     InvariantViolation),
+    # power_family refuses alpha_0 != 0 with 0 in the domain; FamilySpec does not
+    (decompose_halfline, FamilySpec("power", (0.5, 1.0, 2.0), _HL), (1.0, 0.0, 1.0), {},
+     InvariantViolation),
+    (decompose_halfline, power_family([0, 1, 2], _HL), (1.0, 0.0, -1.0), {},
+     LeadingCoefficientNonpositive),
+    (decompose_halfline, power_family([0, 1, 2], _HL), (1.0, -3.0, 1.0), {}, NotPositive),
+    (decompose_halfline, power_family([0, 1, 2], _HL), (-1.0, 0.0, 1.0), {"mode": "nonneg"},
+     ValueAtZeroNonpositive),
+    (decompose_halfline, power_family([0, 1, 2], _HL), (1.0, -2.0, 1.0), {"mode": "nonneg"},
+     TooManyZeros),
+    # (x - 1.23)(x - 2.71)(x + 3): two simple zeros in (0, inf), r < n
+    (decompose_halfline, power_family([0, 1, 2, 3], _HL),
+     tuple(np.convolve(np.convolve([-1.23, 1.0], [-2.71, 1.0]), [3.0, 1.0])), {"mode": "nonneg"},
+     OddInteriorMultiplicity),
+    # f(0) = 0 and the first nonzero coefficient, of x, is negative
+    (decompose_halfline, power_family([0, 1, 2], _HL), (0.0, -1.0, 1.0), {"mode": "nonneg"},
+     ValueAtZeroNonpositive),
+    (decompose_realline, monomial_family([0, 1, 2], interval(0, 1)), (1.0, 0.0, 1.0), {},
+     InvariantViolation),
+    (decompose_realline, monomial_family([0, 2], _R), (1.0, 1.0), {}, InvariantViolation),
+    (decompose_realline, monomial_family([0, 1, 2], _R), (1.0, 0.0, -1.0), {}, NegativeLeading),
+    # (x - 1)(x - 2)(x^2 + 1): two simple zeros on R
+    (decompose_realline, monomial_family([0, 1, 2, 3, 4], _R), (2.0, -3.0, 3.0, -3.0, 1.0),
+     {"mode": "nonneg"}, OddInteriorMultiplicity),
+    # (x - 1)^2 (x - 2)^2: r = 4 = n shared zeros leave f^* nothing but
+    # rounding, as on [a, b] and the half-line
+    (decompose_realline, monomial_family([0, 1, 2, 3, 4], _R),
+     tuple(np.convolve([2.0, -3.0, 1.0], [2.0, -3.0, 1.0])), {"mode": "nonneg"}, TooManyZeros),
+    (decompose_realline, monomial_family([0, 1, 2], _R), (-1.0, 0.0, 1.0), {}, NotPositive),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_decomposers_reject_invalid_input(decompose, fam, coeffs, kw, error):
+    with pytest.raises(error):
+        decompose(SparsePoly(coeffs, fam), **kw)
 
 
 def test_lukacs_rejects_negative():

@@ -13,6 +13,7 @@ from tsystems import (
     NodeSet,
     SparsePoly,
     custom_family,
+    exponential_family,
     extremal_test_polys,
     halfline,
     hankel_check,
@@ -36,10 +37,9 @@ from tsystems.moments import (
     CERT_TOL,
     MomentFunctional,
     _certificate_is_sound,
-    caratheodory_prune,
 )
 
-from conftest import perfbench_checks
+from conftest import perfbench_checks, perfbench_workloads
 
 
 def bisection_eigen_oracle(H, tol=1e-12):
@@ -215,14 +215,40 @@ def test_recover_atoms_infeasible_raises():
         recover_atoms(MomentFunctional((-1.0, 0.5, 0.4), fam))
 
 
-def test_caratheodory_prune_preserves_moments(rng):
-    n1 = 4
-    V = rng.standard_normal((n1, 12))
-    w = np.abs(rng.standard_normal(12))
-    target = V @ w
-    w2 = caratheodory_prune(V, w, n1)
-    assert np.sum(w2 > 0) <= n1
-    assert np.allclose(V @ w2, target, atol=1e-10 * np.max(np.abs(target)))
+@st.composite
+def functionals_on_and_off_the_cone(draw):
+    """The moments of 1..n+1 atoms over a power, monomial or exponential
+    family of order n = 2..6 on [0.1, 1.2] or [0, inf), kept (two draws in
+    five) or moved off along a random direction by up to 1e-1 of its scale."""
+    n = draw(st.integers(2, 6))
+    variant = draw(st.sampled_from(["power", "monomial", "exponential"]))
+    on_halfline = draw(st.booleans())
+    dom = halfline(0.0) if on_halfline else interval(0.1, 1.2)
+    lo, hi = (0.08, 2.5) if on_halfline else (0.12, 1.18)
+    if variant == "monomial":
+        fam = monomial_family(list(range(n + 1)), dom)
+    else:
+        steps = sorted(draw(st.lists(st.integers(1, 3 * n), min_size=n, max_size=n, unique=True)))
+        fam = (power_family([0.0] + [0.5 * h for h in steps], dom) if variant == "power"
+               else exponential_family([-0.5 * h for h in steps[::-1]] + [0.0], dom))
+    k = draw(st.integers(1, n + 1))
+    pos = draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k))
+    weights = draw(st.lists(st.floats(0.2, 1.0), min_size=k, max_size=k))
+    s = MomentFunctional.from_measure(fam, list(zip(pos, weights))).s
+    size = draw(st.sampled_from([0.0, 0.0, 1e-6, 1e-3, 1e-1]))
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=fam.size, max_size=fam.size)))
+    return MomentFunctional(tuple(s + size * float(np.max(np.abs(s))) * u), fam)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(functionals_on_and_off_the_cone())
+def test_grid_fit_is_a_basic_solution(L):
+    # Lawson-Hanson NNLS keeps its positive columns linearly independent, so
+    # the grid fit has at most n+1 support points (Caratheodory) and the
+    # engine built on it needs no pruning
+    w = moments._grid_fit(L.family, L.s, 2001)[2]
+    assert np.count_nonzero(w > 0) <= L.family.size
+    assert 1 <= len(recover_atoms(L, assume_feasible=True).atoms) <= L.family.size
 
 
 def test_duality_never_both(rng):
@@ -1049,3 +1075,76 @@ def test_boundary_functionals_polish_one_atom_per_cluster(case):
                             tol * float(np.max(np.abs(L.s))))[0]
     assert len(atoms) == k
     assert len(recover_atoms(L, tol=tol).atoms) == k
+
+
+def _census():
+    """The near-boundary census: 120 draws from default_rng(7), each the
+    moments over 1, x, ..., x^n (n = 2..6) on [0, 1] of 1..n//2+1 atoms,
+    moved off by 10^(-8..-5) of their scale along a random direction."""
+    rng = np.random.default_rng(7)
+    draws = []
+    for _ in range(120):
+        n = int(rng.integers(2, 7))
+        fam = monomial_family(list(range(n + 1)), interval(0.0, 1.0))
+        k = int(rng.integers(1, n // 2 + 2))
+        atoms = list(zip(np.sort(rng.uniform(0, 1, k)), rng.uniform(0.2, 1, k)))
+        d = rng.normal(size=n + 1)
+        s = MomentFunctional.from_measure(fam, atoms).s
+        s = s + 10 ** rng.uniform(-8, -5) * float(np.max(np.abs(s))) * d / np.max(np.abs(d))
+        draws.append(MomentFunctional(tuple(s), fam))
+    return draws
+
+
+#: each census draw's verdict when this guard was recorded: the witness's
+#: atom count where feasible, i(nfeasible) or u(ndecided)
+CENSUS_VERDICTS = (
+    "iiii3iiii33i232i3i3i222ii2i21iiu32iiii22"  # 0-39
+    "i266i3ii2i41iiui242ii2ii23332i3iiii2ii21"  # 40-79
+    "iiii3i2444ii25ii2ii232iii2ii2ii2424224i2"  # 80-119
+)
+
+
+def test_census_verdicts_hold():
+    # the moment engine's guard: no feasible or infeasible verdict flips, no
+    # witness gains an atom, every verdict passes the benchmark's independent
+    # checks, and the undecided draws (31 and 54) may only become decided
+    checks = perfbench_checks()
+    for i, (L, was) in enumerate(zip(_census(), CENSUS_VERDICTS)):
+        v = sparse_feasibility(L)
+        if was == "i":
+            assert v.status == "infeasible", i
+        elif was != "u":
+            assert v.status == "feasible" and len(v.witness_measure.atoms) <= int(was), i
+        if v.status == "infeasible":
+            assert checks.check_certificate(L.s, v) is None, i
+        elif v.status == "feasible":
+            assert checks.check_atoms(L.family, v.witness_measure.atoms, L.s, 1e-8) is None, i
+
+
+#: the recovered atom count of each fresh moment_primal draw when this guard
+#: was recorded: four rounds of the benchmark's strata from default_rng(5),
+#: then four from default_rng(17), one round a line
+FRESH_PRIMAL_ATOMS = (
+    "1111211211311311112112113113"
+    "1111211211311311112112113113"
+    "1111211211611311112112114113"
+    "1111211211311311112112114113"
+    "1111211211311311112112114113"
+    "1111211211311311112112113113"
+    "1111211211311311112112113113"
+    "1111211211311311112112113113"
+)
+
+
+def test_fresh_primal_draws_keep_their_atom_counts():
+    # feasible functionals drawn as the moment_primal benchmark draws them,
+    # but not its corpus: each must pass its check (feasible, witness and
+    # recovered measure within tol), with no more atoms than recorded
+    workloads = perfbench_workloads()
+    draws = [workloads.primal_make(rng, stratum)
+             for rng in (np.random.default_rng(5), np.random.default_rng(17))
+             for _ in range(4) for stratum in workloads.PRIMAL_STRATA]
+    for i, (inst, was) in enumerate(zip(draws, FRESH_PRIMAL_ATOMS, strict=True)):
+        inst.output = workloads.primal_call(inst)
+        assert workloads.primal_check(inst) is None, i
+        assert len(inst.output[1].atoms) <= int(was), i
