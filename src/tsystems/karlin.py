@@ -9,11 +9,15 @@ tangency system, ``_TangencySolver``, and one damped Newton driver,
 come from implicit differentiation of the node null vector
 (colloc.null_vector_tangent).  Newton halves its step until the residual
 falls and keeps stepping past its tolerance until the residual stops
-falling, so every solve ends at the rounding floor; a stall above the
-tolerance is not converged.  When the direct starts fail, the same driver
-follows a continuation from a surrogate whose decomposition is known
-exactly: a sum of the two pattern polynomials, which by uniqueness is its
-own decomposition.
+falling, so every solve that converges ends at the rounding floor; a stall
+above the tolerance is not converged.  A direct start also ends, not
+converged, once its line search cuts a step below DIRECT_MIN_STEP above the
+tolerance: such a start crawls along the edge of the interlacing region and
+does not recover.  When the direct starts fail, the same driver follows a
+continuation from a surrogate whose decomposition is known exactly: a sum
+of the two pattern polynomials, which by uniqueness is its own
+decomposition.  Continuation steps and the final solve on f take no such
+cut.
 """
 
 from __future__ import annotations
@@ -43,6 +47,11 @@ from .zeros import NODAL, NON_NODAL, SparsePoly, ZeroConfig, count_zeros
 CONVERGED_TOL = 1e-10
 TOUCH_LOCAL_TOL = 1e-6  # solutions reach 2e-10 on degree-8 [a, b] draws; stalls reach 1
 POS_GRID = 5000
+# A direct start whose line search accepts a step below this above tol has
+# failed (Deuflhard's lambda_min): no converged direct start in the tests takes
+# one below 2^-11, while failed ones crawl on at 2^-8 ... 2^-43 for up to 40
+# iterations.  A start cut here falls through to the next start or continuation.
+DIRECT_MIN_STEP = 2.0**-12
 
 
 @dataclass(frozen=True)
@@ -90,7 +99,7 @@ def _merge_nodes(nodes) -> tuple:
     return tuple((p, m) for p, m in out)
 
 
-def _newton(system, z, tol, maxit, admissible):
+def _newton(system, z, tol, maxit, admissible, min_step=0.0):
     """Damped Newton on a square system, run to the rounding floor.
 
     ``system(z)`` returns the residual R at z and a callable giving the
@@ -99,9 +108,12 @@ def _newton(system, z, tol, maxit, admissible):
     when no halving does before the step no longer moves z.  Passing tol
     does not stop it: the residual keeps falling to the rounding floor, so
     the end point does not depend on where tol lies.  It has converged if
-    it stops below tol; a stall above tol is not converged.  A z without a
-    solution has R = inf and a raising Jacobian (_inadmissible), so no step
-    lands on it and none starts there.  Returns (z, converged, steps, max |R|).
+    it stops below tol; a stall above tol is not converged.  With
+    ``min_step`` > 0 it also stops, not converged, at the first accepted
+    step cut below min_step that leaves max |R| at or above tol.  A z
+    without a solution has R = inf and a raising Jacobian (_inadmissible),
+    so no step lands on it and none starts there.  Returns (z, converged,
+    steps, max |R|).
     """
     z = np.asarray(z, dtype=float).copy()
     R, jac = system(z)
@@ -126,6 +138,8 @@ def _newton(system, z, tol, maxit, admissible):
         if not moved:
             return z, nR < tol, it, nR
         z, R, jac, nR = zn, Rn, jn, nRn
+        if t < min_step and nR >= tol:
+            return z, False, it + 1, nR
     return z, nR < tol, maxit, nR
 
 
@@ -155,9 +169,9 @@ class _TangencySolver:
     line ("leading").  The real line is lo = -inf, hi = None; its check grid
     is a window holding every root of f.
     ``system`` gives the residual and its analytic Jacobian; ``newton`` runs
-    _newton on it to the rounding floor.  ``solve`` tries Newton from
-    Chebyshev and equispaced starts ("newton:direct*"), then continuation
-    from the Chebyshev layout ("homotopy-cheb").
+    _newton on it.  ``solve`` tries Newton from Chebyshev and equispaced
+    starts ("newton:direct*"), each given up at a step below DIRECT_MIN_STEP,
+    then continuation from the Chebyshev layout ("homotopy-cheb").
     """
 
     def __init__(
@@ -275,10 +289,12 @@ class _TangencySolver:
         hi = self.hi if self.hi is not None else math.inf
         return _interlaced(first, second, self.lo, hi, 1e-13 * self.width)
 
-    def newton(self, z, fc, tol, maxit=40):
+    def newton(self, z, fc, tol, maxit=40, min_step=0.0):
         """_newton on the system for fc; tol and the residual are relative to max |fc|."""
         sc = float(np.max(np.abs(self.grid_rows @ fc)))
-        z, ok, it, nR = _newton(lambda zz: self.system(zz, fc), z, tol * sc, maxit, self.phase_ok)
+        z, ok, it, nR = _newton(
+            lambda zz: self.system(zz, fc), z, tol * sc, maxit, self.phase_ok, min_step
+        )
         return z, ok, it, nR / sc
 
     # -- initial configurations ------------------------------------------------
@@ -376,11 +392,16 @@ class _TangencySolver:
             inits.append(("direct", self.equispaced_init()))
             inits.append(("direct-cheb", self.chebyshev_init()))
 
+        tried = []
         for label, xs0 in inits:
             z0 = np.concatenate([np.sort(xs0), np.sort(self.ys_for(xs0))])
-            if not self.phase_ok(z0):
+            # for m = 1 the two layouts agree to an ulp: Newton would repeat itself
+            if not self.phase_ok(z0) or any(
+                np.max(np.abs(z0 - zt)) <= 1e-12 * self.width for zt in tried
+            ):
                 continue
-            z, _, it, res = self.newton(z0, self.f, tol)
+            tried.append(z0)
+            z, _, it, res = self.newton(z0, self.f, tol, min_step=DIRECT_MIN_STEP)
             if res < tol and self._valid(z):
                 return self._unpack(z, "newton:" + label, it, res, tol)
             attempts.append((label, res))
@@ -425,11 +446,10 @@ class _TangencySolver:
 def _zero_config(nodes, domain) -> ZeroConfig:
     zeros = []
     for p, m in nodes:
-        endpoint = (
-            math.isclose(p, domain.a or -math.inf, abs_tol=1e-13)
-            if domain.kind != "real_line"
-            else False
-        ) or (domain.kind == "closed_interval" and math.isclose(p, domain.b, abs_tol=1e-13))
+        endpoint = domain.kind != "real_line" and (
+            math.isclose(p, domain.a, abs_tol=1e-13)
+            or (domain.kind == "closed_interval" and math.isclose(p, domain.b, abs_tol=1e-13))
+        )
         if endpoint:
             kind = NODAL
         else:

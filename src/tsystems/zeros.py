@@ -218,6 +218,8 @@ def count_zeros(
                 break  # unchanged bit for bit: every later halving repeats it
             state = nxt
         roots.append(float((state[0] + state[1]) / 2))
+    # a zero on a grid point reads 0 there: no sign change either side of it
+    roots.extend(map(float, xs[vals == 0]))
 
     absv = np.abs(vals)
     left = np.concatenate([absv[:1], absv[:-1]])

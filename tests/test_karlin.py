@@ -35,6 +35,7 @@ from tsystems.errors import (
 from tsystems.family import halfline_xmax
 from tsystems.karlin import (
     CONVERGED_TOL,
+    DIRECT_MIN_STEP,
     POS_GRID,
     _interlaced,
     _newton,
@@ -44,7 +45,7 @@ from tsystems.karlin import (
     _TangencySolver,
 )
 
-from conftest import random_nonneg_dense, random_strictly_positive
+from conftest import perfbench_workloads, random_nonneg_dense, random_strictly_positive
 
 
 def check_decomposition(dec, f, grid=None):
@@ -174,6 +175,25 @@ def test_nonneg_ab_r_equals_n_minus_1():
     # lower part holds the endpoint-a zero, upper part the endpoint-b zero
     assert any(abs(z[0] - 0.0) < 1e-9 for z in dec.zeros_lower.zeros)
     assert any(abs(z[0] - 1.0) < 1e-9 for z in dec.zeros_upper.zeros)
+
+
+def test_endpoint_zero_at_zero_is_nodal():
+    # (x - a)^2 (1 + x^2) on [a, 1]: both parts keep the double zero at the
+    # end a, which is nodal by convention, a = 0 as much as a = 0.1
+    for a in (0.0, 0.1):
+        fam = monomial_family([0, 1, 2, 3, 4], interval(a, 1))
+        f = SparsePoly(tuple(np.convolve([a * a, -2 * a, 1.0], [1.0, 0.0, 1.0])), fam)
+        dec = decompose_nonneg_ab(f)
+        for cfg in (dec.zeros_lower, dec.zeros_upper):
+            assert cfg.zeros[0][0] == a and cfg.zeros[0][2] == "nodal", (a, cfg.zeros)
+
+
+def test_halfline_nonneg_simple_zeros_on_the_count_grid():
+    # (x - 1)(x - 2)(x + 3): its simple zeros 1 and 2 lie on count_zeros'
+    # grid, where f reads exactly 0 with no sign change beside it
+    fam = power_family([0, 1, 2, 3], halfline(0.0))
+    with pytest.raises(OddInteriorMultiplicity):
+        decompose_halfline(SparsePoly((6.0, -7.0, 0.0, 1.0), fam), mode="nonneg")
 
 
 def test_halfline_quadratic_hand_computed():
@@ -538,6 +558,59 @@ def test_newton_runs_past_tol_to_the_rounding_floor():
     z, ok, _, res = _newton(system, np.array([3.0]), 1e-3, 40, lambda z: True)
     assert ok and res <= 4.5e-16
     assert abs(z[0] - math.sqrt(2)) <= 4.5e-16
+
+
+def test_newton_min_step_ends_a_crawl_not_converged():
+    # R = z + 1 has its root at -1, outside the admissible z > 0: every full
+    # step leaves the set, and the halved step that stays inside shrinks
+    # with z.  The iterates are where the Jacobian is taken.
+    def run(**kw):
+        iterates = []
+
+        def system(z):
+            def jac():
+                iterates.append(float(z[0]))
+                return np.eye(1)
+
+            return z + 1.0, jac
+
+        z, ok, steps, nR = _newton(system, np.array([4.0]), 1e-10, 100, lambda z: z[0] > 0, **kw)
+        path = [*iterates[:steps], float(z[0])]
+        return ok, steps, nR, [(x - y) / (x + 1) for x, y in zip(path, path[1:])]
+
+    ok, steps, nR, ts = run(min_step=DIRECT_MIN_STEP)
+    assert not ok and nR > 1
+    assert ts[-1] < DIRECT_MIN_STEP and min(ts[:-1]) >= DIRECT_MIN_STEP
+    ok, more, nR, ts = run()  # the default keeps crawling
+    assert not ok and nR > 1 and more > steps
+    assert sum(t < DIRECT_MIN_STEP for t in ts) > 10
+
+
+def test_failed_direct_starts_stay_short_on_the_karlin_corpus(monkeypatch):
+    # Newton iterations of direct starts that fail, over the benchmark's
+    # fixed karlin corpus: 523 before the DIRECT_MIN_STEP cut, 206 with it.
+    # No decomposition runs two direct starts from the same point.
+    wl = perfbench_workloads().WORKLOADS["karlin"]
+    runs = []
+    newton = _TangencySolver.newton
+
+    def counted(self, z, fc, tol, maxit=40, min_step=0.0):
+        out = newton(self, z, fc, tol, maxit, min_step)
+        if min_step:
+            runs.append((np.array(z), self.width, out[2]))
+        return out
+
+    monkeypatch.setattr(_TangencySolver, "newton", counted)
+    failed = 0
+    for inst in wl.corpus():
+        runs.clear()
+        dec = wl.call(inst)
+        starts = [z for z, _, _ in runs]
+        for i, (z, width, _) in enumerate(runs):
+            assert all(np.max(np.abs(z - zt)) > 1e-12 * width for zt in starts[:i]), inst.stratum
+        won = dec.iterations if dec.solver_path.startswith("newton:direct") else 0
+        failed += sum(it for _, _, it in runs) - won
+    assert failed <= 262, failed
 
 
 def _central_difference(system, z, h):

@@ -161,6 +161,16 @@ def test_count_zeros_seven_term_polynomial():
     assert all(z[2] == NON_NODAL for z in cfg.zeros)
 
 
+def test_count_zeros_keeps_zeros_on_grid_points():
+    # (x - 1)(x - 2)(x + 3): on these windows 1 and 2 are grid points, where
+    # f reads exactly 0 and has no sign change between neighbours
+    fam = power_family([0, 1, 2, 3], halfline(0.0))
+    p = SparsePoly((6.0, -7.0, 0.0, 1.0), fam)
+    for window in ((0.0, 10.0), (0.5, 2.5), (0.0, 3.0)):
+        cfg = count_zeros(p, window=window)
+        assert [(z[0], z[1], z[2]) for z in cfg.zeros] == [(1.0, 1, NODAL), (2.0, 1, NODAL)], window
+
+
 def test_count_zeros_zero_polynomial_raises():
     fam = monomial_family([0, 1], interval(0, 1))
     with pytest.raises(ZeroPolynomial):
