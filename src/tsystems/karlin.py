@@ -42,7 +42,7 @@ from .errors import (
     ValueAtZeroNonpositive,
 )
 from .family import FamilySpec, _subfamily, halfline_xmax
-from .zeros import NODAL, NON_NODAL, SparsePoly, ZeroConfig, count_zeros
+from .zeros import NODAL, NON_NODAL, SparsePoly, ZeroConfig, _running_max, count_zeros
 
 CONVERGED_TOL = 1e-10
 TOUCH_LOCAL_TOL = 1e-6  # solutions reach 2e-10 on degree-8 [a, b] draws; stalls reach 1
@@ -195,7 +195,8 @@ class _TangencySolver:
         self.pin = pin  # "endpoint" (at hi) or "leading" (coefficient of f_n)
         self.grid = grid
         self.grid_rows = family.eval_grid(grid)  # basis on the check grid, reused
-        self.scale = float(np.max(np.abs(self.grid_rows @ self.f)))
+        self.local = _running_max(np.abs(self.grid_rows @ self.f), max(3, len(grid) // 50))
+        self.scale = float(np.max(self.local))
         self.width = (hi - lo) if hi is not None else max(1.0, 2 * float(grid[-1] - grid[0]))
         k_lo = next((m for z, m in shared if math.isclose(z, lo, abs_tol=1e-14)), 0)
         if hi is not None:
@@ -415,7 +416,8 @@ class _TangencySolver:
         )
 
     def _valid(self, z) -> bool:
-        """Interlaced, both parts nonnegative on the grid, and f - f_* zero at
+        """Interlaced, both parts nonnegative to 1e-9 of the local size of f
+        (count_zeros's windowed running max on the grid), and f - f_* zero at
         each touch point y to TOUCH_LOCAL_TOL of the local size sum |a_i f_i(y)|
         of f.  The touch residual is relative to max |f| on the grid, which
         on a wide real-line window can exceed f near its roots by many
@@ -428,8 +430,7 @@ class _TangencySolver:
         dv = self.grid_rows @ (self.f - fl)
         Y = self.family.eval_grid(z[self.m :])
         touch = np.abs(Y @ (self.f - fl)) <= TOUCH_LOCAL_TOL * (np.abs(Y) @ np.abs(self.f))
-        nonneg = min(float(flv.min()), float(dv.min())) >= -1e-9 * self.scale
-        return nonneg and bool(touch.all())
+        return bool(np.all(np.minimum(flv, dv) >= -1e-9 * self.local) and touch.all())
 
     def _unpack(self, z, path, it, res, tol):
         xs = np.sort(z[: self.m])

@@ -30,9 +30,7 @@ UPPER = "upper"
 
 def _as_callable(g, family: FamilySpec):
     """Accept a callable, SparsePoly, constant, or (xs, ys) table."""
-    if callable(g):
-        return g
-    if isinstance(g, SparsePoly):
+    if callable(g):  # a SparsePoly too
         return g
     if np.isscalar(g):
         c = float(g)
@@ -146,17 +144,12 @@ def snake(
 
     if n == 0:
         # single touch point: the constant pinned to the nearer bound
-        if which == "f_star":
-            i = int(np.argmin(v2 / basis[:, 0]))
-            cconst = v2[i] / basis[i, 0]
-            touch = ((float(xs[i]), UPPER),)
-        else:
-            i = int(np.argmax(v1 / basis[:, 0]))
-            cconst = v1[i] / basis[i, 0]
-            touch = ((float(xs[i]), LOWER),)
-        poly = SparsePoly((float(cconst),), family)
-        viol = _band_violation(poly, xs, v1, v2)
-        return SnakeSolution(poly, touch, which, viol)
+        upper = which == "f_star"
+        level = (v2 if upper else v1) / basis[:, 0]
+        i = int(np.argmin(level) if upper else np.argmax(level))
+        poly = SparsePoly((float(level[i]),), family)
+        touch = ((float(xs[i]), UPPER if upper else LOWER),)
+        return SnakeSolution(poly, touch, which, _band_violation(poly, xs, v1, v2))
 
     sides = _sides_for(which, n)
     ref = _initial_reference(lo, hi, n + 1)
@@ -181,10 +174,9 @@ def snake(
     # polish: Newton on touch values/derivatives for interior touch points
     ref, coeffs = _polish_snake(family, ref, sides, G1, G2, lo, hi)
     poly = SparsePoly(tuple(coeffs), family)
-    viol = _band_violation(poly, xs, v1, v2)
     touch = tuple((float(t), s) for t, s in zip(ref, sides))
     _snake_invariants(touch, n)
-    return SnakeSolution(poly, touch, which, viol)
+    return SnakeSolution(poly, touch, which, _band_violation(poly, xs, v1, v2))
 
 
 def _separable(basis, v1, v2, level) -> bool:
@@ -213,12 +205,7 @@ def _lp_margin(basis, v1, v2) -> float:
     grid, nv = basis.shape
     c = np.zeros(nv + 1)
     c[-1] = -1.0
-    A_ub = np.vstack(
-        [
-            np.hstack([basis, np.ones((grid, 1))]),
-            np.hstack([-basis, np.ones((grid, 1))]),
-        ]
-    )
+    A_ub = np.block([[basis, np.ones((grid, 1))], [-basis, np.ones((grid, 1))]])
     b_ub = np.concatenate([v2, -v1])
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * nv + [(0, None)], method="highs")
     return float(res.x[-1]) if res.success else -math.inf
@@ -226,15 +213,8 @@ def _lp_margin(basis, v1, v2) -> float:
 
 def _sides_for(which: str, n: int) -> list:
     # rightmost touch: f_star -> upper bound, f_upper_star -> lower bound
-    last = UPPER if which == "f_star" else LOWER
-    sides = []
-    for i in range(n + 1):
-        even_from_right = (n - i) % 2 == 0
-        if last == UPPER:
-            sides.append(UPPER if even_from_right else LOWER)
-        else:
-            sides.append(LOWER if even_from_right else UPPER)
-    return sides
+    last, other = (UPPER, LOWER) if which == "f_star" else (LOWER, UPPER)
+    return [last if (n - i) % 2 == 0 else other for i in range(n + 1)]
 
 
 def _initial_reference(lo, hi, count) -> np.ndarray:
@@ -348,12 +328,13 @@ def best_approx(
 ) -> BestApproximation:
     """Best sup-norm approximation of f from lin(family) on [a, b].
 
-    Multi-point Remez exchange on the n+2 alternation system; extrema are
-    located by golden-section refinement on sign-consistent subintervals of
-    the evaluation grid, all subintervals in lockstep with one evaluation of
-    f and of the basis per step.  The exchange stops once the grid deviation
-    is at the rounding floor of evaluating f - p (8 eps max(|f| + sum
-    |c_i f_i|)): f is then a member of the span up to rounding.
+    Multi-point Remez exchange on the n+2 alternation system; the extremum
+    of each sign block of the error on the evaluation grid is located by a
+    safeguarded successive-parabolic search (Brent), all blocks in lockstep
+    with one evaluation of f and of the basis per step, about four steps a
+    search.  The exchange stops once the grid deviation is at the rounding
+    floor of evaluating f - p (8 eps max(|f| + sum |c_i f_i|)): f is then a
+    member of the span up to rounding.
     """
     if certificate is None:
         certificate = certify(family, "T")
@@ -367,10 +348,7 @@ def best_approx(
     basis = family.eval_grid(xs)
     abs_fv, abs_basis = np.abs(fv), np.abs(basis)
 
-    if init == "chebyshev":
-        ref = _initial_reference(lo, hi, n + 2)
-    else:
-        ref = np.linspace(lo, hi, n + 2)
+    ref = _initial_reference(lo, hi, n + 2) if init == "chebyshev" else np.linspace(lo, hi, n + 2)
 
     best = None
     stalled = False
@@ -445,44 +423,62 @@ def _single_exchange(ref, xs, err, F, family, coeffs) -> np.ndarray:
 def _alternant(xs, err, count, F, family, coeffs) -> np.ndarray:
     """Pick an alternating set of local extremum points including the worst.
 
-    Each sign block of err on the grid gets a golden-section search for the
-    extremum of sign * err over the block widened by one grid step.  The
-    searches run in lockstep: every step makes one call of F and one basis
-    evaluation on the stacked new points of all blocks.
+    Each sign block of err is searched for the maximum of h = sign * err
+    between the grid neighbours of its grid maximum by Brent's safeguarded
+    successive-parabolic search from that point and two grid neighbours
+    (inward at a window end): the parabola's vertex when it is a maximum
+    strictly inside the bracket and moves less than half the step before
+    last, else a golden step into the larger side.  A step below tol (1e-9
+    of the window over 4, or where the parabola's gain falls to the rounding
+    error of h) is taken as tol; a block stops at its second such step in a
+    row, or at a window end that the parabola peaks beyond.  All blocks move
+    in lockstep, one call of F and of the basis a step; F is asked for no
+    derivative (a callable may ignore ``order``).
     """
     sign = np.where(err < 0, -1.0, 1.0)
-    cuts = np.flatnonzero(sign[1:] != sign[:-1]) + 1
-    first = np.concatenate([[0], cuts])
-    last = np.concatenate([cuts - 1, [len(xs) - 1]])
+    block = np.concatenate([[0], np.cumsum(sign[1:] != sign[:-1])])
+    first = np.flatnonzero(np.diff(block, prepend=-1))
     s = sign[first]
-    a = xs[np.maximum(first - 1, 0)]
-    b = xs[np.minimum(last + 1, len(xs) - 1)]
-    phi = (math.sqrt(5) - 1) / 2
-
-    def h(x, s):
-        return s * (_call(F, x) - family.eval_grid(x) @ coeffs)
-
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    hc, hd = np.split(h(np.concatenate([c, d]), np.concatenate([s, s])), 2)
+    top = np.lexsort((-sign * err, block))[first]
+    c = np.clip(top, 1, len(xs) - 2)
+    # a grid point past the flanking points of a block is another block's
+    j = np.stack([top, np.where(top == c, c - 1, c), np.where(top > c, c - 1, c + 1)])
+    (x, w, v), (hx, hw, hv) = xs[j], np.where(abs(block[j] - block[top]) <= 1, s * err[j], -np.inf)
+    a, b = xs[np.maximum(top - 1, 0)], xs[np.minimum(top + 1, len(xs) - 1)]
+    e = d = b - a
+    moving, small, noise = np.ones(len(s), bool), np.zeros(len(s), bool), np.zeros(len(s))
     for _ in range(60):
-        # per block the scalar update: hc >= hd keeps [a, d], else [c, b]
-        left = hc >= hd
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        kept, hkept = np.where(left, c, d), np.where(left, hc, hd)
-        new = np.where(left, b - phi * (b - a), a + phi * (b - a))
-        hnew = h(new, s)
-        c, hc = np.where(left, new, kept), np.where(left, hnew, hkept)
-        d, hd = np.where(left, kept, new), np.where(left, hkept, hnew)
-    # the first and last block also weigh their window end, which a bracket
-    # midpoint never reaches: the end is taken when its |err| is not smaller
-    x = (a + b) / 2
-    ends = xs[[0, -1]]
-    hx, hend = np.split(h(np.concatenate([x, ends]), np.concatenate([s, s[[0, -1]]])), [len(x)])
-    for k, e in ((0, 0), (-1, 1)):
-        if hend[e] >= hx[k]:
-            x[k], hx[k] = ends[e], hend[e]
+        with np.errstate(all="ignore"):  # a repeated point or an -inf value: no parabola
+            slope = (hw - hx) / (w - x)
+            curv = ((hv - hx) / (v - x) - slope) / (v - w)
+            u = (x + w) / 2 - slope / (2 * curv)
+            inside = (curv < 0) & (a < u) & (u < b)
+            par = inside & (np.abs(u - x) < np.abs(e) / 2)
+            tol = np.maximum(2.5e-10 * (xs[-1] - xs[0]), np.sqrt(np.where(par, noise / -curv, 0)))
+        side = np.where(x - a > b - x, a - x, b - x)
+        e, d = np.where(par, d, side), np.where(par, u - x, 0.381966 * side)
+        was, small = small, np.abs(d) < tol
+        moving &= ~(small & (was | (np.abs(side) <= tol))) & ~(~inside & ((x == xs[0]) | (x == xs[-1])))
+        if not moving.any():
+            break
+        u, hu = x + np.where(small, np.copysign(tol, side), d), np.full(len(s), -np.inf)
+        Fu, Bu = _call(F, u[moving]), family.eval_grid(u[moving])
+        hu[moving] = s[moving] * (Fu - Bu @ coeffs)
+        noise[moving] = np.finfo(float).eps * (np.abs(Fu) + np.abs(Bu) @ np.abs(coeffs))
+        up = moving & (hu >= hx)
+        # a better u cuts the bracket at x, a worse one at u
+        to_a = moving & (up != (u < x))
+        a = np.where(to_a, np.where(up, x, u), a)
+        b = np.where(moving & ~to_a, np.where(up, x, u), b)
+        new_w = moving & ~up & ((hu >= hw) | (w == x))
+        new_v = moving & ~up & ~new_w & ((hu >= hv) | (v == x) | (v == w))
+        v, hv = np.where(up | new_w, w, np.where(new_v, u, v)), np.where(up | new_w, hw, np.where(new_v, hu, hv))
+        w, hw = np.where(up, x, np.where(new_w, u, w)), np.where(up, hx, np.where(new_w, hu, hw))
+        x, hx = np.where(up, u, x), np.where(up, hu, hx)
+    # the first and last block also weigh their window end, taken on a tie
+    for k in (0, -1):
+        if abs(err[k]) >= hx[k]:
+            x[k], hx[k] = xs[k], abs(err[k])
     cands = sorted(zip(x.tolist(), s.tolist(), hx.tolist()))
     # collapse same-sign neighbours, keep the larger
     merged = []

@@ -226,7 +226,7 @@ def count_zeros(
     right = np.concatenate([absv[1:], absv[-1:]])
     for i in np.flatnonzero((absv <= left) & (absv <= right) & (absv < 1e-2 * sloc)):
         x0 = _polish_critical(f, float(xs[i]), lo, hi, width)
-        if abs(f(x0)) <= tol * local_scale(x0):
+        if abs(f(x0)) <= max(tol * local_scale(x0), _rounding(f, x0)):
             roots.append(x0)
     for xe in (lo, hi):
         if abs(f(xe)) <= tol * local_scale(xe):
@@ -268,6 +268,11 @@ def _running_max(a: np.ndarray, K: int) -> np.ndarray:
         span = np.maximum(span[:-length], span[length:])
         length *= 2
     return np.maximum(span[: len(a)], span[width - length : width - length + len(a)])
+
+
+def _rounding(f: SparsePoly, x: float) -> float:
+    """eps * sum |a_i f_i(x)|, the rounding error of evaluating f at x."""
+    return np.finfo(float).eps * float(np.abs(f.family.eval_grid(np.array([x]))[0] * f.a).sum())
 
 
 def _merge_basins(f, roots, tol, local_scale, width):
@@ -327,9 +332,7 @@ def _resolve_multiplicity(f, r0, W, local_scale, lo, hi, width, tol):
         except NonDifferentiable:
             continue
         t_m = terms[m_try]
-        if t_m < 1e-3 * sloc:
-            continue
-        if abs(f(rt)) > 10 * tol * sloc:
+        if t_m < 1e-3 * sloc or abs(f(rt)) > max(10 * tol * sloc, _rounding(f, rt)):
             continue
         if all(terms[j] <= 1e-7 * t_m for j in range(m_try)):
             return rt, m_try
@@ -340,12 +343,12 @@ def _resolve_multiplicity(f, r0, W, local_scale, lo, hi, width, tol):
 
 
 def _polish_on_derivative(f, r, mult, lo, hi, width) -> float:
-    """Newton on f^(m-1), where a multiplicity-m zero is simple."""
-    x = r
+    """Newton on f^(m-1), where a multiplicity-m zero is simple, until a step
+    is within 4 ulp of x or no shorter than the step before."""
+    x, last = r, math.inf
     for _ in range(60):
         try:
-            v = f(x, mult - 1)
-            d = f(x, mult)
+            v, d = f(x, mult - 1), f(x, mult)
         except NonDifferentiable:
             break
         if d == 0:
@@ -354,10 +357,10 @@ def _polish_on_derivative(f, r, mult, lo, hi, width) -> float:
         if abs(step) > 0.02 * width:
             step = math.copysign(0.02 * width, step)
         xn = min(max(x + step, lo), hi)
-        if abs(xn - x) < 1e-16 * max(width, abs(x)):
-            x = xn
+        x, moved = xn, abs(xn - x)
+        if moved <= 4 * math.ulp(x) or moved >= last:
             break
-        x = xn
+        last = moved
     return x if abs(x - r) <= 0.05 * width else r
 
 
@@ -370,8 +373,7 @@ def _classify(f: SparsePoly, r: float, lo: float, hi: float, width: float, sloc:
     delta = min(1e-4 * width, 0.5 * (r - lo), 0.5 * (hi - r))
     floor = min(1e-9 * width, delta)
     # a side value below the rounding error of evaluating f has no sign
-    terms = np.abs(f.family.eval_grid(np.array([r]))[0] * f.a)
-    small = max(1e-11 * sloc, np.finfo(float).eps * float(terms.sum()))
+    small = max(1e-11 * sloc, _rounding(f, r))
     while delta >= floor:
         left = f(r - delta)
         right = f(r + delta)

@@ -25,6 +25,7 @@ from tsystems.errors import (
     InvariantViolation,
     LeadingCoefficientNonpositive,
     NegativeLeading,
+    NoConvergence,
     NegativeSomewhere,
     NotPositive,
     OddDegree,
@@ -611,6 +612,23 @@ def test_failed_direct_starts_stay_short_on_the_karlin_corpus(monkeypatch):
         won = dec.iterations if dec.solver_path.startswith("newton:direct") else 0
         failed += sum(it for _, _, it in runs) - won
     assert failed <= 262, failed
+
+
+def test_continuation_end_point_is_judged_against_the_local_size_of_f():
+    # draw 41 of a fresh c6:8 census (karlin_make, default_rng(5), the corpus
+    # strata plus higher degrees): a continuation end point that did not
+    # converge has f^* at -2.7e-9 of the local |f|, which the global max |f|
+    # hid; it must be refused or sound
+    workloads = perfbench_workloads()
+    strata = workloads.KARLIN_STRATA + ["ab:5", "ab:6", "ab:7", "halfline:4", "halfline:5", "c6:7", "c6:8"]
+    rng = np.random.default_rng(5)
+    inst = [workloads.karlin_make(rng, s) for _ in range(2) for s in strata][41]
+    assert inst.stratum == "c6:8"
+    try:
+        inst.output = workloads.karlin_call(inst)
+    except NoConvergence:
+        return
+    assert workloads.karlin_check(inst) is None
 
 
 def _central_difference(system, z, h):

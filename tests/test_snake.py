@@ -64,7 +64,8 @@ def test_best_approx_member_stops_at_the_rounding_floor(monkeypatch, fam, coeffs
 
 def test_alternant_evaluation_count_is_independent_of_the_block_count(monkeypatch):
     # err = 1e-3 cos(40 pi x) on [-1, 1] has 81 sign blocks; the lockstep
-    # search evaluates f and the basis once per golden step for all of them
+    # search evaluates f and the basis once per step for all of them (63
+    # calls each with 60 golden-section steps)
     fam = monomial_family([0, 1], interval(-1, 1))
     coeffs = np.array([0.3, -0.7])
     f_calls, basis_calls = [], []
@@ -82,10 +83,47 @@ def test_alternant_evaluation_count_is_independent_of_the_block_count(monkeypatc
         FamilySpec, "eval_grid", lambda self, x, order=0: basis_calls.append(1) or real(self, x, order)
     )
     ref = snake_mod._alternant(xs, err, 3, f, fam, coeffs)
-    assert len(f_calls) <= 63 and len(basis_calls) <= 63
+    assert len(f_calls) <= 8 and len(basis_calls) <= 8
     e = f(ref) - real(fam, ref) @ coeffs
     assert len(ref) == 3 and np.all(e[1:] * e[:-1] < 0)
     assert np.all(np.abs(e) >= (1 - 1e-9) * 1e-3)
+
+
+def _block_maxima(f, xs):
+    """Each sign block's maximum of sign * f on [its left neighbour, its right
+    neighbour]: a dense scan, then golden sections between the scan points
+    around the scan's best."""
+    sign = np.where(f(xs) < 0, -1.0, 1.0)
+    cuts = np.flatnonzero(sign[1:] != sign[:-1]) + 1
+    out = []
+    for i, j in zip(np.concatenate([[0], cuts]), np.concatenate([cuts - 1, [len(xs) - 1]])):
+        h = lambda t: sign[i] * f(t)
+        t = np.linspace(xs[max(i - 1, 0)], xs[min(j + 1, len(xs) - 1)], 20001)
+        k = int(np.argmax(h(t)))
+        a, b = t[max(k - 1, 0)], t[min(k + 1, len(t) - 1)]
+        for _ in range(100):
+            c, d = b - 0.618 * (b - a), a + 0.618 * (b - a)
+            a, b = (a, d) if h(c) >= h(d) else (c, b)
+        out.append(max((a, b, t[k]), key=h))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("f, xs", [
+    # 81 blocks, skewed by exp(x); the first block's maximum is the window end -1
+    (lambda x: np.exp(x) * np.cos(40 * np.pi * np.asarray(x, float) + 0.3), np.linspace(-1, 1, 4001)),
+    # 55 blocks of one or two grid points, a one-point block at -1
+    (lambda x: np.cos(84 * np.asarray(x, float) + 0.3), np.linspace(-1, 1, 81)),
+    # 40 blocks, skewed by exp(2x): a search that stops at its first short
+    # parabolic step leaves maxima 1e-8 of the window off
+    (lambda x: np.exp(2 * x) * np.sin(60 * np.asarray(x, float) + 0.1), np.linspace(-1, 1, 4001)),
+])
+def test_alternant_points_are_the_block_extrema(f, xs):
+    want = _block_maxima(f, xs)
+    assert want[0] == -1.0  # a block whose maximum is a window end
+    fam = monomial_family([0, 1], interval(-1, 1))
+    ref = snake_mod._alternant(xs, f(xs), len(want), lambda x, order=0: f(x), fam, np.zeros(2))
+    assert len(ref) == len(want)
+    assert np.max(np.abs(ref - want)) <= 1e-9 * (xs[-1] - xs[0])
 
 
 def test_alternant_returns_window_end_extrema_exactly():

@@ -20,6 +20,8 @@ from tsystems.colloc import node_rows
 from tsystems.errors import IndexTooLarge, InvariantViolation, ZeroPolynomial
 from tsystems.zeros import NODAL, NON_NODAL, _running_max
 
+from conftest import perfbench_workloads
+
 SEVEN_TERM_EXPS = [0, 2, 3, 5, 8, 11, 13]
 SEVEN_TERM_COEFFS = np.array(
     [
@@ -253,3 +255,29 @@ def test_zero_just_inside_window_end_is_classified(exps, other):
                              check_certificate=False)
     last = count_zeros(simple).zeros[-1]
     assert abs(last[0] - r) < 1e-9 and (last[1], last[2]) == (1, NODAL)
+
+
+def test_count_zeros_keeps_an_interior_double_zero_at_the_rounding_floor():
+    # three double zeros, one 1.83e-8 inside the window's end: the polish of
+    # the interior one lands where |f| = 8.7e-17, below the rounding error
+    # eps * sum |a_i f_i| = 4.3e-16 of evaluating f but above tol * local
+    fam = power_family([0, 2, 3, 3.5, 4, 5.5, 8], interval(0.1, 1.2))
+    nodes = [(0.7254, 2), (0.9566, 2), (1.2 - 1.83e-8, 2)]
+    p = poly_from_zeros(fam, NodeSet.of(*nodes), check_certificate=False)
+    cfg = count_zeros(p)
+    assert [(z[1], z[2]) for z in cfg.zeros] == [(2, NON_NODAL)] * 3
+    assert np.allclose(cfg.points, [t for t, _ in nodes], rtol=0, atol=1e-7)
+
+
+def test_zero_polishes_stop_at_the_rounding_floor_on_the_desk_corpus(monkeypatch):
+    # SparsePoly evaluations over the benchmark's desk zeros:* calls: 4,074
+    # while the derivative polishes swapped between neighbouring floats up to
+    # their 60-step cap, 1,332 once they stop at the rounding floor
+    wl = perfbench_workloads().WORKLOADS["desk"]
+    calls = []
+    real = SparsePoly.__call__
+    monkeypatch.setattr(SparsePoly, "__call__", lambda self, x, order=0: calls.append(1) or real(self, x, order))
+    for inst in wl.corpus():
+        if inst.stratum.startswith("zeros:"):
+            wl.call(inst)
+    assert len(calls) <= 1665, len(calls)
