@@ -18,6 +18,11 @@ continuation from a surrogate whose decomposition is known exactly: a sum
 of the two pattern polynomials, which by uniqueness is its own
 decomposition.  Continuation steps and the final solve on f take no such
 cut.
+
+One hypothesis on the zeros serves every domain (``_shared_zeros``): the
+zeros that f shares with both parts number fewer than n with multiplicity
+(else TooManyZeros), and each one that is not a closed end of the domain has
+even multiplicity (else OddInteriorMultiplicity), checked in that order.
 """
 
 from __future__ import annotations
@@ -171,7 +176,9 @@ class _TangencySolver:
     ``system`` gives the residual and its analytic Jacobian; ``newton`` runs
     _newton on it.  ``solve`` tries Newton from Chebyshev and equispaced
     starts ("newton:direct*"), each given up at a step below DIRECT_MIN_STEP,
-    then continuation from the Chebyshev layout ("homotopy-cheb").
+    then continuation from the Chebyshev layout ("homotopy-cheb"), and returns
+    the KarlinDecomposition.  The shared zeros fix n_eff = n - r, the count
+    of free zeros: m = n_eff // 2 double zeros of f_*.
     """
 
     def __init__(
@@ -179,7 +186,6 @@ class _TangencySolver:
         family: FamilySpec,
         f: np.ndarray,
         shared: tuple,
-        n_eff: int,
         lo: float,
         hi: float | None,
         pin: str,
@@ -188,6 +194,7 @@ class _TangencySolver:
         self.family = family
         self.f = np.asarray(f, dtype=float)
         self.shared = shared
+        n_eff = family.order - sum(m for _, m in shared)
         self.even = n_eff % 2 == 0
         self.m = n_eff // 2
         self.lo = lo  # -inf on the real line
@@ -195,7 +202,8 @@ class _TangencySolver:
         self.pin = pin  # "endpoint" (at hi) or "leading" (coefficient of f_n)
         self.grid = grid
         self.grid_rows = family.eval_grid(grid)  # basis on the check grid, reused
-        self.local = _running_max(np.abs(self.grid_rows @ self.f), max(3, len(grid) // 50))
+        self.values = self.grid_rows @ self.f
+        self.local = _running_max(np.abs(self.values), max(3, len(grid) // 50))
         self.scale = float(np.max(self.local))
         self.width = (hi - lo) if hi is not None else max(1.0, 2 * float(grid[-1] - grid[0]))
         k_lo = next((m for z, m in shared if math.isclose(z, lo, abs_tol=1e-14)), 0)
@@ -306,16 +314,12 @@ class _TangencySolver:
         lo = float(self.grid[0])
         w = float(self.grid[-1]) - lo
         m = self.m
-        if m == 0:
-            return np.array([])
         xs = lo + w * (1 - np.cos((2 * np.arange(1, m + 1) - 1) / (2 * m) * np.pi)) / 2
         return lo + (xs - lo) * 0.8 + 0.1 * w
 
     def equispaced_init(self) -> np.ndarray:
         lo, hi = float(self.grid[0]), float(self.grid[-1])
         m = self.m
-        if m == 0:
-            return np.array([])
         return lo + (hi - lo) * np.arange(1, m + 1) / (m + 1)
 
     def ys_for(self, xs) -> np.ndarray:
@@ -371,29 +375,17 @@ class _TangencySolver:
 
     # -- driver -----------------------------------------------------------------
 
-    def solve(self, init: str = "chebyshev", tol: float = CONVERGED_TOL):
-        """Returns (xs, ys, f_lower_coeffs, info)."""
-        attempts = []
-        m = self.m
-        if m == 0:
+    def solve(self, init: str = "chebyshev") -> KarlinDecomposition:
+        if self.m == 0:
             R, _ = self.system(np.array([]), self.f)
-            r = float(np.max(np.abs(R))) / self.scale if len(R) else 0.0
-            return np.array([]), np.array([]), self.f_lower([], self.f), {
-                "path": "direct",
-                "iterations": 0,
-                "residual": r,
-                "converged": r < tol,
-            }
-
-        inits = []
+            res = float(np.max(np.abs(R))) / self.scale if len(R) else 0.0
+            return self.decomposition(np.array([]), "direct", 0, res)
+        cheb, equi = self.chebyshev_init(), self.equispaced_init()
         if init == "chebyshev":
-            inits.append(("direct", self.chebyshev_init()))
-            inits.append(("direct-equi", self.equispaced_init()))
+            inits = [("direct", cheb), ("direct-equi", equi)]
         else:
-            inits.append(("direct", self.equispaced_init()))
-            inits.append(("direct-cheb", self.chebyshev_init()))
-
-        tried = []
+            inits = [("direct", equi), ("direct-cheb", cheb)]
+        attempts, tried = [], []
         for label, xs0 in inits:
             z0 = np.concatenate([np.sort(xs0), np.sort(self.ys_for(xs0))])
             # for m = 1 the two layouts agree to an ulp: Newton would repeat itself
@@ -402,17 +394,33 @@ class _TangencySolver:
             ):
                 continue
             tried.append(z0)
-            z, _, it, res = self.newton(z0, self.f, tol, min_step=DIRECT_MIN_STEP)
-            if res < tol and self._valid(z):
-                return self._unpack(z, "newton:" + label, it, res, tol)
+            z, _, it, res = self.newton(z0, self.f, CONVERGED_TOL, min_step=DIRECT_MIN_STEP)
+            if res < CONVERGED_TOL and self._valid(z):
+                return self.decomposition(z, "newton:" + label, it, res)
             attempts.append((label, res))
 
-        z, res = self.continuation(self.chebyshev_init(), 100 * tol)
-        if res < 100 * tol and self._valid(z):
-            return self._unpack(z, "homotopy-cheb", -1, res, tol)
+        z, res = self.continuation(cheb, 100 * CONVERGED_TOL)
+        if res < 100 * CONVERGED_TOL and self._valid(z):
+            return self.decomposition(z, "homotopy-cheb", 0, res)
         attempts.append(("homotopy-cheb", res))
         raise NoConvergence(
             "tangency solver failed on all paths", {"attempts": attempts}
+        )
+
+    def decomposition(self, z, path, iterations, res) -> KarlinDecomposition:
+        """f_* and f^* = f - f_* at the double zeros z[:m] and touch points z[m:]."""
+        xs, ys = np.sort(z[: self.m]), np.sort(z[self.m :])
+        fl = self.f_lower(xs, self.f)
+        domain = self.family.domain
+        return KarlinDecomposition(
+            SparsePoly(tuple(fl), self.family),
+            SparsePoly(tuple(self.f - fl), self.family),
+            _zero_config(_merge_nodes(self.lower_nodes(xs)), domain),
+            _zero_config(self.upper_nodes(ys), domain),
+            iterations,
+            res < CONVERGED_TOL,
+            path,
+            res,
         )
 
     def _valid(self, z) -> bool:
@@ -432,17 +440,6 @@ class _TangencySolver:
         touch = np.abs(Y @ (self.f - fl)) <= TOUCH_LOCAL_TOL * (np.abs(Y) @ np.abs(self.f))
         return bool(np.all(np.minimum(flv, dv) >= -1e-9 * self.local) and touch.all())
 
-    def _unpack(self, z, path, it, res, tol):
-        xs = np.sort(z[: self.m])
-        ys = np.sort(z[self.m :])
-        fl = self.f_lower(xs, self.f)
-        return xs, ys, fl, {
-            "path": path,
-            "iterations": it,
-            "residual": res,
-            "converged": res < tol,
-        }
-
 
 def _zero_config(nodes, domain) -> ZeroConfig:
     zeros = []
@@ -459,27 +456,18 @@ def _zero_config(nodes, domain) -> ZeroConfig:
     return ZeroConfig(tuple(sorted(zeros)), domain)
 
 
-def _build_decomposition(solver, xs, ys, fl, info, family) -> KarlinDecomposition:
-    f_lower = SparsePoly(tuple(fl), family)
-    f_upper = SparsePoly(tuple(solver.f - fl), family)
-    zl = _zero_config(_merge_nodes(solver.lower_nodes(xs)), family.domain)
-    zu = _zero_config(solver.upper_nodes(ys), family.domain)
-    return KarlinDecomposition(
-        f_lower,
-        f_upper,
-        zl,
-        zu,
-        max(info["iterations"], 0),
-        info["converged"],
-        info["path"],
-        info["residual"],
-    )
-
-
-def _check_positive(f: SparsePoly, grid: np.ndarray) -> None:
-    vals = f(grid)
-    if float(vals.min()) <= 0:
-        raise NotPositive(f"min f = {vals.min():.3e} on the check grid")
+def _shared_zeros(f: SparsePoly, zero_tol: float, window=None) -> tuple:
+    """The zeros of f, (point, multiplicity) pairs, which both parts share:
+    fewer than n with multiplicity, and even at every point that is not a
+    closed end of the domain."""
+    shared = tuple((p, m) for p, m, _ in count_zeros(f, tol=zero_tol, window=window).zeros)
+    n, r = f.family.order, sum(m for _, m in shared)
+    if 0 < n <= r:
+        raise TooManyZeros(f"f has {r} zeros; needs fewer than n = {n}")
+    for p, m in shared:
+        if m % 2 == 1 and not f.family.domain.is_endpoint(p):
+            raise OddInteriorMultiplicity(f"interior zero at {p} has odd multiplicity {m}")
+    return shared
 
 
 def decompose_pos_ab(
@@ -492,13 +480,10 @@ def decompose_pos_ab(
     if family.domain.kind != "closed_interval":
         raise InvariantViolation("decompose_pos_ab needs a closed interval domain")
     a, b = family.domain.a, family.domain.b
-    xs_grid = np.linspace(a, b, grid)
-    _check_positive(f, xs_grid)
-    solver = _TangencySolver(
-        family, f.a, (), family.order, a, b, "endpoint", xs_grid
-    )
-    xs, ys, fl, info = solver.solve(init=init)
-    return _build_decomposition(solver, xs, ys, fl, info, family)
+    solver = _TangencySolver(family, f.a, (), a, b, "endpoint", np.linspace(a, b, grid))
+    if float(solver.values.min()) <= 0:
+        raise NotPositive(f"min f = {solver.values.min():.3e} on the check grid")
+    return solver.solve(init)
 
 
 def decompose_nonneg_ab(
@@ -511,22 +496,12 @@ def decompose_nonneg_ab(
     family = f.family
     if family.domain.kind != "closed_interval":
         raise InvariantViolation("decompose_nonneg_ab needs a closed interval domain")
-    a, b = family.domain.a, family.domain.b
-    n = family.order
-    cfg = count_zeros(f, tol=zero_tol)
-    shared = tuple((p, m) for p, m, _ in cfg.zeros)
-    r = sum(m for _, m in shared)
-    if r == 0:
+    shared = _shared_zeros(f, zero_tol)
+    if not shared:
         return decompose_pos_ab(f, init=init, grid=grid)
-    if r >= n:
-        raise TooManyZeros(f"f has {r} zeros; needs fewer than n = {n}")
-    for p, m, _ in cfg.zeros:
-        if not cfg.domain.is_endpoint(p) and m % 2 == 1:
-            raise OddInteriorMultiplicity(f"interior zero at {p} has odd multiplicity {m}")
-    xs_grid = np.linspace(a, b, grid)
-    solver = _TangencySolver(family, f.a, shared, n - r, a, b, "endpoint", xs_grid)
-    xs, ys, fl, info = solver.solve(init=init)
-    return _build_decomposition(solver, xs, ys, fl, info, family)
+    a, b = family.domain.a, family.domain.b
+    solver = _TangencySolver(family, f.a, shared, a, b, "endpoint", np.linspace(a, b, grid))
+    return solver.solve(init)
 
 
 def decompose_halfline(
@@ -552,39 +527,25 @@ def decompose_halfline(
     if a_n <= 0:
         raise LeadingCoefficientNonpositive(f"a_n = {a_n} must be positive")
 
-    n = family.order
     X = halfline_xmax(family)  # truncation; tail checks beyond
-    xs_grid = np.concatenate(
-        [np.linspace(0.0, X, grid // 2), np.geomspace(max(X, 1e-3), 1e6, grid // 10)]
-    )
-    xs_grid = np.unique(xs_grid)
-
     if mode == "positive":
+        xs_grid = np.unique(np.concatenate(
+            [np.linspace(0.0, X, grid // 2), np.geomspace(max(X, 1e-3), 1e6, grid // 10)]
+        ))
         vals = f(xs_grid)
         if float(vals.min()) <= 0:
             raise NotPositive(f"min f = {vals.min():.3e} on [0, {xs_grid[-1]:.1e}]")
         shared: tuple = ()
     elif mode == "nonneg":
-        if abs(f.a[0]) <= 1e-300 or f.a[0] == 0.0:
+        if abs(f.a[0]) <= 1e-300:
             return _halfline_factor_out(f, init=init, grid=grid, zero_tol=zero_tol)
         if f.a[0] < 0:
             raise ValueAtZeroNonpositive(f"f(0) = {f.a[0]} must be positive")
-        cfg = count_zeros(f, tol=zero_tol, window=(0.0, X))
-        shared = tuple((p, m) for p, m, _ in cfg.zeros)
-        r = sum(m for _, m in shared)
-        if 0 < n <= r:
-            raise TooManyZeros(f"f has {r} zeros; needs fewer than n = {n}")
-        for p, m, _ in cfg.zeros:
-            if p > 0 and m % 2 == 1:
-                raise OddInteriorMultiplicity(f"zero at {p} has odd multiplicity {m}")
+        shared = _shared_zeros(f, zero_tol, window=(0.0, X))
     else:
         raise ValueError(f"mode must be 'positive' or 'nonneg', not {mode!r}")
-
-    r = sum(m for _, m in shared)
     work_grid = np.linspace(0.0, _solve_span(f, X), grid)
-    solver = _TangencySolver(family, f.a, shared, n - r, 0.0, None, "leading", work_grid)
-    xs, ys, fl, info = solver.solve(init=init)
-    return _build_decomposition(solver, xs, ys, fl, info, family)
+    return _TangencySolver(family, f.a, shared, 0.0, None, "leading", work_grid).solve(init)
 
 
 def _halfline_factor_out(f: SparsePoly, **kw) -> KarlinDecomposition:
@@ -672,25 +633,14 @@ def decompose_realline(f: SparsePoly, mode: str = "positive") -> KarlinDecomposi
         raise NegativeLeading(f"leading coefficient {a_lead} must be positive")
 
     lo, hi = _root_window(f)
-    shared: tuple = ()
-    if mode == "nonneg":
-        cfg = count_zeros(f, window=(lo, hi))
-        for p, m, _ in cfg.zeros:
-            if m % 2 == 1:
-                raise OddInteriorMultiplicity(f"zero at {p} has odd multiplicity {m}")
-        shared = tuple((p, m) for p, m, _ in cfg.zeros)
-    elif mode != "positive":
+    if mode not in ("positive", "nonneg"):
         raise ValueError(f"mode must be 'positive' or 'nonneg', not {mode!r}")
-
-    r = sum(m for _, m in shared)
-    if 0 < n <= r:
-        raise TooManyZeros(f"f has {r} zeros; needs fewer than n = {n}")
+    shared = _shared_zeros(f, 1e-9, window=(lo, hi)) if mode == "nonneg" else ()
     grid = np.linspace(lo, hi, 2001)
-    solver = _TangencySolver(family, f.a, shared, n - r, -math.inf, None, "leading", grid)
-    if mode == "positive" and float((solver.grid_rows @ solver.f).min()) <= 0:
+    solver = _TangencySolver(family, f.a, shared, -math.inf, None, "leading", grid)
+    if mode == "positive" and float(solver.values.min()) <= 0:
         raise NotPositive("f must be strictly positive on R")
-    xs, ys, fl, info = solver.solve()
-    return _build_decomposition(solver, xs, ys, fl, info, family)
+    return solver.solve()
 
 
 def _root_window(f: SparsePoly) -> tuple[float, float]:

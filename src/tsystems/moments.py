@@ -32,7 +32,7 @@ from .zeros import (
     NODAL,
     SparsePoly,
     ZeroConfig,
-    _polish_critical,
+    _polish_on_derivative,
     _running_max,
     count_zeros,
     index_of,
@@ -447,7 +447,7 @@ def _certificate_is_sound(p: SparsePoly, probes) -> bool:
         left = np.concatenate([vals[:1], vals[:-1]])
         right = np.concatenate([vals[1:], vals[-1:]])
         minima = probe[(vals <= left) & (vals <= right) & (vals < 1e-2 * sloc)]
-        polished = [_polish_critical(p, float(x), lo, hi, hi - lo) for x in minima]
+        polished = [_polish_on_derivative(p, float(x), 2, lo, hi, hi - lo) for x in minima]
         for x in [*minima, *polished, *(z[0] for z in zeros)]:
             checks.append((x, sloc[int(np.clip(round((x - lo) / step), 0, len(probe) - 1))]))
     origin = float(probes[0][1] - probes[0][0])

@@ -334,7 +334,8 @@ def best_approx(
     with one evaluation of f and of the basis per step, about four steps a
     search.  The exchange stops once the grid deviation is at the rounding
     floor of evaluating f - p (8 eps max(|f| + sum |c_i f_i|)): f is then a
-    member of the span up to rounding.
+    member of the span up to rounding.  ``stalled`` is set when a reference
+    repeats or max_iter exchanges end before the deviation meets tol.
     """
     if certificate is None:
         certificate = certify(family, "T")
@@ -354,8 +355,7 @@ def best_approx(
     stalled = False
     seen = set()
     lower_bounds = []
-    it = 0
-    for it in range(max_iter):
+    for _ in range(max_iter):
         A = np.column_stack(
             [family.eval_grid(ref), ((-1.0) ** np.arange(n + 2))[:, None]]
         )
@@ -381,6 +381,8 @@ def best_approx(
             break
         seen.add(key)
         ref = new_ref
+    else:
+        stalled = True  # max_iter ran out before the deviation met tol
 
     coeffs, d, ref = best
     poly = SparsePoly(tuple(coeffs), family)

@@ -225,7 +225,7 @@ def count_zeros(
     left = np.concatenate([absv[:1], absv[:-1]])
     right = np.concatenate([absv[1:], absv[-1:]])
     for i in np.flatnonzero((absv <= left) & (absv <= right) & (absv < 1e-2 * sloc)):
-        x0 = _polish_critical(f, float(xs[i]), lo, hi, width)
+        x0 = _polish_on_derivative(f, float(xs[i]), 2, lo, hi, width)
         if abs(f(x0)) <= max(tol * local_scale(x0), _rounding(f, x0)):
             roots.append(x0)
     for xe in (lo, hi):
@@ -291,28 +291,6 @@ def _merge_basins(f, roots, tol, local_scale, width):
     return merged
 
 
-def _polish_critical(f: SparsePoly, x0: float, lo: float, hi: float, width: float) -> float:
-    """Newton on f' to land on the local minimum of |f| near x0."""
-    x = x0
-    for _ in range(60):
-        try:
-            d1 = f(x, 1)
-            d2 = f(x, 2)
-        except NonDifferentiable:
-            break
-        if d2 == 0:
-            break
-        step = -d1 / d2
-        if abs(step) > 0.05 * width:
-            step = math.copysign(0.05 * width, step)
-        x_new = min(max(x + step, lo), hi)
-        if abs(x_new - x) < 1e-15 * width:
-            x = x_new
-            break
-        x = x_new
-    return x
-
-
 def _resolve_multiplicity(f, r0, W, local_scale, lo, hi, width, tol):
     """Largest consistent multiplicity, with the position polished on f^(m-1).
 
@@ -344,7 +322,9 @@ def _resolve_multiplicity(f, r0, W, local_scale, lo, hi, width, tol):
 
 def _polish_on_derivative(f, r, mult, lo, hi, width) -> float:
     """Newton on f^(m-1), where a multiplicity-m zero is simple, until a step
-    is within 4 ulp of x or no shorter than the step before."""
+    is within 4 ulp of x or no shorter than the step before.  With m = 2 it
+    lands on the critical point of f near r: the local minimum of |f| where a
+    double zero sits."""
     x, last = r, math.inf
     for _ in range(60):
         try:

@@ -192,6 +192,16 @@ def test_best_approx_monotone_lower_bounds():
     assert lb[-1] <= res.deviation + 1e-12
 
 
+def test_best_approx_reports_a_stall_when_max_iter_runs_out():
+    # exp(sin 3x) from cubics on [-1, 1] needs more than two exchanges: a run
+    # cut at max_iter has not met tol and must say so
+    fam = monomial_family([0, 1, 2, 3], interval(-1, 1))
+    f = lambda x: np.exp(np.sin(3 * np.asarray(x)))
+    res = best_approx(fam, f, max_iter=2)
+    assert len(res.lower_bounds) == 2 and res.stalled
+    assert not best_approx(fam, f).stalled
+
+
 def test_best_approx_two_references_agree(rng):
     fam = monomial_family([0, 1, 2], interval(0, 1))
     tfam = monomial_family([0, 1, 2, 3, 4], interval(0, 1))
