@@ -414,7 +414,8 @@ def certify(
     *Tchebycheff Systems*, 1966, ch. I) get an exact verdict, route
     ``"theory"``, with canonical sign all +1 and no grid work:
 
-    - ``power``/``monomial`` on a window with lo > 0 (Descartes systems);
+    - ``power``/``monomial`` on a window with lo > 0 (Descartes systems),
+      and for T with lo = 0 = params[0] (the row at 0 is (1, 0, ..., 0));
     - ``power``/``monomial`` with exponents exactly 0, 1, ..., n, on any
       window (polynomials; W = prod k!);
     - ``exponential`` on any window;
@@ -465,7 +466,7 @@ def _certify_grid(family, target, grid, budget, seed, window) -> SystemCertifica
 def _theory_verdict(family: FamilySpec, target: str, lo: float, hi: float) -> bool | None:
     """True when a theorem proves ``target`` on [lo, hi], False when the node
     0 of multiplicity n+1 refutes it, None when no theorem applies."""
-    p = family.params
+    p = tuple(family.params)
     if family.variant == "custom" or not p:
         return None
     if not all(math.isfinite(a) for a in p) or not all(a < b for a, b in zip(p, p[1:])):
@@ -479,7 +480,7 @@ def _theory_verdict(family: FamilySpec, target: str, lo: float, hi: float) -> bo
             return True
         if lo == 0 and target != "T" and p[0] >= 0:
             return False
-        return None
+        return True if lo == 0 and p[0] == 0 else None
     if family.variant == "exponential":
         return True
     if family.variant == "rational" and lo > -p[0]:

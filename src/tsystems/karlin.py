@@ -148,6 +148,22 @@ def _newton(system, z, tol, maxit, admissible, min_step=0.0):
     return z, nR < tol, maxit, nR
 
 
+def _homotopy(advance, z, step, growth, max_step, max_fails=math.inf, min_step=0.0):
+    """(z, t): a solution z of H(z, t) = 0 followed from t = 0 towards 1.
+    ``advance(t, tn, z)`` gives (z at tn, converged) from z at t; a converged
+    step is taken and grows by ``growth`` up to ``max_step``, a failed one is
+    halved.  Stops at t = 1, after max_fails failures or below min_step."""
+    t, fails = 0.0, 0
+    while t < 1.0 - 1e-12 and fails < max_fails and step >= min_step:
+        tn = min(1.0, t + step)
+        zn, ok = advance(t, tn, z)
+        if ok:
+            z, t, step = zn, tn, min(step * growth, max_step)
+        else:
+            step, fails = step / 2, fails + 1
+    return z, t
+
+
 def _inadmissible():
     raise np.linalg.LinAlgError("no Jacobian at a point without a solution")
 
@@ -359,17 +375,8 @@ class _TangencySolver:
         ys0 = self.ys_for(xs0)
         e = self.surrogate(xs0, ys0)
         z = np.concatenate([np.sort(xs0), np.sort(ys0)])
-        tpath, step, fails = 0.0, 0.2, 0
-        while tpath < 1.0 - 1e-12 and fails < 80:
-            tnext = min(1.0, tpath + step)
-            fc = (1 - tnext) * e + tnext * self.f
-            zn, ok, _, _ = self.newton(z, fc, tol, maxit=25)
-            if ok:
-                z, tpath = zn, tnext
-                step = min(step * 1.6, 0.4)
-            else:
-                step /= 2
-                fails += 1
+        z = _homotopy(lambda t, tn, z: self.newton(z, (1 - tn) * e + tn * self.f, tol, maxit=25)[:2],
+                      z, 0.2, 1.6, 0.4, max_fails=80)[0]
         z, _, _, res = self.newton(z, self.f, tol, maxit=80)
         return z, res
 

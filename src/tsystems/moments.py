@@ -5,15 +5,16 @@ columns of the moment curve, checked on every column by (A/colnorm)^T r <=
 10 eps |s| for its residual r = s - A w; with w . A^T r = 0, p = -sum r_i f_i
 is >= 0 on the grid and L(p) = -|r|^2.  That p is the first certificate
 tried.  The primal engine, shared with atomic recovery, first polishes one
-atom per cluster of the fit's support; a fit within tolerance is the witness.
-Otherwise the dual minimizes L over the extremal nonnegative polynomials
-(index-n zero patterns) by the search of ``extremal``, a gradient search on
-the zero positions seeded with those atoms and p's basins, first from the
-seeded start alone, then (after the whole engine) from many; a negative
-minimum that passes the soundness checks here is the certificate.  |r| is
-the gap reported when no side passes and the verdict is undecided; a
-numeric tool must admit a gap since the exact conditions quantify over
-continua.
+atom per cluster of the fit's support; a fit within tolerance, cut to the
+fewest atoms by the T-system atom counts and one square Newton solve for the
+lower principal representation, is the witness.  Otherwise the dual
+minimizes L over the extremal nonnegative polynomials (index-n zero
+patterns) by the gradient search of ``extremal`` on the zero positions,
+seeded with those atoms and p's basins, first from the seeded start alone,
+then (after the whole engine) from many; a negative minimum that passes the
+soundness checks here is the certificate.  |r| is the gap reported when no
+side passes and the verdict is undecided; a numeric tool must admit a gap
+since the exact conditions quantify over continua.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ import numpy as np
 from scipy.optimize import least_squares, nnls
 
 from .errors import NonDifferentiable, NotFeasible, TooShort, TSystemError
+from .colloc import _theory_verdict
 from .extremal import _search_window, extremal_test_polys, search
 from .family import CLOSED_INTERVAL, REAL_LINE, FamilySpec
+from .karlin import _homotopy, _newton
 from .zeros import (
     NODAL,
     SparsePoly,
@@ -256,8 +259,7 @@ def _polish_atoms(family: FamilySpec, s: np.ndarray, positions, weights, lo, hi,
         x, w = best[2][:k], best[2][k:]
     except Exception:
         pass
-    res = float(np.max(np.abs(family.eval_grid(x).T @ w - s)))
-    return x, w, res
+    return x, w, _moment_res(family, s, x, w)
 
 
 def _safe_deriv_cols(family: FamilySpec, x: np.ndarray) -> np.ndarray:
@@ -599,10 +601,11 @@ def recover_atoms(
     working set of columns, optimal on the whole grid, whose basic solution
     has at most n+1 support points (Caratheodory) -> one atom per cluster
     of grid columns, polished (the whole support where that misses tol)
-    -> support reduction.  Its last result is kept per (family, moments,
-    grid, tol): right after ``sparse_feasibility`` on the same functional
-    the engine does not run again, and the measure is that call's
-    witness.  The zero functional
+    -> the fewest atoms (``_reduce_support``: on a T-system the atom counts
+    of the theory and the lower principal representation), in position
+    order.  Its last result is kept per (family, moments, grid, tol): right
+    after ``sparse_feasibility`` on the same functional the engine does not
+    run again, and the measure is that call's witness.  The zero functional
     yields the empty measure; a moment residual above tol * scale raises
     NotFeasible unless ``assume_feasible``.
     """
@@ -659,7 +662,9 @@ def _grid_fit(family: FamilySpec, s: np.ndarray, grid: int) -> tuple:
         w, r = _working_set_nnls(A, s, work, 10 if _round == 0 else 0)
         support = xs[w > 1e-10 * max(float(w.max()), 1e-300)]
         if len(support) == 0 or _round == 2:
-            return xs, A, w, r
+            # one column per point: the refinement's copies of a point, equal to rounding, are it
+            keep = np.diff(xs, prepend=-np.inf) > 1e-12 * (xs[-1] - xs[0])
+            return xs[keep], A[:, keep], np.bincount(np.cumsum(keep) - 1, w), r
         step = np.median(np.diff(np.unique(xs)))
         extra = np.concatenate([support + d for d in np.linspace(-step, step, 41)])
         xs = np.unique(np.concatenate([xs, extra]))
@@ -687,10 +692,7 @@ def _clustered_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: floa
     idx = np.flatnonzero(w > 1e-10 * w.max())  # the support as _grid_fit reads it
     if len(idx) == 0:
         return support, weights, float(np.max(np.abs(s))), support, weights
-    # a grid point lies between this one and the last; the refinement's
-    # copies of a grid point, equal to rounding, are that point
-    rank = np.cumsum(np.diff(xs, prepend=-np.inf) > 1e-12 * (xs[-1] - xs[0]))[idx]
-    new = np.diff(rank, prepend=-2) > 1
+    new = np.diff(idx, prepend=-2) > 1  # a grid point lies between this one and the last
     run = np.cumsum(new) - 1
     first = xs[idx][new]
     wts = np.bincount(run, w[idx])
@@ -705,8 +707,9 @@ def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) 
     columns and missed ``abs_tol`` (close atoms may need two), the polish of
     the grid fit's whole support; then dropping weights at most 1e-9 of the
     total, one polish again, and support reduction to the fewest atoms
-    within ``abs_tol``.  No atoms if NNLS finds no support.  r = s - A w,
-    the grid fit's residual, is optimal on its grid.
+    within ``abs_tol`` (``_reduce_support``), in position order.  No atoms
+    if NNLS finds no support.  r = s - A w, the grid fit's residual, is
+    optimal on its grid.
     """
     lo, hi = _polish_box(family)
     xs, _, _, r = _shared(_grid_fit, family, s, grid)
@@ -718,7 +721,8 @@ def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) 
     keep = wts > 1e-9 * float(np.sum(wts))
     pos, wts, res = _polish_atoms(family, s, pos[keep], wts[keep], lo, hi, abs_tol)
     pos, wts, res = _reduce_support(family, s, pos, wts, res, lo, hi, abs_tol)
-    return pos, wts, res, xs, r
+    order = np.argsort(pos)
+    return pos[order], wts[order], res, xs, r
 
 
 def _working_set_nnls(A, s, work, reach=0):
@@ -752,22 +756,89 @@ def _working_set_nnls(A, s, work, reach=0):
 
 
 def _reduce_support(family, s, pos, wts, res, lo, hi, abs_tol):
-    """Try smaller atom counts (toward the principal representation)."""
-    for k in range(1, len(pos)):
-        p_try, w_try = _merge_to_k(pos, wts, k)
+    """The fewest atoms within abs_tol from k, by the counting theory of
+    exact representations on a T-system of N members (``_theory_verdict``;
+    Karlin & Studden, ch. II), which apply once the k atoms match s within
+    abs_tol.  Haar: another one has over N - k atoms, so 2k - 1 <= N atoms
+    are the fewest.  Index: on [a, b], and on [a, inf) with the top member
+    dominating, an interior functional has index >= N (an interior atom
+    counts 2, an end 1), so no count below h = ceil(N/2) is tried and
+    ``_lower_principal`` solves for h.  The other open counts get polish
+    trials, all from 1 up where no theorem applies, where the k atoms miss
+    abs_tol, or near the cone's boundary, where a tolerance lets fewer atoms
+    fit: one merge (``_merge_to_k``) matches s to 1e3 abs_tol."""
+    N, k, kind, h = family.size, len(pos), family.domain.kind, -(-family.size // 2)
+    T = res <= abs_tol and _theory_verdict(family, "T", *family.domain.window())
+    near = T and k > 1 and _moment_res(family, s, *_merge_to_k(pos, wts, k - 1)) <= 1e3 * abs_tol
+    if T and not near and 2 * k - 1 <= N:
+        return pos, wts, res
+    index = T and kind != REAL_LINE and (kind == CLOSED_INTERVAL or family.variant != "rational")
+    for j in range(1 if near or not T else h if index else N + 1 - k, k):
+        if index and j == h and (principal := _lower_principal(family, s, pos, wts, lo, hi, abs_tol)):
+            return principal
+        p_try, w_try = _merge_to_k(pos, wts, j)
         p_try, w_try, r_try = _polish_atoms(family, s, p_try, w_try, lo, hi, abs_tol)
-        if r_try <= abs_tol and np.all(w_try > 0) and len(np.unique(np.round(p_try, 12))) == k:
+        if r_try <= abs_tol and np.all(w_try > 0) and len(np.unique(np.round(p_try, 12))) == j:
             return p_try, w_try, r_try
     return pos, wts, res
 
 
+def _moment_res(family: FamilySpec, s: np.ndarray, x, w) -> float:
+    """max |sum_j w_j f(x_j) - s|, the residual a witness is judged by."""
+    return float(np.max(np.abs(family.eval_grid(np.asarray(x, dtype=float)).T @ w - s)))
+
+
+def _lower_principal(family, s, pos, wts, lo, hi, abs_tol):
+    """(positions, weights, residual) of the lower principal representation
+    within abs_tol, else None: N/2 interior atoms, or an atom at lo and
+    (N - 1)/2 interior ones.  ``_newton`` on the square row-scaled moment
+    system in the interior positions and all weights (Jacobian [D w, V]),
+    from equal weights at Chebyshev nodes over the middle 98% of the
+    support's weight, widened to its mean +- one standard deviation (odd N:
+    1% of the weight at lo), along s0 + t (s - s0), s0 the start's moments,
+    in tangent-predicted steps halved where Newton fails (``_homotopy``):
+    inside the cone the representation is unique and continuous in s."""
+    m, o = divmod(family.size, 2)
+    xs, ws = np.asarray(pos)[np.argsort(pos)], np.asarray(wts)[np.argsort(pos)]
+    a, b = xs[np.minimum(np.searchsorted(np.cumsum(ws) / np.sum(ws), [0.01, 0.99]), len(xs) - 1)]
+    mean = np.sum(ws * xs) / np.sum(ws)
+    sd = np.sqrt(np.sum(ws * (xs - mean) ** 2) / np.sum(ws))
+    a, b = min(a, mean - sd), max(b, mean + sd)
+    gap = 1e-3 * (_search_window(family)[1] - lo)
+    x0 = (a + b) / 2 - max(b - a, gap) / 2 * np.cos((np.arange(m) + 0.5) * np.pi / m)
+    x0 = np.concatenate([[lo] * o, np.clip(x0, lo + gap, hi - gap)])
+    w0 = np.concatenate([[1e-2 * np.sum(ws)] * o, np.full(m, np.sum(ws) / m)])
+    rsc = np.maximum(np.abs(s), 1e-6 * np.max(np.abs(s)))
+
+    def system(z, target):
+        V = family.eval_grid(np.concatenate([x0[:o], z[:m]])).T
+        D = _safe_deriv_cols(family, z[:m]) * z[m + o:]
+        return (V @ z[m:] - target) / rsc, lambda: np.hstack([D, V]) / rsc[:, None]
+
+    def admissible(z):
+        return bool(np.all(z[m:] > 0) and np.all(np.diff(np.concatenate([[lo], z[:m], [hi]])) > 0))
+
+    def advance(t, tn, z):
+        zp = z + (tn - t) * np.linalg.lstsq(system(z, s0)[1](), (s - s0) / rsc, rcond=None)[0]
+        # max |R| below abs_tol / max |s| puts every row within abs_tol
+        return _newton(lambda z_: system(z_, s0 + tn * (s - s0)), zp if admissible(zp) else z,
+                       abs_tol / np.max(np.abs(s)), 30, admissible, 2.0**-6)[:2]
+
+    z, s0 = np.concatenate([x0[o:], w0]), family.eval_grid(x0).T @ w0
+    z, t = _homotopy(advance, z, 1.0, 2.0, 1.0, min_step=2.0**-6) if admissible(z) else (z, 0.0)
+    x, w = np.concatenate([x0[:o], z[:m]]), z[m:]
+    return (x, w, res) if t == 1.0 and (res := _moment_res(family, s, x, w)) <= abs_tol else None
+
+
 def _merge_to_k(pos, wts, k):
-    """Greedy weighted merge of adjacent atoms down to k atoms."""
-    items = sorted(zip(pos, wts))
-    pts = [list(it) for it in items]
+    """Greedy merge of adjacent atoms down to k atoms, each pair into its
+    summed weight at its weighted mean: the pair adding the least spread
+    w_i w_j (x_j - x_i)^2 / (w_i + w_j), so that a light atom joins a
+    neighbour before two heavy ones meet."""
+    pts = [list(it) for it in sorted(zip(pos, wts))]
     while len(pts) > k:
-        gaps = [pts[i + 1][0] - pts[i][0] for i in range(len(pts) - 1)]
-        i = int(np.argmin(gaps))
+        cost = [(b[0] - a[0]) ** 2 * a[1] * b[1] / (a[1] + b[1]) for a, b in zip(pts, pts[1:])]
+        i = int(np.argmin(cost))
         tot = pts[i][1] + pts[i + 1][1]
         pts[i] = [(pts[i][0] * pts[i][1] + pts[i + 1][0] * pts[i + 1][1]) / tot, tot]
         del pts[i + 1]

@@ -14,6 +14,7 @@ from tsystems import (
     det,
     ect_canonical_weights,
     exponential_family,
+    halfline,
     interval,
     krein_matrix,
     monomial_family,
@@ -150,7 +151,8 @@ def _increasing(draw, first, n):
 @st.composite
 def theory_cases(draw):
     """A family of one case the theorems cover, a target and a window."""
-    case = draw(st.sampled_from(["descartes", "polynomial", "exponential", "cauchy", "gap_at_0"]))
+    case = draw(st.sampled_from(["descartes", "polynomial", "exponential", "cauchy", "gap_at_0",
+                                 "descartes_at_0"]))
     n = draw(st.integers(1, 3))
     lo = draw(st.floats(0.2, 1.0) if case == "descartes" else st.floats(-1.5, 1.0))
     hi = lo + draw(st.floats(0.5, 2.5))
@@ -162,13 +164,17 @@ def theory_cases(draw):
         fam = exponential_family(_increasing(draw, draw(st.floats(-2.0, 1.0)), n), interval(lo, hi))
     elif case == "cauchy":
         fam = rational_family(_increasing(draw, -lo + draw(st.floats(0.3, 1.0)), n), interval(lo, hi))
+    elif case == "descartes_at_0":
+        # 0 = p_0 < p_1 < ... on [0, b]: T, the node 0's row being (1, 0, ..., 0)
+        fam = power_family([0.0] + _increasing(draw, draw(st.floats(0.3, 1.5)), n - 1),
+                           interval(0.0, hi - lo))
     else:
         # natural exponents with a gap on [0, b]: refuted for ET and ECT at 0
         degrees = [0] + sorted(draw(st.sets(st.integers(1, n + 2), min_size=n, max_size=n)))
         if degrees == list(range(n + 1)):
             degrees[-1] += 1
         fam = monomial_family(degrees, interval(0.0, hi - lo))
-    targets = ["ET", "ECT"] if case == "gap_at_0" else ["T", "ET", "ECT"]
+    targets = {"gap_at_0": ["ET", "ECT"], "descartes_at_0": ["T"]}.get(case, ["T", "ET", "ECT"])
     return fam, draw(st.sampled_from(targets))
 
 
@@ -186,6 +192,18 @@ def test_theory_route_agrees_with_grid_scan(case):
         assert theory.evidence > 0 and theory.exhaustive and theory.counterexample is None
     else:
         assert theory.counterexample.nodes == ((0.0, fam.size),)
+
+
+def test_power_family_from_0_is_a_t_system_by_theory():
+    # the half-line family of the moment benchmark: T by the theorem, with
+    # no grid work; ET and ECT stay refuted at the node 0
+    fam = power_family([0, 0.5, 3.5, 4.5], halfline(0.0))
+    cert = certify(fam, "T")
+    assert (cert.level, cert.route, cert.exhaustive) == ("T", "theory", True)
+    for target in ("ET", "ECT"):
+        cert = certify(fam, target)
+        assert (cert.level, cert.route) == ("none", "theory")
+        assert cert.counterexample.nodes == ((0.0, 4),)
 
 
 def test_ect_refutation_bisects_the_signed_wronskian():

@@ -1148,3 +1148,201 @@ def test_fresh_primal_draws_keep_their_atom_counts():
         inst.output = workloads.primal_call(inst)
         assert workloads.primal_check(inst) is None, i
         assert len(inst.output[1].atoms) <= int(was), i
+
+
+# -- support reduction by the T-system atom counts ----------------------------------
+
+
+def _reduction_polishes(monkeypatch) -> list:
+    """Counts, in one list entry per call, the _polish_atoms calls made from
+    inside _reduce_support: the trial polishes of the support reduction."""
+    calls, inside = [], [False]
+    polish, reduce = moments._polish_atoms, moments._reduce_support
+
+    def counting_polish(*args):
+        if inside[0]:
+            calls[-1] += 1
+        return polish(*args)
+
+    def counting_reduce(*args):
+        calls.append(0)
+        inside[0] = True
+        try:
+            return reduce(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(moments, "_polish_atoms", counting_polish)
+    monkeypatch.setattr(moments, "_reduce_support", counting_reduce)
+    return calls
+
+
+def test_boundary_functional_makes_no_trial_polish(monkeypatch):
+    # two atoms over five members: 2k - 1 <= N, so by the Haar property no
+    # representation with fewer atoms exists and none is tried
+    calls = _reduction_polishes(monkeypatch)
+    fam = power_family([0.0, 1.5, 2.5, 4.5, 6.0], interval(0.1, 1.2))
+    L = MomentFunctional.from_measure(fam, [(0.441, 0.3802), (0.8751, 0.2243)])
+    assert len(recover_atoms(L).atoms) == 2
+    assert calls == [0]
+
+
+def test_interior_corpus_functional_gets_its_lower_principal_representation():
+    # moment_primal corpus call 10 ("5:3:ab"): three interior atoms on
+    # [0.1, 1.2] have index 6 = N and omit b, the lower principal
+    # representation; the polish trials alone end at 4 atoms here
+    inst = perfbench_workloads().WORKLOADS["moment_primal"].corpus()[10]
+    fam, s = inst.args["family"], inst.args["s"]
+    assert inst.stratum == "5:3:ab" and fam.params == (0.0, 0.5, 1.0, 1.5, 3.5, 4.5)
+    atoms = recover_atoms(MomentFunctional(tuple(s), fam), tol=1e-8).atoms
+    assert len(atoms) == 3 and all(0.1 < x < 1.2 for x, _ in atoms)
+    assert perfbench_checks().check_atoms(fam, atoms, s, 1e-8) is None
+
+
+@pytest.mark.parametrize("fam", [
+    monomial_family([0, 1, 2], interval(0.0, 1.0)),
+    power_family([0.0, 0.5, 2.0, 3.5, 5.0], interval(0.1, 1.2)),
+    power_family([0.0, 0.5, 1.5, 2.5, 3.0], halfline(0.0)),
+], ids=["mono2", "power_ab", "power_halfline"])
+def test_odd_interior_functional_gets_an_atom_at_a(fam):
+    # N odd: the lower principal representation holds a and (N - 1)/2
+    # interior atoms, ceil(N/2) in all, the fewest an interior functional
+    # can have; the reduction solves for it from any larger representation
+    N = fam.size
+    lo = fam.domain.a
+    pos = np.linspace(lo + 0.1, lo + 1.0, N // 2 + 2)
+    wts = np.linspace(0.3, 0.8, len(pos))
+    s = MomentFunctional.from_measure(fam, list(zip(pos, wts))).s
+    abs_tol = 1e-8 * float(np.max(np.abs(s)))
+    x, w, res = moments._reduce_support(fam, s, pos, wts, 0.0, *moments._polish_box(fam), abs_tol)
+    assert len(x) == -(-N // 2) and x[0] == lo and np.all(x[1:] > lo) and np.all(w > 0)
+    assert res <= abs_tol
+    assert perfbench_checks().check_atoms(fam, list(zip(x, w)), s, 1e-8) is None
+
+
+def test_witness_that_misses_tol_gets_every_trial_count():
+    # the counting rules speak of representations of s: two atoms that miss
+    # it are no proof that one cannot fit, so the trials start at count 1
+    # and find the single atom s was made from
+    fam = monomial_family([0, 1, 2, 3], interval(0.0, 1.0))
+    s = MomentFunctional.from_measure(fam, [(0.5, 1.0)]).s
+    pos, wts = np.array([0.3, 0.8]), np.array([0.5, 0.5])
+    abs_tol = 1e-8 * float(np.max(np.abs(s)))
+    res = moments._moment_res(fam, s, pos, wts)
+    assert res > abs_tol
+    x, w, res = moments._reduce_support(fam, s, pos, wts, res, *moments._polish_box(fam), abs_tol)
+    assert res <= abs_tol
+    np.testing.assert_allclose([x[0], w[0]], [0.5, 1.0], rtol=1e-6)
+    assert len(x) == 1
+
+
+def test_failed_square_solve_falls_back_to_the_polish_trials(monkeypatch):
+    # with the square solve forced to fail, corpus call 10 gets the witness
+    # of the polish trials over the counts the index rule leaves open, 3 and
+    # 4 of its 6 atoms: the 4 atoms the trials from count 1 also find
+    monkeypatch.setattr(moments, "_lower_principal", lambda *args: None)
+    calls = _reduction_polishes(monkeypatch)
+    inst = perfbench_workloads().WORKLOADS["moment_primal"].corpus()[10]
+    atoms = recover_atoms(MomentFunctional(tuple(inst.args["s"]), inst.args["family"])).atoms
+    expected = [(0.20358986699587214, 0.7988656286023746), (0.7351930947771406, 0.2284317699627318),
+                (0.852982337779822, 0.7509625537630359), (1.1649995313225219, 0.004757014886747445)]
+    np.testing.assert_allclose(atoms, expected, rtol=1e-9)
+    assert calls == [2]  # counts 3 and 4; none below ceil(N/2) = 3
+
+
+def test_primal_corpus_needs_few_trial_polishes(monkeypatch):
+    # the square solve settles every interior corpus functional, and the
+    # boundary ones need no trial: at most 8 trial polishes a corpus pass
+    calls = _reduction_polishes(monkeypatch)
+    workloads = perfbench_workloads()
+    for inst in workloads.WORKLOADS["moment_primal"].corpus():
+        moments._last.clear()
+        sparse_feasibility(MomentFunctional(tuple(inst.args["s"]), inst.args["family"]), tol=1e-8)
+    assert sum(calls) <= 8
+
+
+@pytest.mark.parametrize("name", ["moment_primal", "moment_dual"])
+def test_witness_atoms_are_in_position_order(name):
+    # recover_atoms, sparse_feasibility and `tsys moments-recover` print
+    # their atoms in position order, whatever order the polish left them in
+    for inst in perfbench_workloads().WORKLOADS[name].corpus():
+        L = MomentFunctional(tuple(inst.args["s"]), inst.args["family"])
+        v = sparse_feasibility(L, tol=1e-8)
+        measures = [recover_atoms(L, tol=1e-8, assume_feasible=True)]
+        if v.witness_measure is not None:
+            measures.append(v.witness_measure)
+        for m in measures:
+            pos = [x for x, _ in m.atoms]
+            assert pos == sorted(pos), (name, inst.stratum)
+
+
+def _golub_welsch(m) -> tuple:
+    """The p-node Gauss rule of the moments m_0..m_{2p-1} (mpf) of a measure
+    on the line, by Golub & Welsch (1969): the Jacobi matrix from the
+    Cholesky factor R of the Hankel matrix, its eigenvalues the nodes and the
+    squared first components of its eigenvectors, times m_0, the weights."""
+    p = len(m) // 2
+    R = mpmath.zeros(p, p + 1)
+    for i in range(p):
+        R[i, i] = mpmath.sqrt(m[2 * i] - mpmath.fsum(R[k, i] ** 2 for k in range(i)))
+        for j in range(i + 1, p + 1):
+            R[i, j] = (m[i + j] - mpmath.fsum(R[k, i] * R[k, j] for k in range(i))) / R[i, i]
+    J = mpmath.zeros(p, p)
+    for j in range(p):
+        J[j, j] = R[j, j + 1] / R[j, j] - (R[j - 1, j] / R[j - 1, j - 1] if j else 0)
+        if j + 1 < p:
+            J[j, j + 1] = J[j + 1, j] = R[j + 1, j + 1] / R[j, j]
+    E, Q = mpmath.eigsy(J)
+    return [E[j] for j in range(p)], [m[0] * Q[0, j] ** 2 for j in range(p)]
+
+
+def _lower_principal_oracle(m, a) -> tuple:
+    """The lower principal representation of the power moments m_0..m_n on
+    [a, b]: the Gauss rule for odd n; for even n Gauss-Radau with a node at
+    a, its other nodes the Gauss rule of (x - a) dmu, its weights from the
+    Vandermonde system (Golub 1973).  Sorted by position."""
+    if len(m) % 2 == 0:
+        x, w = _golub_welsch(m)
+    else:
+        x = [mpmath.mpf(a)] + _golub_welsch([m[k + 1] - a * m[k] for k in range(len(m) - 1)])[0]
+        V = mpmath.matrix([[xj ** k for xj in x] for k in range(len(x))])
+        w = list(mpmath.lu_solve(V, mpmath.matrix(m[: len(x)])))
+    order = sorted(range(len(x)), key=lambda j: x[j])
+    return [float(x[j]) for j in order], [float(w[j]) for j in order]
+
+
+@st.composite
+def interior_monomial_functionals(draw):
+    """Moments over 1, x, ..., x^n (n = 2..8) on [a, b] of N//2 + 1 atoms in
+    the inner 90%, at least 5% of the width apart: index >= N + 1, inside
+    the moment cone."""
+    n = draw(st.integers(2, 8))
+    a = draw(st.floats(-1.0, 0.5))
+    width = draw(st.floats(0.5, 2.0))
+    k = (n + 1) // 2 + 1
+    pos = sorted(draw(st.lists(st.floats(a + 0.05 * width, a + 0.95 * width), min_size=k, max_size=k)))
+    assume(np.all(np.diff(pos) >= 0.05 * width))
+    wts = draw(st.lists(st.floats(0.2, 1.0), min_size=k, max_size=k))
+    return monomial_family(list(range(n + 1)), interval(a, a + width)), pos, wts
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(interior_monomial_functionals())
+def test_recovered_atoms_match_the_gauss_type_oracle(case):
+    # the fewest-atom witness of an interior functional has ceil(N/2) atoms:
+    # recover_atoms finds no more (fewer only where a sparser measure also
+    # matches within tol); a witness of that count is the lower principal
+    # representation where that is unique, for even N and, for odd N, where
+    # it holds a (the other (N+1)/2-atom witnesses are canonical ones)
+    fam, pos, wts = case
+    a, width = fam.domain.a, fam.domain.b - fam.domain.a
+    L = MomentFunctional.from_measure(fam, list(zip(pos, wts)))
+    with mpmath.workdps(50):
+        m = [mpmath.fsum(mpmath.mpf(w) * mpmath.mpf(x) ** j for x, w in zip(pos, wts))
+             for j in range(fam.size)]
+        x_ref, w_ref = _lower_principal_oracle(m, a)
+    atoms = recover_atoms(L, tol=1e-8).atoms
+    assert len(atoms) <= len(x_ref)
+    if len(atoms) == len(x_ref) and (fam.size % 2 == 0 or atoms[0][0] == a):
+        np.testing.assert_allclose([x for x, _ in atoms], x_ref, rtol=0, atol=1e-6 * width)
+        np.testing.assert_allclose([w for _, w in atoms], w_ref, rtol=0, atol=1e-6 * sum(wts))
