@@ -11,13 +11,14 @@ come from implicit differentiation of the node null vector
 falls and keeps stepping past its tolerance until the residual stops
 falling, so every solve that converges ends at the rounding floor; a stall
 above the tolerance is not converged.  A direct start also ends, not
-converged, once its line search cuts a step below DIRECT_MIN_STEP above the
-tolerance: such a start crawls along the edge of the interlacing region and
-does not recover.  When the direct starts fail, the same driver follows a
-continuation from a surrogate whose decomposition is known exactly: a sum
-of the two pattern polynomials, which by uniqueness is its own
-decomposition.  Continuation steps and the final solve on f take no such
-cut.
+converged, once its residual above the tolerance has not halved over the
+last DIRECT_CRAWL accepted steps: such a start crawls along the edge of the
+interlacing region and does not recover.  When the direct starts fail, the
+same driver follows a continuation from a surrogate whose decomposition is
+known exactly: a sum of the two pattern polynomials, which by uniqueness is
+its own decomposition.  Continuation steps take no such cut, and each
+intermediate one stops once below the tolerance; the final solve on f runs
+to the rounding floor.
 
 One hypothesis on the zeros serves every domain (``_shared_zeros``): the
 zeros that f shares with both parts number fewer than n with multiplicity
@@ -52,11 +53,10 @@ from .zeros import NODAL, NON_NODAL, SparsePoly, ZeroConfig, _running_max, count
 CONVERGED_TOL = 1e-10
 TOUCH_LOCAL_TOL = 1e-6  # solutions reach 2e-10 on degree-8 [a, b] draws; stalls reach 1
 POS_GRID = 5000
-# A direct start whose line search accepts a step below this above tol has
-# failed (Deuflhard's lambda_min): no converged direct start in the tests takes
-# one below 2^-11, while failed ones crawl on at 2^-8 ... 2^-43 for up to 40
-# iterations.  A start cut here falls through to the next start or continuation.
-DIRECT_MIN_STEP = 2.0**-12
+# A direct start whose max |R| above tol has not halved over this many accepted
+# steps has failed: failed starts crawl at about 1% a step for up to 40
+# iterations.  It falls through to the next start or continuation.
+DIRECT_CRAWL = 5
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def _merge_nodes(nodes) -> tuple:
     return tuple((p, m) for p, m in out)
 
 
-def _newton(system, z, tol, maxit, admissible, min_step=0.0):
+def _newton(system, z, tol, maxit, admissible, min_step=0.0, crawl=0, floor=True):
     """Damped Newton on a square system, run to the rounding floor.
 
     ``system(z)`` returns the residual R at z and a callable giving the
@@ -113,17 +113,21 @@ def _newton(system, z, tol, maxit, admissible, min_step=0.0):
     when no halving does before the step no longer moves z.  Passing tol
     does not stop it: the residual keeps falling to the rounding floor, so
     the end point does not depend on where tol lies.  It has converged if
-    it stops below tol; a stall above tol is not converged.  With
-    ``min_step`` > 0 it also stops, not converged, at the first accepted
-    step cut below min_step that leaves max |R| at or above tol.  A z
-    without a solution has R = inf and a raising Jacobian (_inadmissible),
-    so no step lands on it and none starts there.  Returns (z, converged,
-    steps, max |R|).
+    it stops below tol; a stall above tol is not converged.  With ``floor``
+    False it stops, converged, as soon as max |R| is below tol.  It stops,
+    not converged, with max |R| at or above tol after an accepted step cut
+    below ``min_step``, or once max |R| has not halved over the last
+    ``crawl`` > 0 accepted steps.  A z without a solution has R = inf and a
+    raising Jacobian (_inadmissible), so no step lands on it and none starts
+    there.  Returns (z, converged, steps, max |R|).
     """
     z = np.asarray(z, dtype=float).copy()
     R, jac = system(z)
     nR = float(np.max(np.abs(R)))
+    seen = [nR]
     for it in range(maxit):
+        if not floor and nR < tol:
+            return z, True, it, nR
         try:
             dz = np.linalg.solve(jac(), -R)
         except np.linalg.LinAlgError:
@@ -143,7 +147,8 @@ def _newton(system, z, tol, maxit, admissible, min_step=0.0):
         if not moved:
             return z, nR < tol, it, nR
         z, R, jac, nR = zn, Rn, jn, nRn
-        if t < min_step and nR >= tol:
+        seen.append(nR)
+        if nR >= tol and (t < min_step or 0 < crawl <= it + 1 and 2 * nR > seen[-1 - crawl]):
             return z, False, it + 1, nR
     return z, nR < tol, maxit, nR
 
@@ -191,10 +196,11 @@ class _TangencySolver:
     is a window holding every root of f.
     ``system`` gives the residual and its analytic Jacobian; ``newton`` runs
     _newton on it.  ``solve`` tries Newton from Chebyshev and equispaced
-    starts ("newton:direct*"), each given up at a step below DIRECT_MIN_STEP,
+    starts ("newton:direct*"), each given up once it crawls (DIRECT_CRAWL),
     then continuation from the Chebyshev layout ("homotopy-cheb"), and returns
-    the KarlinDecomposition.  The shared zeros fix n_eff = n - r, the count
-    of free zeros: m = n_eff // 2 double zeros of f_*.
+    the KarlinDecomposition with the Newton iterations of the winning path.
+    The shared zeros fix n_eff = n - r, the count of free zeros: m = n_eff // 2
+    double zeros of f_*.
     """
 
     def __init__(
@@ -314,12 +320,11 @@ class _TangencySolver:
         hi = self.hi if self.hi is not None else math.inf
         return _interlaced(first, second, self.lo, hi, 1e-13 * self.width)
 
-    def newton(self, z, fc, tol, maxit=40, min_step=0.0):
+    def newton(self, z, fc, tol, maxit=40, crawl=0, floor=True):
         """_newton on the system for fc; tol and the residual are relative to max |fc|."""
         sc = float(np.max(np.abs(self.grid_rows @ fc)))
         z, ok, it, nR = _newton(
-            lambda zz: self.system(zz, fc), z, tol * sc, maxit, self.phase_ok, min_step
-        )
+            lambda zz: self.system(zz, fc), z, tol * sc, maxit, self.phase_ok, crawl=crawl, floor=floor)
         return z, ok, it, nR / sc
 
     # -- initial configurations ------------------------------------------------
@@ -366,19 +371,29 @@ class _TangencySolver:
     def continuation(self, xs0, tol):
         """Newton along (1 - t) e + t f from the surrogate e of xs0 to f.
 
-        A step is accepted once its relative residual is below tol, the level
-        solve accepts the end point at.  A level at the rounding floor (near
-        1e-11 for degrees 5-8) would count converged steps as failures and
-        only halve the step.  The last solve, on f, runs to the floor.
-        Returns (z, relative residual).
+        An intermediate step's Newton stops once its relative residual is
+        below CONVERGED_TOL (the next step moves the target anyway) and is
+        accepted below tol, the level solve accepts the end point at: a level
+        at the rounding floor (near 1e-11 for degrees 5-8) would count
+        converged steps as failures.  The last solve, on f, runs to the
+        floor.  No tangent predictor: at fixed z the residual is linear in t,
+        so each step's first Newton step already is the tangent step.
+        Returns (z, relative residual, Newton iterations).
         """
         ys0 = self.ys_for(xs0)
         e = self.surrogate(xs0, ys0)
         z = np.concatenate([np.sort(xs0), np.sort(ys0)])
-        z = _homotopy(lambda t, tn, z: self.newton(z, (1 - tn) * e + tn * self.f, tol, maxit=25)[:2],
-                      z, 0.2, 1.6, 0.4, max_fails=80)[0]
-        z, _, _, res = self.newton(z, self.f, tol, maxit=80)
-        return z, res
+        iters = []
+
+        def advance(t, tn, z):
+            fc = (1 - tn) * e + tn * self.f
+            z, _, it, res = self.newton(z, fc, CONVERGED_TOL, maxit=25, floor=False)
+            iters.append(it)
+            return z, res < tol
+
+        z = _homotopy(advance, z, 0.2, 1.6, 0.4, max_fails=80)[0]
+        z, _, it, res = self.newton(z, self.f, tol, maxit=80)
+        return z, res, sum(iters) + it
 
     # -- driver -----------------------------------------------------------------
 
@@ -401,14 +416,14 @@ class _TangencySolver:
             ):
                 continue
             tried.append(z0)
-            z, _, it, res = self.newton(z0, self.f, CONVERGED_TOL, min_step=DIRECT_MIN_STEP)
+            z, _, it, res = self.newton(z0, self.f, CONVERGED_TOL, crawl=DIRECT_CRAWL)
             if res < CONVERGED_TOL and self._valid(z):
                 return self.decomposition(z, "newton:" + label, it, res)
             attempts.append((label, res))
 
-        z, res = self.continuation(cheb, 100 * CONVERGED_TOL)
+        z, res, it = self.continuation(cheb, 100 * CONVERGED_TOL)
         if res < 100 * CONVERGED_TOL and self._valid(z):
-            return self.decomposition(z, "homotopy-cheb", 0, res)
+            return self.decomposition(z, "homotopy-cheb", it, res)
         attempts.append(("homotopy-cheb", res))
         raise NoConvergence(
             "tangency solver failed on all paths", {"attempts": attempts}

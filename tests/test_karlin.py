@@ -36,7 +36,7 @@ from tsystems.errors import (
 from tsystems.family import halfline_xmax
 from tsystems.karlin import (
     CONVERGED_TOL,
-    DIRECT_MIN_STEP,
+    DIRECT_CRAWL,
     POS_GRID,
     _interlaced,
     _newton,
@@ -565,15 +565,19 @@ def test_newton_runs_past_tol_to_the_rounding_floor():
     def system(z):
         return np.array([z[0] ** 2 - 2]), lambda: np.array([[2 * z[0]]])
 
-    z, ok, _, res = _newton(system, np.array([3.0]), 1e-3, 40, lambda z: True)
+    z, ok, steps, res = _newton(system, np.array([3.0]), 1e-3, 40, lambda z: True)
     assert ok and res <= 4.5e-16
     assert abs(z[0] - math.sqrt(2)) <= 4.5e-16
+    # without the floor it stops at the first step below tol
+    z, ok, early, res = _newton(system, np.array([3.0]), 1e-3, 40, lambda z: True, floor=False)
+    assert ok and 1e-12 < res < 1e-3 and early < steps
 
 
-def test_newton_min_step_ends_a_crawl_not_converged():
+def test_newton_crawl_rule_ends_a_crawl_not_converged():
     # R = z + 1 has its root at -1, outside the admissible z > 0: every full
     # step leaves the set, and the halved step that stays inside shrinks
-    # with z.  The iterates are where the Jacobian is taken.
+    # with z, so max |R| creeps down towards 1.  The iterates are where the
+    # Jacobian is taken.
     def run(**kw):
         iterates = []
 
@@ -585,28 +589,39 @@ def test_newton_min_step_ends_a_crawl_not_converged():
             return z + 1.0, jac
 
         z, ok, steps, nR = _newton(system, np.array([4.0]), 1e-10, 100, lambda z: z[0] > 0, **kw)
-        path = [*iterates[:steps], float(z[0])]
-        return ok, steps, nR, [(x - y) / (x + 1) for x, y in zip(path, path[1:])]
+        return ok, steps, nR, [x + 1 for x in [*iterates[:steps], float(z[0])]]
 
-    ok, steps, nR, ts = run(min_step=DIRECT_MIN_STEP)
-    assert not ok and nR > 1
-    assert ts[-1] < DIRECT_MIN_STEP and min(ts[:-1]) >= DIRECT_MIN_STEP
-    ok, more, nR, ts = run()  # the default keeps crawling
-    assert not ok and nR > 1 and more > steps
-    assert sum(t < DIRECT_MIN_STEP for t in ts) > 10
+    ok, steps, nR, rs = run(crawl=DIRECT_CRAWL)
+    assert not ok and nR > 1 and steps > DIRECT_CRAWL
+    # it ends at the first window of accepted steps that did not halve max |R|
+    assert 2 * rs[-1] > rs[-1 - DIRECT_CRAWL]
+    assert all(2 * rs[k] <= rs[k - DIRECT_CRAWL] for k in range(DIRECT_CRAWL, steps))
+    ok, more, nR, _ = run()  # the default keeps crawling
+    assert not ok and nR > 1 and more > steps + 10
+
+    # from z = 1000, Newton on z^2 - 2 roughly halves z (quarters R) for ten
+    # steps, more than the window, before its quadratic phase: not cut
+    def square(z):
+        return np.array([z[0] ** 2 - 2]), lambda: np.array([[2 * z[0]]])
+
+    cut = _newton(square, np.array([1000.0]), 1e-10, 40, lambda z: True, crawl=DIRECT_CRAWL)
+    full = _newton(square, np.array([1000.0]), 1e-10, 40, lambda z: True)
+    assert cut[1] and cut[3] <= 4.5e-16 and cut[2] > 2 * DIRECT_CRAWL
+    assert np.array_equal(cut[0], full[0]) and cut[1:] == full[1:]
 
 
 def test_failed_direct_starts_stay_short_on_the_karlin_corpus(monkeypatch):
     # Newton iterations of direct starts that fail, over the benchmark's
-    # fixed karlin corpus: 523 before the DIRECT_MIN_STEP cut, 206 with it.
-    # No decomposition runs two direct starts from the same point.
+    # fixed karlin corpus: 523 with no cut, 206 when a start ended at a step
+    # below 2^-12, 109 with the DIRECT_CRAWL rule.  No decomposition runs two
+    # direct starts from the same point.
     wl = perfbench_workloads().WORKLOADS["karlin"]
     runs = []
     newton = _TangencySolver.newton
 
-    def counted(self, z, fc, tol, maxit=40, min_step=0.0):
-        out = newton(self, z, fc, tol, maxit, min_step)
-        if min_step:
+    def counted(self, z, fc, tol, maxit=40, crawl=0, floor=True):
+        out = newton(self, z, fc, tol, maxit, crawl, floor)
+        if crawl:
             runs.append((np.array(z), self.width, out[2]))
         return out
 
@@ -620,37 +635,49 @@ def test_failed_direct_starts_stay_short_on_the_karlin_corpus(monkeypatch):
             assert all(np.max(np.abs(z - zt)) > 1e-12 * width for zt in starts[:i]), inst.stratum
         won = dec.iterations if dec.solver_path.startswith("newton:direct") else 0
         failed += sum(it for _, _, it in runs) - won
-    assert failed <= 262, failed
+    assert failed <= 138, failed
 
 
 # Draws of a fresh census that raise NoConvergence: (rng seed, draw index)
 _FRESH_UNCONVERGED = {(5, 41), (5, 79), (5, 104), (11, 83)}
+# Draws of the same census that the direct starts do not settle, by rng seed
+_FRESH_CONTINUED = {
+    5: {2, 3, 4, 17, 18, 19, 20, 23, 25, 35, 37, 39, 59, 60, 62, 64, 66, 72, 80, 81, 82, 87,
+        88, 90, 93, 101, 102, 103, 108, 109, 121, 122, 123, 124, 125},
+    11: {3, 9, 16, 17, 18, 19, 24, 34, 38, 39, 41, 45, 59, 60, 61, 65, 77, 79, 80, 81, 85, 90,
+         93, 100, 101, 102, 109, 122, 123, 124},
+}
 
 
 def test_fresh_high_degree_karlin_draws_pass_the_benchmark_check():
-    # the ab:7, c6:7 and c6:8 draws of a fresh census (karlin_make at rng
-    # seeds 5 and 11, six rounds of the corpus strata plus higher degrees)
-    # pass checks.check_karlin, except the four above, which may raise
-    # NoConvergence instead.  One of them, seed 5 draw 41 (c6:8), ends its
-    # continuation unconverged with f^* at -2.7e-9 of the local |f|, which
-    # the global max |f| hid: it must be refused or sound
+    # all 252 draws of a fresh census (karlin_make at rng seeds 5 and 11, six
+    # rounds of the corpus strata plus higher degrees) pass
+    # checks.check_karlin, except the four above, which may raise
+    # NoConvergence instead, and the 183 that a direct start settles stay
+    # direct.  Seed 5 draw 41 (c6:8) ends its continuation unconverged with
+    # f^* at -2.7e-9 of the local |f|, which the global max |f| hid: it must
+    # be refused or sound.  Seed 5 draws 19 (c6:7) and 109 (c6:6) have their
+    # rounding floor at 1e-10 ... 7e-10: continuation steps stopped at the
+    # acceptance level 1e-8 instead of CONVERGED_TOL make them raise
+    # NoConvergence.
     workloads = perfbench_workloads()
     strata = workloads.KARLIN_STRATA + ["ab:5", "ab:6", "ab:7", "halfline:4", "halfline:5", "c6:7", "c6:8"]
-    called = 0
+    direct = 0
     for seed in (5, 11):
         rng = np.random.default_rng(seed)
         draws = [workloads.karlin_make(rng, s) for _ in range(6) for s in strata]
+        assert len(draws) == 126
         for i, inst in enumerate(draws):
-            if inst.stratum not in ("ab:7", "c6:7", "c6:8"):
-                continue
-            called += 1
             try:
                 inst.output = workloads.karlin_call(inst)
             except NoConvergence:
                 assert (seed, i) in _FRESH_UNCONVERGED, (seed, i, inst.stratum)
                 continue
             assert workloads.karlin_check(inst) is None, (seed, i, inst.stratum)
-    assert called == 36
+            if i not in _FRESH_CONTINUED[seed]:
+                assert inst.output.solver_path.startswith("newton:direct"), (seed, i, inst.stratum)
+                direct += 1
+    assert direct == 183
 
 
 def _central_difference(system, z, h):
@@ -808,5 +835,27 @@ def test_continuation_reaches_degree_7_in_few_newton_solves():
             return newton(*args, **kw)
 
         solver.newton = counted
-        z, res = solver.continuation(solver.chebyshev_init(), 100 * CONVERGED_TOL)
+        z, res, _ = solver.continuation(solver.chebyshev_init(), 100 * CONVERGED_TOL)
         assert calls[0] <= 10 and res < CONVERGED_TOL and solver._valid(z), (draw, calls[0], res)
+
+
+def test_continuation_reports_its_newton_iterations():
+    # criterion 7's [a, b] draw 0 (degree 7) falls through its direct starts;
+    # its iterations are every Newton step continuation took, not 0
+    rng = np.random.default_rng(73)
+    pd = random_nonneg_dense(int(rng.integers(2, 9)), interval(0.2, 1.7), rng)
+    fam = monomial_family(list(range(len(pd))), interval(0.2, 1.7))
+    solver = _TangencySolver(fam, pd, (), 0.2, 1.7, "endpoint", np.linspace(0.2, 1.7, POS_GRID))
+    steps, newton = [], solver.newton
+
+    def counted(z, fc, tol, maxit=40, crawl=0, floor=True):
+        out = newton(z, fc, tol, maxit, crawl, floor)
+        if not crawl:
+            steps.append(out[2])
+        return out
+
+    solver.newton = counted
+    dec = solver.solve()
+    assert dec.solver_path == "homotopy-cheb" and dec.converged
+    assert dec.iterations == sum(steps) > len(steps)
+
