@@ -527,17 +527,19 @@ def sparse_feasibility(
         if val < -tol * scale and _certificate_is_sound(p, probes):
             return FeasibilityVerdict(INFEASIBLE, None, p, -val, hint, "dual")
 
-    # seeds: the clustered atoms, which localize where a certificate must
-    # vanish, then the grid certificate's basins (they can be narrow)
+    # seeds, built once a dual search runs: the clustered atoms, which localize
+    # where a certificate must vanish, then the grid certificate's basins (they can be narrow)
     xs, _, _, r = _shared(_grid_fit, family, s, grid)
-    pos, _, res = _shared(_clustered_atoms, family, s, grid, tol * scale)[:3]
-    seeds = [float(p) for p in pos] + _dual_seeds(family, r, xs)
+    clustered, _, res = _shared(_clustered_atoms, family, s, grid, tol * scale)[:3]
+    seeds = None
     for seeded_only in (True, False):
         if res <= tol * scale or not seeded_only:
             pos, wts, res = _shared(_primal_atoms, family, s, grid, tol * scale)[:3]
             if res <= tol * scale and len(pos) <= family.size:
                 witness = AtomicMeasure(tuple(zip(map(float, pos), map(float, wts))))
                 return FeasibilityVerdict(FEASIBLE, witness, None, float(res), hint, "primal")
+        if seeds is None:
+            seeds = [float(p) for p in clustered] + _dual_seeds(family, r, xs)
         cert = _dual_search(L, tol, seed, starts, seeds, seeded_only)
         if cert is not None:
             return FeasibilityVerdict(INFEASIBLE, None, cert[0], float(-cert[1]), hint, "dual")
@@ -652,24 +654,38 @@ def _shared(run, family: FamilySpec, s: np.ndarray, grid: int, *args) -> tuple:
 def _grid_fit(family: FamilySpec, s: np.ndarray, grid: int) -> tuple:
     """(xs, A, w, r): grid NNLS min |s - A w| over w >= 0, A = f(xs)^T, by
     ``_working_set_nnls`` from every 10th point, refined twice near its
-    support (solved on the support and the new points).  r = s - A w is
-    optimal on the final grid xs."""
+    support (solved on the support and the refinement's points).  Each grid
+    point is evaluated once: the rows f(x) and column norms of the grid so
+    far are kept, and a round evaluates only its points not already on the
+    grid (exact equality, as ``np.unique``) and merges them in order.
+    Points 1 ulp apart stay separate columns until the return (ROADMAP
+    item 6).  r = s - A w is optimal on the final grid xs."""
     lo, hi = _polish_box(family)
     xs = _primal_grid(family, grid)
-    work = np.union1d(np.arange(0, len(xs), 10), [len(xs) - 1])  # every 10th; then ±10 of its support
+    rows = family.eval_grid(xs)
+    norms = np.linalg.norm(rows, axis=1)
+    inw = np.zeros(len(xs), dtype=bool)
+    inw[::10] = inw[-1] = True  # every 10th; then ±10 of its support
     for _round in range(3):
-        A = family.eval_grid(xs).T
-        w, r = _working_set_nnls(A, s, work, 10 if _round == 0 else 0)
-        support = xs[w > 1e-10 * max(float(w.max()), 1e-300)]
-        if len(support) == 0 or _round == 2:
+        A = rows.T  # the layout steers the rounding of An^T r and of nnls' input
+        w, r = _working_set_nnls(A, norms, s, inw, 10 if _round == 0 else 0)
+        inw = w > 1e-10 * max(float(w.max()), 1e-300)  # the support
+        if not inw.any() or _round == 2:
             # one column per point: the refinement's copies of a point, equal to rounding, are it
             keep = np.diff(xs, prepend=-np.inf) > 1e-12 * (xs[-1] - xs[0])
             return xs[keep], A[:, keep], np.bincount(np.cumsum(keep) - 1, w), r
-        step = np.median(np.diff(np.unique(xs)))
-        extra = np.concatenate([support + d for d in np.linspace(-step, step, 41)])
-        xs = np.unique(np.concatenate([xs, extra]))
-        xs = xs[(xs >= lo) & (xs <= hi)]
-        work = np.flatnonzero(np.isin(xs, np.concatenate([support, extra])))
+        step = np.median(np.diff(xs))
+        extra = np.unique(xs[inw] + np.linspace(-step, step, 41)[:, None])
+        extra = extra[(extra >= lo) & (extra <= hi)]
+        at = np.minimum(np.searchsorted(xs, extra), len(xs) - 1)
+        old = xs[at] == extra
+        inw[at[old]] = True
+        new_rows = family.eval_grid(extra[~old])
+        xs = np.concatenate([xs, extra[~old]])
+        order = np.argsort(xs, kind="stable")  # two sorted runs of distinct points
+        xs, inw = xs[order], np.concatenate([inw, np.ones(len(new_rows), dtype=bool)])[order]
+        rows = np.concatenate([rows, new_rows])[order]
+        norms = np.concatenate([norms, np.linalg.norm(new_rows, axis=1)])[order]
 
 
 def _polish_box(family: FamilySpec) -> tuple:
@@ -725,19 +741,18 @@ def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) 
     return pos[order], wts[order], res, xs, r
 
 
-def _working_set_nnls(A, s, work, reach=0):
-    """(w, r): min |s - A w| over w >= 0, by scipy's nnls on a few columns
-    ``work`` of A/colnorm.  After each solve the optimality condition
+def _working_set_nnls(A, colnorm, s, inw, reach=0):
+    """(w, r): min |s - A w| over w >= 0, by scipy's nnls on the columns of
+    A/colnorm marked in the boolean mask ``inw`` (zero norms read as 1),
+    which grows in place.  After each solve the optimality condition
     g = (A/colnorm)^T r <= 10 eps |s| (r = s - A w) is checked on every
     column, and the 32 largest violators with their two grid neighbours join
-    ``work``; once none is left (or, were nnls to stop short, only ones in
-    ``work``), the columns within ``reach`` of the support join once, since
-    g at its rounding level cannot tell a coarse fit from the optimum."""
-    colnorm = np.linalg.norm(A, axis=0)
-    colnorm[colnorm == 0] = 1.0
+    the mask; once none is left (or, were nnls to stop short, only ones in
+    it), the columns within ``reach`` of the support join once, since g at
+    its rounding level cannot tell a coarse fit from the optimum."""
+    colnorm = np.where(colnorm == 0, 1.0, colnorm)
     An = A / colnorm
     tol = 10 * np.finfo(float).eps * float(np.linalg.norm(s))
-    inw = np.isin(np.arange(A.shape[1]), work)
     while True:
         work = np.flatnonzero(inw)
         w = np.zeros(A.shape[1])

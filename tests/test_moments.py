@@ -859,17 +859,24 @@ def test_working_set_nnls_matches_full_grid_nnls(case):
     _assert_matches_full_grid_nnls(fam.eval_grid(xs).T, s, r)
 
 
+def _nnls_on(A, s, work):
+    """_working_set_nnls on the columns ``work`` of A, from A's column norms."""
+    inw = np.zeros(A.shape[1], dtype=bool)
+    inw[work] = True
+    return moments._working_set_nnls(A, np.linalg.norm(A, axis=0), s, inw)
+
+
 def test_working_set_nnls_edge_cases():
     fam = power_family([0.0, 0.5, 3.0], interval(0.1, 1.2))
     xs = moments._primal_grid(fam, 2001)
     A = fam.eval_grid(xs).T
     work = np.arange(0, len(xs) - 1, 10)  # every 10th column but the last
     # s = 0: no weights, r = 0
-    w, r = moments._working_set_nnls(A, np.zeros(3), work)
+    w, r = _nnls_on(A, np.zeros(3), work)
     assert not np.any(w) and not np.any(r)
     # an atom exactly at the window's end, outside the working columns
     s = MomentFunctional.from_measure(fam, [(1.2, 0.8)]).s
-    w, r = moments._working_set_nnls(A, s, work)
+    w, r = _nnls_on(A, s, work)
     _assert_matches_full_grid_nnls(A, s, r)
     assert float(np.linalg.norm(r)) <= 1e-13 * float(np.linalg.norm(s))
     # ... and moved off the cone, through the engine
@@ -880,7 +887,7 @@ def test_working_set_nnls_edge_cases():
     for j in (0, 5):
         Az = A.copy()
         Az[:, j] = 0.0
-        w, r = moments._working_set_nnls(Az, s, work)
+        w, r = _nnls_on(Az, s, work)
         assert w[j] == 0.0
         _assert_matches_full_grid_nnls(Az, s, r)
 
@@ -1148,6 +1155,61 @@ def test_fresh_primal_draws_keep_their_atom_counts():
         inst.output = workloads.primal_call(inst)
         assert workloads.primal_check(inst) is None, i
         assert len(inst.output[1].atoms) <= int(was), i
+
+
+def test_grid_fit_evaluates_each_point_once_to_the_same_bits(monkeypatch):
+    # the fit keeps the rows of the points it has evaluated and each round
+    # evaluates only its new points: its A must still be eval_grid on its
+    # final grid bit for bit, a guard against rows that depend on their batch
+    cases = [(L.family, L.s) for L in _census()]
+    cases += [(inst.args["family"], inst.args["s"])
+              for inst in perfbench_workloads().WORKLOADS["moment_primal"].corpus()]
+    evaluated = []
+    eval_grid = FamilySpec.eval_grid
+
+    def recording(self, xs, order=0):
+        evaluated.append(np.asarray(xs, dtype=float).ravel())
+        return eval_grid(self, xs, order)
+
+    monkeypatch.setattr(FamilySpec, "eval_grid", recording)
+    for i, (fam, s) in enumerate(cases):
+        evaluated.clear()
+        xs, A, _, _ = moments._grid_fit(fam, np.asarray(s, dtype=float), 2001)
+        points = np.concatenate(evaluated)
+        assert len(np.unique(points)) == len(points), i
+        assert np.all(np.diff(xs) > 0), i
+        assert np.array_equal(A, eval_grid(fam, xs).T), i
+
+
+@pytest.mark.parametrize("make, status, searches", [
+    (lambda: MomentFunctional.from_measure(power_family([0.0, 0.5, 1.5, 2.5, 4.0],
+                                                        interval(0.1, 1.2)),
+                                           [(0.3, 0.5), (0.9, 0.7)]), "feasible", 0),
+    (lambda: criterion_10_instance(0), "infeasible", 0),
+    (lambda: criterion_10_instance(1), "infeasible", 1),
+    (lambda: criterion_10_instance(5), "infeasible", 2),
+], ids=["feasible", "criterion10_0_grid", "criterion10_1_seeded", "criterion10_5_multistart"])
+def test_dual_seeds_are_built_only_for_a_dual_search(monkeypatch, make, status, searches):
+    # a functional decided before the dual search builds no seeds; the seeded
+    # search and the full multistart share the seeds of one build
+    seeds, seeded = [], []
+    dual_seeds, dual_search = moments._dual_seeds, moments._dual_search
+
+    def counting_seeds(*args):
+        seeds.append(dual_seeds(*args))
+        return seeds[-1]
+
+    def recording_search(L, tol, seed, starts, theta_seeds=(), seeded_only=False):
+        seeded.append(list(theta_seeds))
+        return dual_search(L, tol, seed, starts, theta_seeds, seeded_only)
+
+    monkeypatch.setattr(moments, "_dual_seeds", counting_seeds)
+    monkeypatch.setattr(moments, "_dual_search", recording_search)
+    v = sparse_feasibility(make())
+    assert v.status == status
+    assert len(seeded) == searches
+    assert len(seeds) == min(searches, 1)
+    assert all(theta == seeded[0] for theta in seeded)
 
 
 # -- support reduction by the T-system atom counts ----------------------------------
