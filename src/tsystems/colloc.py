@@ -10,7 +10,6 @@ desk scale for the certificates to stay trustworthy.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -67,8 +66,9 @@ class NodeSet:
 def det(matrix: np.ndarray):
     """Determinant in long-double accumulation (dim <= 12), expanded along
     the first row: det([r; B]) = r.C(B), with B's cofactor vector C(B) from
-    null_vector's elimination.  A stack of square matrices gives their
-    determinants, each equal bit for bit to its one-matrix result."""
+    null_vector's elimination; NaN if a NaN turns up in it.  A stack of
+    square matrices gives their determinants, each equal bit for bit to its
+    one-matrix result."""
     A = np.asarray(matrix, dtype=np.longdouble)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatch(f"square matrix required, got {A.shape}")
@@ -77,17 +77,16 @@ def det(matrix: np.ndarray):
         raise DimensionMismatch(f"dimension {n} exceeds cap {DET_DIM_CAP}")
     if n == 0:
         return 1.0 if A.ndim == 2 else np.ones(len(A))
-    run = _eliminate_one(A[1:].tolist(), n - 1) if A.ndim == 2 else None
-    if run is not None:  # r.C summed from zero, as the stack's matmul sums
-        x, perm, d = run
-        r = A[0].tolist()
-        return float(sum((r[p] * v for p, v in zip(perm, x)), _LD0) * d) if d else 0.0
-    S = A.reshape((-1, n, n))
-    x, perm, d = _eliminate_stack(S[:, 1:])
-    r = np.take_along_axis(S[:, 0], perm, axis=-1)
+    if A.ndim == 2:
+        x, perm, d = _eliminate_one(A[1:].tolist(), n - 1)
+        if x is None:
+            return float(d)
+        r = A[0].tolist()  # r.C summed from zero, as the stack's matmul sums
+        return float(sum((r[p] * v for p, v in zip(perm, x)), _LD0) * d)
+    x, perm, d = _eliminate_stack(A[:, 1:])
+    r = A[:, 0][np.arange(len(A))[:, None], perm]
     with np.errstate(invalid="ignore"):
-        dets = np.where(d != 0, (r[:, None, :] @ x[:, :, None])[:, 0, 0] * d, 0.0).astype(float)
-    return dets if A.ndim == 3 else float(dets[0])
+        return np.where(d != 0, (r[:, None, :] @ x[:, :, None])[:, 0, 0] * d, 0.0).astype(float)
 
 
 def det_scale(matrix: np.ndarray) -> float:
@@ -157,82 +156,48 @@ def wronskian(family: FamilySpec, k: int, x: float) -> float:
 # -- null vectors of node matrices (pattern polynomials) ----------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _pivot_moves(nr: int) -> tuple:
-    """Index tables for _eliminate_stack on n = nr rows.
-
-    The working array is (nr + 2) x (nr + 1): the matrix, a row of column
-    labels and a parity row.  gathers[k, f] is the index array that moves
-    the pivot found at flat position f of step k's trailing block to (k, k):
-    it swaps two rows of the matrix and two columns of the matrix and the
-    labels, as the pivot requires, and swaps the first two entries of the
-    parity row when it makes exactly one swap.  ``start`` holds the labels
-    0..nr and the parity row (s, -s, ..., -s), s = (-1)^nr.
-    """
-    nc = nr + 1
-    gathers = np.zeros((nr, nr * nc, nr + 2, nc), dtype=np.intp)
-    for k in range(nr):
-        for f in range((nr - k) * (nc - k)):
-            i, j = divmod(f, nc - k)
-            g = np.arange((nr + 2) * nc).reshape(nr + 2, nc)
-            g[[k, k + i]] = g[[k + i, k]]
-            g[: nr + 1, [k, k + j]] = g[: nr + 1, [k + j, k]]
-            if (i == 0) != (j == 0):
-                g[nr + 1, :2] = g[nr + 1, 1::-1]
-            gathers[k, f] = g
-    start = np.zeros((nr + 2, nc), dtype=np.longdouble)
-    start[nr] = np.arange(nc)
-    start[nr + 1] = -((-1.0) ** nr)
-    start[nr + 1, 0] = (-1.0) ** nr
-    gathers.flags.writeable = start.flags.writeable = False  # shared by every call
-    return gathers, start
-
-
 def null_vector(B: np.ndarray) -> np.ndarray:
     """The cofactor vector of an n x (n+1) node matrix B at unit max-norm;
-    zero when B is rank-deficient.  A stack of k such matrices, k x n x
-    (n+1), gives the k x (n+1) array of their cofactor vectors, each equal
-    bit for bit to its one-matrix result.
+    zero when B is rank-deficient, all NaN when a NaN turns up in the
+    elimination.  A stack of k such matrices, k x n x (n+1), gives the
+    k x (n+1) array of their cofactor vectors, each equal bit for bit to its
+    one-matrix result.
 
     The cofactor vector c has r.c = det([r; B]) for every row r, so it is
     the coefficient vector of the polynomial vanishing at the nodes, with
     the sign of the bordered determinant.  One matrix is eliminated on
     long-double scalars (_eliminate_one): at these sizes numpy's per-call
-    overhead costs more than the arithmetic.  A stack, or a matrix in which
-    a NaN turns up, is eliminated all at once (_eliminate_stack).
+    overhead costs more than the arithmetic.  A stack is eliminated all at
+    once (_eliminate_stack).
     """
     B = np.asarray(B, dtype=np.longdouble)
     nr, nc = B.shape[-2:]
     if B.ndim not in (2, 3) or nc != nr + 1:
         raise DimensionMismatch(f"expected n x (n+1) matrix or a stack of them, got {B.shape}")
-    run = _eliminate_one(B.tolist(), nr) if B.ndim == 2 else None
-    if run is not None:
-        x, perm, d = run
-        if d == 0:
-            return np.zeros(nc)
+    if B.ndim == 2:
+        x, perm, d = _eliminate_one(B.tolist(), nr)
+        if x is None:
+            return np.full(nc, float(d))
         a = [0.0] * nc
         for k, p in enumerate(perm):
             a[p] = float(x[k])
-        norm = max(abs(v) for v in a)
-        sign = -1.0 if d < 0 else 1.0
-        a = [v / norm * sign for v in a]
-        if all(v == v for v in a):
-            return np.array(a)
-    x, perm, d = _eliminate_stack(B.reshape((-1, nr, nc)))
+        norm = max(map(abs, a)) * (1.0 if d > 0 else -1.0)  # exact: carries d's sign
+        return np.array([v / norm for v in a])
+    x, perm, d = _eliminate_stack(B)
     a = np.empty(x.shape)
-    np.put_along_axis(a, perm, x, axis=-1)
+    a[np.arange(len(a))[:, None], perm] = x
     with np.errstate(divide="ignore", invalid="ignore"):
         a /= np.abs(a).max(axis=-1, keepdims=True)
         a *= np.sign(d)[:, None]
     a[d == 0] = 0.0
-    return a if B.ndim == 3 else a[0]
+    return a
 
 
 def _eliminate_one(rows: list, nr: int):
     """Full-pivot long-double elimination of one n x (n+1) matrix, given as
     nr lists of long-double scalars (modified in place): (x, perm, d), with
-    the cofactor vector C[perm[k]] = d x[k], d = 0 for a rank-deficient
-    matrix; None if a NaN turns up.
+    the cofactor vector C[perm[k]] = d x[k]; x is None, and d is 0 for a
+    rank-deficient matrix and NaN once a NaN turns up.
 
     The pivot is the first entry of largest magnitude of the trailing block
     in row-major order, as numpy's argmax picks it; each row r below the
@@ -253,7 +218,7 @@ def _eliminate_one(rows: list, nr: int):
                 if v > best:
                     best, pi, pj = v, i, j
                 elif v != v:
-                    return None
+                    return None, perm, math.nan
         if pi != k:
             rows[k], rows[pi] = rows[pi], rows[k]
             d = -d
@@ -279,44 +244,48 @@ def _eliminate_one(rows: list, nr: int):
         for j in range(k + 1, nc):
             s = s + r[j] * x[j]
         x[k] = s / -r[k]
-    return x, perm, d
+    return (x, perm, d) if x[0] == x[0] else (None, perm, math.nan)  # a NaN in x reaches x[0]
 
 
 def _eliminate_stack(B: np.ndarray):
     """_eliminate_one on a stack k x n x (n+1), each matrix with its own
     pivots, in the same arithmetic and order: (x, perm, d) as k x (n+1),
-    k x (n+1) and k arrays.  Each step's swaps are one gather from the
-    tables of _pivot_moves, which carry the column permutation and the swap
-    parity along.  A matrix in which a NaN turns up keeps it: numpy's
-    argmax takes the first NaN as pivot.
+    k x (n+1) and k arrays.  Each step swaps the pivot's column, then its
+    row, into place in every matrix, the columns with their labels (carried
+    as an extra row), and negates d for the matrices that made exactly one
+    swap.  A row swap moves only the trailing columns: the others are never
+    read again.  A matrix in which a NaN turns up keeps it: numpy's argmax
+    takes the first NaN as pivot.
     """
-    nr, nc = B.shape[-2:]
-    gathers, start = _pivot_moves(nr)
-    lead = B.shape[:-2]
-    M = np.empty(lead + start.shape, dtype=np.longdouble)
-    M[...] = start
-    M[..., :nr, :] = B
-    mats = np.arange(len(B))[:, None, None]  # gathers per matrix
+    K, nr, nc = B.shape
+    M = np.empty((K, nr + 1, nc), dtype=np.longdouble)
+    M[:, :nr] = B
+    M[:, nr] = np.arange(nc)
+    mats = np.arange(K)
+    odd = np.full(K, nr % 2 == 1)  # d < 0 where odd: (-1)^n to start, as in _eliminate_one
     # a rank-deficient matrix meets a zero pivot; its NaNs stay in its row
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(nr):
-            f = np.abs(M[..., k:nr, k:]).reshape(lead + (-1,)).argmax(axis=-1)
-            M = M.reshape(lead + (-1,))[mats, gathers[k, f]]
-            if k + 1 < nr:
-                below = M[..., k + 1 : nr, k:]
-                row = M[..., k, None, k:]
-                below -= below[..., :1] / row[..., :1] * row
-        piv = M.reshape(lead + (-1,))[..., : nr * (nc + 1) : nc + 1]
+            block = np.abs(M[:, k:nr, k:]).reshape(K, (nr - k) * (nc - k))
+            i, j = np.divmod(block.argmax(axis=-1), nc - k)
+            odd ^= np.logical_xor(i, j)
+            cols = M[:, :, k:]  # each swap writes the copy last: the view is read first
+            cols[mats, :, j], cols[:, :, 0] = cols[:, :, 0], cols[mats, :, j]
+            if k + 1 < nr:  # else the trailing block is one row, and i = 0
+                rows = M[:, k:nr, k:]
+                rows[mats, i], rows[:, 0] = rows[:, 0], rows[mats, i]
+                below, top = rows[:, 1:], rows[:, :1]
+                below -= below[..., :1] / top[..., :1] * top
+        piv = np.diagonal(M[:, :nr], axis1=1, axis2=2)
         # x_k = -(row_k . x)/piv_k, computed as (row_k . x)/(-piv_k): the
         # same bits, one negation fewer per step
-        x = np.empty(lead + (nc, 1), dtype=np.longdouble)
-        x[..., nr, 0] = 1.0
+        x = np.empty((K, nc, 1), dtype=np.longdouble)
+        x[:, nr, 0] = 1.0
         neg_piv = -piv[..., None, None]
         for k in range(nr - 1, -1, -1):
-            np.divide(np.matmul(M[..., k : k + 1, k + 1 : nc], x[..., k + 1 :, :]), neg_piv[..., k, :, :],
-                      out=x[..., k : k + 1, :])
-        d = np.where(piv.all(axis=-1), M[..., nr + 1, 0] * piv.prod(axis=-1), 0.0)
-    return x[..., 0], M[..., nr, :].astype(np.intp), d
+            np.divide(np.matmul(M[:, k : k + 1, k + 1 :], x[:, k + 1 :]), neg_piv[:, k], out=x[:, k : k + 1])
+        d = np.where(piv.all(axis=-1), np.where(odd, -1.0, 1.0) * piv.prod(axis=-1), 0.0)
+    return x[..., 0], M[:, nr].astype(np.intp), d
 
 
 def null_vector_tangent(B: np.ndarray, a: np.ndarray, rows, second: np.ndarray) -> np.ndarray:

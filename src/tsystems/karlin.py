@@ -53,6 +53,7 @@ from .zeros import NODAL, NON_NODAL, SparsePoly, ZeroConfig, _running_max, count
 CONVERGED_TOL = 1e-10
 TOUCH_LOCAL_TOL = 1e-6  # solutions reach 2e-10 on degree-8 [a, b] draws; stalls reach 1
 POS_GRID = 5000
+SHARED_ZERO_TOL = 1e-9  # count_zeros' tolerance for the zeros both parts share
 # A direct start whose max |R| above tol has not halved over this many accepted
 # steps has failed: failed starts crawl at about 1% a step for up to 40
 # iterations.  It falls through to the next start or continuation.
@@ -362,11 +363,7 @@ class _TangencySolver:
         Qv = self.grid_rows @ Q
         if Qv[np.argmax(np.abs(Qv))] < 0:
             Q, Qv = -Q, -Qv
-        e = self.scale * (P / np.max(np.abs(Pv)) + Q / np.max(np.abs(Qv)))
-        if self.pin == "leading" and e[-1] <= 0:
-            # ensure a positive top coefficient for the pin
-            e = e + self.scale * 1e-3 * P / np.max(np.abs(Pv)) if P[-1] > 0 else e
-        return e
+        return self.scale * (P / np.max(np.abs(Pv)) + Q / np.max(np.abs(Qv)))
 
     def continuation(self, xs0, tol):
         """Newton along (1 - t) e + t f from the surrogate e of xs0 to f.
@@ -478,11 +475,11 @@ def _zero_config(nodes, domain) -> ZeroConfig:
     return ZeroConfig(tuple(sorted(zeros)), domain)
 
 
-def _shared_zeros(f: SparsePoly, zero_tol: float, window=None) -> tuple:
-    """The zeros of f, (point, multiplicity) pairs, which both parts share:
-    fewer than n with multiplicity, and even at every point that is not a
-    closed end of the domain."""
-    shared = tuple((p, m) for p, m, _ in count_zeros(f, tol=zero_tol, window=window).zeros)
+def _shared_zeros(f: SparsePoly, window=None) -> tuple:
+    """The zeros of f (count_zeros at SHARED_ZERO_TOL), (point, multiplicity)
+    pairs, which both parts share: fewer than n with multiplicity, and even
+    at every point that is not a closed end of the domain."""
+    shared = tuple((p, m) for p, m, _ in count_zeros(f, tol=SHARED_ZERO_TOL, window=window).zeros)
     n, r = f.family.order, sum(m for _, m in shared)
     if 0 < n <= r:
         raise TooManyZeros(f"f has {r} zeros; needs fewer than n = {n}")
@@ -512,13 +509,12 @@ def decompose_nonneg_ab(
     f: SparsePoly,
     init: str = "chebyshev",
     grid: int = POS_GRID,
-    zero_tol: float = 1e-9,
 ) -> KarlinDecomposition:
     """Karlin decomposition of a nonnegative polynomial with r < n zeros."""
     family = f.family
     if family.domain.kind != "closed_interval":
         raise InvariantViolation("decompose_nonneg_ab needs a closed interval domain")
-    shared = _shared_zeros(f, zero_tol)
+    shared = _shared_zeros(f)
     if not shared:
         return decompose_pos_ab(f, init=init, grid=grid)
     a, b = family.domain.a, family.domain.b
@@ -531,7 +527,6 @@ def decompose_halfline(
     mode: str = "positive",
     init: str = "chebyshev",
     grid: int = POS_GRID,
-    zero_tol: float = 1e-9,
 ) -> KarlinDecomposition:
     """Karlin decomposition on [0, inf) for power families with alpha_0 = 0.
 
@@ -560,10 +555,10 @@ def decompose_halfline(
         shared: tuple = ()
     elif mode == "nonneg":
         if abs(f.a[0]) <= 1e-300:
-            return _halfline_factor_out(f, init=init, grid=grid, zero_tol=zero_tol)
+            return _halfline_factor_out(f, init=init, grid=grid)
         if f.a[0] < 0:
             raise ValueAtZeroNonpositive(f"f(0) = {f.a[0]} must be positive")
-        shared = _shared_zeros(f, zero_tol, window=(0.0, X))
+        shared = _shared_zeros(f, window=(0.0, X))
     else:
         raise ValueError(f"mode must be 'positive' or 'nonneg', not {mode!r}")
     work_grid = np.linspace(0.0, _solve_span(f, X), grid)
@@ -657,7 +652,7 @@ def decompose_realline(f: SparsePoly, mode: str = "positive") -> KarlinDecomposi
     lo, hi = _root_window(f)
     if mode not in ("positive", "nonneg"):
         raise ValueError(f"mode must be 'positive' or 'nonneg', not {mode!r}")
-    shared = _shared_zeros(f, 1e-9, window=(lo, hi)) if mode == "nonneg" else ()
+    shared = _shared_zeros(f, window=(lo, hi)) if mode == "nonneg" else ()
     grid = np.linspace(lo, hi, 2001)
     solver = _TangencySolver(family, f.a, shared, -math.inf, None, "leading", grid)
     if mode == "positive" and float(solver.values.min()) <= 0:

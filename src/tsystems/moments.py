@@ -529,7 +529,7 @@ def sparse_feasibility(
 
     # seeds, built once a dual search runs: the clustered atoms, which localize
     # where a certificate must vanish, then the grid certificate's basins (they can be narrow)
-    xs, _, _, r = _shared(_grid_fit, family, s, grid)
+    xs, A, _, r = _shared(_grid_fit, family, s, grid)
     clustered, _, res = _shared(_clustered_atoms, family, s, grid, tol * scale)[:3]
     seeds = None
     for seeded_only in (True, False):
@@ -539,19 +539,19 @@ def sparse_feasibility(
                 witness = AtomicMeasure(tuple(zip(map(float, pos), map(float, wts))))
                 return FeasibilityVerdict(FEASIBLE, witness, None, float(res), hint, "primal")
         if seeds is None:
-            seeds = [float(p) for p in clustered] + _dual_seeds(family, r, xs)
+            seeds = [float(p) for p in clustered] + _dual_seeds(xs, A, r)
         cert = _dual_search(L, tol, seed, starts, seeds, seeded_only)
         if cert is not None:
             return FeasibilityVerdict(INFEASIBLE, None, cert[0], float(-cert[1]), hint, "dual")
     return FeasibilityVerdict(UNDECIDED, None, None, float(np.linalg.norm(r)), hint)
 
 
-def _dual_seeds(family, r, xs):
-    """Zero-placement seeds from the NNLS residual r on the grid xs, where
-    p = -sum r_i f_i >= 0 has basins, flat at rounding level, at the zeros of
-    extremal certificates: one seed per basin, the minimum of each run of
-    points below 5% of p's local magnitude (grid ends included), lowest first."""
-    vals = family.eval_grid(xs) @ -r
+def _dual_seeds(xs, A, r):
+    """Zero-placement seeds from the grid fit's NNLS residual r on its grid xs
+    (A = f(xs)^T), where p = -sum r_i f_i >= 0 has basins, flat at rounding
+    level, at the zeros of extremal certificates: one seed per basin, the
+    minimum of each run of points below 5% of p's local magnitude (grid ends included), lowest first."""
+    vals = A.T @ -r
     near_zero = np.concatenate([[0], vals < 0.05 * _local_scale(vals), [0]])
     runs = np.flatnonzero(np.diff(near_zero)).reshape(-1, 2)
     mins = np.array([a + int(np.argmin(vals[a:b])) for a, b in runs], dtype=int)
@@ -811,8 +811,9 @@ def _lower_principal(family, s, pos, wts, lo, hi, abs_tol):
     from equal weights at Chebyshev nodes over the middle 98% of the
     support's weight, widened to its mean +- one standard deviation (odd N:
     1% of the weight at lo), along s0 + t (s - s0), s0 the start's moments,
-    in tangent-predicted steps halved where Newton fails (``_homotopy``):
-    inside the cone the representation is unique and continuous in s."""
+    in steps halved where Newton fails (``_homotopy``; the residual is linear
+    in t at fixed z, so a step's first Newton step is the tangent step): inside
+    the cone the representation is unique and continuous in s."""
     m, o = divmod(family.size, 2)
     xs, ws = np.asarray(pos)[np.argsort(pos)], np.asarray(wts)[np.argsort(pos)]
     a, b = xs[np.minimum(np.searchsorted(np.cumsum(ws) / np.sum(ws), [0.01, 0.99]), len(xs) - 1)]
@@ -834,9 +835,8 @@ def _lower_principal(family, s, pos, wts, lo, hi, abs_tol):
         return bool(np.all(z[m:] > 0) and np.all(np.diff(np.concatenate([[lo], z[:m], [hi]])) > 0))
 
     def advance(t, tn, z):
-        zp = z + (tn - t) * np.linalg.lstsq(system(z, s0)[1](), (s - s0) / rsc, rcond=None)[0]
         # max |R| below abs_tol / max |s| puts every row within abs_tol
-        return _newton(lambda z_: system(z_, s0 + tn * (s - s0)), zp if admissible(zp) else z,
+        return _newton(lambda z_: system(z_, s0 + tn * (s - s0)), z,
                        abs_tol / np.max(np.abs(s)), 30, admissible, 2.0**-6)[:2]
 
     z, s0 = np.concatenate([x0[o:], w0]), family.eval_grid(x0).T @ w0

@@ -319,24 +319,67 @@ def _loop_null_vector(B):
     return sign * (a / np.max(np.abs(a)))
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+def _same_bits(a, b) -> bool:
+    """Equal bit for bit, the sign of a zero too; any NaN matches a NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(np.isnan(a), np.isnan(b)) and np.array_equal(
+        np.where(np.isnan(a), 0.0, a).view(np.int64), np.where(np.isnan(b), 0.0, b).view(np.int64))
+
+
+def _add_special_matrices(stack, rng):
+    """A NaN in matrix 6, +inf in 7, -inf in 9, a zero column in 10 and two
+    infinite entries in 11."""
+    n, nc = stack.shape[1:]
+    for m, v in ((6, np.nan), (7, np.inf), (9, -np.inf)):
+        stack[m, rng.integers(n), rng.integers(nc)] = v
+    stack[10, :, rng.integers(nc)] = 0.0
+    stack[11, 0, 0] = stack[11, -1, -1] = np.inf
+
+
+@pytest.mark.parametrize("n", range(1, 12))
 def test_null_vector_stack_matches_loop_elimination(n):
     # a stack gives, bit for bit, each matrix's one-matrix result, and both
     # are the swap-by-swap elimination's: rounded entries tie in the pivot
-    # search, node rows of a power family share their leading 1
+    # search, node rows of a power family share their leading 1; NaN, inf
+    # and a zero column follow the same arithmetic (the one-matrix path
+    # warns as numpy's scalars do, so warnings are off here)
     rng = np.random.default_rng(100 + n)
     stack = rng.standard_normal((30, n, n + 1)) * 10.0 ** rng.uniform(-3, 3, (30, n, 1))
     stack[::4] = np.round(stack[::4])
-    fam = power_family([0.0, 0.5, 1.5, 2.5, 4.0, 5.0, 6.5, 7.0, 8.5][: n + 1], interval(0.1, 1.2))
+    exps = [0.0, 0.5, 1.5, 2.5, 4.0, 5.0, 6.5, 7.0, 8.5, 9.0, 10.5, 11.0]
+    fam = power_family(exps[: n + 1], interval(0.1, 1.2))
     stack[1] = node_rows(fam, [(x, 1) for x in np.linspace(0.2, 1.1, n)])
     stack[2, -1] = 2.0 * stack[2, 0] if n > 1 else 0.0  # rank-deficient
     stack[5] = 0.0
-    got = null_vector(stack)
-    assert got.shape == (30, n + 1)
-    for B, row in zip(stack, got):
-        ref = _loop_null_vector(B).view(np.int64)  # the sign of a zero too
-        assert np.array_equal(row.view(np.int64), ref) and np.array_equal(null_vector(B).view(np.int64), ref)
-    assert not got[2].any() and not got[5].any()
+    _add_special_matrices(stack, rng)
+    with np.errstate(all="ignore"):
+        got = null_vector(stack)
+        assert got.shape == (30, n + 1)
+        for B, row in zip(stack, got):
+            ref = _loop_null_vector(B)
+            assert _same_bits(row, ref) and _same_bits(null_vector(B), ref)
+    assert not got[2].any() and not got[5].any() and np.isnan(got[6]).all()
+
+
+def test_empty_stacks_give_empty_results():
+    assert null_vector(np.zeros((0, 3, 4))).shape == (0, 4)
+    assert det(np.zeros((0, 4, 4))).shape == (0,)
+    assert det(np.zeros((0, 0, 0))).shape == (0,)
+
+
+def test_one_matrix_answers_a_nan_without_the_stack(monkeypatch):
+    # a NaN entry, and a NaN that first turns up in the back-substitution
+    # (inf / inf), give an all-NaN cofactor vector and a NaN determinant
+    def no_stack(B):
+        raise AssertionError("a single matrix reached _eliminate_stack")
+
+    monkeypatch.setattr(colloc, "_eliminate_stack", no_stack)
+    B = np.array([[1.0, np.nan, 2.0], [3.0, 4.0, 5.0]])
+    assert np.isnan(null_vector(B)).all() and math.isnan(det(np.vstack([B[:1], B])))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(null_vector(np.array([[np.inf, np.inf]]))).all()
+        assert math.isnan(det(np.array([[1.0, 1.0], [np.inf, np.inf]])))
+    assert not null_vector(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])).any()
 
 
 def _mp_det(M):
@@ -383,10 +426,13 @@ def test_det_stack_matches_one_matrix_bitwise(n):
     stack[::4] = np.round(stack[::4])  # ties in the pivot search
     stack[2, -1] = 2.0 * stack[2, -2] if n > 2 else 0.0  # singular below the first row
     stack[5] = 0.0
-    got = det(stack)
-    assert got.shape == (20,) and got[2] == got[5] == 0.0
-    for M, d in zip(stack, got):
-        assert np.float64(det(M)).view(np.int64) == d.view(np.int64)
+    _add_special_matrices(stack, rng)
+    with np.errstate(all="ignore"):
+        got = det(stack)
+        assert got.shape == (20,) and got[2] == got[5] == 0.0
+        for M, d in zip(stack, got):
+            assert _same_bits(det(M), d)
+    assert np.isnan(got[6])
 
 
 def test_t_refutation_bisection_stops_when_float64_cannot_split(monkeypatch):

@@ -930,16 +930,16 @@ def test_dual_seeds_one_per_basin():
     fam = power_family([0.0, 0.5, 3.0], interval(0.1, 1.2))
     # p's only basin holds the window's end: it is a seed
     s = perturbed_functional(fam, (1.2, 0.8), "interior_doubles").s
-    _, _, _, xs, r = moments._primal_atoms(fam, s, 2001, 1e-8 * float(np.max(np.abs(s))))
-    seeds = moments._dual_seeds(fam, r, xs)
+    xs, A, _, r = moments._grid_fit(fam, s, 2001)
+    seeds = moments._dual_seeds(xs, A, r)
     assert len(seeds) == 1 and abs(seeds[0] - 1.2) < 1e-3
     # two atoms, two basins: one seed at each
     fam = power_family([0.0, 0.5, 1.5, 2.5, 4.0], interval(0.1, 1.2))
     L = MomentFunctional.from_measure(fam, [(0.3, 0.5), (0.9, 0.7)])
     s = L.s.copy()
     s[0] -= 1e-6 * float(np.max(np.abs(s)))
-    _, _, _, xs, r = moments._primal_atoms(fam, s, 2001, 1e-8 * float(np.max(np.abs(s))))
-    seeds = sorted(moments._dual_seeds(fam, r, xs))
+    xs, A, _, r = moments._grid_fit(fam, s, 2001)
+    seeds = sorted(moments._dual_seeds(xs, A, r))
     assert len(seeds) == 2
     assert abs(seeds[0] - 0.3) < 0.05 and abs(seeds[1] - 0.9) < 0.05
 
