@@ -63,12 +63,13 @@ class NodeSet:
         return NodeSet(tuple(norm))
 
 
+@np.errstate(invalid="ignore")
 def det(matrix: np.ndarray):
     """Determinant in long-double accumulation (dim <= 12), expanded along
     the first row: det([r; B]) = r.C(B), with B's cofactor vector C(B) from
-    null_vector's elimination; NaN if a NaN turns up in it.  A stack of
-    square matrices gives their determinants, each equal bit for bit to its
-    one-matrix result."""
+    null_vector's elimination; NaN if a NaN turns up in it or in r.C(B).  A
+    stack of square matrices gives their determinants, each equal bit for
+    bit to its one-matrix result."""
     A = np.asarray(matrix, dtype=np.longdouble)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatch(f"square matrix required, got {A.shape}")
@@ -85,8 +86,7 @@ def det(matrix: np.ndarray):
         return float(sum((r[p] * v for p, v in zip(perm, x)), _LD0) * d)
     x, perm, d = _eliminate_stack(A[:, 1:])
     r = A[:, 0][np.arange(len(A))[:, None], perm]
-    with np.errstate(invalid="ignore"):
-        return np.where(d != 0, (r[:, None, :] @ x[:, :, None])[:, 0, 0] * d, 0.0).astype(float)
+    return np.where(d != 0, (r[:, None, :] @ x[:, :, None])[:, 0, 0] * d, 0.0).astype(float)
 
 
 def det_scale(matrix: np.ndarray) -> float:
@@ -193,6 +193,7 @@ def null_vector(B: np.ndarray) -> np.ndarray:
     return a
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _eliminate_one(rows: list, nr: int):
     """Full-pivot long-double elimination of one n x (n+1) matrix, given as
     nr lists of long-double scalars (modified in place): (x, perm, d), with
@@ -204,7 +205,8 @@ def _eliminate_one(rows: list, nr: int):
     pivot row p becomes r - (r[k]/piv) p.  x is the back-substituted null
     vector with x[n] = 1, its sums taken from zero as numpy's long-double
     matmul takes them.  C[perm[n]] = (-1)^n det(B without that column) is
-    d, the product of the pivots negated once per row or column swap.
+    d, the product of the pivots negated once per row or column swap.  As
+    in a stack, inf - inf and inf / inf make their NaNs without a warning.
     """
     nc = nr + 1
     perm = list(range(nc))

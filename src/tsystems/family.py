@@ -118,6 +118,9 @@ class _PowerPlan:
     alpha; ``rough`` is the first exponent that is not.  ``fixups[k]`` lists
     the (exponent, column) pairs of order k that the scalar call computes
     (see _SCALAR_POWER_CASES), ``special`` marks them in one table.
+    numpy's pow takes a slow scalar path on a negative base, so at x < 0 a
+    natural exponent e gives ``signs`` (-1)^e times |x|^e, within 1 ulp of
+    numpy's pow; other exponents keep numpy's pow there.
 
     The gathered tables of a block are kept, least recently used first out,
     for BLOCK_COUNT order patterns of at most 3 (n+1) rows.  That covers the
@@ -148,15 +151,17 @@ class _PowerPlan:
             facs.append(np.where(dead, 0.0, fac))
             zeros.append(np.where(self.natural & (al == k), math.factorial(k), 0.0))
         self.exps, self.facs, self.zeros = np.array(exps), np.array(facs), np.array(zeros)
-        for table in (self.exps, self.facs, self.zeros):
+        self.signs = np.where(self.natural & (self.exps % 2 == 1), -1.0, 1.0)
+        for table in (self.exps, self.facs, self.zeros, self.signs):
             table.flags.writeable = False  # shared by every family with these params
         self.special = np.isin(self.exps, _SCALAR_POWER_CASES)
         self.fixups = [tuple((e, i) for i, e in enumerate(row) if e in _SCALAR_POWER_CASES)
                        for row in self.exps.tolist()]
 
-    def eval(self, x: np.ndarray, order) -> np.ndarray:
+    def eval(self, x: np.ndarray, order, signed=False) -> np.ndarray:
         """Rows f^(k)(x_j) on a flat array of in-domain points; ``order`` is
-        one natural k for every point or an int array of them, one per point."""
+        one natural k for every point or an int array of them, one per point;
+        ``signed`` when some point may lie below 0."""
         mixed = isinstance(order, np.ndarray)
         if mixed:
             small = order.size <= 3 * self.alphas.size
@@ -171,6 +176,10 @@ class _PowerPlan:
             if self.rough is not None and (order[at_zero].any() if mixed else order >= 1):
                 raise NonDifferentiable(f"derivative of x^{self.rough} at 0 requires a natural exponent")
             x = np.where(at_zero, 1.0, x)
+        if signed and np.fmin.reduce(x, initial=0.0) < 0:  # fmin: a NaN hides no negative point
+            neg, x = x < 0, np.abs(x)
+        else:
+            neg = None
         out = np.power(x[:, None], e)
         if mixed:
             flat_out = out.ravel()
@@ -183,6 +192,11 @@ class _PowerPlan:
             out *= fac
         if at_zero is not None:
             out[at_zero] = self.zeros[order[at_zero] if mixed else order]
+        if neg is not None:
+            np.multiply(out, self.signs[order], out=out, where=neg[:, None])
+            if self.rough is not None:  # numpy's pow at -|x| = x
+                rough = ~self.natural
+                out[np.ix_(neg, rough)] = self.eval(-x[neg], order[neg] if mixed else order)[:, rough]
         return out
 
     def _block(self, key: bytes) -> tuple:
@@ -288,7 +302,8 @@ class FamilySpec:
         """All members at once on a flat array of in-domain points; ``order``
         is an int or an int array with one order per point."""
         if self.variant in ("power", "monomial"):
-            return _power_plan(self.variant, tuple(map(float, self.params))).eval(flat, order)
+            plan = _power_plan(self.variant, tuple(map(float, self.params)))
+            return plan.eval(flat, order, self.domain.inf < 0)
         mixed = isinstance(order, np.ndarray)
         if self.variant == "exponential":
             alphas = np.asarray(self.params, dtype=float)

@@ -8,17 +8,17 @@ tangency system, ``_TangencySolver``, and one damped Newton driver,
 ``_newton``, serve every domain.  The Jacobian is analytic: the f_* columns
 come from implicit differentiation of the node null vector
 (colloc.null_vector_tangent).  Newton halves its step until the residual
-falls and keeps stepping past its tolerance until the residual stops
-falling, so every solve that converges ends at the rounding floor; a stall
-above the tolerance is not converged.  A direct start also ends, not
-converged, once its residual above the tolerance has not halved over the
-last DIRECT_CRAWL accepted steps: such a start crawls along the edge of the
+falls and keeps taking full steps past its tolerance while they lower it,
+so every solve that converges ends near the rounding floor; a stall above
+the tolerance is not converged.  A direct start also ends, not converged,
+once its residual above the tolerance has not halved over the last
+DIRECT_CRAWL accepted steps: such a start crawls along the edge of the
 interlacing region and does not recover.  When the direct starts fail, the
 same driver follows a continuation from a surrogate whose decomposition is
 known exactly: a sum of the two pattern polynomials, which by uniqueness is
 its own decomposition.  Continuation steps take no such cut, and each
 intermediate one stops once below the tolerance; the final solve on f runs
-to the rounding floor.
+on towards the rounding floor.
 
 One hypothesis on the zeros serves every domain (``_shared_zeros``): the
 zeros that f shares with both parts number fewer than n with multiplicity
@@ -106,15 +106,16 @@ def _merge_nodes(nodes) -> tuple:
 
 
 def _newton(system, z, tol, maxit, admissible, min_step=0.0, crawl=0, floor=True):
-    """Damped Newton on a square system, run to the rounding floor.
+    """Damped Newton on a square system, run on towards the rounding floor.
 
     ``system(z)`` returns the residual R at z and a callable giving the
     Jacobian there; ``admissible(z)`` says where system may be evaluated.
-    Each Newton step is halved until it lowers max |R|, and Newton stops
-    when no halving does before the step no longer moves z.  Passing tol
-    does not stop it: the residual keeps falling to the rounding floor, so
-    the end point does not depend on where tol lies.  It has converged if
-    it stops below tol; a stall above tol is not converged.  With ``floor``
+    Above tol each Newton step is halved until it lowers max |R|, and Newton
+    stops when no halving does before the step no longer moves z.  Past tol
+    it takes full steps while they lower max |R| and ends, unhalved, at the
+    first that does not, since at the floor a step is rounding noise (so the
+    end point may move with tol by such a step).  It has converged if it
+    stops below tol; a stall above tol is not converged.  With ``floor``
     False it stops, converged, as soon as max |R| is below tol.  It stops,
     not converged, with max |R| at or above tol after an accepted step cut
     below ``min_step``, or once max |R| has not halved over the last
@@ -144,6 +145,8 @@ def _newton(system, z, tol, maxit, admissible, min_step=0.0, crawl=0, floor=True
                 if nRn < nR:
                     moved = True
                     break
+            if nR < tol:  # below tol a full step that does not lower max |R| ends the solve
+                break
             t /= 2
         if not moved:
             return z, nR < tol, it, nR
@@ -323,7 +326,7 @@ class _TangencySolver:
 
     def newton(self, z, fc, tol, maxit=40, crawl=0, floor=True):
         """_newton on the system for fc; tol and the residual are relative to max |fc|."""
-        sc = float(np.max(np.abs(self.grid_rows @ fc)))
+        sc = float(np.max(np.abs(self.values if fc is self.f else self.grid_rows @ fc)))
         z, ok, it, nR = _newton(
             lambda zz: self.system(zz, fc), z, tol * sc, maxit, self.phase_ok, crawl=crawl, floor=floor)
         return z, ok, it, nR / sc
@@ -372,7 +375,7 @@ class _TangencySolver:
         below CONVERGED_TOL (the next step moves the target anyway) and is
         accepted below tol, the level solve accepts the end point at: a level
         at the rounding floor (near 1e-11 for degrees 5-8) would count
-        converged steps as failures.  The last solve, on f, runs to the
+        converged steps as failures.  The last solve, on f, runs on to the
         floor.  No tangent predictor: at fixed z the residual is linear in t,
         so each step's first Newton step already is the tangent step.
         Returns (z, relative residual, Newton iterations).

@@ -254,7 +254,7 @@ def _exchange(ref, sides, x_new, side_new):
 
 
 def _polish_snake(family, ref, sides, G1, G2, lo, hi):
-    """Newton on the touch system, run to the rounding floor by karlin._newton.
+    """Newton on the touch system, halved to the rounding floor by karlin._newton at tol 0.
 
     The polynomial interpolates the bounds at every touch point; the unknowns
     are the interior touches, where its slope must match the bound's.  The

@@ -285,6 +285,20 @@ def test_null_vector_rank_deficient_is_zero():
     assert not null_vector(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])).any()
 
 
+def test_infinite_entries_eliminate_quietly_as_in_a_stack():
+    # inf / inf and inf - inf in the elimination make NaNs; one matrix makes
+    # them as a stack does, without a RuntimeWarning (an error in this suite)
+    mats = [np.array([[np.inf, np.inf]]), np.array([[np.inf, 0.0]]),
+            np.array([[1.0, np.inf, 2.0], [np.inf, 3.0, 4.0]]),
+            np.array([[-np.inf, 1.0, 2.0], [3.0, 4.0, np.inf]])]
+    for B in mats:
+        assert _same_bits(null_vector(B), null_vector(B[None])[0])
+    assert np.isnan(null_vector(mats[0])).all()
+    for M in ([[1.0, 1.0], [np.inf, np.inf]], [[1.0, 0.0], [np.inf, 0.0]], [[0.0, 1.0], [np.inf, 0.0]]):
+        assert _same_bits(det(np.array(M)), det(np.array([M]))[0])
+    assert math.isnan(det(np.array([[1.0, 0.0], [np.inf, 0.0]])))
+
+
 def _loop_null_vector(B):
     """Reference: the one-matrix full-pivot elimination by explicit row and
     column swaps, tracking the determinant's sign as it goes."""

@@ -5,6 +5,7 @@ import math
 import pickle
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,3 +257,80 @@ def test_array_params_evaluate_as_their_tuple(variant):
     fam = FamilySpec(variant, np.array([0.0, 1.0, 2.0]), interval(0, 1))
     ref = FamilySpec(variant, (0.0, 1.0, 2.0), interval(0, 1))
     assert np.array_equal(fam.eval_grid(xs, orders).view(np.int64), ref.eval_grid(xs, orders).view(np.int64))
+
+
+@st.composite
+def negative_point_blocks(draw):
+    """A monomial or natural-power family on [-c, c] and a block of (point,
+    order) rows, most points below 0, some at 0."""
+    degrees = sorted(draw(st.lists(st.integers(0, 12), min_size=1, max_size=8, unique=True)))
+    c = draw(st.floats(0.05, 4.0))
+    variant = draw(st.sampled_from(["monomial", "power"]))
+    n = draw(st.integers(1, 10))
+    xs = draw(st.lists(st.one_of(st.just(0.0), st.floats(-c, 0.0, exclude_max=True), st.floats(0.0, c)),
+                       min_size=n, max_size=n))
+    orders = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    params = tuple(map(float, degrees)) if variant == "power" else tuple(degrees)
+    return FamilySpec(variant, params, interval(-c, c)), np.array(xs), np.array(orders)
+
+
+def _ulps(a, b):
+    """|a - b| in units of the last place of |b| (the smallest subnormal at 0)."""
+    return np.abs(a - b) / np.spacing(np.abs(b))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(negative_point_blocks())
+def test_natural_powers_below_zero_are_signed_powers_of_the_magnitude(block):
+    # at x < 0 a natural exponent e gives (-1)^e |x|^e: numpy's pow takes a
+    # slow scalar path on a negative base
+    fam, xs, orders = block
+    got = fam.eval_grid(xs, orders)
+    mirrored = fam.eval_grid(np.abs(xs), orders)
+    al = np.asarray(fam.params, dtype=float)
+    e = al - orders[:, None]
+    odd = (xs[:, None] < 0) & (e >= 0) & (e % 2 == 1)
+    assert np.array_equal(got.view(np.int64), np.where(odd, -mirrored, mirrored).view(np.int64))
+    # every row is the one-order call at its point
+    rows = np.array([fam.eval_grid([x], int(k))[0] for x, k in zip(xs, orders)])
+    assert np.array_equal(got.view(np.int64), rows.view(np.int64))
+    # numpy's pow at x: within 1 ulp in the values, and within 2 ulps in the
+    # derivatives, whose falling factorial product rounds once more
+    with np.errstate(all="ignore"):
+        powers = np.where(e >= 0, np.power(xs[:, None], np.maximum(e, 0.0)), 0.0)
+    fac = np.array([[math.prod(a - j for j in range(k)) for a in al] for k in orders])
+    assert np.all(_ulps(got, powers * fac) <= np.where(orders[:, None] == 0, 1.0, 2.0))
+    # and within 2 eps of the 50-digit value, or of a subnormal ulp of the
+    # power (times the factorial) where it underflows
+    with mpmath.workdps(50):
+        for j, i in zip(*np.nonzero(fac)):
+            exact = fac[j, i] * mpmath.mpf(xs[j]) ** int(e[j, i])
+            assert abs(got[j, i] - exact) <= 2 * 2.0**-52 * abs(exact) + abs(fac[j, i]) * np.spacing(0.0)
+
+
+def test_other_exponents_below_zero_keep_numpys_pow():
+    # non-natural exponents at x < 0 (reachable only through FamilySpec
+    # itself): numpy's pow, its NaNs and its warning, as in the column loop
+    fam = FamilySpec("power", (-2.0, -1.0, 0.0, 0.5, 1.5, 2.0, 3.0), interval(-2.0, 2.0))
+    xs = np.array([-1.3, -0.7, -2.0, -0.5, 0.25, -1.0])
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        got = fam.eval_grid(xs, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref = column_loop_reference(fam, xs, 0)
+        for k in range(4):
+            assert np.array_equal(fam.eval_grid(xs, k), column_loop_reference(fam, xs, k), equal_nan=True)
+        mixed = fam.eval_grid(xs, [0, 1, 2, 3, 1, 2])
+        rows = np.array([fam.eval_grid([x], k)[0] for x, k in zip(xs, [0, 1, 2, 3, 1, 2])])
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.isnan(got[xs < 0, 3:5]).all() and np.array_equal(got[:, 1], 1.0 / xs)
+    assert np.array_equal(mixed, rows, equal_nan=True)
+
+
+def test_a_nan_point_does_not_unsign_the_negative_points():
+    # on the real line a NaN passes the domain check; the points below 0 in
+    # its block still take the signed path, as their one-order calls do
+    fam = monomial_family(list(range(8)), real_line())
+    xs, orders = np.array([np.nan, -0.3, -0.3008004]), [0, 0, 1]
+    rows = np.array([fam.eval_grid([x], k)[0] for x, k in zip(xs, orders)])
+    assert np.array_equal(fam.eval_grid(xs, orders), rows, equal_nan=True)

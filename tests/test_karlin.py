@@ -1,5 +1,6 @@
 import math
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -573,6 +574,24 @@ def test_newton_runs_past_tol_to_the_rounding_floor():
     assert ok and 1e-12 < res < 1e-3 and early < steps
 
 
+def test_newton_ends_below_tol_without_halving_a_noisy_step():
+    # R = z - 1 plus a 1e-12 noise that is a hash of z's bits: below tol a
+    # step only reshuffles the noise, and the first full step that does not
+    # lower max |R| ends the solve, converged, without halving it to zero
+    tol = 1e-10
+    evals = []
+
+    def system(z):
+        evals.append(float(z[0]))
+        noise = 1e-12 * (zlib.crc32(z.tobytes()) / 2**31 - 1)
+        return np.array([z[0] - 1 + noise]), lambda: np.eye(1)
+
+    z, ok, steps, res = _newton(system, np.array([3.0]), tol, 40, lambda z: True)
+    assert ok and res < 1e-11 and abs(z[0] - 1) < 1e-11
+    # the start, each accepted step, and the one full step that failed
+    assert len(evals) == steps + 2 and steps < 40
+
+
 def test_newton_crawl_rule_ends_a_crawl_not_converged():
     # R = z + 1 has its root at -1, outside the admissible z > 0: every full
     # step leaves the set, and the halved step that stays inside shrinks
@@ -636,6 +655,25 @@ def test_failed_direct_starts_stay_short_on_the_karlin_corpus(monkeypatch):
         won = dec.iterations if dec.solver_path.startswith("newton:direct") else 0
         failed += sum(it for _, _, it in runs) - won
     assert failed <= 138, failed
+
+
+def test_tangency_system_evaluations_over_the_karlin_corpus(monkeypatch):
+    # one pass over the benchmark's karlin corpus evaluates the tangency
+    # system 1,217 times when Newton halves its steps at the rounding floor,
+    # 958 times when the first full step there that does not lower max |R|
+    # ends the solve
+    wl = perfbench_workloads().WORKLOADS["karlin"]
+    calls = [0]
+    system = _TangencySolver.system
+
+    def counted(self, z, fc):
+        calls[0] += 1
+        return system(self, z, fc)
+
+    monkeypatch.setattr(_TangencySolver, "system", counted)
+    for inst in wl.corpus():
+        wl.call(inst)
+    assert calls[0] <= 1050, calls[0]
 
 
 # Draws of a fresh census that raise NoConvergence: (rng seed, draw index)
