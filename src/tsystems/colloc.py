@@ -63,7 +63,7 @@ class NodeSet:
         return NodeSet(tuple(norm))
 
 
-@np.errstate(invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore")  # also _eliminate_one's
 def det(matrix: np.ndarray):
     """Determinant in long-double accumulation (dim <= 12), expanded along
     the first row: det([r; B]) = r.C(B), with B's cofactor vector C(B) from
@@ -156,6 +156,7 @@ def wronskian(family: FamilySpec, k: int, x: float) -> float:
 # -- null vectors of node matrices (pattern polynomials) ----------------------
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # also _eliminate_one's
 def null_vector(B: np.ndarray) -> np.ndarray:
     """The cofactor vector of an n x (n+1) node matrix B at unit max-norm;
     zero when B is rank-deficient, all NaN when a NaN turns up in the
@@ -186,14 +187,12 @@ def null_vector(B: np.ndarray) -> np.ndarray:
     x, perm, d = _eliminate_stack(B)
     a = np.empty(x.shape)
     a[np.arange(len(a))[:, None], perm] = x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a /= np.abs(a).max(axis=-1, keepdims=True)
-        a *= np.sign(d)[:, None]
+    a /= np.abs(a).max(axis=-1, keepdims=True)
+    a *= np.sign(d)[:, None]
     a[d == 0] = 0.0
     return a
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def _eliminate_one(rows: list, nr: int):
     """Full-pivot long-double elimination of one n x (n+1) matrix, given as
     nr lists of long-double scalars (modified in place): (x, perm, d), with
@@ -206,7 +205,7 @@ def _eliminate_one(rows: list, nr: int):
     vector with x[n] = 1, its sums taken from zero as numpy's long-double
     matmul takes them.  C[perm[n]] = (-1)^n det(B without that column) is
     d, the product of the pivots negated once per row or column swap.  As
-    in a stack, inf - inf and inf / inf make their NaNs without a warning.
+    in a stack, inf - inf and inf / inf make NaNs, silenced by the callers.
     """
     nc = nr + 1
     perm = list(range(nc))

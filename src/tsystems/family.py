@@ -136,7 +136,8 @@ class _PowerPlan:
         self.alphas = np.asarray(params, dtype=float)
         self.natural = (self.alphas >= 0) & (self.alphas == np.floor(self.alphas))
         self.rough = None if self.natural.all() else self.alphas[int(np.argmin(self.natural))]
-        self._kept_block = functools.lru_cache(maxsize=self.BLOCK_COUNT)(self._block)
+        kept = functools.partial(self._block, kept=True)
+        self._kept_block = functools.lru_cache(maxsize=self.BLOCK_COUNT)(kept)
         self._tabulate(self.alphas.size + 2)
 
     def _tabulate(self, orders: int) -> None:
@@ -165,11 +166,11 @@ class _PowerPlan:
         mixed = isinstance(order, np.ndarray)
         if mixed:
             small = order.size <= 3 * self.alphas.size
-            e, fac, fixups = (self._kept_block if small else self._block)(order.tobytes())
+            e, fac, fixups, signs = (self._kept_block if small else self._block)(order.tobytes())
         else:
             if order >= len(self.exps):
                 self._tabulate(order + 1)
-            e, fac = self.exps[order], self.facs[order] if order else None
+            e, fac, signs = self.exps[order], self.facs[order] if order else None, None
         at_zero = None
         if np.count_nonzero(x) != x.size:
             at_zero = x == 0.0
@@ -193,16 +194,16 @@ class _PowerPlan:
         if at_zero is not None:
             out[at_zero] = self.zeros[order[at_zero] if mixed else order]
         if neg is not None:
-            np.multiply(out, self.signs[order], out=out, where=neg[:, None])
+            np.multiply(out, self.signs[order] if signs is None else signs, out=out, where=neg[:, None])
             if self.rough is not None:  # numpy's pow at -|x| = x
                 rough = ~self.natural
                 out[np.ix_(neg, rough)] = self.eval(-x[neg], order[neg] if mixed else order)[:, rough]
         return out
 
-    def _block(self, key: bytes) -> tuple:
-        """(exponents, factorials, fixups) of a block of rows whose orders
-        are the int array with bytes ``key``; fixups are (s, rows, flat
-        entries) of the exponents s that the scalar call computes."""
+    def _block(self, key: bytes, kept: bool = False) -> tuple:
+        """(exponents, factorials, fixups, signs: None unless ``kept``) of a
+        block of rows whose orders are the int array with bytes ``key``; fixups
+        are (s, rows, flat entries) of the exponents s the scalar call computes."""
         order = np.frombuffer(key, dtype=int)
         if order.size and order.max() >= len(self.exps):
             self._tabulate(int(order.max()) + 1)
@@ -213,9 +214,9 @@ class _PowerPlan:
             hit = e[rows, cols] == s
             if hit.any():
                 fixups.append((s, rows[hit], rows[hit] * e.shape[1] + cols[hit]))
-        fac = self.facs[order]
+        fac, signs = self.facs[order], self.signs[order] if kept else None
         e.flags.writeable = fac.flags.writeable = False  # kept for later calls
-        return e, fac, tuple(fixups)
+        return e, fac, tuple(fixups), signs
 
 
 @functools.lru_cache(maxsize=256)

@@ -48,6 +48,7 @@ from .errors import (
     ValueAtZeroNonpositive,
 )
 from .family import FamilySpec, _subfamily, halfline_xmax
+from .solvers import _homotopy, _newton
 from .zeros import NODAL, NON_NODAL, SparsePoly, ZeroConfig, _running_max, count_zeros
 
 CONVERGED_TOL = 1e-10
@@ -103,74 +104,6 @@ def _merge_nodes(nodes) -> tuple:
         else:
             out.append([float(x), int(m)])
     return tuple((p, m) for p, m in out)
-
-
-def _newton(system, z, tol, maxit, admissible, min_step=0.0, crawl=0, floor=True):
-    """Damped Newton on a square system, run on towards the rounding floor.
-
-    ``system(z)`` returns the residual R at z and a callable giving the
-    Jacobian there; ``admissible(z)`` says where system may be evaluated.
-    Above tol each Newton step is halved until it lowers max |R|, and Newton
-    stops when no halving does before the step no longer moves z.  Past tol
-    it takes full steps while they lower max |R| and ends, unhalved, at the
-    first that does not, since at the floor a step is rounding noise (so the
-    end point may move with tol by such a step).  It has converged if it
-    stops below tol; a stall above tol is not converged.  With ``floor``
-    False it stops, converged, as soon as max |R| is below tol.  It stops,
-    not converged, with max |R| at or above tol after an accepted step cut
-    below ``min_step``, or once max |R| has not halved over the last
-    ``crawl`` > 0 accepted steps.  A z without a solution has R = inf and a
-    raising Jacobian (_inadmissible), so no step lands on it and none starts
-    there.  Returns (z, converged, steps, max |R|).
-    """
-    z = np.asarray(z, dtype=float).copy()
-    R, jac = system(z)
-    nR = float(np.max(np.abs(R)))
-    seen = [nR]
-    for it in range(maxit):
-        if not floor and nR < tol:
-            return z, True, it, nR
-        try:
-            dz = np.linalg.solve(jac(), -R)
-        except np.linalg.LinAlgError:
-            return z, nR < tol, it, nR
-        t, moved = 1.0, False
-        for _ in range(45):
-            zn = z + t * dz
-            if np.array_equal(zn, z):
-                break
-            if admissible(zn):
-                Rn, jn = system(zn)
-                nRn = float(np.max(np.abs(Rn)))
-                if nRn < nR:
-                    moved = True
-                    break
-            if nR < tol:  # below tol a full step that does not lower max |R| ends the solve
-                break
-            t /= 2
-        if not moved:
-            return z, nR < tol, it, nR
-        z, R, jac, nR = zn, Rn, jn, nRn
-        seen.append(nR)
-        if nR >= tol and (t < min_step or 0 < crawl <= it + 1 and 2 * nR > seen[-1 - crawl]):
-            return z, False, it + 1, nR
-    return z, nR < tol, maxit, nR
-
-
-def _homotopy(advance, z, step, growth, max_step, max_fails=math.inf, min_step=0.0):
-    """(z, t): a solution z of H(z, t) = 0 followed from t = 0 towards 1.
-    ``advance(t, tn, z)`` gives (z at tn, converged) from z at t; a converged
-    step is taken and grows by ``growth`` up to ``max_step``, a failed one is
-    halved.  Stops at t = 1, after max_fails failures or below min_step."""
-    t, fails = 0.0, 0
-    while t < 1.0 - 1e-12 and fails < max_fails and step >= min_step:
-        tn = min(1.0, t + step)
-        zn, ok = advance(t, tn, z)
-        if ok:
-            z, t, step = zn, tn, min(step * growth, max_step)
-        else:
-            step, fails = step / 2, fails + 1
-    return z, t
 
 
 def _inadmissible():

@@ -24,13 +24,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares, nnls
+from scipy.optimize import nnls
 
 from .errors import NonDifferentiable, NotFeasible, TooShort, TSystemError
 from .colloc import _theory_verdict
 from .extremal import _search_window, extremal_test_polys, search
 from .family import CLOSED_INTERVAL, REAL_LINE, FamilySpec
-from .karlin import _homotopy, _newton
+from .solvers import _bounded_lm, _homotopy, _newton
 from .zeros import (
     NODAL,
     SparsePoly,
@@ -206,76 +206,43 @@ def _primal_grid(family: FamilySpec, points: int) -> np.ndarray:
     return np.linspace(lo, hi, points)
 
 
-class _Polished(Exception):
-    """Ends a polish from inside its residual function."""
-
-
 def _polish_atoms(family: FamilySpec, s: np.ndarray, positions, weights, lo, hi, abs_tol):
-    """Bounded least-squares polish of (positions, weights) on the moment
-    equations, with row equilibration (moment rows can span many decades).
-
-    The tolerances ask for the rounding floor, which an ill-conditioned fit
-    approaches by tiny steps until max_nfev; so the polish also ends, at its
-    best point, at the first trial step that does not halve the cost once
-    that point matches the moments to 1e-2 * abs_tol.
-    """
-    x = np.asarray(positions, dtype=float).copy()
-    w = np.asarray(weights, dtype=float).copy()
+    """(positions, weights, moment residual) polished by ``_bounded_lm`` on
+    the row-scaled moment equations |(V w - s)/rsc|^2 (moment rows can span
+    many decades), positions in [lo, hi], weights >= 0, at most 400
+    evaluations.  An ill-conditioned fit nears the rounding floor by tiny
+    steps: once within 1e-2 * abs_tol, a trial that does not halve the cost
+    ends the polish."""
+    x, w = np.asarray(positions, dtype=float), np.asarray(weights, dtype=float)
     k = len(x)
     if k == 0:
         return x, w, float(np.max(np.abs(s)))
-    scale = max(float(np.max(np.abs(s))), 1e-300)
-    rsc = np.maximum(np.abs(s), 1e-6 * scale)
-    best = [math.inf, math.inf, None]  # cost, moment residual, z
+    rsc = np.maximum(np.abs(s), 1e-6 * max(float(np.max(np.abs(s))), 1e-300))
 
     def resid(z):
-        xs_, ws_ = z[:k], z[k:]
-        d = family.eval_grid(xs_).T @ ws_ - s
-        r = d / rsc
-        cost = float(r @ r)
-        settled = best[1] <= 1e-2 * abs_tol and cost > best[0] / 2
-        if cost < best[0]:
-            best[:] = cost, float(np.max(np.abs(d))), z.copy()
-        if settled:
-            raise _Polished
-        return r
+        return (family.eval_grid(z[:k]).T @ z[k:] - s) / rsc
 
     def jac(z):
-        xs_, ws_ = z[:k], z[k:]
-        V = family.eval_grid(xs_).T
-        D = _safe_deriv_cols(family, xs_)
-        return np.hstack([D * ws_, V]) / rsc[:, None]
+        D = _safe_deriv_cols(family, z[:k])
+        return np.hstack([D * z[k:], family.eval_grid(z[:k]).T]) / rsc[:, None]
 
-    z0 = np.concatenate([np.clip(x, lo, hi), np.maximum(w, 0.0)])
-    lower = np.concatenate([np.full(k, lo), np.zeros(k)])
-    upper = np.concatenate([np.full(k, hi), np.full(k, np.inf)])
-    try:
-        sol = least_squares(
-            resid, z0, jac=jac, bounds=(lower, upper), method="trf",
-            xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400,
-        )
-        x, w = sol.x[:k], sol.x[k:]
-    except _Polished:
-        x, w = best[2][:k], best[2][k:]
-    except Exception:
-        pass
-    return x, w, _moment_res(family, s, x, w)
+    def settled(r):
+        return float(np.max(np.abs(r * rsc))) <= 1e-2 * abs_tol
+
+    z = _bounded_lm(resid, jac, np.concatenate([x, np.maximum(w, 0.0)]),
+                    np.concatenate([np.full(k, lo), np.zeros(k)]),
+                    np.concatenate([np.full(k, hi), np.full(k, np.inf)]), 400, settled)
+    return z[:k], z[k:], _moment_res(family, s, z[:k], z[k:])
 
 
 def _safe_deriv_cols(family: FamilySpec, x: np.ndarray) -> np.ndarray:
-    """Position-derivative columns; boundary atoms whose derivative does not
-    exist (x^alpha at 0, alpha not natural) get a zero column (frozen)."""
+    """Position-derivative columns; an atom at 0 whose derivative does not
+    exist (x^alpha, alpha not natural) gets a zero column (frozen)."""
     try:
-        # a C-ordered copy: the Jacobian's memory layout steers the rounding
-        # of the solves inside least_squares
-        return family.eval_grid(x, 1).T.copy()
+        return family.eval_grid(x, 1).T
     except NonDifferentiable:
         cols = np.zeros((family.size, len(x)))
-        for j, xj in enumerate(x):
-            try:
-                cols[:, j] = family.eval_grid(np.array([xj]), 1)[0]
-            except NonDifferentiable:
-                pass
+        cols[:, x != 0] = family.eval_grid(x[x != 0], 1).T
         return cols
 
 
@@ -700,9 +667,9 @@ def _clustered_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: floa
     solution with at most n+1 support points (its positive columns are
     linearly independent); one atom per run of them with no grid point
     strictly between, its summed weight at its weighted-mean position,
-    polished once.  Around each atom of a boundary functional the fit
-    holds two neighbouring columns, which as two atoms make an
-    ill-conditioned polish.  No atoms if NNLS finds no support."""
+    polished once (``_polish_atoms``).  Around each atom of a boundary
+    functional the fit holds two neighbouring columns, which as two atoms
+    make an ill-conditioned polish.  No atoms if NNLS finds no support."""
     xs, _, w, _ = _shared(_grid_fit, family, s, grid)
     support, weights = xs[w > 0], w[w > 0]
     idx = np.flatnonzero(w > 1e-10 * w.max())  # the support as _grid_fit reads it
@@ -720,9 +687,10 @@ def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) 
     """(positions, weights, residual, final grid, r) of a primal witness.
 
     The clustered stage (``_clustered_atoms``), or, where it merged
-    columns and missed ``abs_tol`` (close atoms may need two), the polish of
-    the grid fit's whole support; then dropping weights at most 1e-9 of the
-    total, one polish again, and support reduction to the fewest atoms
+    columns and missed ``abs_tol`` (close atoms may need two), the polish
+    (``_polish_atoms``) of the grid fit's whole support; then dropping
+    weights at most 1e-9 of the total, one polish again, and support
+    reduction to the fewest atoms
     within ``abs_tol`` (``_reduce_support``), in position order.  No atoms
     if NNLS finds no support.  r = s - A w, the grid fit's residual, is
     optimal on its grid.

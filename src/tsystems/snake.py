@@ -20,7 +20,7 @@ from .errors import (
 )
 from .extremal import _search_window, extremal_test_polys, search
 from .family import FamilySpec
-from .karlin import _newton
+from .solvers import _newton
 from .moments import _locally_nonneg, _probes
 from .zeros import SparsePoly
 

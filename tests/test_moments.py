@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -35,6 +36,7 @@ from tsystems.extremal import (
 )
 from tsystems.moments import (
     CERT_TOL,
+    AtomicMeasure,
     MomentFunctional,
     _certificate_is_sound,
 )
@@ -621,25 +623,28 @@ def test_seeds_within_the_separation_guard_are_one_seed():
     assert np.max(np.abs(ends[0][0] - [0.3, 0.9])) < 1e-3
 
 
-def test_polish_ends_once_settled(monkeypatch):
-    # an ill-conditioned fit far inside tol lowers its cost by a few percent
-    # a step: the polish ends there instead of running to max_nfev
-    evaluations = []
-    original = moments.least_squares
+def _polish_evaluations(monkeypatch) -> list:
+    """Counts, one list entry per polish, the residual evaluations that
+    _polish_atoms' driver makes."""
+    counts, driver = [], moments._bounded_lm
 
-    def counting(fun, x0, **kwargs):
-        count = [0]
+    def counting(fun, *args):
+        counts.append(0)
 
         def counted(z):
-            count[0] += 1
+            counts[-1] += 1
             return fun(z)
 
-        try:
-            return original(counted, x0, **kwargs)
-        finally:
-            evaluations.append(count[0])
+        return driver(counted, *args)
 
-    monkeypatch.setattr(moments, "least_squares", counting)
+    monkeypatch.setattr(moments, "_bounded_lm", counting)
+    return counts
+
+
+def test_polish_ends_once_settled(monkeypatch):
+    # an ill-conditioned fit far inside tol lowers its cost by a few percent
+    # a step: the polish ends there instead of running to its 400 evaluations
+    evaluations = _polish_evaluations(monkeypatch)
     fam = power_family([0.0, 0.5, 4.5, 5.0, 5.5, 7.0, 8.0], interval(0.1, 1.2))
     atoms = [(0.1301116528808206, 0.8447325299228715), (0.4118958010193691, 0.406148745114975),
              (0.4934852036395183, 0.48361652799181204)]
@@ -647,7 +652,81 @@ def test_polish_ends_once_settled(monkeypatch):
     m = recover_atoms(L)
     assert len(m.atoms) == 3
     assert np.max(np.abs(m.moments(fam) - L.s)) <= 1e-8 * np.max(np.abs(L.s))
-    assert max(evaluations) < 400
+    assert evaluations and max(evaluations) < 400
+
+
+def test_polish_follows_a_bent_valley_to_the_representation():
+    # fresh primal draw 195 of test_fresh_primal_draws_keep_their_atom_counts
+    # ("6:3:halfline"): _reduce_support's 3-atom trial from its merged
+    # support.  The exact representation lies along a narrow bent valley
+    # that a trust region alone crawls along (to about abs_tol in 400
+    # evaluations); Gauss-Newton steps reach it
+    fam = power_family([0.0, 1.0, 1.5, 6.0, 6.5, 7.0, 9.0], halfline(0.0))
+    s = np.array([1.9992441869011333, 2.7076770968338297, 3.7808737010137756, 158.12182439258493,
+                  241.17684844218235, 367.8604790857675, 1991.0497175609555])
+    abs_tol = 1e-8 * float(np.max(np.abs(s)))
+    x, w, res = moments._polish_atoms(
+        fam, s, [0.3708330365832077, 0.4639205365753834, 2.3264860319695204],
+        [0.8287403262641746, 0.17331367830751812, 0.9971901823294519], *moments._polish_box(fam), abs_tol)
+    assert res <= 1e-2 * abs_tol and np.all(w > 0)
+    np.testing.assert_allclose(x, [0.35349, 0.44256, 2.32649], rtol=0, atol=1e-5)
+
+
+def test_polish_of_close_atoms_reaches_the_rounding_floor():
+    # test_close_atoms_are_recovered[power_halfline] at d = 1e-4: the grid
+    # fit's two support columns polished as two atoms, with a Jacobian of
+    # condition 6e9, on which Gauss-Newton steps halved until they lower the
+    # cost crawl (one such driver stalled at 2.6e-7 of scale)
+    fam = power_family([0.0, 0.5, 1.5, 2.5, 4.0], halfline(0.0))
+    s = MomentFunctional.from_measure(fam, [(0.3117, 0.6), (0.3118, 0.4)]).s
+    abs_tol = 1e-8 * float(np.max(np.abs(s)))
+    x, w, res = moments._polish_atoms(fam, s, [0.3111797740820855, 0.311880323448373],
+                                      [0.20034884234045167, 0.7996511855974002],
+                                      *moments._polish_box(fam), abs_tol)
+    assert res <= 1e-2 * abs_tol
+
+
+def test_polish_of_an_undecided_functional_ends_at_the_least_squares_minimum():
+    # census draw 54 (test_undecided_gap_is_the_grid_residual): its two grid
+    # support columns, polished as two atoms, merge at the one-atom fit,
+    # whose moment residual is above tol.  A Gauss-Newton driver stopped
+    # short of that minimum, at a cost 18% higher but a moment residual of
+    # 6.66e-9 below tol 6.80e-9, and the verdict turned feasible
+    fam = monomial_family(list(range(4)), interval(0.0, 1.0))
+    s = np.array([0.6802781527850223, 0.4512343109041686, 0.2993075697689222, 0.19853325808363484])
+    abs_tol = 1e-8 * float(np.max(np.abs(s)))
+    box = moments._polish_box(fam)
+    rsc = np.abs(s)
+
+    def cost(x, w):
+        r = (fam.eval_grid(np.asarray(x)).T @ w - s) / rsc
+        return float(r @ r)
+
+    x1, w1, res1 = moments._polish_atoms(fam, s, [0.6633], [0.68], *box, abs_tol)
+    x, w, res = moments._polish_atoms(fam, s, [0.6632999999999999, 0.6633249999999999],
+                                      [0.4480240245998238, 0.2322541304764963], *box, abs_tol)
+    assert res > abs_tol and res1 > abs_tol
+    assert cost(x, w) <= cost(x1, w1) * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("params,s", [
+    ((0.0, 0.5, 1.5, 3.5, 6.0, 7.0), (0.23723359090909435, 0.2293030854044262, 0.2144956206800509,
+                                      0.18784745816627293, 0.15890314792013596, 0.14878905460713707)),
+    ((0.0, 0.5, 4.0, 4.5, 7.0, 7.5), (0.38989257053185394, 0.3553220866442218, 0.2521756737975415,
+                                      0.20755704094772598, 0.19239507691687888, 0.17569560629532366)),
+], ids=["grid_certificate", "working_set"])
+def test_engine_raises_no_runtime_warning(params, s):
+    # two half-line functionals drawn by test_nnls_residual_is_a_grid_certificate
+    # and test_working_set_nnls_matches_full_grid_nnls, on which a trust-region
+    # polish step can overflow: no RuntimeWarning from any module while the
+    # engine runs (recorded, since a raised one could be caught)
+    fam = power_family(list(params), halfline(0.0))
+    s = np.array(s)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        moments._primal_atoms(fam, s, 2001, 1e-8 * float(np.max(np.abs(s))))
+        sparse_feasibility(MomentFunctional(tuple(s), fam))
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.mark.parametrize("exps,dom,atoms", [
@@ -1301,15 +1380,24 @@ def test_witness_that_misses_tol_gets_every_trial_count():
 def test_failed_square_solve_falls_back_to_the_polish_trials(monkeypatch):
     # with the square solve forced to fail, corpus call 10 gets the witness
     # of the polish trials over the counts the index rule leaves open, 3 and
-    # 4 of its 6 atoms: the 4 atoms the trials from count 1 also find
+    # 4 of its 6 atoms.  The trial at 3 finds the lower principal
+    # representation, unique inside the cone, that the square solve finds,
+    # and the trials from count 1 find the same measure
+    inst = perfbench_workloads().WORKLOADS["moment_primal"].corpus()[10]
+    L = MomentFunctional(tuple(inst.args["s"]), inst.args["family"])
+    principal = recover_atoms(L).atoms
     monkeypatch.setattr(moments, "_lower_principal", lambda *args: None)
     calls = _reduction_polishes(monkeypatch)
-    inst = perfbench_workloads().WORKLOADS["moment_primal"].corpus()[10]
-    atoms = recover_atoms(MomentFunctional(tuple(inst.args["s"]), inst.args["family"])).atoms
-    expected = [(0.20358986699587214, 0.7988656286023746), (0.7351930947771406, 0.2284317699627318),
-                (0.852982337779822, 0.7509625537630359), (1.1649995313225219, 0.004757014886747445)]
-    np.testing.assert_allclose(atoms, expected, rtol=1e-9)
-    assert calls == [2]  # counts 3 and 4; none below ceil(N/2) = 3
+    moments._last.clear()
+    atoms = recover_atoms(L).atoms
+    assert calls == [1]  # count 3; none below ceil(N/2) = 3
+    assert len(atoms) == 3
+    assert np.max(np.abs(AtomicMeasure(atoms).moments(L.family) - L.s)) <= 1e-8 * np.max(np.abs(L.s))
+    np.testing.assert_allclose(atoms, principal, rtol=1e-9)
+    monkeypatch.setattr(moments, "_theory_verdict", lambda *args: None)  # no counting rule
+    moments._last.clear()
+    np.testing.assert_allclose(recover_atoms(L).atoms, atoms, rtol=1e-9)
+    assert calls == [1, 3]  # counts 1 and 2 miss before 3
 
 
 def test_primal_corpus_needs_few_trial_polishes(monkeypatch):
