@@ -49,7 +49,7 @@ from .errors import (
 )
 from .family import FamilySpec, _subfamily, halfline_xmax
 from .solvers import _homotopy, _newton
-from .zeros import NODAL, NON_NODAL, SparsePoly, ZeroConfig, _running_max, count_zeros
+from .zeros import NODAL, NON_NODAL, SparsePoly, ZeroConfig, _local_scale, count_zeros
 
 CONVERGED_TOL = 1e-10
 TOUCH_LOCAL_TOL = 1e-6  # solutions reach 2e-10 on degree-8 [a, b] draws; stalls reach 1
@@ -162,7 +162,7 @@ class _TangencySolver:
         self.grid = grid
         self.grid_rows = family.eval_grid(grid)  # basis on the check grid, reused
         self.values = self.grid_rows @ self.f
-        self.local = _running_max(np.abs(self.values), max(3, len(grid) // 50))
+        self.local = _local_scale(self.values)
         self.scale = float(np.max(self.local))
         self.width = (hi - lo) if hi is not None else max(1.0, 2 * float(grid[-1] - grid[0]))
         k_lo = next((m for z, m in shared if math.isclose(z, lo, abs_tol=1e-14)), 0)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
@@ -35,8 +35,8 @@ from .zeros import (
     NODAL,
     SparsePoly,
     ZeroConfig,
+    _local_scale,
     _polish_on_derivative,
-    _running_max,
     count_zeros,
     index_of,
 )
@@ -94,10 +94,7 @@ class AtomicMeasure:
             raise NotFeasible("atom positions must be distinct")
 
     def moments(self, family: FamilySpec) -> np.ndarray:
-        s = np.zeros(family.size)
-        for x, w in self.atoms:
-            s += w * family.eval_grid(np.array([float(x)]))[0]
-        return s
+        return MomentFunctional.from_measure(family, self.atoms).s
 
     def to_dict(self) -> dict:
         return {"atoms": [[float(x), float(w)] for x, w in self.atoms]}
@@ -117,7 +114,6 @@ class FeasibilityVerdict:
     witness_measure: AtomicMeasure | None = None
     certificate_poly: SparsePoly | None = None
     gap: float = 0.0
-    determinacy_hint: dict = field(default_factory=dict)
     #: what decided the verdict: "basis" (a nonnegative basis direction),
     #: "primal" (the atomic witness), "dual" (the grid or an extremal
     #: certificate) or "none" (undecided)
@@ -134,7 +130,6 @@ class FeasibilityVerdict:
             if self.certificate_poly is None
             else self.certificate_poly.to_dict(),
             "gap": self.gap,
-            "determinacy_hint": self.determinacy_hint,
         }
 
     def to_json(self) -> str:
@@ -246,20 +241,6 @@ def _safe_deriv_cols(family: FamilySpec, x: np.ndarray) -> np.ndarray:
         return cols
 
 
-def _determinacy_hint(family: FamilySpec) -> dict:
-    if family.variant not in ("power", "monomial"):
-        return {}
-    nz = [abs(float(p)) for p in family.params if p != 0]
-    msum = float(sum(1.0 / a for a in nz)) if nz else 0.0
-    baseline = float(sum(1.0 / i for i in range(1, len(nz) + 1)))
-    return {
-        "muntz_sum": msum,
-        "harmonic_baseline": baseline,
-        "hint_determinate": bool(msum >= baseline),
-        "note": "informational only; never used in verdicts",
-    }
-
-
 #: p >= -CERT_TOL * (local magnitude of p) counts as nonnegative
 CERT_TOL = 1e-10
 _PROBE = 2001
@@ -282,11 +263,6 @@ def _probes(family: FamilySpec) -> list:
     if kind == REAL_LINE:
         return [np.linspace(1.25 * lo, 1.25 * hi, _PROBE)]
     return [np.linspace(lo, lo + 10.0, _PROBE), np.linspace(lo + 5.0, lo + 1.25 * (hi - lo), _PROBE)]
-
-
-def _local_scale(vals: np.ndarray) -> np.ndarray:
-    """Windowed running max of |p|, the local magnitude count_zeros uses."""
-    return _running_max(np.abs(vals), max(3, len(vals) // 50))
 
 
 def _locally_nonneg(p: SparsePoly, probes) -> bool:
@@ -474,7 +450,6 @@ def sparse_feasibility(
     family = L.family
     s = L.s
     scale = max(float(np.max(np.abs(s))), 1e-300)
-    hint = _determinacy_hint(family)
 
     # cheap certificate: a basis direction that is nonnegative on the domain
     xs0 = _primal_grid(family, 201)
@@ -484,33 +459,32 @@ def sparse_feasibility(
         if np.all(base_vals[:, i] >= 0) and s[i] < -tol * scale:
             e = SparsePoly(tuple(np.eye(family.size)[i]), family)
             if _certificate_is_sound(e, probes):
-                return FeasibilityVerdict(INFEASIBLE, None, e, float(-s[i]), hint, "basis")
+                return FeasibilityVerdict(INFEASIBLE, None, e, float(-s[i]), "basis")
 
     # the grid certificate, at unit max-norm coefficients as poly_from_zeros scales
-    r = _shared(_grid_fit, family, s, grid)[3]
+    xs, A, _, r = _shared(_grid_fit, family, s, grid)
     if np.any(r):
         p = SparsePoly(tuple(-r / np.max(np.abs(r))), family)
         val = float(s @ p.a)
         if val < -tol * scale and _certificate_is_sound(p, probes):
-            return FeasibilityVerdict(INFEASIBLE, None, p, -val, hint, "dual")
+            return FeasibilityVerdict(INFEASIBLE, None, p, -val, "dual")
 
     # seeds, built once a dual search runs: the clustered atoms, which localize
     # where a certificate must vanish, then the grid certificate's basins (they can be narrow)
-    xs, A, _, r = _shared(_grid_fit, family, s, grid)
     clustered, _, res = _shared(_clustered_atoms, family, s, grid, tol * scale)[:3]
     seeds = None
     for seeded_only in (True, False):
         if res <= tol * scale or not seeded_only:
-            pos, wts, res = _shared(_primal_atoms, family, s, grid, tol * scale)[:3]
+            pos, wts, res = _shared(_primal_atoms, family, s, grid, tol * scale)
             if res <= tol * scale and len(pos) <= family.size:
                 witness = AtomicMeasure(tuple(zip(map(float, pos), map(float, wts))))
-                return FeasibilityVerdict(FEASIBLE, witness, None, float(res), hint, "primal")
+                return FeasibilityVerdict(FEASIBLE, witness, None, float(res), "primal")
         if seeds is None:
             seeds = [float(p) for p in clustered] + _dual_seeds(xs, A, r)
         cert = _dual_search(L, tol, seed, starts, seeds, seeded_only)
         if cert is not None:
-            return FeasibilityVerdict(INFEASIBLE, None, cert[0], float(-cert[1]), hint, "dual")
-    return FeasibilityVerdict(UNDECIDED, None, None, float(np.linalg.norm(r)), hint)
+            return FeasibilityVerdict(INFEASIBLE, None, cert[0], float(-cert[1]), "dual")
+    return FeasibilityVerdict(UNDECIDED, None, None, float(np.linalg.norm(r)))
 
 
 def _dual_seeds(xs, A, r):
@@ -570,19 +544,20 @@ def recover_atoms(
     working set of columns, optimal on the whole grid, whose basic solution
     has at most n+1 support points (Caratheodory) -> one atom per cluster
     of grid columns, polished (the whole support where that misses tol)
-    -> the fewest atoms (``_reduce_support``: on a T-system the atom counts
-    of the theory and the lower principal representation), in position
-    order.  Its last result is kept per (family, moments, grid, tol): right
-    after ``sparse_feasibility`` on the same functional the engine does not
-    run again, and the measure is that call's witness.  The zero functional
-    yields the empty measure; a moment residual above tol * scale raises
-    NotFeasible unless ``assume_feasible``.
+    -> weights at most 1e-9 of the total dropped, the rest polished again
+    only where one was -> the fewest atoms (``_reduce_support``: on a
+    T-system the atom counts of the theory and the lower principal
+    representation), in position order.  Its last result is kept per
+    (family, moments, grid, tol): right after ``sparse_feasibility`` on the
+    same functional the engine does not run again, and the measure is that
+    call's witness.  The zero functional yields the empty measure; a moment
+    residual above tol * scale raises NotFeasible unless ``assume_feasible``.
     """
     s = L.s
     scale = float(np.max(np.abs(s)))
     if scale == 0.0:
         return AtomicMeasure(())
-    pos, wts, res, _, _ = _shared(_primal_atoms, L.family, s, grid, tol * scale)
+    pos, wts, res = _shared(_primal_atoms, L.family, s, grid, tol * scale)
     if len(pos) == 0:
         raise NotFeasible("nonnegative least squares found no support")
     measure = AtomicMeasure(tuple(zip(map(float, pos), map(float, wts))))
@@ -684,29 +659,28 @@ def _clustered_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: floa
 
 
 def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) -> tuple:
-    """(positions, weights, residual, final grid, r) of a primal witness.
+    """(positions, weights, residual) of a primal witness.
 
     The clustered stage (``_clustered_atoms``), or, where it merged
     columns and missed ``abs_tol`` (close atoms may need two), the polish
     (``_polish_atoms``) of the grid fit's whole support; then dropping
-    weights at most 1e-9 of the total, one polish again, and support
-    reduction to the fewest atoms
-    within ``abs_tol`` (``_reduce_support``), in position order.  No atoms
-    if NNLS finds no support.  r = s - A w, the grid fit's residual, is
-    optimal on its grid.
+    weights at most 1e-9 of the total, polished again only where that drops
+    an atom, and support reduction to the fewest atoms within ``abs_tol``
+    (``_reduce_support``), in position order.  No atoms if NNLS finds no
+    support.
     """
     lo, hi = _polish_box(family)
-    xs, _, _, r = _shared(_grid_fit, family, s, grid)
     pos, wts, res, support, weights = _shared(_clustered_atoms, family, s, grid, abs_tol)
     if len(pos) == 0:
-        return pos, wts, res, xs, r
+        return pos, wts, res
     if res > abs_tol and len(pos) < len(support):
         pos, wts, res = _polish_atoms(family, s, support, weights, lo, hi, abs_tol)
     keep = wts > 1e-9 * float(np.sum(wts))
-    pos, wts, res = _polish_atoms(family, s, pos[keep], wts[keep], lo, hi, abs_tol)
+    if not keep.all():
+        pos, wts, res = _polish_atoms(family, s, pos[keep], wts[keep], lo, hi, abs_tol)
     pos, wts, res = _reduce_support(family, s, pos, wts, res, lo, hi, abs_tol)
     order = np.argsort(pos)
-    return pos[order], wts[order], res, xs, r
+    return pos[order], wts[order], res
 
 
 def _working_set_nnls(A, colnorm, s, inw, reach=0):

@@ -233,7 +233,10 @@ def _interp_bounds(family, ref, sides, G1, G2) -> np.ndarray:
 
 
 def _exchange(ref, sides, x_new, side_new):
-    """Single-point exchange keeping the alternation pattern."""
+    """Single-point exchange keeping the alternation pattern: x_new replaces
+    its neighbour with the same side; beyond an end, with the opposite side
+    to that end's, it enters there and the far end leaves (the reference
+    shifts).  The reference stays sorted."""
     ref = list(ref)
     sides = list(sides)
     pos = np.searchsorted(ref, x_new)
@@ -242,14 +245,9 @@ def _exchange(ref, sides, x_new, side_new):
     elif pos > 0 and sides[pos - 1] == side_new:
         ref[pos - 1] = x_new
     elif pos == 0:
-        ref = [x_new] + ref[:-1] if sides[0] != side_new else [x_new] + ref[1:]
-        sides = ([side_new] + sides[:-1]) if sides[0] != side_new else sides
+        ref, sides = [x_new] + ref[:-1], [side_new] + sides[:-1]
     else:
-        ref = ref[1:] + [x_new] if sides[-1] != side_new else ref[:-1] + [x_new]
-        sides = (sides[1:] + [side_new]) if sides[-1] != side_new else sides
-    order = np.argsort(ref)
-    ref = [ref[i] for i in order]
-    sides = [sides[i] for i in order]
+        ref, sides = ref[1:] + [x_new], sides[1:] + [side_new]
     return np.array(ref), sides
 
 
@@ -373,10 +371,13 @@ def best_approx(
             break  # err is rounding noise: f is a member up to evaluation error
         new_ref = _alternant(xs, err, n + 2, F, family, coeffs)
         if len(new_ref) != n + 2:
-            # degenerate error (fewer sign blocks than n+2): single exchange
-            new_ref = _single_exchange(ref, xs, err, F, family, coeffs)
+            # degenerate error (fewer sign blocks than n+2): the worst point
+            # enters by the single exchange; err at ref[j] is d (-1)^j
+            i = int(np.argmax(np.abs(err)))
+            sides = np.sign(d) * (-1.0) ** np.arange(n + 2)
+            new_ref = _exchange(ref, sides, float(xs[i]), np.sign(err[i]))[0]
         key = tuple(np.round(new_ref, 13))
-        if key in seen or len(new_ref) != n + 2:
+        if key in seen:
             stalled = True
             break
         seen.add(key)
@@ -392,34 +393,6 @@ def best_approx(
         poly, float(np.max(np.abs(fv - poly(xs)))), tuple(map(float, ref)), sign,
         stalled, tuple(lower_bounds),
     )
-
-
-def _single_exchange(ref, xs, err, F, family, coeffs) -> np.ndarray:
-    """Classic first-algorithm exchange: swap the worst point in, keeping
-    the reference alternation-compatible."""
-    i_star = int(np.argmax(np.abs(err)))
-    x_star = float(xs[i_star])
-    s_star = math.copysign(1.0, err[i_star])
-
-    def err_at(x):
-        return float(_call(F, x)) - float(family.eval_grid(np.array([x]))[0] @ coeffs)
-
-    ref = list(ref)
-    pos = int(np.searchsorted(ref, x_star))
-    if pos == 0:
-        j = 0
-    elif pos >= len(ref):
-        j = len(ref) - 1
-    else:
-        left, right = err_at(ref[pos - 1]), err_at(ref[pos])
-        if left * s_star > 0 and right * s_star <= 0:
-            j = pos - 1
-        elif right * s_star > 0 and left * s_star <= 0:
-            j = pos
-        else:
-            j = pos - 1 if abs(x_star - ref[pos - 1]) <= abs(x_star - ref[pos]) else pos
-    ref[j] = x_star
-    return np.array(sorted(ref))
 
 
 def _alternant(xs, err, count, F, family, coeffs) -> np.ndarray:

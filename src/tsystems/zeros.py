@@ -198,7 +198,7 @@ def count_zeros(
     width = hi - lo
     step = width / (grid - 1)
     K = max(3, grid // 50)
-    sloc = _running_max(np.abs(vals), K)
+    sloc = _local_scale(vals)
     W = K * step
 
     def local_scale(x: float) -> float:
@@ -253,6 +253,12 @@ def count_zeros(
     if 2 * k + l > n:
         raise InvariantViolation(f"zero count bound violated: 2*{k} + {l} > {n}", cfg)
     return cfg
+
+
+def _local_scale(vals: np.ndarray) -> np.ndarray:
+    """The local magnitude of samples of f on a uniform grid: the windowed
+    running max of |vals|, K = max(3, len // 50) points each side."""
+    return _running_max(np.abs(vals), max(3, len(vals) // 50))
 
 
 def _running_max(a: np.ndarray, K: int) -> np.ndarray:

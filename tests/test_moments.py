@@ -274,12 +274,18 @@ def test_duality_never_both(rng):
         assert float(v.certificate_poly.a @ np.array([-0.5, 0.1, 0.1, 0.1])) < 0
 
 
-def test_determinacy_hint_is_informational():
-    fam = power_family([0, 1, 2, 3], halfline(0.0))
-    L = MomentFunctional.from_measure(fam, [(0.5, 1.0)])
-    v = sparse_feasibility(L)
-    assert "muntz_sum" in v.determinacy_hint
-    assert v.determinacy_hint["muntz_sum"] == 1.0 + 0.5 + 1 / 3
+@pytest.mark.parametrize("s, route", [
+    ((1.0, 0.5, 0.25), "primal"),
+    ((-1.0, 0.5, 0.25), "basis"),
+    ((1.0, 0.9, 0.1), "dual"),
+    # census draw 54, as in test_undecided_gap_is_the_grid_residual
+    ((0.6802781527850223, 0.4512343109041686, 0.2993075697689222, 0.19853325808363484), "none"),
+])
+def test_verdict_serializes_its_evidence_only(s, route):
+    # a verdict's dict holds what decided it and nothing computed beside it
+    v = sparse_feasibility(MomentFunctional(s, monomial_family(list(range(len(s))), interval(0, 1))))
+    assert v.route == route
+    assert v.to_dict().keys() == {"status", "route", "witness_measure", "certificate_poly", "gap"}
 
 
 def test_moment_functional_serialization():
@@ -512,7 +518,7 @@ def test_undecided_gap_is_the_grid_residual():
                          monomial_family(list(range(4)), interval(0.0, 1.0)))
     v = sparse_feasibility(L)
     assert (v.status, v.route) == ("undecided", "none")
-    r = moments._primal_atoms(L.family, L.s, 2001, 1e-8 * float(np.max(np.abs(L.s))))[4]
+    r = moments._grid_fit(L.family, L.s, 2001)[3]
     assert v.gap == float(np.linalg.norm(r)) > 0
 
 
@@ -810,7 +816,7 @@ def test_memoized_engine_result_is_read_only():
     s = MomentFunctional.from_measure(fam, [(0.45, 0.6)]).s
     first = moments._shared(moments._primal_atoms, fam, s, 2001, 1e-8)
     kept = [np.array(part) for part in first]
-    for part in (first[0], first[1], first[3], first[4]):
+    for part in (first[0], first[1]):
         with pytest.raises(ValueError):
             part[0] = 0.5
     again = moments._shared(moments._primal_atoms, fam, s, 2001, 1e-8)
@@ -906,7 +912,7 @@ def test_nnls_residual_is_a_grid_certificate(case):
     # rounding of r = s - A w itself, about 1e-13 |s| (a fit inside the cone
     # leaves r at that level)
     s, fam = case
-    _, _, _, xs, r = moments._primal_atoms(fam, s, 2001, 1e-8 * float(np.max(np.abs(s))))
+    xs, _, _, r = moments._grid_fit(fam, s, 2001)
     A = fam.eval_grid(xs).T
     norm, snorm = float(np.linalg.norm(r)), float(np.linalg.norm(s))
     slack = 1e-6 * norm + 1e-13 * snorm
@@ -934,7 +940,7 @@ def _assert_matches_full_grid_nnls(A, s, r):
 @given(functionals_around_the_cone())
 def test_working_set_nnls_matches_full_grid_nnls(case):
     s, fam = case
-    _, _, _, xs, r = moments._primal_atoms(fam, s, 2001, 1e-8 * float(np.max(np.abs(s))))
+    xs, _, _, r = moments._grid_fit(fam, s, 2001)
     _assert_matches_full_grid_nnls(fam.eval_grid(xs).T, s, r)
 
 
@@ -960,7 +966,7 @@ def test_working_set_nnls_edge_cases():
     assert float(np.linalg.norm(r)) <= 1e-13 * float(np.linalg.norm(s))
     # ... and moved off the cone, through the engine
     s = perturbed_functional(fam, (1.2, 0.8), "interior_doubles").s
-    _, _, _, xs2, r = moments._primal_atoms(fam, s, 2001, 1e-8 * float(np.max(np.abs(s))))
+    xs2, _, _, r = moments._grid_fit(fam, s, 2001)
     _assert_matches_full_grid_nnls(fam.eval_grid(xs2).T, s, r)
     # a zero column, inside and outside the working set
     for j in (0, 5):
@@ -979,7 +985,7 @@ def test_working_set_nnls_below_the_rounding_of_the_optimality_check():
     fam = power_family([0.0, 0.5, 1.5, 2.5, 4.0, 5.5, 8.5], halfline(0.0))
     s = np.array([2.40623568539076, 2.9467082583414523, 5.4030422793862805, 11.449162464241406,
                   39.23790384315418, 141.99650875362363, 2007.3056152600561])
-    _, _, _, xs, r = moments._primal_atoms(fam, s, 2001, 1e-8 * float(np.max(s)))
+    xs, _, _, r = moments._grid_fit(fam, s, 2001)
     _assert_matches_full_grid_nnls(fam.eval_grid(xs).T, s, r)
     v = sparse_feasibility(MomentFunctional(tuple(s), fam))
     assert v.status == "undecided" and v.gap == float(np.linalg.norm(r))
@@ -997,7 +1003,8 @@ def test_engine_solves_nnls_on_few_columns_and_checks_every_one(monkeypatch):
         return scipy_nnls(A, b, **kwargs)
 
     monkeypatch.setattr(moments, "nnls", counting)
-    _, _, res, xs, r = moments._primal_atoms(fam, s, 2001, 1e-8 * float(np.max(s)))
+    res = moments._primal_atoms(fam, s, 2001, 1e-8 * float(np.max(s)))[2]
+    xs, _, _, r = moments._grid_fit(fam, s, 2001)
     assert res <= 1e-8 * float(np.max(s))
     grid = len(moments._primal_grid(fam, 2001))
     assert columns and max(columns) < grid // 4
@@ -1409,6 +1416,36 @@ def test_primal_corpus_needs_few_trial_polishes(monkeypatch):
         moments._last.clear()
         sparse_feasibility(MomentFunctional(tuple(inst.args["s"]), inst.args["family"]), tol=1e-8)
     assert sum(calls) <= 8
+
+
+def test_primal_corpus_polishes_an_uncut_witness_once(monkeypatch):
+    # the clustered stage polishes its atoms; where they meet tol and the
+    # 1e-9 weight cut drops none, the support reduction gets them as they are
+    polishes, inside = [], [False]
+    polish, reduce = moments._polish_atoms, moments._reduce_support
+
+    def counting_polish(*args):
+        polishes.append(inside[0])
+        return polish(*args)
+
+    def counting_reduce(*args):
+        inside[0] = True
+        try:
+            return reduce(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(moments, "_polish_atoms", counting_polish)
+    monkeypatch.setattr(moments, "_reduce_support", counting_reduce)
+    for inst in perfbench_workloads().WORKLOADS["moment_primal"].corpus():
+        fam, s = inst.args["family"], np.asarray(inst.args["s"], dtype=float)
+        moments._last.clear()
+        polishes.clear()
+        sparse_feasibility(MomentFunctional(tuple(s), fam), tol=1e-8)
+        assert polishes.count(False) == 1, inst.stratum
+        abs_tol = 1e-8 * float(np.max(np.abs(s)))
+        _, wts, res = moments._shared(moments._clustered_atoms, fam, s, 2001, abs_tol)[:3]
+        assert res <= abs_tol and np.all(wts > 1e-9 * np.sum(wts)), inst.stratum
 
 
 @pytest.mark.parametrize("name", ["moment_primal", "moment_dual"])

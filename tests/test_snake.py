@@ -212,6 +212,23 @@ def test_best_approx_two_references_agree(rng):
     assert np.allclose(r1.poly.a, r2.poly.a, atol=1e-8)
 
 
+@pytest.mark.parametrize("x_new, side, ref, sides", [
+    # beyond an end, on that end's side: the point replaces it
+    (-0.5, "lower", [-0.5, 0.5, 1.0], ["lower", "upper", "lower"]),
+    (1.5, "lower", [0.0, 0.5, 1.5], ["lower", "upper", "lower"]),
+    # beyond an end, on the other side: it enters and the far end leaves
+    (-0.5, "upper", [-0.5, 0.0, 0.5], ["upper", "lower", "upper"]),
+    (1.5, "upper", [0.5, 1.0, 1.5], ["upper", "lower", "upper"]),
+    # inside: it replaces the neighbour on its side
+    (0.3, "upper", [0.0, 0.3, 1.0], ["lower", "upper", "lower"]),
+    (0.3, "lower", [0.3, 0.5, 1.0], ["lower", "upper", "lower"]),
+])
+def test_exchange_keeps_the_reference_sorted_and_alternating(x_new, side, ref, sides):
+    new_ref, new_sides = snake_mod._exchange([0.0, 0.5, 1.0], ["lower", "upper", "lower"],
+                                             x_new, side)
+    assert new_ref.tolist() == ref and new_sides == sides
+
+
 def test_snake_affine_band():
     fam = monomial_family([0, 1], interval(-1, 1))
     sol = snake(fam, -1.0, 1.0, which="f_star")
