@@ -545,7 +545,7 @@ def recover_atoms(
     has at most n+1 support points (Caratheodory) -> one atom per cluster
     of grid columns, polished (the whole support where that misses tol)
     -> weights at most 1e-9 of the total dropped, the rest polished again
-    only where one was -> the fewest atoms (``_reduce_support``: on a
+    only where one was or tol is missed -> the fewest atoms (``_reduce_support``: on a
     T-system the atom counts of the theory and the lower principal
     representation), in position order.  Its last result is kept per
     (family, moments, grid, tol): right after ``sparse_feasibility`` on the
@@ -665,9 +665,9 @@ def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) 
     columns and missed ``abs_tol`` (close atoms may need two), the polish
     (``_polish_atoms``) of the grid fit's whole support; then dropping
     weights at most 1e-9 of the total, polished again only where that drops
-    an atom, and support reduction to the fewest atoms within ``abs_tol``
-    (``_reduce_support``), in position order.  No atoms if NNLS finds no
-    support.
+    an atom or the witness misses ``abs_tol``, and support reduction to the
+    fewest atoms within ``abs_tol`` (``_reduce_support``), in position
+    order.  No atoms if NNLS finds no support.
     """
     lo, hi = _polish_box(family)
     pos, wts, res, support, weights = _shared(_clustered_atoms, family, s, grid, abs_tol)
@@ -676,7 +676,7 @@ def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) 
     if res > abs_tol and len(pos) < len(support):
         pos, wts, res = _polish_atoms(family, s, support, weights, lo, hi, abs_tol)
     keep = wts > 1e-9 * float(np.sum(wts))
-    if not keep.all():
+    if res > abs_tol or not keep.all():
         pos, wts, res = _polish_atoms(family, s, pos[keep], wts[keep], lo, hi, abs_tol)
     pos, wts, res = _reduce_support(family, s, pos, wts, res, lo, hi, abs_tol)
     order = np.argsort(pos)

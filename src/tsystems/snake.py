@@ -371,11 +371,11 @@ def best_approx(
             break  # err is rounding noise: f is a member up to evaluation error
         new_ref = _alternant(xs, err, n + 2, F, family, coeffs)
         if len(new_ref) != n + 2:
-            # degenerate error (fewer sign blocks than n+2): the worst point
-            # enters by the single exchange; err at ref[j] is d (-1)^j
-            i = int(np.argmax(np.abs(err)))
-            sides = np.sign(d) * (-1.0) ** np.arange(n + 2)
-            new_ref = _exchange(ref, sides, float(xs[i]), np.sign(err[i]))[0]
+            # degenerate error (fewer sign blocks than n+2): the worst searched extremum
+            # enters by the single exchange; err at ref[j] is d (-1)^j, either sign at d = 0
+            e = _call(F, new_ref) - family.eval_grid(new_ref) @ coeffs
+            i, sides = int(np.argmax(np.abs(e))), math.copysign(1.0, d) * (-1.0) ** np.arange(n + 2)
+            new_ref = _exchange(ref, sides, float(new_ref[i]), np.sign(e[i]))[0]
         key = tuple(np.round(new_ref, 13))
         if key in seen:
             stalled = True

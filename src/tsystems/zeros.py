@@ -197,9 +197,7 @@ def count_zeros(
         raise ZeroPolynomial("polynomial is numerically zero on the window")
     width = hi - lo
     step = width / (grid - 1)
-    K = max(3, grid // 50)
     sloc = _local_scale(vals)
-    W = K * step
 
     def local_scale(x: float) -> float:
         i = int(np.clip(round((x - lo) / step), 0, grid - 1))
@@ -236,7 +234,7 @@ def count_zeros(
 
     zeros = []
     for r in merged:
-        r, mult = _resolve_multiplicity(f, r, W, local_scale, lo, hi, width, tol)
+        r, mult = _resolve_multiplicity(f, r, _scale_window(grid) * step, local_scale, lo, hi, width, tol)
         kind = _classify(f, r, lo, hi, width, local_scale(r))
         zeros.append((float(min(max(r, lo), hi)), mult, kind))
     zeros = sorted(zeros)
@@ -255,10 +253,15 @@ def count_zeros(
     return cfg
 
 
+def _scale_window(n: int) -> int:
+    """The local scale's half-width on an n-point grid: max(3, n // 50) points."""
+    return max(3, n // 50)
+
+
 def _local_scale(vals: np.ndarray) -> np.ndarray:
     """The local magnitude of samples of f on a uniform grid: the windowed
-    running max of |vals|, K = max(3, len // 50) points each side."""
-    return _running_max(np.abs(vals), max(3, len(vals) // 50))
+    running max of |vals|, ``_scale_window(len)`` points each side."""
+    return _running_max(np.abs(vals), _scale_window(len(vals)))
 
 
 def _running_max(a: np.ndarray, K: int) -> np.ndarray:

@@ -1448,6 +1448,23 @@ def test_primal_corpus_polishes_an_uncut_witness_once(monkeypatch):
         assert res <= abs_tol and np.all(wts > 1e-9 * np.sum(wts)), inst.stratum
 
 
+def test_witness_that_misses_tol_is_polished_again(monkeypatch):
+    # variance 0.24 - 0.5^2 < 0: no measure on [0, 1] has these moments, so
+    # the whole-support polish misses tol and gets a second one before the
+    # support reduction, as an uncut witness within tol does not
+    fam = monomial_family([0, 1, 2], interval(0, 1))
+    s = np.array([1.0, 0.5, 0.24])
+    moments._last.clear()
+    pos, _, res, support, _ = moments._shared(moments._clustered_atoms, fam, s, 2001, 1e-8)
+    assert res > 1e-8 and len(pos) < len(support)
+    polished = []
+    polish = moments._polish_atoms
+    monkeypatch.setattr(moments, "_polish_atoms", lambda *a: polished.append(len(a[2])) or polish(*a))
+    monkeypatch.setattr(moments, "_reduce_support", lambda fam, s, pos, wts, res, *_: (pos, wts, res))
+    _, _, res = moments._primal_atoms(fam, s, 2001, 1e-8)
+    assert polished == [len(support), len(support)] and res > 1e-8
+
+
 @pytest.mark.parametrize("name", ["moment_primal", "moment_dual"])
 def test_witness_atoms_are_in_position_order(name):
     # recover_atoms, sparse_feasibility and `tsys moments-recover` print

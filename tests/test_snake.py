@@ -192,6 +192,21 @@ def test_best_approx_monotone_lower_bounds():
     assert lb[-1] <= res.deviation + 1e-12
 
 
+def test_best_approx_degenerate_exchange_at_a_zero_level():
+    # the equispaced reference [-1, 0, 1] is interpolated exactly, so d = 0,
+    # and the error x^2 - x^4 >= 0 has a single sign block: the worst point
+    # enters by the single exchange, which keeps the reference sorted, so no
+    # lower bound exceeds the minimax deviation 1/8 (the constant 1/8)
+    fam = monomial_family([0, 1], interval(-1, 1))
+    f = lambda x, order=0: np.asarray(x) ** 2 - np.asarray(x) ** 4
+    res = best_approx(fam, f, init="equispaced")
+    lb = np.array(res.lower_bounds)
+    assert lb[0] == 0.0 and not res.stalled
+    assert np.all(np.diff(lb) >= 0) and np.all(lb <= 0.125 + 1e-15)
+    assert abs(res.deviation - 0.125) <= 1e-15
+    assert np.all(np.diff(res.alternation_points) > 0)
+
+
 def test_best_approx_reports_a_stall_when_max_iter_runs_out():
     # exp(sin 3x) from cubics on [-1, 1] needs more than two exchanges: a run
     # cut at max_iter has not met tol and must say so
