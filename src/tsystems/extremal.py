@@ -2,11 +2,13 @@
 
 A nonnegative polynomial of a T-system of order n whose zeros have index n
 is extremal in the cone.  Its zero pattern fixes the simple zeros at the
-domain's ends and leaves m double zeros theta free.  Moment duality and
-ratio bounds both optimize linear functionals of these polynomials over the
-patterns and theta; ``search`` does it for both, by L-BFGS-B on theta with
-the derivative of each functional taken from the node null vector by
-implicit differentiation.
+domain's ends and leaves m double zeros theta free.  ``PATTERNS`` is the one
+table of them: the principal patterns of each domain are the zero sets of a
+Karlin decomposition's parts and what moment duality and ratio bounds
+optimize linear functionals over.  ``search`` does that for both, by
+L-BFGS-B on theta with the derivative of each functional taken from the
+node null vector by implicit differentiation; ``search_polys`` builds its
+end points.
 """
 
 from __future__ import annotations
@@ -21,39 +23,44 @@ from .errors import TSystemError
 from .family import FamilySpec, _subfamily, halfline_xmax
 from .zeros import SparsePoly, poly_from_zeros
 
+#: pattern -> (its fixed simple zeros at the window's ends, how many top
+#: members its sub-family drops).  Upper patterns drop the top member on the
+#: half-line and two on the real line, where p >= 0 has an even top degree;
+#: for odd n both real-line patterns drop one more.
+PATTERNS = {
+    "interior_doubles": ((), 0), "a_doubles_b": (("lo", "hi"), 0),
+    "a_doubles": (("lo",), 0), "doubles_b": (("hi",), 0),
+    "hl_lower_even": ((), 0), "hl_upper_even": (("lo",), 1),
+    "hl_lower_odd": (("lo",), 0), "hl_upper_odd": ((), 1),
+    "rl_upper_even": ((), 2), "rl_lower_odd": ((), 1), "rl_upper_odd": ((), 3),
+}
+_PRINCIPAL = {  # (domain kind, n % 2) -> (lower, upper)
+    ("closed_interval", 0): ("interior_doubles", "a_doubles_b"),
+    ("closed_interval", 1): ("a_doubles", "doubles_b"),
+    ("left_closed_halfline", 0): ("interior_doubles", "hl_upper_even"),
+    ("left_closed_halfline", 1): ("hl_lower_odd", "hl_upper_odd"),
+    ("real_line", 0): ("interior_doubles", "rl_upper_even"),
+    ("real_line", 1): ("rl_lower_odd", "rl_upper_odd"),
+}
+
+
+def principal_patterns(kind: str, n: int) -> tuple[str, str]:
+    """(lower, upper) pattern names of order n on a domain of this kind."""
+    return _PRINCIPAL[kind, n % 2]
+
 
 def _patterns_for(family: FamilySpec):
-    """(pattern, #free interior points) pairs available for this family."""
+    """(pattern, #free interior points) of the family's principal patterns
+    whose fixed zeros and dropped members leave room for m >= 0."""
     n = family.order
-    on_halfline = family.domain.kind == "left_closed_halfline"
-    pats = []
-    if n % 2 == 0:
-        m = n // 2
-        pats.append(("interior_doubles", m))
-        if on_halfline:
-            if m >= 1:
-                pats.append(("hl_upper_even", m - 1))
-        elif m >= 1:
-            pats.append(("a_doubles_b", m - 1))
-    else:
-        m = (n - 1) // 2
-        if on_halfline:
-            pats.append(("hl_lower_odd", m))
-            pats.append(("hl_upper_odd", m))
-        else:
-            pats.append(("a_doubles", m))
-            pats.append(("doubles_b", m))
-    return pats
+    free = [(p, n - len(PATTERNS[p][0]) - PATTERNS[p][1])
+            for p in principal_patterns(family.domain.kind, n)]
+    return [(p, k // 2) for p, k in free if k >= 0]
 
 
 def extremal_test_polys(family: FamilySpec, pattern: str, theta) -> SparsePoly:
-    """Nonnegative polynomial with the index-n zero placement of a pattern.
-
-    Interval patterns: "interior_doubles" (even n), "a_doubles_b" (even),
-    "a_doubles" / "doubles_b" (odd).  Half-line patterns mirror the
-    decomposition structure: "hl_lower_even", "hl_upper_even",
-    "hl_lower_odd", "hl_upper_odd" (the upper patterns drop the top member).
-    """
+    """Nonnegative polynomial with the index-n zero placement of a pattern
+    of ``PATTERNS``, embedded in ``family``."""
     theta = tuple(float(t) for t in np.atleast_1d(np.asarray(theta, dtype=float))) if np.size(theta) else ()
     fam, nodes = _pattern_nodes(family, pattern, theta)
     p = poly_from_zeros(fam, NodeSet(tuple(sorted(nodes))), "auto_nonneg", check_certificate=False)
@@ -67,24 +74,16 @@ def extremal_test_polys(family: FamilySpec, pattern: str, theta) -> SparsePoly:
 def _pattern_nodes(family: FamilySpec, pattern: str, theta) -> tuple:
     """(family or sub-family, nodes) of a pattern's zero placement.
 
-    The nodes are the pattern's fixed simple zeros followed by a double zero
-    at each theta_j, in the order of theta.  The half-line upper patterns
-    take the sub-family without the top member.
+    The nodes are the pattern's fixed simple zeros at the ends of the
+    domain's window followed by a double zero at each theta_j, in the order
+    of theta; the sub-family drops the pattern's top members.
     """
-    lo, hi = family.domain.window()
-    doubles = [(t, 2) for t in theta]
-    if pattern in ("interior_doubles", "hl_lower_even"):
-        return family, doubles
-    if pattern == "a_doubles_b":
-        return family, [(lo, 1), (hi, 1)] + doubles
-    if pattern in ("a_doubles", "hl_lower_odd"):
-        return family, [(lo, 1)] + doubles
-    if pattern == "doubles_b":
-        return family, [(hi, 1)] + doubles
-    if pattern in ("hl_upper_even", "hl_upper_odd"):
-        fixed = [(lo, 1)] if pattern == "hl_upper_even" else []
-        return _subfamily(family, slice(0, -1)), fixed + doubles
-    raise ValueError(f"unknown pattern {pattern!r}")
+    if pattern not in PATTERNS:
+        raise ValueError(f"unknown pattern {pattern!r}")
+    ends, drop = PATTERNS[pattern]
+    window = dict(zip(("lo", "hi"), family.domain.window()))
+    fam = _subfamily(family, slice(0, -drop)) if drop else family
+    return fam, [(window[e], 1) for e in ends] + [(t, 2) for t in theta]
 
 
 def _search_window(family: FamilySpec) -> tuple[float, float]:
@@ -288,3 +287,16 @@ def search(family: FamilySpec, s: np.ndarray, objective, rng, starts: int, seeds
             if res.fun < 1e90 and not repeats(res.x, res.fun):
                 ends.append((np.sort(res.x), res.fun))
                 yield pattern, ends[-1][0], res.fun
+
+
+def search_polys(family: FamilySpec, s: np.ndarray, objective, rng, starts: int, seeds=(), *,
+                 seeded_only: bool = False):
+    """(pattern, theta, p) for each end point of ``search`` that
+    poly_from_zeros builds (``extremal_test_polys``); one it refuses is
+    skipped."""
+    for pattern, theta, _ in search(family, s, objective, rng, starts, seeds, seeded_only=seeded_only):
+        try:
+            p = extremal_test_polys(family, pattern, theta)
+        except TSystemError:
+            continue
+        yield pattern, theta, p

@@ -47,7 +47,8 @@ from .errors import (
     TooManyZeros,
     ValueAtZeroNonpositive,
 )
-from .family import FamilySpec, _subfamily, halfline_xmax
+from .extremal import _pattern_nodes, principal_patterns
+from .family import FamilySpec, halfline_xmax
 from .solvers import _homotopy, _newton
 from .zeros import NODAL, NON_NODAL, SparsePoly, ZeroConfig, _local_scale, count_zeros
 
@@ -126,11 +127,12 @@ class _TangencySolver:
     """Tangency system, Newton starts and fallbacks for every domain's patterns.
 
     z holds the m double zeros xs of f_* and then the touch points ys of
-    f - f_*.  f_* = c P, with P the null vector of the lower pattern's node
-    rows and c = (h.f)/(h.P) fixed by the pin h: the row of f^(k_hi)(hi) on
-    [a,b] ("endpoint"), the top coefficient on the half-line and the real
-    line ("leading").  The real line is lo = -inf, hi = None; its check grid
-    is a window holding every root of f.
+    f - f_*.  The parts' zero patterns are ``extremal.principal_patterns``
+    of n_eff, with the shared zeros merged into both.  f_* = c P, with P the
+    null vector of the lower pattern's node rows and c = (h.f)/(h.P) fixed
+    by the pin h: the row of f^(k_hi)(hi) on [a,b], else the top
+    coefficient.  The real line is lo = -inf, hi = None; its check grid is a
+    window holding every root of f.
     ``system`` gives the residual and its analytic Jacobian; ``newton`` runs
     _newton on it.  ``solve`` tries Newton from Chebyshev and equispaced
     starts ("newton:direct*"), each given up once it crawls (DIRECT_CRAWL),
@@ -140,25 +142,15 @@ class _TangencySolver:
     double zeros of f_*.
     """
 
-    def __init__(
-        self,
-        family: FamilySpec,
-        f: np.ndarray,
-        shared: tuple,
-        lo: float,
-        hi: float | None,
-        pin: str,
-        grid: np.ndarray,
-    ):
+    def __init__(self, family: FamilySpec, f: np.ndarray, shared: tuple, grid: np.ndarray):
         self.family = family
         self.f = np.asarray(f, dtype=float)
         self.shared = shared
         n_eff = family.order - sum(m for _, m in shared)
         self.even = n_eff % 2 == 0
         self.m = n_eff // 2
-        self.lo = lo  # -inf on the real line
-        self.hi = hi  # None on the half-line and the real line
-        self.pin = pin  # "endpoint" (at hi) or "leading" (coefficient of f_n)
+        self.lo = lo = family.domain.inf  # -inf on the real line
+        self.hi = hi = family.domain.b  # None on the half-line and the real line
         self.grid = grid
         self.grid_rows = family.eval_grid(grid)  # basis on the check grid, reused
         self.values = self.grid_rows @ self.f
@@ -177,9 +169,11 @@ class _TangencySolver:
             self.lo_row = np.eye(family.size)[-2:-1]
         else:
             self.lo_row = family.eval_grid([lo], k_lo)
+        lower, upper = principal_patterns(family.domain.kind, n_eff)
         # fixed zeros of f_*, ahead of its double zeros in the node rows
-        self.lower_fixed = _merge_nodes(list(shared) + ([] if self.even else [(lo, 1)]))
+        self.lower_fixed = _merge_nodes(list(shared) + _pattern_nodes(family, lower, ())[1])
         self.n_fixed = sum(m for _, m in self.lower_fixed)
+        self.upper_family, self.upper_fixed = _pattern_nodes(family, upper, ())
 
     # -- patterns -------------------------------------------------------------
 
@@ -187,27 +181,18 @@ class _TangencySolver:
         return self.lower_fixed + tuple((float(x), 2) for x in np.sort(xs))
 
     def upper_nodes(self, ys) -> tuple:
-        pat = [(y, 2) for y in np.sort(ys)]
-        if self.even and not math.isinf(self.lo):
-            pat.append((self.lo, 1))
-        if self.hi is not None:
-            pat.append((self.hi, 1))
-        return _merge_nodes(list(self.shared) + pat)
+        return _merge_nodes([*self.shared, *((y, 2) for y in np.sort(ys)), *self.upper_fixed])
 
     def f_lower(self, xs, fc) -> np.ndarray:
         P = null_vector(node_rows(self.family, self.lower_nodes(xs)))
         return (self.pin_row @ fc) / (self.pin_row @ P) * P
 
     def upper_pattern_poly(self, ys) -> np.ndarray:
-        """Unit-scale f^*-pattern polynomial (embedded in the full family;
-        on the half-line the pattern drops f_n, on the real line f_(n-1) too)."""
-        drop = 0 if self.pin == "endpoint" else 2 if math.isinf(self.lo) else 1
-        cols = slice(0, self.family.size - drop)
-        sub = _subfamily(self.family, cols)
-        nodes = self.upper_nodes(ys)
-        Q = null_vector(node_rows(sub, nodes))
+        """Unit-scale f^*-pattern polynomial on the upper pattern's
+        sub-family, embedded in the full family."""
+        Q = null_vector(node_rows(self.upper_family, self.upper_nodes(ys)))
         out = np.zeros(self.family.size)
-        out[cols] = Q
+        out[: len(Q)] = Q
         return out
 
     # -- the tangency system -----------------------------------------------------
@@ -435,7 +420,7 @@ def decompose_pos_ab(
     if family.domain.kind != "closed_interval":
         raise InvariantViolation("decompose_pos_ab needs a closed interval domain")
     a, b = family.domain.a, family.domain.b
-    solver = _TangencySolver(family, f.a, (), a, b, "endpoint", np.linspace(a, b, grid))
+    solver = _TangencySolver(family, f.a, (), np.linspace(a, b, grid))
     if float(solver.values.min()) <= 0:
         raise NotPositive(f"min f = {solver.values.min():.3e} on the check grid")
     return solver.solve(init)
@@ -454,7 +439,7 @@ def decompose_nonneg_ab(
     if not shared:
         return decompose_pos_ab(f, init=init, grid=grid)
     a, b = family.domain.a, family.domain.b
-    solver = _TangencySolver(family, f.a, shared, a, b, "endpoint", np.linspace(a, b, grid))
+    solver = _TangencySolver(family, f.a, shared, np.linspace(a, b, grid))
     return solver.solve(init)
 
 
@@ -498,7 +483,7 @@ def decompose_halfline(
     else:
         raise ValueError(f"mode must be 'positive' or 'nonneg', not {mode!r}")
     work_grid = np.linspace(0.0, _solve_span(f, X), grid)
-    return _TangencySolver(family, f.a, shared, 0.0, None, "leading", work_grid).solve(init)
+    return _TangencySolver(family, f.a, shared, work_grid).solve(init)
 
 
 def _halfline_factor_out(f: SparsePoly, **kw) -> KarlinDecomposition:
@@ -590,7 +575,7 @@ def decompose_realline(f: SparsePoly, mode: str = "positive") -> KarlinDecomposi
         raise ValueError(f"mode must be 'positive' or 'nonneg', not {mode!r}")
     shared = _shared_zeros(f, window=(lo, hi)) if mode == "nonneg" else ()
     grid = np.linspace(lo, hi, 2001)
-    solver = _TangencySolver(family, f.a, shared, -math.inf, None, "leading", grid)
+    solver = _TangencySolver(family, f.a, shared, grid)
     if mode == "positive" and float(solver.values.min()) <= 0:
         raise NotPositive("f must be strictly positive on R")
     return solver.solve()

@@ -28,7 +28,7 @@ from scipy.optimize import nnls
 
 from .errors import NonDifferentiable, NotFeasible, TooShort, TSystemError
 from .colloc import _theory_verdict
-from .extremal import _search_window, extremal_test_polys, search
+from .extremal import _search_window, search_polys
 from .family import CLOSED_INTERVAL, REAL_LINE, FamilySpec
 from .solvers import _bounded_lm, _homotopy, _newton
 from .zeros import (
@@ -263,14 +263,6 @@ def _probes(family: FamilySpec) -> list:
     if kind == REAL_LINE:
         return [np.linspace(1.25 * lo, 1.25 * hi, _PROBE)]
     return [np.linspace(lo, lo + 10.0, _PROBE), np.linspace(lo + 5.0, lo + 1.25 * (hi - lo), _PROBE)]
-
-
-def _locally_nonneg(p: SparsePoly, probes) -> bool:
-    for probe in probes:
-        vals = p(probe)
-        if not np.all(vals >= -CERT_TOL * _local_scale(vals)):
-            return False
-    return True
 
 
 def _zero_budget(p: SparsePoly, zeros, origin: float) -> tuple[int, int]:
@@ -518,12 +510,8 @@ def _dual_search(L: MomentFunctional, tol: float, seed: int, starts: int, theta_
         return val / scale, grad / scale
 
     def ends():
-        for pattern, theta, _ in search(family, s, objective, np.random.default_rng(seed), starts,
-                                        theta_seeds, seeded_only=seeded_only):
-            try:
-                p = extremal_test_polys(family, pattern, theta)
-            except TSystemError:
-                continue
+        for _, _, p in search_polys(family, s, objective, np.random.default_rng(seed), starts,
+                                    theta_seeds, seeded_only=seeded_only):
             yield p, float(s @ p.a)
 
     def sound(cert):

@@ -16,12 +16,11 @@ from .errors import (
     InvariantViolation,
     NoSeparator,
     SNotStrictlyPositive,
-    TSystemError,
 )
-from .extremal import _search_window, extremal_test_polys, search
+from .extremal import _search_window, search_polys
 from .family import FamilySpec
 from .solvers import _newton
-from .moments import _locally_nonneg, _probes
+from .moments import _certificate_is_sound, _probes
 from .zeros import SparsePoly
 
 LOWER = "lower"
@@ -252,7 +251,7 @@ def _exchange(ref, sides, x_new, side_new):
 
 
 def _polish_snake(family, ref, sides, G1, G2, lo, hi):
-    """Newton on the touch system, halved to the rounding floor by karlin._newton at tol 0.
+    """Newton on the touch system, halved to the rounding floor by solvers._newton at tol 0.
 
     The polynomial interpolates the bounds at every touch point; the unknowns
     are the interior touches, where its slope must match the bound's.  The
@@ -493,8 +492,8 @@ def optimize_ratio(
     extremal.search runs every zero pattern of the family by L-BFGS-B over
     its double-zero positions on -sense * L/S, whose gradient follows by the
     quotient rule from one solve for both functionals; S(p) <= 0 is
-    inadmissible.  An end point counts when it is nonnegative against its
-    local magnitude on the probe grids of the moment dual and S(p) > 0.
+    inadmissible.  An end point counts when S(p) > 0 and it passes the
+    checks a moment certificate must pass (moments._certificate_is_sound).
     Returns (value, argmax, top5), top5 listing (value, pattern, theta) for
     up to five distinct basins: end points of one pattern whose theta differ
     by less than 1e-6 of the search window count once, at their best value.
@@ -514,13 +513,9 @@ def optimize_ratio(
 
     probes = _probes(family)
     results = []
-    for pattern, theta, _ in search(family, LS, objective, np.random.default_rng(seed), starts):
-        try:
-            p = extremal_test_polys(family, pattern, theta)
-        except TSystemError:
-            continue
+    for pattern, theta, p in search_polys(family, LS, objective, np.random.default_rng(seed), starts):
         num, den = LS @ p.a
-        if den > 0 and _locally_nonneg(p, probes):
+        if den > 0 and _certificate_is_sound(p, probes):
             results.append((float(num / den), pattern, tuple(map(float, theta)), p))
 
     if not results:

@@ -276,7 +276,7 @@ def test_tangency_point_without_a_pinned_solution_is_inadmissible():
     # no RuntimeWarning (c = h.f / h.P would be inf and d = f - c P NaN)
     fam = monomial_family([0, 1, 2, 3, 4], real_line())
     f = np.array([0.0, 0.0, 1.0, 0.0, 1.0])
-    solver = _TangencySolver(fam, f, ((0.0, 2),), -math.inf, None, "leading", np.linspace(-2, 2, 2001))
+    solver = _TangencySolver(fam, f, ((0.0, 2),), np.linspace(-2, 2, 2001))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         R, jac = solver.system(np.array([0.0]), f)
@@ -725,10 +725,10 @@ def _central_difference(system, z, h):
     return np.column_stack(cols)
 
 
-def _solved_tangency(family, f, shared, hi, pin, grid):
+def _solved_tangency(family, f, shared, grid):
     """The solver and its solution z: the free double zeros of f_*, then the
     touch points of f^*, read off the returned decomposition's zero sets."""
-    solver = _TangencySolver(family, np.asarray(f.a), shared, family.domain.inf, hi, pin, grid)
+    solver = _TangencySolver(family, np.asarray(f.a), shared, grid)
     dec = solver.solve()
     assert dec.converged
     fixed = [p for p, _ in shared]
@@ -743,8 +743,7 @@ def _tangency_cases(rng):
     ab_grid = np.linspace(0.2, 1.7, 2000)
     for n in (4, 5):  # endpoint pin, even and odd n
         fam = monomial_family(list(range(n + 1)), ab)
-        yield f"ab:{n}", _solved_tangency(fam, random_strictly_positive(fam, rng), (), 1.7,
-                                          "endpoint", ab_grid)
+        yield f"ab:{n}", _solved_tangency(fam, random_strictly_positive(fam, rng), (), ab_grid)
     # leading pin, odd and even n
     for params, co in (((0, 0.5, 2, 3.5), (2.0, -1.8, 1.0, 0.3)),
                        ((0, 1, 2, 3, 4), np.convolve([2.0, -2.0, 1.0], [3.0, -3.0, 1.0]))):
@@ -752,17 +751,16 @@ def _tangency_cases(rng):
         f = SparsePoly(tuple(co), fam)
         n = fam.order
         hl_grid = np.linspace(0.0, _solve_span(f, halfline_xmax(fam)), 2000)
-        yield f"halfline:{n}", _solved_tangency(fam, f, (), None, "leading", hl_grid)
+        yield f"halfline:{n}", _solved_tangency(fam, f, (), hl_grid)
     # nonneg on [0, 1] with shared zeros: an interior double zero at 0.4
     # (n_eff = 3), and a double zero at the endpoint 0 (n_eff = 2, k_lo = 2)
     fam = monomial_family(list(range(6)), interval(0, 1))
     co = np.convolve([0.16, -0.8, 1.0], [1.0, 0.5, -0.3, 0.8])
-    yield "shared:interior", _solved_tangency(fam, SparsePoly(tuple(co), fam), ((0.4, 2),), 1.0,
-                                              "endpoint", np.linspace(0, 1, 2000))
+    yield "shared:interior", _solved_tangency(fam, SparsePoly(tuple(co), fam), ((0.4, 2),),
+                                              np.linspace(0, 1, 2000))
     fam = monomial_family(list(range(5)), interval(0, 1))
     f = SparsePoly((0.0, 0.0, 1.0, 0.0, 1.0), fam)
-    yield "shared:endpoint", _solved_tangency(fam, f, ((0.0, 2),), 1.0, "endpoint",
-                                              np.linspace(0, 1, 2000))
+    yield "shared:endpoint", _solved_tangency(fam, f, ((0.0, 2),), np.linspace(0, 1, 2000))
     # the real line: leading pin and the x^(n-1) coefficient row, degrees 2-6,
     # and a double zero at 0.5 shared by both parts (n_eff = 4)
     for co in ([1.0, 0.0, 1.0],
@@ -773,7 +771,7 @@ def _tangency_cases(rng):
         f = SparsePoly(tuple(co), fam)
         shared = ((0.5, 2),) if abs(f(0.5)) < 1e-12 else ()
         yield f"realline:{fam.order}:{len(shared)}", _solved_tangency(
-            fam, f, shared, None, "leading", np.linspace(*_root_window(f), 2001))
+            fam, f, shared, np.linspace(*_root_window(f), 2001))
 
 
 def _off_solution(z, step):
@@ -864,8 +862,7 @@ def test_continuation_reaches_degree_7_in_few_newton_solves():
             continue
         assert deg == 7
         fam = monomial_family(list(range(len(pd))), dom)
-        solver = _TangencySolver(fam, pd, (), 0.2, 1.7, "endpoint",
-                                 np.linspace(0.2, 1.7, POS_GRID))
+        solver = _TangencySolver(fam, pd, (), np.linspace(0.2, 1.7, POS_GRID))
         calls, newton = [0], solver.newton
 
         def counted(*args, **kw):
@@ -883,7 +880,7 @@ def test_continuation_reports_its_newton_iterations():
     rng = np.random.default_rng(73)
     pd = random_nonneg_dense(int(rng.integers(2, 9)), interval(0.2, 1.7), rng)
     fam = monomial_family(list(range(len(pd))), interval(0.2, 1.7))
-    solver = _TangencySolver(fam, pd, (), 0.2, 1.7, "endpoint", np.linspace(0.2, 1.7, POS_GRID))
+    solver = _TangencySolver(fam, pd, (), np.linspace(0.2, 1.7, POS_GRID))
     steps, newton = [], solver.newton
 
     def counted(z, fc, tol, maxit=40, crawl=0, floor=True):

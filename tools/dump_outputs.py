@@ -1,0 +1,153 @@
+"""Print every output that a claim of byte-identical results rests on, one
+text line per output, in a fixed order.
+
+    python tools/dump_outputs.py > outputs.txt
+
+Run it on two trees and compare the files with ``cmp``.  The lines are, in
+order:
+
+* the 262 calls of the four benchmark corpora (``perfbench/workloads.py``,
+  which this tool only reads): 56 ``karlin``, 24 ``moment_dual``,
+  56 ``moment_primal`` and 126 ``desk``, each corpus in its own order;
+* the 252 fresh Karlin draws of
+  ``tests/test_karlin.py::test_fresh_high_degree_karlin_draws_pass_the_benchmark_check``
+  (rng seeds 5 and 11), a ``NoConvergence`` with its diagnostics;
+* the 120 near-boundary census verdicts of ``tests/test_moments.py::_census``;
+* the 50 instances of acceptance criterion 10: the verdict and recovered
+  measure of the functional, then the verdict of the perturbed one.
+
+A result is written by its ``to_json`` (or ``to_dict``); a smoothed family,
+whose evaluators are closures, by its values and first derivatives at fixed
+points.  An error is written as its type and message.  The tool takes no
+options.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import tsystems as ts  # noqa: E402
+from tsystems.errors import NoConvergence, TSystemError  # noqa: E402
+from tsystems.moments import MomentFunctional  # noqa: E402
+
+import workloads  # noqa: E402
+
+SMOOTH_POINTS = np.linspace(0.0, 1.0, 11)
+
+
+def encode(out) -> str:
+    if isinstance(out, tuple):
+        return "[" + ", ".join(encode(o) for o in out) + "]"
+    if isinstance(out, ts.FamilySpec) and out.variant == "custom":
+        vals = [out.eval_grid(SMOOTH_POINTS, k).tolist() for k in (0, 1)]
+        return json.dumps({"size": out.size, "values": vals})
+    if hasattr(out, "to_json"):
+        return out.to_json()
+    if hasattr(out, "to_dict"):
+        return json.dumps(out.to_dict(), sort_keys=True)
+    return json.dumps(out)
+
+
+def outcome(call, *args) -> str:
+    try:
+        return encode(call(*args))
+    except NoConvergence as e:
+        return json.dumps({"error": "NoConvergence", "message": str(e),
+                           "diagnostics": repr(e.diagnostics)})
+    except TSystemError as e:
+        return json.dumps({"error": type(e).__name__, "message": str(e)})
+
+
+def corpus_lines():
+    for name, wl in workloads.WORKLOADS.items():
+        for i, inst in enumerate(wl.corpus()):
+            yield f"{name} {i} {inst.stratum} {outcome(wl.call, inst)}"
+
+
+def fresh_karlin_lines():
+    strata = workloads.KARLIN_STRATA + ["ab:5", "ab:6", "ab:7", "halfline:4", "halfline:5", "c6:7", "c6:8"]
+    for seed in (5, 11):
+        rng = np.random.default_rng(seed)
+        draws = [workloads.karlin_make(rng, s) for _ in range(6) for s in strata]
+        for i, inst in enumerate(draws):
+            yield f"fresh_karlin {seed}:{i} {inst.stratum} {outcome(workloads.karlin_call, inst)}"
+
+
+def census():
+    """tests/test_moments.py::_census: 120 draws from default_rng(7)."""
+    rng = np.random.default_rng(7)
+    for _ in range(120):
+        n = int(rng.integers(2, 7))
+        fam = ts.monomial_family(list(range(n + 1)), ts.interval(0.0, 1.0))
+        k = int(rng.integers(1, n // 2 + 2))
+        atoms = list(zip(np.sort(rng.uniform(0, 1, k)), rng.uniform(0.2, 1, k)))
+        d = rng.normal(size=n + 1)
+        s = MomentFunctional.from_measure(fam, atoms).s
+        s = s + 10 ** rng.uniform(-8, -5) * float(np.max(np.abs(s))) * d / np.max(np.abs(d))
+        yield MomentFunctional(tuple(s), fam)
+
+
+def criterion_10(tol=1e-8):
+    """tests/test_acceptance.py::test_criterion_10_moment_round_trip's 50
+    instances: (functional, perturbed functional)."""
+    rng = np.random.default_rng(73)
+    done = 0
+    while done < 50:
+        n = int(rng.integers(2, 7))
+        extra = np.sort(rng.choice(np.arange(1, 3 * n + 1), size=n, replace=False) * 0.5)
+        on_halfline = done % 2 == 1
+        fam = ts.power_family([0.0] + list(extra), ts.halfline(0.0) if on_halfline else ts.interval(0.1, 1.2))
+        lo, hi = (0.08, 2.5) if on_halfline else (0.12, 1.18)
+        k = int(rng.integers(1, min(4, n // 2) + 1))
+        pos = np.sort(rng.uniform(lo, hi, k))
+        if len(pos) > 1 and np.min(np.diff(pos)) < 0.08:
+            continue
+        wts = rng.uniform(0.2, 1.0, k)
+        L = MomentFunctional.from_measure(fam, list(zip(pos, wts)))
+        pad = n - 2 * k
+        nodes = [(float(x), 2) for x in pos]
+        fill = []
+        while 2 * len(fill) < pad - (pad % 2):
+            cand = float(rng.uniform(lo, hi))
+            if all(abs(cand - q) > 0.07 for q, _ in nodes + fill):
+                fill.append((cand, 2))
+        nodes += fill
+        if pad % 2 == 1:
+            nodes.append((0.0 if on_halfline else 0.1, 1))
+        try:
+            p_hat = ts.poly_from_zeros(fam, ts.NodeSet.of(*nodes), check_certificate=False)
+        except Exception:  # the criterion's own rejection rule
+            continue
+        if abs(p_hat.a[0]) < 0.3:
+            continue
+        s = np.array(L.s)
+        s[0] -= 10 * float(np.max(np.abs(L.s))) * tol * math.copysign(1.0, p_hat.a[0])
+        yield L, MomentFunctional(tuple(s), fam)
+        done += 1
+
+
+def moment_lines():
+    for i, L in enumerate(census()):
+        yield f"census {i} - {outcome(ts.sparse_feasibility, L)}"
+    for i, (L, pert) in enumerate(criterion_10()):
+        both = outcome(lambda: (ts.sparse_feasibility(L), ts.recover_atoms(L)))
+        yield f"criterion_10 {i} - {both} {outcome(ts.sparse_feasibility, pert)}"
+
+
+def main() -> int:
+    for lines in (corpus_lines(), fresh_karlin_lines(), moment_lines()):
+        for line in lines:
+            print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
