@@ -305,7 +305,7 @@ def null_vector_tangent(B: np.ndarray, a: np.ndarray, rows, second: np.ndarray) 
     n1 = B.shape[1]
     M = np.zeros((n1, n1))
     M[:-1] = B
-    M[-1, int(np.argmax(np.abs(a)))] = 1.0
+    M[-1, int(np.abs(a).argmax())] = 1.0
     rhs = np.zeros((n1, len(second)))
     rhs[rows, np.arange(len(second))] = -(second @ a)
     return np.linalg.solve(M, rhs)

@@ -282,11 +282,11 @@ class FamilySpec:
         flat = xs.ravel()
         dom = self.domain
         if dom.kind != REAL_LINE:
-            inside = flat >= dom.a
-            if dom.kind == CLOSED_INTERVAL:
-                inside &= flat <= dom.b
-            if np.count_nonzero(inside) != inside.size:
-                x = flat[int(np.argmin(inside))]
+            hi = dom.b if dom.kind == CLOSED_INTERVAL else math.inf
+            # a small block is checked on floats: there numpy's per-call cost dominates
+            if not (all(dom.a <= x <= hi for x in flat.tolist()) if flat.size <= 32
+                    else np.count_nonzero((flat >= dom.a) & (flat <= hi)) == flat.size):
+                x = flat[int(np.argmin((flat >= dom.a) & (flat <= hi)))]
                 raise DomainViolation(f"x = {x} outside {dom.kind}")
         if isinstance(order, (int, np.integer)):
             order = int(order)

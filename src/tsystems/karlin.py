@@ -117,9 +117,8 @@ def _interlaced(first, second, lo, hi, eps) -> bool:
     Plain floats: the arrays hold at most a few entries, and this runs on
     every trial step of Newton's line search.
     """
-    seq = [0.0] * (len(first) + len(second))
-    seq[0::2], seq[1::2] = sorted(first.tolist()), sorted(second.tolist())
-    seq = [float(lo), *seq, float(hi)]
+    seq = [float(lo)] * (len(first) + len(second) + 2)
+    seq[1:-1:2], seq[2:-1:2], seq[-1] = sorted(first.tolist()), sorted(second.tolist()), float(hi)
     return all(b - a > eps for a, b in zip(seq, seq[1:]))
 
 
@@ -172,8 +171,15 @@ class _TangencySolver:
         lower, upper = principal_patterns(family.domain.kind, n_eff)
         # fixed zeros of f_*, ahead of its double zeros in the node rows
         self.lower_fixed = _merge_nodes(list(shared) + _pattern_nodes(family, lower, ())[1])
-        self.n_fixed = sum(m for _, m in self.lower_fixed)
+        self.fixed_pts, orders = node_points(self.lower_fixed)
         self.upper_family, self.upper_fixed = _pattern_nodes(family, upper, ())
+        # system's eval_grid block: fixed_pts, each x twice, xs, ys three times
+        m, k = self.m, self.m - 1 if self.even and self.m else self.m
+        self.orders = np.array(orders + [0, 1] * m + [2] * m + [0] * k + [1] * k + [2] * k, dtype=int)
+        self.tangent_rows = len(orders) + 1 + 2 * np.arange(m)
+        # flat positions in J of the rows d(ys), d'(ys) at the touch points' columns, sorted
+        self.touch_flat = list((len(self.lo_row) + np.arange(k) + np.array([[0], [k]])) * (m + k) + m)
+        self.seen_lower = {}  # f_* = c P of f at each z system evaluated, by z's bytes
 
     # -- patterns -------------------------------------------------------------
 
@@ -183,9 +189,12 @@ class _TangencySolver:
     def upper_nodes(self, ys) -> tuple:
         return _merge_nodes([*self.shared, *((y, 2) for y in np.sort(ys)), *self.upper_fixed])
 
-    def f_lower(self, xs, fc) -> np.ndarray:
-        P = null_vector(node_rows(self.family, self.lower_nodes(xs)))
-        return (self.pin_row @ fc) / (self.pin_row @ P) * P
+    def f_lower(self, z) -> np.ndarray:
+        """f_* of f at z: system's, where it evaluated z for f, else from the node rows."""
+        if (fl := self.seen_lower.get(z.tobytes())) is None:
+            P = null_vector(node_rows(self.family, self.lower_nodes(z[: self.m])))
+            fl = (self.pin_row @ self.f) / (self.pin_row @ P) * P
+        return fl
 
     def upper_pattern_poly(self, ys) -> np.ndarray:
         """Unit-scale f^*-pattern polynomial on the upper pattern's
@@ -208,30 +217,32 @@ class _TangencySolver:
         from null_vector_tangent.
         """
         m = self.m
-        ox, oy = np.argsort(z[:m]), np.argsort(z[m:])
-        xs, ys = z[:m][ox], z[m:][oy]
-        k = len(ys)
+        zl = z.tolist()  # a few points: sorted as floats, as a list
+        xs, ys, k = sorted(zl[:m]), sorted(zl[m:]), len(zl) - m
         # one eval_grid: the node rows of f_*, f''(xs) and f, f', f'' at ys
-        pts, orders = node_points(self.lower_nodes(xs))
-        nb = len(pts)
-        block = self.family.eval_grid(pts + [*xs, *ys, *ys, *ys], orders + [2] * m + [0] * k + [1] * k + [2] * k)
+        pts = self.fixed_pts + [x for x in xs for _ in (0, 1)] + xs + ys * 3
+        block, nb = self.family.eval_grid(pts, self.orders), len(self.fixed_pts) + 2 * m
         B, second, Y = block[:nb], block[nb : nb + m], block[nb + m :]
         P = null_vector(B)
         h = self.pin_row
-        rows = np.vstack([self.lo_row, Y[: 2 * k]])
-        if h @ P == 0:  # no f_* = c P meets the pin (P = 0 where nodes coincide)
+        rows = np.concatenate((self.lo_row, Y[: 2 * k]))
+        hP = h @ P
+        if hP == 0:  # no f_* = c P meets the pin (P = 0 where nodes coincide)
             return np.full(len(rows), np.inf), _inadmissible
-        c = (h @ fc) / (h @ P)
-        d = fc - c * P
+        c = (h @ fc) / hP
+        cP = c * P  # f_lower's bits: its node rows equal B's rows
+        if fc is self.f:
+            self.seen_lower[z.tobytes()] = cP
+        d = fc - cP
         R = rows @ d
 
         def jac():
-            dP = null_vector_tangent(B, P, self.n_fixed + 1 + 2 * np.arange(m), second)
+            dP = null_vector_tangent(B, P, self.tangent_rows, second)
             J = np.zeros((len(R), len(z)))
-            J[:, ox] = -c * rows @ (dP - np.outer(P, (h @ dP) / (h @ P)))
-            e = len(self.lo_row) + np.arange(k)
-            J[e, m + oy] = Y[k : 2 * k] @ d
-            J[e + k, m + oy] = Y[2 * k :] @ d
+            J[:, z[:m].argsort()] = -c * rows @ (dP - P[:, None] * ((h @ dP) / hP))  # np.outer's bits
+            oy, (t1, t2), flat = z[m:].argsort(), self.touch_flat, J.ravel()
+            flat[t1 + oy] = Y[k : 2 * k] @ d
+            flat[t2 + oy] = Y[2 * k :] @ d
             return J
 
         return R, jac
@@ -244,7 +255,8 @@ class _TangencySolver:
 
     def newton(self, z, fc, tol, maxit=40, crawl=0, floor=True):
         """_newton on the system for fc; tol and the residual are relative to max |fc|."""
-        sc = float(np.max(np.abs(self.values if fc is self.f else self.grid_rows @ fc)))
+        self.seen_lower.clear()
+        sc = float(np.abs(self.values if fc is self.f else self.grid_rows @ fc).max())
         z, ok, it, nR = _newton(
             lambda zz: self.system(zz, fc), z, tol * sc, maxit, self.phase_ok, crawl=crawl, floor=floor)
         return z, ok, it, nR / sc
@@ -350,7 +362,7 @@ class _TangencySolver:
     def decomposition(self, z, path, iterations, res) -> KarlinDecomposition:
         """f_* and f^* = f - f_* at the double zeros z[:m] and touch points z[m:]."""
         xs, ys = np.sort(z[: self.m]), np.sort(z[self.m :])
-        fl = self.f_lower(xs, self.f)
+        fl = self.f_lower(z)
         domain = self.family.domain
         return KarlinDecomposition(
             SparsePoly(tuple(fl), self.family),
@@ -372,8 +384,7 @@ class _TangencySolver:
         orders, so a Newton stall far from any solution can pass it."""
         if not self.phase_ok(z):
             return False
-        xs = np.sort(z[: self.m])
-        fl = self.f_lower(xs, self.f)
+        fl = self.f_lower(z)
         flv = self.grid_rows @ fl
         dv = self.grid_rows @ (self.f - fl)
         Y = self.family.eval_grid(z[self.m :])

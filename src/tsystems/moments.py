@@ -37,7 +37,7 @@ from .zeros import (
     ZeroConfig,
     _local_scale,
     _polish_on_derivative,
-    count_zeros,
+    _zeros_on_grid,
     index_of,
 )
 
@@ -364,7 +364,7 @@ def _certificate_is_sound(p: SparsePoly, probes) -> bool:
         lo, hi = float(probe[0]), float(probe[-1])
         step = (hi - lo) / (len(probe) - 1)
         try:
-            zeros = [z for z in count_zeros(p, window=(lo, hi), grid=len(probe)).zeros
+            zeros = [z for z in _zeros_on_grid(p, lo, hi, probe, vals, sloc, 1e-9).zeros
                      if c_lo <= z[0] < c_hi]
         except TSystemError:  # a zero set count_zeros cannot resolve is no evidence
             return False
@@ -585,11 +585,13 @@ def _grid_fit(family: FamilySpec, s: np.ndarray, grid: int) -> tuple:
     """(xs, A, w, r): grid NNLS min |s - A w| over w >= 0, A = f(xs)^T, by
     ``_working_set_nnls`` from every 10th point, refined twice near its
     support (solved on the support and the refinement's points).  Each grid
-    point is evaluated once: the rows f(x) and column norms of the grid so
-    far are kept, and a round evaluates only its points not already on the
-    grid (exact equality, as ``np.unique``) and merges them in order.
-    Points 1 ulp apart stay separate columns until the return (ROADMAP
-    item 6).  r = s - A w is optimal on the final grid xs."""
+    point is evaluated once: a round evaluates only its points not already
+    on the grid (exact equality) and merges them, rows and column norms, in
+    order.  Points 1 ulp apart stay separate columns until the return
+    (ROADMAP item 6).  r = s - A w is optimal on the final grid xs.  Every
+    10th point, scipy's nnls and this merge each beat a cheaper-looking
+    choice (ROADMAP item 12): every 40th point breaks four tests, a numpy
+    Lawson-Hanson is 3x slower, and np.insert is slower."""
     lo, hi = _polish_box(family)
     xs = _primal_grid(family, grid)
     rows = family.eval_grid(xs)
@@ -655,7 +657,9 @@ def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) 
     weights at most 1e-9 of the total, polished again only where that drops
     an atom or the witness misses ``abs_tol``, and support reduction to the
     fewest atoms within ``abs_tol`` (``_reduce_support``), in position
-    order.  No atoms if NNLS finds no support.
+    order, with atoms at one position merged and zero weights dropped (the
+    polish can pin two atoms at one bound, or a weight at 0).  No atoms if
+    NNLS finds no support.
     """
     lo, hi = _polish_box(family)
     pos, wts, res, support, weights = _shared(_clustered_atoms, family, s, grid, abs_tol)
@@ -667,8 +671,9 @@ def _primal_atoms(family: FamilySpec, s: np.ndarray, grid: int, abs_tol: float) 
     if res > abs_tol or not keep.all():
         pos, wts, res = _polish_atoms(family, s, pos[keep], wts[keep], lo, hi, abs_tol)
     pos, wts, res = _reduce_support(family, s, pos, wts, res, lo, hi, abs_tol)
-    order = np.argsort(pos)
-    return pos[order], wts[order], res
+    pos, at = np.unique(pos, return_inverse=True)
+    wts = np.bincount(at, wts)
+    return pos[wts != 0], wts[wts != 0], res
 
 
 def _working_set_nnls(A, colnorm, s, inw, reach=0):

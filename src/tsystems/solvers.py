@@ -26,7 +26,7 @@ def _newton(system, z, tol, maxit, admissible, min_step=0.0, crawl=0, floor=True
     """
     z = np.asarray(z, dtype=float).copy()
     R, jac = system(z)
-    nR = float(np.max(np.abs(R)))
+    nR = float(np.abs(R).max())
     seen = [nR]
     for it in range(maxit):
         if not floor and nR < tol:
@@ -38,11 +38,11 @@ def _newton(system, z, tol, maxit, admissible, min_step=0.0, crawl=0, floor=True
         t, moved = 1.0, False
         for _ in range(45):
             zn = z + t * dz
-            if np.array_equal(zn, z):
+            if (zn == z).all():
                 break
             if admissible(zn):
                 Rn, jn = system(zn)
-                nRn = float(np.max(np.abs(Rn)))
+                nRn = float(np.abs(Rn).max())
                 if nRn < nR:
                     moved = True
                     break

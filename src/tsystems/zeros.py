@@ -188,16 +188,20 @@ def count_zeros(
     derivative (x^alpha at 0, alpha not natural) is a simple nodal endpoint
     zero.  Raises InvariantViolation if the configuration breaks 2k + l <= n.
     """
-    family = f.family
-    lo, hi = family.domain.window() if window is None else window
+    lo, hi = f.family.domain.window() if window is None else window
     xs = np.linspace(lo, hi, grid)
     vals = f(xs)
+    return _zeros_on_grid(f, lo, hi, xs, vals, _local_scale(vals), tol)
+
+
+def _zeros_on_grid(f: SparsePoly, lo, hi, xs: np.ndarray, vals, sloc, tol: float) -> ZeroConfig:
+    """count_zeros on xs = linspace(lo, hi, len(xs)), given f(xs) and its _local_scale."""
+    family, grid = f.family, len(xs)
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0 or scale <= tol * np.max(np.abs(f.a)) * 1e-6:
         raise ZeroPolynomial("polynomial is numerically zero on the window")
     width = hi - lo
     step = width / (grid - 1)
-    sloc = _local_scale(vals)
 
     def local_scale(x: float) -> float:
         i = int(np.clip(round((x - lo) / step), 0, grid - 1))

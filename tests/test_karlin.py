@@ -34,6 +34,8 @@ from tsystems.errors import (
     TooManyZeros,
     ValueAtZeroNonpositive,
 )
+from tsystems import karlin
+from tsystems.colloc import node_points, node_rows, null_vector, null_vector_tangent
 from tsystems.family import halfline_xmax
 from tsystems.karlin import (
     CONVERGED_TOL,
@@ -824,6 +826,70 @@ def test_tangency_jacobian_matches_central_differences(rng):
             Jfd = _central_difference(system, at, 1e-6 * solver.width)
             err = np.max(np.abs(J - Jfd)) / np.max(np.abs(J))
             assert err <= 1e-6, (label, err)
+
+
+def _system_by_lists(solver, z, fc):
+    """The tangency system's node block B, residual R and Jacobian J, built
+    as the solver once built them on every call, from Python lists of
+    points and orders: the oracle of the layout the solver now keeps."""
+    m = solver.m
+    ox, oy = np.argsort(z[:m]), np.argsort(z[m:])
+    xs, ys = z[:m][ox], z[m:][oy]
+    k = len(ys)
+    pts, orders = node_points(solver.lower_nodes(xs))
+    nb = len(pts)
+    orders = orders + [2] * m + [0] * k + [1] * k + [2] * k
+    block = solver.family.eval_grid(pts + [*xs, *ys, *ys, *ys], orders)
+    B, second, Y = block[:nb], block[nb : nb + m], block[nb + m :]
+    P = null_vector(B)
+    h = solver.pin_row
+    rows = np.vstack([solver.lo_row, Y[: 2 * k]])
+    c = (h @ fc) / (h @ P)
+    d = fc - c * P
+    R = rows @ d
+    n_fixed = sum(mult for _, mult in solver.lower_fixed)
+    dP = null_vector_tangent(B, P, n_fixed + 1 + 2 * np.arange(m), second)
+    J = np.zeros((len(R), len(z)))
+    J[:, ox] = -c * rows @ (dP - np.outer(P, (h @ dP) / (h @ P)))
+    e = len(solver.lo_row) + np.arange(k)
+    J[e, m + oy] = Y[k : 2 * k] @ d
+    J[e + k, m + oy] = Y[2 * k :] @ d
+    return B, R, J
+
+
+def test_tangency_system_matches_its_list_built_oracle_bit_for_bit(rng, monkeypatch):
+    # [a, b] with the end pin, with a shared interior and a shared endpoint
+    # double zero, the half-line and the real line: at the solution, off it,
+    # and off it with the points of each kind in reverse order, system's
+    # node block is node_rows at the lower pattern's nodes, and its R and J
+    # are those of the list-built oracle, bit for bit
+    blocks = []
+    nv = karlin.null_vector
+    monkeypatch.setattr(karlin, "null_vector", lambda B: blocks.append(np.array(B)) or nv(B))
+    for label, (solver, z) in _tangency_cases(rng):
+        m = solver.m
+        off = _off_solution(z, 1e-3 * solver.width)
+        for at in (z, off, np.concatenate([off[:m][::-1], off[m:][::-1]])):
+            assert solver.phase_ok(at), label
+            R, jac = solver.system(at, solver.f)
+            B, R_lists, J_lists = _system_by_lists(solver, at, solver.f)
+            nodes = node_rows(solver.family, solver.lower_nodes(np.sort(at[:m])))
+            assert blocks[-1].tobytes() == nodes.tobytes() == B.tobytes(), label
+            assert R.tobytes() == R_lists.tobytes(), label
+            assert jac().tobytes() == J_lists.tobytes(), label
+
+
+def test_accepted_f_lower_is_the_fresh_one_bit_for_bit(rng):
+    # _valid and decomposition take f_* from the system evaluation at the
+    # accepted z; it equals f_* recomputed from the node rows alone
+    for label, (solver, z) in _tangency_cases(rng):
+        z, ok, _, res = solver.newton(z, solver.f, CONVERGED_TOL)
+        assert ok and z.tobytes() in solver.seen_lower, label
+        assert solver._valid(z), label
+        dec = solver.decomposition(z, "newton:direct", 0, res)
+        P = null_vector(node_rows(solver.family, solver.lower_nodes(np.sort(z[: solver.m]))))
+        fresh = (solver.pin_row @ solver.f) / (solver.pin_row @ P) * P
+        assert np.array(dec.f_lower.a).tobytes() == fresh.tobytes(), label
 
 
 # Criterion-7-style instances of degree 2-4 (seed 7) that Newton solves from the

@@ -278,6 +278,32 @@ def test_grid_fit_is_a_basic_solution(L):
     assert 1 <= len(recover_atoms(L, assume_feasible=True).atoms) <= L.family.size
 
 
+@pytest.mark.parametrize("params, s, pos, wts", [
+    # half-line functionals whose polish, from a coarser first working set,
+    # pinned two atoms at the origin and a weight at 0
+    ((0, 2, 3, 3.5, 4.5, 5),
+     (2.72146875, 1.149697784423828, 0.8070739426612854, 0.6794966219917701,
+      0.4854124377575179, 0.41282179568021093),
+     [0.0, 0.0, 0.2659, 0.6698, 0.8061], [0.61, 0.39, 0.83, 0.52, 0.37]),
+    ((0, 1.5, 2.5, 3, 4, 4.5),
+     (5.0, 1.8975914962699318, 1.2166802745541305, 1.0015625, 0.70046875, 0.5942571246564994),
+     [0.0, 0.0, 0.31, 0.58, 0.92], [0.7, 1.073, 0.0, 1.603, 1.18]),
+], ids=["coincident", "zero_weight"])
+def test_witness_merges_coincident_atoms_and_drops_zero_weights(monkeypatch, params, s, pos, wts):
+    # the support reduction hands over the polished arrays as they are; the
+    # witness is a measure: one atom a position, every weight positive, the
+    # moments those of the arrays
+    fam = power_family(list(params), halfline(0.0))
+    pos, wts = np.array(pos), np.array(wts)
+    monkeypatch.setattr(moments, "_reduce_support", lambda *args: (pos.copy(), wts.copy(), 1e-3))
+    atoms = recover_atoms(MomentFunctional(s, fam), assume_feasible=True).atoms
+    xs = [x for x, _ in atoms]
+    assert xs == sorted(set(xs)) and all(w > 0 for _, w in atoms)
+    expect = fam.eval_grid(pos).T @ wts
+    got = AtomicMeasure(atoms).moments(fam)
+    assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
+
+
 def test_duality_never_both(rng):
     # feasible instances give witnesses, perturbed-out instances certificates;
     # no instance is both
