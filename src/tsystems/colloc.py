@@ -505,7 +505,7 @@ def _bisect_vanishing(family, tup_lo, tup_hi, sign, d_lo):
 
     def at(t):
         mid = (1 - t) * a + t * b
-        rows = family.eval_grid(mid, _orders_of(tuple(mid))) * sign
+        rows = family.eval_grid(mid, _confluent_orders(mid[None])[0]) * sign
         return mid, rows, det(rows)
 
     t0, t1 = 0.0, 1.0
@@ -547,12 +547,15 @@ def _tuple_to_nodeset(tup) -> NodeSet:
     return NodeSet(tuple((p, m) for p, m in nodes))
 
 
-def _orders_of(tup) -> list:
-    """Derivative order of each point of a sorted tuple: equal points before it."""
-    orders = [0] * len(tup)
-    for i in range(1, len(tup)):
-        if tup[i] == tup[i - 1]:
-            orders[i] = orders[i - 1] + 1
+def _confluent_orders(tuples: np.ndarray) -> np.ndarray:
+    """Derivative order of each entry of sorted tuples, one tuple a row: the
+    number of equal entries before it, so a repeated point of a collocation
+    matrix becomes its next derivative row (or column)."""
+    orders = np.zeros(tuples.shape, dtype=int)
+    same = tuples[:, 1:] == tuples[:, :-1]
+    if same.any():  # else all zero, as for every T tuple
+        for c in range(1, tuples.shape[1]):
+            orders[:, c] = (orders[:, c - 1] + 1) * same[:, c - 1]
     return orders
 
 
@@ -574,11 +577,7 @@ def _certify_tuples(family, xs, target, sign, budget, seed, window) -> SystemCer
     counterexample = None
 
     for tt in chunks:
-        oo = np.zeros_like(tt)
-        if target == "ET":
-            same = tt[:, 1:] == tt[:, :-1]
-            for c in range(1, n + 1):
-                oo[:, c] = np.where(same[:, c - 1], oo[:, c - 1] + 1, 0)
+        oo = _confluent_orders(tt)
         rows = tables[oo, tt, :]  # (B, n+1, n+1)
         dets = np.linalg.det(rows)
         scales = np.prod(row_norms[oo, tt], axis=1)
@@ -620,17 +619,21 @@ def _certify_tuples(family, xs, target, sign, budget, seed, window) -> SystemCer
 
 
 def _tuple_chunks(grid: int, n: int, target: str, budget: int, seed: int):
-    """Whether the screen of ``_certify_tuples`` is exhaustive, then its
-    node-index tuples, a chunk at a time.
+    """Whether the screen of ``_certify_tuples`` (or one axis of
+    ``smooth.kernel_tp_check``) is exhaustive, then its node-index tuples, a
+    chunk at a time.
 
     Every sorted tuple when their count fits the budget, 20,000 a chunk.
     Otherwise ``budget`` random sorted tuples from ``seed`` (for ET after the
     diagonal tuples (x, ..., x), where confluent failures such as a flat
     Wronskian point live), drawn as they are screened, in the order of one
     draw of them all: 1,000 first, where a refutation mostly ends, then
-    20,000 a chunk.
+    20,000 a chunk.  Raises ValueError when the grid holds no such tuple: a
+    screen of none would pass vacuously.
     """
     count = math.comb(grid, n + 1) if target == "T" else math.comb(grid + n, n + 1)
+    if count == 0:
+        raise ValueError(f"a grid of {grid} points holds no {target} tuple of {n + 1} points")
     size = 20_000
     if count <= budget:
         yield True

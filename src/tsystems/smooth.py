@@ -12,13 +12,12 @@ once on all the nodes, and each member is a weighted sum of its column.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .colloc import det, det_scale
+from .colloc import _collapsed, _confluent_orders, _tuple_chunks, det
 from .errors import QuadratureBudgetExceeded
 from .family import FamilySpec, custom_family
 
@@ -159,66 +158,60 @@ def kernel_tp_check(
 ) -> dict:
     """Sampled strict-total-positivity check of order k.
 
-    Tests all (or ``budget`` random) ordered k-tuples of rows/columns; the
-    ETP variant uses derivative columns in y for repeated y entries and
-    needs a kernel accepting an ``order`` argument.
+    Screens the minors det K(x_i, y_j) of increasing x-tuples against
+    increasing y-tuples, or non-decreasing ones for the ETP variant, whose
+    repeated y entries become derivative columns in y (the kernel must then
+    accept an ``order`` argument).  All pairs are screened when their count
+    fits the budget, else ``budget`` random pairs; the tuples and their
+    derivative orders are certify's.  The kernel is called once per grid
+    point pair and order.  As in certify, a counterexample is a minor <= 0
+    in long-double arithmetic, or one with a collapsed row; a small positive
+    minor refutes nothing, and ``min_scaled_det``, the least minor over its
+    product of row max-norms, carries the margin.
     """
     xg = np.sort(np.asarray(xgrid, dtype=float))
     yg = np.sort(np.asarray(ygrid, dtype=float))
     if k > min(len(xg), len(yg)):
         raise ValueError("k exceeds grid sizes")
-
-    rng = np.random.default_rng(seed)
-    xcombos = list(itertools.combinations(range(len(xg)), k))
-    if extended:
-        ycombos = list(itertools.combinations_with_replacement(range(len(yg)), k))
+    ytarget = "ET" if extended else "T"
+    ycount = math.comb(len(yg) + k - 1, k) if extended else math.comb(len(yg), k)
+    exhaustive = math.comb(len(xg), k) * ycount <= budget
+    # [1:]: the tuples after the flag telling whether they are all of them
+    xt = np.concatenate(list(_tuple_chunks(len(xg), k - 1, "T", budget, seed))[1:])
+    yt = np.concatenate(list(_tuple_chunks(len(yg), k - 1, ytarget, budget, seed + 1))[1:])
+    if exhaustive:  # in the order of x-tuples, then y-tuples
+        xi, yi = np.indices((len(xt), len(yt))).reshape(2, -1)
     else:
-        ycombos = list(itertools.combinations(range(len(yg)), k))
-    total = len(xcombos) * len(ycombos)
-    if total > budget:
-        pairs = [
-            (
-                tuple(np.sort(rng.choice(len(xg), k, replace=False))),
-                tuple(np.sort(rng.choice(len(yg), k, replace=not extended)))
-                if extended
-                else tuple(np.sort(rng.choice(len(yg), k, replace=False))),
-            )
-            for _ in range(budget)
-        ]
-        exhaustive = False
-    else:
-        pairs = [(xc, yc) for xc in xcombos for yc in ycombos]
-        exhaustive = True
+        rng = np.random.default_rng(seed + 2)
+        xi, yi = rng.integers(0, len(xt), budget), rng.integers(0, len(yt), budget)
+    yo = _confluent_orders(yt)
+    table = np.array([[[kernel(x, y, *((o,) if o else ())) for y in yg] for x in xg]
+                      for o in range(int(yo.max()) + 1)], dtype=float)
 
-    min_det = math.inf
+    min_scaled = math.inf
     counterexample = None
-    for xc, yc in pairs:
-        rows = []
-        prev = None
-        order = 0
-        for yi in yc:
-            order = order + 1 if prev == yi else 0
-            prev = yi
-            args = (order,) if order else ()  # plain K(x, y) needs no order
-            rows.append([kernel(xg[xi], yg[yi], *args) for xi in xc])
-        M = np.array(rows).T  # rows indexed by x, columns by (y, derivative)
-        d = det(M)
-        sc = det_scale(M)
-        scaled = d / sc if sc > 0 else 0.0
-        if scaled < min_det:
-            min_det = scaled
-        if d <= 0 or (sc > 0 and d <= 1e-12 * sc):
-            counterexample = {
-                "x": [float(xg[i]) for i in xc],
-                "y": [float(yg[i]) for i in yc],
-                "det": float(d),
-            }
+    for start in range(0, len(xi), 20_000):
+        part = slice(start, start + 20_000)
+        xc, yc, oc = xt[xi[part]], yt[yi[part]], yo[yi[part]]
+        mats = table[oc[:, None, :], xc[:, :, None], yc[:, None, :]]  # rows by x, columns by (y, order)
+        dets = np.linalg.det(mats)
+        scales = np.prod(np.max(np.abs(mats), axis=2), axis=1)
+        scaled = np.divide(dets, scales, out=np.zeros_like(dets), where=scales > 0)
+        min_scaled = min(min_scaled, float(scaled.min()))
+        suspicious = np.nonzero(dets <= 0)[0]
+        for i in suspicious[np.argsort(scaled[suspicious], kind="stable")]:
+            d = det(mats[i])
+            if d <= 0 or _collapsed(mats[i]):
+                counterexample = {"x": xg[xc[i]].tolist(), "y": yg[yc[i]].tolist(), "det": float(d)}
+                break
+        if counterexample is not None:
             break
     return {
         "passed": counterexample is None,
         "order": k,
         "extended": extended,
-        "min_scaled_det": float(min_det),
+        "min_scaled_det": float(min_scaled),
         "counterexample": counterexample,
         "exhaustive": exhaustive,
     }
+

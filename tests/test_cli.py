@@ -53,6 +53,13 @@ def test_certify_fractional_exponents_at_zero_refuted(target):
     assert out["route"] == "theory"
 
 
+def test_certify_grid_without_tuples_exit_1():
+    # two points hold no T tuple of three: an error, not a vacuous pass
+    r = run_cli("certify", "--family", "monomial:0,1,3", "--domain=-1,1", "--grid", "2")
+    assert r.returncode == 1 and r.stdout == ""
+    assert "holds no T tuple" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_decompose_power_alpha():
     r = run_cli(
         "decompose", "--mode", "pos_ab", "--family", "power:0,0.5",

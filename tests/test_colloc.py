@@ -502,6 +502,26 @@ def test_t_refutation_screens_only_its_first_chunk(monkeypatch):
     assert screened == [False, 1_000]
 
 
+def test_a_grid_without_tuples_is_refused(monkeypatch):
+    # two grid points hold no increasing triple: a screen of no tuple would
+    # pass a family that the three-point grid refutes
+    monkeypatch.setattr(colloc, "_CERT_CACHE", {})
+    fam = monomial_family([0, 1, 3], interval(-1, 1))
+    with pytest.raises(ValueError, match="holds no T tuple"):
+        certify(fam, "T", grid=2)
+    cert = certify(fam, "T", grid=3)
+    assert cert.level == "none" and cert.counterexample.points == (-1.0, 0.0, 1.0)
+    # ET tuples may repeat a point, so two points hold some
+    assert certify(fam, "ET", grid=2).level == "none"
+
+
+def test_confluent_orders_count_the_equal_points_before():
+    tuples = np.array([[0, 1, 2], [0, 0, 1], [1, 1, 1], [0, 2, 2], [3, 3, 4]])
+    want = [[0, 0, 0], [0, 1, 0], [0, 1, 2], [0, 0, 1], [0, 1, 0]]
+    assert colloc._confluent_orders(tuples).tolist() == want
+    assert colloc._confluent_orders(np.array([[0.5, 0.5]])).tolist() == [[0, 1]]
+
+
 def test_reduced_system_monomials():
     # monomials (0,1,2): g_i = (x^{i+1})' = (1, 2x)
     fam = monomial_family([0, 1, 2], interval(0.2, 1.0))

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -146,7 +148,7 @@ def test_power_kernel_stp2():
 def test_rank_one_kernel_fails():
     r = kernel_tp_check(lambda x, y: 1.0, np.linspace(0, 1, 4), np.linspace(0, 1, 4), k=2)
     assert not r["passed"]
-    assert r["counterexample"] is not None
+    assert r["counterexample"] is not None and r["counterexample"]["det"] == 0.0
 
 
 def test_gaussian_etp_with_derivative_columns():
@@ -154,6 +156,71 @@ def test_gaussian_etp_with_derivative_columns():
     yg = np.linspace(-1, 1, 5)
     r = kernel_tp_check(KernelSpec("gaussian", 1.0), xg, yg, k=2, extended=True)
     assert r["passed"]
+
+
+def test_sampled_etp_screens_derivative_columns():
+    spec = KernelSpec("gaussian", 1.0)
+    orders = []
+
+    def kernel(x, y, order=0):
+        orders.append(order)
+        return spec(x, y, order)
+
+    g = np.linspace(-1, 1, 30)
+    r = kernel_tp_check(kernel, g, g, k=3, extended=True, budget=2000)
+    assert r["passed"] and not r["exhaustive"]
+    assert sum(o >= 1 for o in orders) > 0
+
+
+def _dsq(x, y, order=0):
+    """(x - y)^2 and its derivatives in y, on floats or mpf."""
+    return [(x - y) ** 2, -2 * (x - y), 2 + 0 * x][order]
+
+
+# (kernel on floats, the same kernel on mpf, grid, k, extended, budget)
+REFUTED_KERNELS = [
+    (lambda x, y: 1.0, lambda x, y: mpmath.mpf(1), np.linspace(0, 1, 4), 2, False, 100_000),
+    (_dsq, _dsq, np.linspace(0, 1, 5), 2, False, 100_000),
+    (_dsq, _dsq, np.linspace(0, 1, 30), 2, False, 500),
+    (_dsq, _dsq, np.linspace(-1, 1, 7), 2, True, 100_000),
+    (lambda x, y: math.cos(3 * (x - y)), lambda x, y: mpmath.cos(3 * (x - y)),
+     np.linspace(-1, 1, 40), 2, False, 2000),
+]
+
+
+@pytest.mark.parametrize("kernel, mp_kernel, grid, k, extended, budget", REFUTED_KERNELS)
+def test_kernel_counterexamples_are_nonpositive_at_50_digits(kernel, mp_kernel, grid, k, extended, budget):
+    r = kernel_tp_check(kernel, grid, grid, k=k, extended=extended, budget=budget)
+    assert not r["passed"]
+    xs, ys = r["counterexample"]["x"], r["counterexample"]["y"]
+    orders = [sum(1 for v in ys[:j] if v == y) for j, y in enumerate(ys)]
+    with mpmath.workdps(50):
+        args = [[(mpmath.mpf(x), mpmath.mpf(y)) + ((o,) if o else ()) for y, o in zip(ys, orders)]
+                for x in xs]
+        minor = mpmath.det(mpmath.matrix([[mp_kernel(*a) for a in row] for row in args]))
+    assert minor <= 0, minor
+
+
+def _gaussian_60():
+    g = np.linspace(-1, 1, 60)
+    return kernel_tp_check(KernelSpec("gaussian", 1.0), g, g, k=4, budget=2000)
+
+
+def test_small_positive_minors_do_not_refute_a_tp_kernel():
+    # the Gaussian is strictly TP: its tiny minors lower the margin only
+    r = _gaussian_60()
+    assert r["passed"] and not r["exhaustive"] and r["counterexample"] is None
+    assert 0 < r["min_scaled_det"] < 1e-9
+
+
+def test_sampled_check_does_not_enumerate_every_tuple():
+    tracemalloc.start()
+    try:
+        _gaussian_60()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
 
 
 def test_composition_formula_spot_check(rng):

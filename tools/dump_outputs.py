@@ -14,7 +14,15 @@ order:
   (rng seeds 5 and 11), a ``NoConvergence`` with its diagnostics;
 * the 120 near-boundary census verdicts of ``tests/test_moments.py::_census``;
 * the 50 instances of acceptance criterion 10: the verdict and recovered
-  measure of the functional, then the verdict of the perturbed one.
+  measure of the functional, then the verdict of the perturbed one;
+* acceptance criterion 12: the ET certificate of the smoothed family and
+  the Gaussian's order-3 ``kernel_tp_check``, which is also
+  ``tests/test_smooth.py::test_gaussian_stp3``'s;
+* the other exhaustive ``kernel_tp_check`` calls of ``tests/test_smooth.py``:
+  the power kernel, the rank-one kernel and the Gaussian's ETP of order 2;
+* three sampled ``kernel_tp_check`` calls: the Gaussian's ETP order 3 on
+  30 x 30 points and its order 4 on 60 x 60 points, budget 2,000 each, and
+  (x - y)^2 of order 2 on 30 x 30 points, budget 500.
 
 A result is written by its ``to_json`` (or ``to_dict``); a smoothed family,
 whose evaluators are closures, by its values and first derivatives at fixed
@@ -142,8 +150,26 @@ def moment_lines():
         yield f"criterion_10 {i} - {both} {outcome(ts.sparse_feasibility, pert)}"
 
 
+def smoothing_lines():
+    fam = ts.monomial_family([0, 1, 3], ts.interval(0, 1))
+    sm = ts.gaussian_smooth(fam, ts.KernelSpec("gaussian", 0.05))
+    yield f"criterion_12 certify {outcome(ts.certify, sm, 'ET', 61, 2000, 0, (0.1, 0.9))}"
+    gauss = ts.KernelSpec("gaussian", 1.0)
+    calls = [
+        ("criterion_12", gauss, np.linspace(-1, 1, 6), np.linspace(-0.5, 1.5, 6), 3, False, 100_000),
+        ("power", lambda x, y: y**x, np.linspace(0, 2, 5), np.linspace(0.2, 1.0, 5), 2, False, 100_000),
+        ("rank_one", lambda x, y: 1.0, np.linspace(0, 1, 4), np.linspace(0, 1, 4), 2, False, 100_000),
+        ("etp2", gauss, np.linspace(-1, 1, 5), np.linspace(-1, 1, 5), 2, True, 100_000),
+        ("etp3_sampled", gauss, np.linspace(-1, 1, 30), np.linspace(-1, 1, 30), 3, True, 2000),
+        ("stp4_sampled", gauss, np.linspace(-1, 1, 60), np.linspace(-1, 1, 60), 4, False, 2000),
+        ("dsq_sampled", lambda x, y: (x - y) ** 2, np.linspace(0, 1, 30), np.linspace(0, 1, 30), 2, False, 500),
+    ]
+    for name, kernel, xg, yg, k, extended, budget in calls:
+        yield f"kernel_tp {name} {outcome(ts.kernel_tp_check, kernel, xg, yg, k, extended, budget)}"
+
+
 def main() -> int:
-    for lines in (corpus_lines(), fresh_karlin_lines(), moment_lines()):
+    for lines in (corpus_lines(), fresh_karlin_lines(), moment_lines(), smoothing_lines()):
         for line in lines:
             print(line, flush=True)
     return 0
