@@ -548,9 +548,8 @@ def _tuple_to_nodeset(tup) -> NodeSet:
 
 
 def _confluent_orders(tuples: np.ndarray) -> np.ndarray:
-    """Derivative order of each entry of sorted tuples, one tuple a row: the
-    number of equal entries before it, so a repeated point of a collocation
-    matrix becomes its next derivative row (or column)."""
+    """Derivative order of each entry of sorted tuples (one a row): the number
+    of equal entries before it, as a repeated point is its next derivative."""
     orders = np.zeros(tuples.shape, dtype=int)
     same = tuples[:, 1:] == tuples[:, :-1]
     if same.any():  # else all zero, as for every T tuple
@@ -628,8 +627,9 @@ def _tuple_chunks(grid: int, n: int, target: str, budget: int, seed: int):
     diagonal tuples (x, ..., x), where confluent failures such as a flat
     Wronskian point live), drawn as they are screened, in the order of one
     draw of them all: 1,000 first, where a refutation mostly ends, then
-    20,000 a chunk.  Raises ValueError when the grid holds no such tuple: a
-    screen of none would pass vacuously.
+    20,000 a chunk.  T keeps the increasing ones of 1.2 * budget draws and
+    tops them up with sorted draws of ``grid - n`` points plus (0, ..., n).
+    Raises ValueError on a grid without tuples: a screen of none passes.
     """
     count = math.comb(grid, n + 1) if target == "T" else math.comb(grid + n, n + 1)
     if count == 0:
@@ -644,24 +644,23 @@ def _tuple_chunks(grid: int, n: int, target: str, budget: int, seed: int):
     yield False
     size = 1_000
     rng = np.random.default_rng(seed)
-    # T keeps the strictly increasing tuples among 1.2 * budget draws
     draws = int(budget * 1.2) if target == "T" else budget
     rows = np.tile(np.arange(grid)[:, None], (1, n + 1))[: grid if target == "ET" else 0]
     left = budget + len(rows)
     while left > 0:
-        block = rng.integers(0, grid, size=(min(size, draws), n + 1))
-        draws -= len(block)
-        block.sort(axis=1)
-        if target == "T":
-            block = block[np.all(np.diff(block, axis=1) > 0, axis=1)]
+        if draws:
+            block = np.sort(rng.integers(0, grid, size=(min(size, draws), n + 1)), axis=1)
+            draws -= len(block)
+            if target == "T":
+                block = block[np.all(np.diff(block, axis=1) > 0, axis=1)]
+        else:
+            block = np.sort(rng.integers(0, grid - n, size=(left, n + 1)), axis=1) + np.arange(n + 1)
         rows = np.concatenate([rows, block])
         while left > 0 and len(rows) and (len(rows) >= size or draws == 0):
             out, rows = rows[: min(size, left)], rows[min(size, left) :]
             left -= len(out)
             size = 20_000
             yield out
-        if draws == 0:
-            return
 
 
 def _wronskians(tables, k: int) -> tuple[np.ndarray, np.ndarray]:

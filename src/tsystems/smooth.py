@@ -12,6 +12,7 @@ once on all the nodes, and each member is a weighted sum of its column.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -163,47 +164,51 @@ def kernel_tp_check(
     repeated y entries become derivative columns in y (the kernel must then
     accept an ``order`` argument).  All pairs are screened when their count
     fits the budget, else ``budget`` random pairs; the tuples and their
-    derivative orders are certify's.  The kernel is called once per grid
-    point pair and order.  As in certify, a counterexample is a minor <= 0
-    in long-double arithmetic, or one with a collapsed row; a small positive
-    minor refutes nothing, and ``min_scaled_det``, the least minor over its
-    product of row max-norms, carries the margin.
+    derivative orders are certify's.  The kernel is called once per
+    (x, y, order) that the screened minors use.  As in certify, a
+    counterexample is a minor <= 0 in long-double arithmetic, or one with a
+    collapsed row; a small positive minor refutes nothing, and
+    ``min_scaled_det``, the least minor over its product of row max-norms,
+    carries the margin.
     """
     xg = np.sort(np.asarray(xgrid, dtype=float))
     yg = np.sort(np.asarray(ygrid, dtype=float))
     if k > min(len(xg), len(yg)):
         raise ValueError("k exceeds grid sizes")
-    ytarget = "ET" if extended else "T"
-    ycount = math.comb(len(yg) + k - 1, k) if extended else math.comb(len(yg), k)
-    exhaustive = math.comb(len(xg), k) * ycount <= budget
-    # [1:]: the tuples after the flag telling whether they are all of them
-    xt = np.concatenate(list(_tuple_chunks(len(xg), k - 1, "T", budget, seed))[1:])
-    yt = np.concatenate(list(_tuple_chunks(len(yg), k - 1, ytarget, budget, seed + 1))[1:])
+    fx, *xt = _tuple_chunks(len(xg), k - 1, "T", budget, seed)
+    fy, *yt = _tuple_chunks(len(yg), k - 1, "ET" if extended else "T", budget, seed + 1)
+    xt, yt = np.concatenate(xt), np.concatenate(yt)
+    exhaustive = fx and fy and len(xt) * len(yt) <= budget
     if exhaustive:  # in the order of x-tuples, then y-tuples
         xi, yi = np.indices((len(xt), len(yt))).reshape(2, -1)
     else:
         rng = np.random.default_rng(seed + 2)
         xi, yi = rng.integers(0, len(xt), budget), rng.integers(0, len(yt), budget)
     yo = _confluent_orders(yt)
-    table = np.array([[[kernel(x, y, *((o,) if o else ())) for y in yg] for x in xg]
-                      for o in range(int(yo.max()) + 1)], dtype=float)
+
+    @functools.cache  # the kernel once per (order, x, y) that a minor uses
+    def value(o, i, j):
+        return float(kernel(xg[i], yg[j], o) if o else kernel(xg[i], yg[j]))
 
     min_scaled = math.inf
     counterexample = None
     for start in range(0, len(xi), 20_000):
         part = slice(start, start + 20_000)
         xc, yc, oc = xt[xi[part]], yt[yi[part]], yo[yi[part]]
-        mats = table[oc[:, None, :], xc[:, :, None], yc[:, None, :]]  # rows by x, columns by (y, order)
+        mats = np.array([[[value(o, i, j) for j, o in zip(yy, oo)] for i in xx]  # rows by x
+                         for xx, yy, oo in zip(xc.tolist(), yc.tolist(), oc.tolist())])
         dets = np.linalg.det(mats)
         scales = np.prod(np.max(np.abs(mats), axis=2), axis=1)
         scaled = np.divide(dets, scales, out=np.zeros_like(dets), where=scales > 0)
-        min_scaled = min(min_scaled, float(scaled.min()))
         suspicious = np.nonzero(dets <= 0)[0]
         for i in suspicious[np.argsort(scaled[suspicious], kind="stable")]:
             d = det(mats[i])
+            if scales[i] > 0:  # the long-double minor, not its float64 estimate
+                scaled[i] = d / scales[i]
             if d <= 0 or _collapsed(mats[i]):
                 counterexample = {"x": xg[xc[i]].tolist(), "y": yg[yc[i]].tolist(), "det": float(d)}
                 break
+        min_scaled = min(min_scaled, float(scaled.min()))
         if counterexample is not None:
             break
     return {
@@ -214,4 +219,3 @@ def kernel_tp_check(
         "counterexample": counterexample,
         "exhaustive": exhaustive,
     }
-

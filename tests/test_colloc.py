@@ -515,6 +515,24 @@ def test_a_grid_without_tuples_is_refused(monkeypatch):
     assert certify(fam, "ET", grid=2).level == "none"
 
 
+def test_sampled_t_screen_holds_budget_increasing_tuples():
+    # 12 points of 17: few of 120 sorted draws are strictly increasing, so
+    # the rest are drawn increasing; every route screens ``budget`` tuples
+    chunks = colloc._tuple_chunks(17, 11, "T", 100, 0)
+    assert next(chunks) is False
+    tuples = np.concatenate(list(chunks))
+    assert tuples.shape == (100, 12) and np.all(np.diff(tuples, axis=1) > 0)
+    assert tuples.min() >= 0 and tuples.max() <= 16
+
+
+def test_sampled_t_screen_of_one_tuple_is_not_vacuous(monkeypatch):
+    monkeypatch.setattr(colloc, "_CERT_CACHE", {})
+    fam = monomial_family([0, 1, 3], interval(-1, 1))
+    for seed in range(4):
+        cert = certify(fam, "T", grid=4, budget=1, seed=seed)
+        assert not cert.exhaustive and math.isfinite(cert.evidence)
+
+
 def test_confluent_orders_count_the_equal_points_before():
     tuples = np.array([[0, 1, 2], [0, 0, 1], [1, 1, 1], [0, 2, 2], [3, 3, 4]])
     want = [[0, 0, 0], [0, 1, 0], [0, 1, 2], [0, 0, 1], [0, 1, 0]]

@@ -223,6 +223,36 @@ def test_sampled_check_does_not_enumerate_every_tuple():
     assert peak < 10e6, peak
 
 
+def test_many_points_to_a_tuple_on_a_small_grid():
+    g = np.linspace(-1, 1, 17)
+    r = kernel_tp_check(KernelSpec("gaussian", 0.1), g, g, k=12, budget=100)
+    assert r["passed"] and not r["exhaustive"] and r["min_scaled_det"] > 0
+
+
+def test_kernel_is_called_only_where_the_screened_minors_need_it():
+    spec = KernelSpec("gaussian", 1.0)
+    calls = []
+
+    def kernel(x, y, order=0):
+        calls.append((x, y, order))
+        return spec(x, y, order)
+
+    g = np.linspace(-1, 1, 400)
+    r = kernel_tp_check(kernel, g, g, k=2, budget=2000)
+    assert r["passed"] and not r["exhaustive"]
+    assert len(calls) == len(set(calls)) <= 2000 * 2 * 2
+
+
+def test_a_passed_check_reports_the_long_double_margin():
+    # float64 LU puts this minor at -1.1e-16; it is +3.4e-17 exactly
+    a, b = 1.0000008534461813, 1.0000001435519152
+    c, d = 1.000000040251507, 0.9999993303578183
+    table = {(0.0, 0.0): a, (0.0, 1.0): b, (1.0, 0.0): c, (1.0, 1.0): d}
+    assert np.linalg.det(np.array([[a, b], [c, d]])) < 0
+    r = kernel_tp_check(lambda x, y: table[x, y], [0.0, 1.0], [0.0, 1.0], k=2)
+    assert r["passed"] and r["min_scaled_det"] > 0
+
+
 def test_composition_formula_spot_check(rng):
     # Cauchy-Binet for a discrete measure: M = K L with mu = sum of atoms;
     # det M(x1 x2; z1 z2) = sum over ordered pairs y1 < y2 of
