@@ -492,40 +492,71 @@ def _canonical_sign(family: FamilySpec, lo: float, hi: float) -> np.ndarray:
     return sign
 
 
-def _bisect_vanishing(family, tup_lo, tup_hi, sign, d_lo):
-    """Bisect between two sorted node tuples until the determinant vanishes.
+def _zeroin_vanishing(family, tup_lo, tup_hi, sign, d_lo, d_hi):
+    """Find where the determinant vanishes between two sorted node tuples
+    whose determinants d_lo and d_hi have opposite signs.
 
-    Each midpoint is evaluated with its own coincidence pattern; the sign of
-    the starred determinant is continuous along sorted interpolation paths.
-    The bisection stops once the midpoint tuple equals the tuple at an end
-    of the bracket: float64 cannot split the bracket any further.
+    Brent's zeroin (*Algorithms for Minimization without Derivatives*,
+    1973, ch. 4) on t -> det(rows(t)) along the path (1 - t) tup_lo +
+    t tup_hi: the bracket [b, c] keeps the sign change; a step is inverse
+    quadratic or secant where that lands inside the bracket and shrinks the
+    step before last by half, else a bisection.  Each point is evaluated
+    with its own coincidence pattern; the sign of the starred determinant
+    is continuous along sorted interpolation paths.  The search stops once
+    the tuple at a new point equals the tuple at an end of the bracket:
+    float64 cannot split the bracket any further.
     """
-    a = np.array(tup_lo, dtype=float)
-    b = np.array(tup_hi, dtype=float)
+    lo = np.array(tup_lo, dtype=float)
+    hi = np.array(tup_hi, dtype=float)
 
     def at(t):
-        mid = (1 - t) * a + t * b
+        mid = (1 - t) * lo + t * hi
         rows = family.eval_grid(mid, _confluent_orders(mid[None])[0]) * sign
         return mid, rows, det(rows)
 
-    t0, t1 = 0.0, 1.0
-    ends = [a, b]  # the tuples at t0 and t1
+    a, fa, xa = 0.0, d_lo, lo  # the point before b
+    b, fb, xb = 1.0, d_hi, hi  # the best point
+    c, fc, xc = a, fa, xa  # the other end of the bracket
+    d = e = b - a
     for _ in range(100):
-        tm = (t0 + t1) / 2
-        mid, rows, dm = at(tm)
-        if dm == 0.0 or _collapsed(rows):
-            return mid, True
-        if any(np.array_equal(mid, e) for e in ends):
+        if abs(fc) < abs(fb):
+            a, fa, xa = b, fb, xb
+            b, fb, xb = c, fc, xc
+            c, fc, xc = a, fa, xa
+        tol = 2 * np.finfo(float).eps * abs(b)
+        m = (c - b) / 2
+        if abs(m) <= tol:
             break
-        if (dm > 0) == (d_lo > 0):
-            t0, ends[0] = tm, mid
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2 * m * s, 1 - s
+            else:  # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2 * m * q * (q - r) - (b - a) * (r - 1))
+                q = (q - 1) * (r - 1) * (s - 1)
+            p, q = abs(p), (-q if p > 0 else q)
+            if 2 * p < min(3 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            t1, ends[1] = tm, mid
+            d = e = m
+        t = b + (d if abs(d) > tol else math.copysign(tol, m))
+        mid, rows, ft = at(t)
+        if ft == 0.0 or _collapsed(rows):
+            return mid, True
+        if np.array_equal(mid, xb) or np.array_equal(mid, xc):
+            break
+        a, fa, xa = b, fb, xb
+        b, fb, xb = t, ft, mid
+        if (fb > 0) == (fc > 0):
+            c, fc, xc = a, fa, xa
+            d = e = b - a
     # bracket collapsed; confirm the crossing is real (not determinant noise)
-    ts = (t0 + t1) / 2
     delta = 1e-5
-    _, rows_m, d_m = at(max(ts - delta, 0.0))
-    _, rows_p, d_p = at(min(ts + delta, 1.0))
+    _, rows_m, d_m = at(max(b - delta, 0.0))
+    _, rows_p, d_p = at(min(b + delta, 1.0))
     sc_m = det_scale(rows_m)
     sc_p = det_scale(rows_p)
     genuine = (
@@ -533,8 +564,7 @@ def _bisect_vanishing(family, tup_lo, tup_hi, sign, d_lo):
         and abs(d_m) >= 1e-13 * max(sc_m, 1e-300)
         and abs(d_p) >= 1e-13 * max(sc_p, 1e-300)
     )
-    mid, _, _ = at(ts)
-    return mid, genuine
+    return xb, genuine
 
 
 def _tuple_to_nodeset(tup) -> NodeSet:
@@ -604,7 +634,7 @@ def _certify_tuples(family, xs, target, sign, budget, seed, window) -> SystemCer
                 min_scaled = min(min_scaled, 0.0 if sc <= 0 else abs(d) / sc)
                 break
             if d < 0 and ref_x is not None and abs(d) >= 1e-13 * sc:
-                mid, sound = _bisect_vanishing(family, ref_x, tup_x, sign, ref_det)
+                mid, sound = _zeroin_vanishing(family, ref_x, tup_x, sign, ref_det, d)
                 if sound:
                     counterexample = _tuple_to_nodeset(mid)
                     break

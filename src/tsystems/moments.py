@@ -19,9 +19,12 @@ since the exact conditions quantify over continua.
 
 from __future__ import annotations
 
+import decimal
+import functools
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 from scipy.optimize import nnls
@@ -315,56 +318,93 @@ def _end_signs(p: SparsePoly) -> list:
     return ends
 
 
-def _mp_value(p: SparsePoly, x: float):
-    """p(x) summed in 40-digit mpmath from the double coefficients."""
-    import mpmath  # only verdicts need it; keeps it out of import time
+#: the arithmetic of the high-precision re-check: 40 significant digits
+_DEC = decimal.Context(prec=40)
 
+
+def _dec_power(X: Decimal, al: float) -> Decimal:
+    """X^al in 40 digits, 0^0 = 1 and 0^al = 0 for al > 0: an integer power
+    for an integer al, sqrt(X) X^(al - 1/2) for a positive half-integer."""
+    if not X:
+        return Decimal(1 if al == 0 else 0)
+    if al.is_integer():
+        return _DEC.power(X, int(al))
+    if al > 0 and (2 * al).is_integer():
+        return _DEC.multiply(_DEC.sqrt(X), _DEC.power(X, int(al)))
+    return _DEC.power(X, Decimal(al))
+
+
+def _mp_value(p: SparsePoly, x: float) -> Decimal:
+    """p(x) in 40-digit decimal arithmetic from the double coefficients and
+    point, which convert exactly; each term is added with one rounding."""
     family = p.family
-    with mpmath.workdps(40):
-        X = mpmath.mpf(x)
-        if family.variant in ("power", "monomial"):
-            terms = [mpmath.power(X, mpmath.mpf(al)) for al in family.params]
-        elif family.variant == "exponential":
-            terms = [mpmath.exp(mpmath.mpf(al) * X) for al in family.params]
-        elif family.variant == "rational":
-            terms = [1 / (X + mpmath.mpf(al)) for al in family.params]
-        else:
-            terms = [mpmath.mpf(ev(float(x), 0)) for ev in family.evaluators]
-        return mpmath.fsum(mpmath.mpf(float(c)) * t for c, t in zip(p.a, terms))
+    X = Decimal(float(x))
+    params = map(float, family.params)
+    if family.variant in ("power", "monomial"):
+        terms = [_dec_power(X, al) for al in params]
+    elif family.variant == "exponential":
+        terms = [_DEC.exp(_DEC.multiply(Decimal(al), X)) for al in params]
+    elif family.variant == "rational":
+        terms = [_DEC.divide(1, _DEC.add(X, Decimal(al))) for al in params]
+    else:
+        terms = [Decimal(float(ev(float(x), 0))) for ev in family.evaluators]
+    total = Decimal(0)
+    for c, t in zip(p.a.tolist(), terms):
+        total = _DEC.fma(Decimal(c), t, total)
+    return total
 
 
-def _certificate_is_sound(p: SparsePoly, probes) -> bool:
+def _probe_rows(family: FamilySpec) -> tuple:
+    """(probes, rows): the probe grids and the basis rows on each, evaluated
+    once for every certificate checked against one family."""
+    probes = _probes(family)
+    return probes, [family.eval_grid(probe) for probe in probes]
+
+
+def _certificate_is_sound(p: SparsePoly, probes, rows=None) -> bool:
     """Evidence beyond the probe grids that p >= 0 on the whole domain.
 
+    * on a domain with an unbounded end, p is positive at infinity (the
+      top coefficient; checked first, from the coefficients alone);
     * p >= -CERT_TOL times its local magnitude on every probe grid;
     * count_zeros on each grid's window finds every interior zero
       non-nodal with even multiplicity, and no more zeros than the bound
       of _zero_budget allows (more would mean the count is not to be
       trusted);
-    * on a domain with an unbounded end, p is positive at infinity (the
-      top coefficient) and the zeros found exhaust the bound to within less
-      than one pair, so no pair of sign changes hides beyond the last
-      grid; where the sign at infinity is unknown the bound must be met
-      exactly;
+    * on a domain with an unbounded end, the zeros found exhaust the bound
+      to within less than one pair, so no pair of sign changes hides beyond
+      the last grid; where the sign at infinity is unknown the bound must
+      be met exactly;
     * at each near-zero local minimum on the grids, also polished, and at
-      each zero, p re-evaluated in mpmath is >= -CERT_TOL times the local
-      magnitude.
+      each zero, p re-evaluated in 40-digit decimal arithmetic is
+      >= -CERT_TOL times the local magnitude.
+
+    ``rows`` are the basis rows on each probe grid (``_probe_rows``).  Each
+    minimum is polished once and each distinct point re-evaluated once.
     """
     family = p.family
+    if not p.a.any():  # the zero polynomial is no evidence
+        return False
+    signs = _end_signs(p)
+    if any(e is not None and e <= 0 for e in signs):
+        return False
+    if rows is None:
+        rows = [family.eval_grid(probe) for probe in probes]
     ends = [e for e in (family.domain.a, family.domain.b) if e is not None]
     # each zero is read on one grid: overlapping grids split mid-overlap
     cuts = [-math.inf] + [(b[0] + a[-1]) / 2 for a, b in zip(probes, probes[1:])] + [math.inf]
     found = []
-    checks = []
-    for probe, c_lo, c_hi in zip(probes, cuts, cuts[1:]):
-        vals = p(probe)
+    checks = {}  # point -> the largest local magnitude it is checked against
+    for probe, B, c_lo, c_hi in zip(probes, rows, cuts, cuts[1:]):
+        vals = B @ p.a
         sloc = _local_scale(vals)
         if not np.all(vals >= -CERT_TOL * sloc):
             return False
         lo, hi = float(probe[0]), float(probe[-1])
         step = (hi - lo) / (len(probe) - 1)
+        polished = {}  # grid index -> its minimum polished, shared with count_zeros
         try:
-            zeros = [z for z in _zeros_on_grid(p, lo, hi, probe, vals, sloc, 1e-9).zeros
+            zeros = [z for z in _zeros_on_grid(p, lo, hi, probe, vals, sloc, 1e-9, polished).zeros
                      if c_lo <= z[0] < c_hi]
         except TSystemError:  # a zero set count_zeros cannot resolve is no evidence
             return False
@@ -383,20 +423,24 @@ def _certificate_is_sound(p: SparsePoly, probes) -> bool:
                 found.append((x, m, kind))
         left = np.concatenate([vals[:1], vals[:-1]])
         right = np.concatenate([vals[1:], vals[-1:]])
-        minima = probe[(vals <= left) & (vals <= right) & (vals < 1e-2 * sloc)]
-        polished = [_polish_on_derivative(p, float(x), 2, lo, hi, hi - lo) for x in minima]
-        for x in [*minima, *polished, *(z[0] for z in zeros)]:
-            checks.append((x, sloc[int(np.clip(round((x - lo) / step), 0, len(probe) - 1))]))
+        minima = np.flatnonzero((vals <= left) & (vals <= right) & (vals < 1e-2 * sloc)).tolist()
+        points = [*probe[minima].tolist(), *(z[0] for z in zeros)]
+        for i in minima:
+            if i not in polished:
+                polished[i] = _polish_on_derivative(p, float(probe[i]), 2, lo, hi, hi - lo)
+            points.append(polished[i])
+        for x in points:
+            scale = float(sloc[int(np.clip(round((x - lo) / step), 0, len(probe) - 1))])
+            checks[x] = max(checks.get(x, scale), scale)
     origin = float(probes[0][1] - probes[0][0])
     bound, count = _zero_budget(p, ZeroConfig(tuple(found), family.domain), origin)
     if count > bound:
         return False
-    signs = _end_signs(p)
-    if signs and (bound - count >= 2 or any(e is not None and e <= 0 for e in signs)):
+    if signs and bound - count >= 2:
         return False
     if None in signs and bound != count:
         return False
-    return all(_mp_value(p, x) >= -CERT_TOL * scale for x, scale in checks)
+    return all(_mp_value(p, x) >= Decimal(-CERT_TOL * scale) for x, scale in checks.items())
 
 
 def sparse_feasibility(
@@ -435,9 +479,9 @@ def sparse_feasibility(
     the bound of Descartes' rule of signs or the T-system bound; on an
     unbounded domain p is positive at infinity and the zeros found leave
     no room for a sign change beyond the probe window; and its near-zero
-    local minima, re-evaluated in mpmath, are nonnegative to the same
-    relative tolerance.  A candidate that fails any check is never a
-    certificate.
+    local minima, re-evaluated in 40-digit decimal arithmetic, are
+    nonnegative to the same relative tolerance.  A candidate that fails any
+    check is never a certificate.
     """
     family = L.family
     s = L.s
@@ -446,11 +490,11 @@ def sparse_feasibility(
     # cheap certificate: a basis direction that is nonnegative on the domain
     xs0 = _primal_grid(family, 201)
     base_vals = family.eval_grid(xs0)
-    probes = _probes(family)
+    probe_rows = functools.cache(lambda: _probe_rows(family))  # built at the first check
     for i in range(family.size):
         if np.all(base_vals[:, i] >= 0) and s[i] < -tol * scale:
             e = SparsePoly(tuple(np.eye(family.size)[i]), family)
-            if _certificate_is_sound(e, probes):
+            if _certificate_is_sound(e, *probe_rows()):
                 return FeasibilityVerdict(INFEASIBLE, None, e, float(-s[i]), "basis")
 
     # the grid certificate, at unit max-norm coefficients as poly_from_zeros scales
@@ -458,7 +502,7 @@ def sparse_feasibility(
     if np.any(r):
         p = SparsePoly(tuple(-r / np.max(np.abs(r))), family)
         val = float(s @ p.a)
-        if val < -tol * scale and _certificate_is_sound(p, probes):
+        if val < -tol * scale and _certificate_is_sound(p, *probe_rows()):
             return FeasibilityVerdict(INFEASIBLE, None, p, -val, "dual")
 
     # seeds, built once a dual search runs: the clustered atoms, which localize
@@ -473,7 +517,7 @@ def sparse_feasibility(
                 return FeasibilityVerdict(FEASIBLE, witness, None, float(res), "primal")
         if seeds is None:
             seeds = [float(p) for p in clustered] + _dual_seeds(xs, A, r)
-        cert = _dual_search(L, tol, seed, starts, seeds, seeded_only)
+        cert = _dual_search(L, tol, seed, starts, seeds, seeded_only, probe_rows())
         if cert is not None:
             return FeasibilityVerdict(INFEASIBLE, None, cert[0], float(-cert[1]), "dual")
     return FeasibilityVerdict(UNDECIDED, None, None, float(np.linalg.norm(r)))
@@ -492,19 +536,20 @@ def _dual_seeds(xs, A, r):
 
 
 def _dual_search(L: MomentFunctional, tol: float, seed: int, starts: int, theta_seeds=(),
-                 seeded_only: bool = False):
+                 seeded_only: bool = False, probe_rows=None):
     """A sound certificate (poly, value), value < -tol * scale, from the
     extremal search (which minimizes L(p_theta)/scale), or None.
 
     With ``seeded_only`` each pattern's seeded start runs alone, and its
     first sound end point is the certificate.  Otherwise the full
     multistart runs from a fresh rng(seed), and its lowest sound end point
-    is.  End points are built by poly_from_zeros.
+    is.  End points are built by poly_from_zeros and checked on
+    ``probe_rows`` (``_probe_rows`` of the family where not given).
     """
     family = L.family
     s = L.s
     scale = max(float(np.max(np.abs(s))), 1e-300)
-    probes = _probes(family)
+    probes, rows = probe_rows or _probe_rows(family)
 
     def objective(val, grad):
         return val / scale, grad / scale
@@ -515,7 +560,7 @@ def _dual_search(L: MomentFunctional, tol: float, seed: int, starts: int, theta_
             yield p, float(s @ p.a)
 
     def sound(cert):
-        return cert[1] < -tol * scale and _certificate_is_sound(cert[0], probes)
+        return cert[1] < -tol * scale and _certificate_is_sound(cert[0], probes, rows)
 
     return next(filter(sound, ends() if seeded_only else sorted(ends(), key=lambda c: c[1])), None)
 

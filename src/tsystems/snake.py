@@ -20,7 +20,7 @@ from .errors import (
 from .extremal import _search_window, search_polys
 from .family import FamilySpec
 from .solvers import _newton
-from .moments import _certificate_is_sound, _probes
+from .moments import _certificate_is_sound, _probe_rows
 from .zeros import SparsePoly
 
 LOWER = "lower"
@@ -413,7 +413,10 @@ def _alternant(xs, err, count, F, family, coeffs) -> np.ndarray:
     block = np.concatenate([[0], np.cumsum(sign[1:] != sign[:-1])])
     first = np.flatnonzero(np.diff(block, prepend=-1))
     s = sign[first]
-    top = np.lexsort((-sign * err, block))[first]
+    # each block's first maximum of |err| (NaN lowest), as a stable sort picks it
+    h = np.where(np.isnan(err), -np.inf, np.abs(err))
+    at_max = np.flatnonzero(h == np.maximum.reduceat(h, first)[block])
+    top = at_max[np.flatnonzero(np.diff(block[at_max], prepend=-1))]
     c = np.clip(top, 1, len(xs) - 2)
     # a grid point past the flanking points of a block is another block's
     j = np.stack([top, np.where(top == c, c - 1, c), np.where(top > c, c - 1, c + 1)])
@@ -511,11 +514,11 @@ def optimize_ratio(
             raise SNotStrictlyPositive(f"S(p) = {v[1]} <= 0 at a test polynomial")
         return -sgn * v[0] / v[1], -sgn * (g[0] * v[1] - v[0] * g[1]) / v[1] ** 2
 
-    probes = _probes(family)
+    probe_rows = _probe_rows(family)
     results = []
     for pattern, theta, p in search_polys(family, LS, objective, np.random.default_rng(seed), starts):
         num, den = LS @ p.a
-        if den > 0 and _certificate_is_sound(p, probes):
+        if den > 0 and _certificate_is_sound(p, *probe_rows):
             results.append((float(num / den), pattern, tuple(map(float, theta)), p))
 
     if not results:

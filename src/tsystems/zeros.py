@@ -194,8 +194,11 @@ def count_zeros(
     return _zeros_on_grid(f, lo, hi, xs, vals, _local_scale(vals), tol)
 
 
-def _zeros_on_grid(f: SparsePoly, lo, hi, xs: np.ndarray, vals, sloc, tol: float) -> ZeroConfig:
-    """count_zeros on xs = linspace(lo, hi, len(xs)), given f(xs) and its _local_scale."""
+def _zeros_on_grid(f: SparsePoly, lo, hi, xs: np.ndarray, vals, sloc, tol: float,
+                   polished: dict | None = None) -> ZeroConfig:
+    """count_zeros on xs = linspace(lo, hi, len(xs)), given f(xs) and its
+    _local_scale; each local minimum of |f| polished is put in ``polished``
+    (grid index -> polished point) where that is given."""
     family, grid = f.family, len(xs)
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0 or scale <= tol * np.max(np.abs(f.a)) * 1e-6:
@@ -228,6 +231,8 @@ def _zeros_on_grid(f: SparsePoly, lo, hi, xs: np.ndarray, vals, sloc, tol: float
     right = np.concatenate([absv[1:], absv[-1:]])
     for i in np.flatnonzero((absv <= left) & (absv <= right) & (absv < 1e-2 * sloc)):
         x0 = _polish_on_derivative(f, float(xs[i]), 2, lo, hi, width)
+        if polished is not None:
+            polished[int(i)] = x0
         if abs(f(x0)) <= max(tol * local_scale(x0), _rounding(f, x0)):
             roots.append(x0)
     for xe in (lo, hi):

@@ -28,6 +28,8 @@ from tsystems import colloc
 from tsystems.colloc import det_scale, null_vector, node_rows
 from tsystems.errors import DimensionMismatch, DomainViolation
 
+from conftest import perfbench_workloads
+
 
 def test_krein_matrix_vandermonde():
     fam = monomial_family([0, 1, 2], real_line())
@@ -460,6 +462,32 @@ def test_t_refutation_bisection_stops_when_float64_cannot_split(monkeypatch):
     assert cert.level == "none" and len(calls) <= 64
     pts = [p for p, _ in cert.counterexample.nodes]
     assert len(pts) == 3 and abs(sum(pts)) <= 1e-15
+
+
+def test_desk_refutations_are_sound_crossings_in_few_determinants(monkeypatch):
+    # the 14 {1, x, x^3} refute windows of the desk benchmark corpus: each
+    # counterexample vanishes, the determinant changes sign across it (every
+    # node moved by -1e-6 and by +1e-6, well above rounding), and the search
+    # for it takes at most 24 long-double determinants
+    insts = [inst for inst in perfbench_workloads().WORKLOADS["desk"].corpus()
+             if inst.stratum == "certify:refute:2"]
+    assert len(insts) == 14
+    calls = []
+    real_det = colloc.det
+    monkeypatch.setattr(colloc, "det", lambda m: calls.append(1) or real_det(m))
+    for inst in insts:
+        monkeypatch.setattr(colloc, "_CERT_CACHE", {})
+        calls.clear()
+        fam = inst.args["family"]
+        cert = certify(fam, "T")
+        assert cert.level == "none" and len(calls) <= 24, (inst.args, len(calls))
+        pts = np.array([p for p, _ in cert.counterexample.nodes])
+        assert len(pts) == 3 and np.all(np.diff(pts) > 0)
+        assert colloc.vanishes(fam.eval_grid(pts))
+        sides = [fam.eval_grid(pts + shift) for shift in (-1e-6, 1e-6)]
+        dets = [real_det(rows) for rows in sides]
+        assert dets[0] * dets[1] < 0
+        assert all(abs(d) >= 1e-13 * det_scale(rows) for d, rows in zip(dets, sides))
 
 
 @pytest.mark.parametrize("target", ["T", "ET"])

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -415,6 +419,84 @@ def test_certificate_negative_beyond_probe_window_is_unsound():
     assert p(probes[0]).min() > 0 and p(15.0) < 0
     assert not _certificate_is_sound(p, probes)
     assert _certificate_is_sound(SparsePoly((1.0, 0.0, 1.0), fam), probes)
+
+
+_VERDICT_WITHOUT_MPMATH = """
+import sys
+import tsystems
+from tsystems import moments
+calls = []
+value = moments._mp_value
+moments._mp_value = lambda p, x: calls.append(x) or value(p, x)
+fam = tsystems.monomial_family([0, 1, 2], tsystems.interval(0.0, 1.0))
+v = tsystems.sparse_feasibility(moments.MomentFunctional((1.0, 0.5, 0.2), fam))
+print(v.status, len(calls), "mpmath" in sys.modules)
+"""
+
+
+def test_a_verdict_imports_no_mpmath():
+    # s_2 < s_1^2: no measure on [0, 1] has these moments, and the certificate
+    # (x - 1/2)^2 has its zero re-checked in high precision
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _VERDICT_WITHOUT_MPMATH], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out[0] == "infeasible" and int(out[1]) > 0
+    assert out[2] == "False"
+
+
+@st.composite
+def sums_at_a_point(draw):
+    """(family, coefficients, x) over the branches of moments._mp_value."""
+    kind = draw(st.sampled_from(["natural", "half", "general", "negative", "realline",
+                                 "exponential", "rational"]))
+    n = draw(st.integers(1, 6))
+    if kind in ("natural", "half", "general"):
+        pool = {"natural": st.integers(1, 12).map(float), "half": st.integers(1, 24).map(lambda k: k / 2),
+                "general": st.floats(0.01, 8.0)}[kind]
+        exps = sorted(set(draw(st.lists(pool, min_size=n, max_size=n))))
+        fam = power_family([0.0] + exps, interval(0.0, 2.0))
+        x = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    elif kind == "negative":
+        exps = sorted(set(draw(st.lists(st.floats(-6.0, 6.0), min_size=n + 1, max_size=n + 1))))
+        fam = power_family(exps, interval(0.25, 4.0))
+        x = draw(st.floats(0.25, 4.0))
+    elif kind == "realline":
+        fam = monomial_family(sorted(draw(st.sets(st.integers(0, 9), min_size=n + 1, max_size=n + 1))),
+                              real_line())
+        x = draw(st.floats(-5.0, -1e-3))
+    elif kind == "exponential":
+        rates = sorted(set(draw(st.lists(st.floats(-3.0, 3.0), min_size=n + 1, max_size=n + 1))))
+        fam = exponential_family(rates, interval(-4.0, 4.0))
+        x = draw(st.floats(-4.0, 4.0))
+    else:
+        shifts = sorted(set(draw(st.lists(st.floats(0.05, 5.0), min_size=n + 1, max_size=n + 1))))
+        fam = rational_family(shifts, halfline(0.0))
+        x = draw(st.floats(0.0, 20.0))
+    coeffs = draw(st.lists(st.floats(-1e3, 1e3), min_size=fam.size, max_size=fam.size))
+    return SparsePoly(tuple(coeffs), fam), x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sums_at_a_point())
+def test_decimal_value_matches_a_50_digit_sum(case):
+    # the 40-digit decimal re-check against a 50-digit mpmath sum, within
+    # 1e-30 of sum |c_i f_i(x)|; mpmath's 0^0 = 1 at x = 0
+    p, x = case
+    fam = p.family
+    with mpmath.workdps(50):
+        X = mpmath.mpf(x)
+        if fam.variant in ("power", "monomial"):
+            terms = [mpmath.power(X, mpmath.mpf(float(al))) for al in fam.params]
+        elif fam.variant == "exponential":
+            terms = [mpmath.exp(mpmath.mpf(float(al)) * X) for al in fam.params]
+        else:
+            terms = [1 / (X + mpmath.mpf(float(al))) for al in fam.params]
+        products = [mpmath.mpf(float(c)) * t for c, t in zip(p.a, terms)]
+        exact = mpmath.fsum(products)
+        size = mpmath.fsum(abs(t) for t in products)
+        got = moments._mp_value(p, x)
+        assert abs(mpmath.mpf(str(got)) - exact) <= mpmath.mpf("1e-30") * size, (got, exact)
 
 
 def test_small_top_exponent_halfline_window():
@@ -1424,9 +1506,9 @@ def test_dual_seeds_are_built_only_for_a_dual_search(monkeypatch, make, status, 
         seeds.append(dual_seeds(*args))
         return seeds[-1]
 
-    def recording_search(L, tol, seed, starts, theta_seeds=(), seeded_only=False):
+    def recording_search(L, tol, seed, starts, theta_seeds=(), *rest):
         seeded.append(list(theta_seeds))
-        return dual_search(L, tol, seed, starts, theta_seeds, seeded_only)
+        return dual_search(L, tol, seed, starts, theta_seeds, *rest)
 
     monkeypatch.setattr(moments, "_dual_seeds", counting_seeds)
     monkeypatch.setattr(moments, "_dual_search", recording_search)

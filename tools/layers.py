@@ -16,7 +16,11 @@ repeats of the call.  The layers are:
   returns, over the calls one pass of the ``karlin`` corpus makes (the
   Jacobian over the calls whose Jacobian Newton asked for);
 * ``moments._grid_fit``, per fit, over the fits one pass of each of the
-  ``moment_dual`` and ``moment_primal`` corpora makes.
+  ``moment_dual`` and ``moment_primal`` corpora makes;
+* ``moments._certificate_is_sound``, per check, over the checks one pass of
+  the ``moment_dual`` corpus makes;
+* its 40-digit decimal re-check ``moments._mp_value``, per evaluation, over
+  the evaluations of that pass.
 
 The corpora are those of ``perfbench/workloads.py``, which this tool only
 reads.  It takes no options.
@@ -112,6 +116,12 @@ def main() -> int:
     one_pass(moments, "_grid_fit", lambda *args: fits.append(args) or grid_fit(*args),
              ["moment_dual", "moment_primal"])
     rows.append((f"_grid_fit, {len(fits)} fits", median_us([lambda a=a: grid_fit(*a) for a in fits], 3)))
+
+    for name, what in (("_certificate_is_sound", "checks"), ("_mp_value", "evaluations")):
+        layer, args = getattr(moments, name), []
+        one_pass(moments, name, lambda *a, layer=layer, args=args: args.append(a) or layer(*a),
+                 ["moment_dual"])
+        rows.append((f"{name}, {len(args)} {what}", median_us([lambda a=a: layer(*a) for a in args])))
 
     for label, us in rows:
         print(f"{label:<36} {us:9.1f} us")
