@@ -361,7 +361,7 @@ def _probe_rows(family: FamilySpec) -> tuple:
     return probes, [family.eval_grid(probe) for probe in probes]
 
 
-def _certificate_is_sound(p: SparsePoly, probes, rows=None) -> bool:
+def _certificate_is_sound(p: SparsePoly, probes, rows) -> bool:
     """Evidence beyond the probe grids that p >= 0 on the whole domain.
 
     * on a domain with an unbounded end, p is positive at infinity (the
@@ -380,7 +380,8 @@ def _certificate_is_sound(p: SparsePoly, probes, rows=None) -> bool:
       >= -CERT_TOL times the local magnitude.
 
     ``rows`` are the basis rows on each probe grid (``_probe_rows``).  Each
-    minimum is polished once and each distinct point re-evaluated once.
+    minimum is polished once and each distinct point re-evaluated once,
+    against the smallest local magnitude of the grids it lies on.
     """
     family = p.family
     if not p.a.any():  # the zero polynomial is no evidence
@@ -388,13 +389,11 @@ def _certificate_is_sound(p: SparsePoly, probes, rows=None) -> bool:
     signs = _end_signs(p)
     if any(e is not None and e <= 0 for e in signs):
         return False
-    if rows is None:
-        rows = [family.eval_grid(probe) for probe in probes]
     ends = [e for e in (family.domain.a, family.domain.b) if e is not None]
     # each zero is read on one grid: overlapping grids split mid-overlap
     cuts = [-math.inf] + [(b[0] + a[-1]) / 2 for a, b in zip(probes, probes[1:])] + [math.inf]
     found = []
-    checks = {}  # point -> the largest local magnitude it is checked against
+    checks = {}  # point -> the smallest local magnitude it is checked against
     for probe, B, c_lo, c_hi in zip(probes, rows, cuts, cuts[1:]):
         vals = B @ p.a
         sloc = _local_scale(vals)
@@ -431,7 +430,7 @@ def _certificate_is_sound(p: SparsePoly, probes, rows=None) -> bool:
             points.append(polished[i])
         for x in points:
             scale = float(sloc[int(np.clip(round((x - lo) / step), 0, len(probe) - 1))])
-            checks[x] = max(checks.get(x, scale), scale)
+            checks[x] = min(checks.get(x, scale), scale)
     origin = float(probes[0][1] - probes[0][0])
     bound, count = _zero_budget(p, ZeroConfig(tuple(found), family.domain), origin)
     if count > bound:
@@ -535,8 +534,8 @@ def _dual_seeds(xs, A, r):
     return [float(x) for x in xs[mins[np.argsort(vals[mins], kind="stable")[:6]]]]
 
 
-def _dual_search(L: MomentFunctional, tol: float, seed: int, starts: int, theta_seeds=(),
-                 seeded_only: bool = False, probe_rows=None):
+def _dual_search(L: MomentFunctional, tol: float, seed: int, starts: int, theta_seeds,
+                 seeded_only: bool, probe_rows: tuple):
     """A sound certificate (poly, value), value < -tol * scale, from the
     extremal search (which minimizes L(p_theta)/scale), or None.
 
@@ -544,12 +543,12 @@ def _dual_search(L: MomentFunctional, tol: float, seed: int, starts: int, theta_
     first sound end point is the certificate.  Otherwise the full
     multistart runs from a fresh rng(seed), and its lowest sound end point
     is.  End points are built by poly_from_zeros and checked on
-    ``probe_rows`` (``_probe_rows`` of the family where not given).
+    ``probe_rows``, the family's ``_probe_rows``.
     """
     family = L.family
     s = L.s
     scale = max(float(np.max(np.abs(s))), 1e-300)
-    probes, rows = probe_rows or _probe_rows(family)
+    probes, rows = probe_rows
 
     def objective(val, grad):
         return val / scale, grad / scale

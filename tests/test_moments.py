@@ -32,6 +32,7 @@ from tsystems import (
     sparse_feasibility,
 )
 from tsystems.errors import NotFeasible, TooShort, TSystemError
+from tsystems.zeros import _local_scale
 from tsystems import extremal, moments
 from tsystems.extremal import (
     _pattern_nodes,
@@ -417,8 +418,24 @@ def test_certificate_negative_beyond_probe_window_is_unsound():
     p = SparsePoly((5.6e7, -6 * 15.0**5, 1.0), fam)
     probes = [np.linspace(0.0, 10.0, 2001)]
     assert p(probes[0]).min() > 0 and p(15.0) < 0
-    assert not _certificate_is_sound(p, probes)
-    assert _certificate_is_sound(SparsePoly((1.0, 0.0, 1.0), fam), probes)
+    rows = [fam.eval_grid(probe) for probe in probes]
+    assert not _certificate_is_sound(p, probes, rows)
+    assert _certificate_is_sound(SparsePoly((1.0, 0.0, 1.0), fam), probes, rows)
+
+
+def test_minimum_on_both_half_line_grids_is_checked_on_the_finer_scale():
+    # (x - x0)^2 - 1e-11 on [0, inf): x0 lies where the grid on [0, 10] and
+    # the coarse grid from 5 overlap, and both polish the same minimum.  Its
+    # value, -1e-11, is within CERT_TOL of the coarse grid's local magnitude
+    # (~600) but not of the fine grid's (~0.04): the certificate is unsound
+    fam = power_family([0, 1, 2], halfline(0.0))
+    x0, dip = 6.3021, 1e-11
+    p = SparsePoly((x0 * x0 - dip, -2 * x0, 1.0), fam)
+    probes, rows = moments._probe_rows(fam)
+    assert len(probes) == 2 and probes[1][0] < x0 < probes[0][-1]
+    scales = [float(_local_scale(B @ p.a)[np.argmin(np.abs(probe - x0))]) for probe, B in zip(probes, rows)]
+    assert -CERT_TOL * scales[1] < float(moments._mp_value(p, x0)) < -CERT_TOL * scales[0]
+    assert not _certificate_is_sound(p, probes, rows)
 
 
 _VERDICT_WITHOUT_MPMATH = """

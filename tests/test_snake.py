@@ -21,7 +21,7 @@ from tsystems import (
 )
 from tsystems.errors import NoSeparator
 from tsystems.family import FamilySpec
-from tsystems.moments import MomentFunctional, _certificate_is_sound, _probes
+from tsystems.moments import MomentFunctional, _certificate_is_sound, _probe_rows
 
 from conftest import lp_best_approx_oracle
 
@@ -504,7 +504,7 @@ def test_optimize_ratio_halfline():
     S = MomentFunctional((2.0, 20.5, 400.25), fam)
     val, poly, _ = optimize_ratio(fam, L, S)
     assert val >= 0.95003 - 1e-6
-    assert _certificate_is_sound(poly, _probes(fam))
+    assert _certificate_is_sound(poly, *_probe_rows(fam))
 
 
 def test_optimize_ratio_order5_matches_scan():
@@ -514,7 +514,7 @@ def test_optimize_ratio_order5_matches_scan():
     L = MomentFunctional(tuple(eval_basis(fam, 0.7)), fam)
     S = MomentFunctional(tuple(fam.eval_grid(np.linspace(0.1, 1.2, 50)).mean(axis=0)), fam)
     val, poly, _ = optimize_ratio(fam, L, S)
-    assert _certificate_is_sound(poly, _probes(fam))
+    assert _certificate_is_sound(poly, *_probe_rows(fam))
     grid = np.linspace(0.1, 1.2, 2001)
 
     def ratio(pattern, theta):
