@@ -33,30 +33,26 @@ def _as_callable(g, family: FamilySpec):
         return g
     if np.isscalar(g):
         c = float(g)
-        return lambda x, order=0: (c if order == 0 else 0.0) * np.ones_like(
-            np.asarray(x, dtype=float)
-        )
+        return lambda x, order=0: (c if order == 0 else 0.0) * np.ones_like(np.asarray(x, dtype=float))
     xs, ys = np.asarray(g[0], dtype=float), np.asarray(g[1], dtype=float)
-
-    def tab(x, order=0):
-        if order == 0:
-            return np.interp(np.asarray(x, dtype=float), xs, ys)
-        h = (xs[-1] - xs[0]) / (4 * len(xs))
-        xv = np.asarray(x, dtype=float)
-        return (np.interp(xv + h, xs, ys) - np.interp(xv - h, xs, ys)) / (2 * h)
-
-    return tab
+    h = (xs[-1] - xs[0]) / (4 * len(xs))
+    return lambda x, order=0: _differenced(lambda t: np.interp(t, xs, ys), x, order, h)
 
 
 def _call(g, x, order=0):
     try:
         return np.asarray(g(x, order), dtype=float)
-    except TypeError:
-        if order == 0:
-            return np.asarray(g(x), dtype=float)
-        h = 1e-6
-        xv = np.asarray(x, dtype=float)
-        return (np.asarray(g(xv + h)) - np.asarray(g(xv - h))) / (2 * h)
+    except TypeError:  # a plain callable g(x)
+        return _differenced(g, x, order, 1e-6)
+
+
+def _differenced(g, x, order, h):
+    """g^(order) at x: order k >= 1 is the central difference of order k - 1, step
+    h 4^(k-1), wide enough to span the rounding (for a table, the knots) of order k - 1."""
+    x, step = np.asarray(x, dtype=float), h * 4 ** (order - 1)
+    if order == 0:
+        return np.asarray(g(x), dtype=float)
+    return (_differenced(g, x + step, order - 1, h) - _differenced(g, x - step, order - 1, h)) / (2 * step)
 
 
 @dataclass(frozen=True)
@@ -148,7 +144,7 @@ def snake(
         i = int(np.argmin(level) if upper else np.argmax(level))
         poly = SparsePoly((float(level[i]),), family)
         touch = ((float(xs[i]), UPPER if upper else LOWER),)
-        return SnakeSolution(poly, touch, which, _band_violation(poly, xs, v1, v2))
+        return SnakeSolution(poly, touch, which, _band_violation(basis @ poly.a, v1, v2))
 
     sides = _sides_for(which, n)
     ref = _initial_reference(lo, hi, n + 1)
@@ -175,7 +171,7 @@ def snake(
     poly = SparsePoly(tuple(coeffs), family)
     touch = tuple((float(t), s) for t, s in zip(ref, sides))
     _snake_invariants(touch, n)
-    return SnakeSolution(poly, touch, which, _band_violation(poly, xs, v1, v2))
+    return SnakeSolution(poly, touch, which, _band_violation(basis @ poly.a, v1, v2))
 
 
 def _separable(basis, v1, v2, level) -> bool:
@@ -224,11 +220,17 @@ def _initial_reference(lo, hi, count) -> np.ndarray:
 
 
 def _interp_bounds(family, ref, sides, G1, G2) -> np.ndarray:
-    A = family.eval_grid(np.asarray(ref))
-    b = np.array(
-        [float(_call(G2 if s == UPPER else G1, t)) for t, s in zip(ref, sides)]
-    )
-    return np.linalg.solve(A, b)
+    return np.linalg.solve(family.eval_grid(np.asarray(ref)), _on_sides(ref, sides, G1, G2))
+
+
+def _on_sides(points, sides, G1, G2, order=0) -> np.ndarray:
+    """The bound of each point's side at it, each bound called once on its side's points."""
+    points, upper = np.asarray(points, dtype=float), np.array([s == UPPER for s in sides])
+    out = np.empty(len(points))
+    for G, on in ((G2, upper), (G1, ~upper)):
+        if on.any():
+            out[on] = _call(G, points[on], order)
+    return out
 
 
 def _exchange(ref, sides, x_new, side_new):
@@ -253,35 +255,39 @@ def _exchange(ref, sides, x_new, side_new):
 def _polish_snake(family, ref, sides, G1, G2, lo, hi):
     """Newton on the touch system, halved to the rounding floor by solvers._newton at tol 0.
 
-    The polynomial interpolates the bounds at every touch point; the unknowns
-    are the interior touches, where its slope must match the bound's.  The
-    Jacobian is by central differences: a bound may be a plain callable with
-    no second derivative.
+    The polynomial interpolates the bounds at the touch points, A(t) c = b(t),
+    and at each interior touch t_i its slope matches the bound's, R_i =
+    p'(t_i) - g'(t_i) = 0.  From A c = b, dc/dt_j = -R_j A^-1 e_j, so J =
+    diag(p'' - g'') - (F' A^-1)[:, interior] diag(R), on one mixed-order basis
+    block; g'' is a difference of g' (a bound may be a plain callable).
     """
     ref = np.asarray(ref, dtype=float).copy()
     interior = [i for i, t in enumerate(ref) if lo + 1e-12 < t < hi - 1e-12]
     if not interior:
         return ref, _interp_bounds(family, ref, sides, G1, G2)
+    m, k = len(ref), len(interior)
+    orders, h = np.repeat([0, 1, 2], [m, k, k]), 1e-4 * (hi - lo)
+    inner_sides = [sides[i] for i in interior] * 3
 
     def at(z):
         r = ref.copy()
         r[interior] = z
         return r
 
-    def residual(z):
-        r = at(z)
-        coeffs = _interp_bounds(family, r, sides, G1, G2)
-        slopes = family.eval_grid(r[interior], 1) @ coeffs
-        return slopes - [float(_call(G2 if sides[i] == UPPER else G1, r[i], 1)) for i in interior]
-
-    h = 1e-7 * (hi - lo)
-
     def system(z):
-        def jac():
-            steps = h * np.eye(len(z))
-            return np.column_stack([(residual(z + e) - residual(z - e)) / (2 * h) for e in steps])
+        r = at(z)
+        blk = family.eval_grid(np.concatenate([r, z, z]), orders)
+        A, F1, F2 = blk[:m], blk[m : m + k], blk[m + k :]
+        coeffs = np.linalg.solve(A, _on_sides(r, sides, G1, G2))
+        below, above = np.maximum(z - h, lo), np.minimum(z + h, hi)
+        slopes = _on_sides(np.concatenate([z, below, above]), inner_sides, G1, G2, 1)
+        R = F1 @ coeffs - slopes[:k]
 
-        return residual(z), jac
+        def jac():
+            curv = F2 @ coeffs - (slopes[2 * k :] - slopes[k : 2 * k]) / (above - below)
+            return np.diag(curv) - np.linalg.solve(A.T, F1.T).T[:, interior] * R
+
+        return R, jac
 
     def admissible(z):
         r = at(z)
@@ -292,8 +298,7 @@ def _polish_snake(family, ref, sides, G1, G2, lo, hi):
     return r, _interp_bounds(family, r, sides, G1, G2)
 
 
-def _band_violation(poly, xs, v1, v2) -> float:
-    pv = poly(xs)
+def _band_violation(pv, v1, v2) -> float:
     return float(max(np.max(pv - v2), np.max(v1 - pv), 0.0))
 
 
@@ -353,9 +358,7 @@ def best_approx(
     seen = set()
     lower_bounds = []
     for _ in range(max_iter):
-        A = np.column_stack(
-            [family.eval_grid(ref), ((-1.0) ** np.arange(n + 2))[:, None]]
-        )
+        A = np.column_stack([family.eval_grid(ref), (-1.0) ** np.arange(n + 2)])
         rhs = _call(F, ref)
         sol = np.linalg.solve(A, rhs)
         coeffs, d = sol[:-1], float(sol[-1])
@@ -363,7 +366,7 @@ def best_approx(
         dev_lower = abs(d)
         lower_bounds.append(dev_lower)
         dev_upper = float(np.max(np.abs(err)))
-        best = (coeffs, d, ref.copy())
+        best = (coeffs, d, ref.copy(), dev_upper)
         if dev_upper - dev_lower <= tol * max(dev_upper, 1e-300):
             break
         if dev_upper <= _ROUNDING_FLOOR * float(np.max(abs_fv + abs_basis @ np.abs(coeffs))):
@@ -384,14 +387,21 @@ def best_approx(
     else:
         stalled = True  # max_iter ran out before the deviation met tol
 
-    coeffs, d, ref = best
+    coeffs, d, ref, deviation = best
     poly = SparsePoly(tuple(coeffs), family)
     errs = _call(F, ref) - poly(ref)
     sign = 1 if errs[0] >= 0 else -1
     return BestApproximation(
-        poly, float(np.max(np.abs(fv - poly(xs)))), tuple(map(float, ref)), sign,
+        poly, deviation, tuple(map(float, ref)), sign,
         stalled, tuple(lower_bounds),
     )
+
+
+def _div(p, q):
+    """p / q on floats as numpy divides: x/0 is inf of the signs' product, 0/0 and nan/0 nan."""
+    if q:
+        return p / q
+    return math.copysign(math.inf, p) * math.copysign(1.0, q) if p == p and p else math.nan
 
 
 def _alternant(xs, err, count, F, family, coeffs) -> np.ndarray:
@@ -407,7 +417,9 @@ def _alternant(xs, err, count, F, family, coeffs) -> np.ndarray:
     error of h) is taken as tol; a block stops at its second such step in a
     row, or at a window end that the parabola peaks beyond.  All blocks move
     in lockstep, one call of F and of the basis a step; F is asked for no
-    derivative (a callable may ignore ``order``).
+    derivative (a callable may ignore ``order``).  Each block's search runs
+    on Python floats, numpy's IEEE arithmetic without its per-call cost
+    (_div divides as numpy does).
     """
     sign = np.where(err < 0, -1.0, 1.0)
     block = np.concatenate([[0], np.cumsum(sign[1:] != sign[:-1])])
@@ -420,43 +432,53 @@ def _alternant(xs, err, count, F, family, coeffs) -> np.ndarray:
     c = np.clip(top, 1, len(xs) - 2)
     # a grid point past the flanking points of a block is another block's
     j = np.stack([top, np.where(top == c, c - 1, c), np.where(top > c, c - 1, c + 1)])
-    (x, w, v), (hx, hw, hv) = xs[j], np.where(abs(block[j] - block[top]) <= 1, s * err[j], -np.inf)
+    hj = np.where(abs(block[j] - block[top]) <= 1, s * err[j], -np.inf)
     a, b = xs[np.maximum(top - 1, 0)], xs[np.minimum(top + 1, len(xs) - 1)]
-    e = d = b - a
-    moving, small, noise = np.ones(len(s), bool), np.zeros(len(s), bool), np.zeros(len(s))
+    # per block: x, w, v, h(x), h(w), h(v), bracket a, b, steps e, d, small, noise
+    state = [[*p, *hp, ai, bi, bi - ai, bi - ai, False, 0.0] for p, hp, ai, bi in
+             zip(xs[j].T.tolist(), hj.T.tolist(), a.tolist(), b.tolist())]
+    s, lo, hi, tol0 = s.tolist(), float(xs[0]), float(xs[-1]), 2.5e-10 * float(xs[-1] - xs[0])
+    abs_coeffs, moving = np.abs(coeffs), list(range(len(s)))
     for _ in range(60):
-        with np.errstate(all="ignore"):  # a repeated point or an -inf value: no parabola
-            slope = (hw - hx) / (w - x)
-            curv = ((hv - hx) / (v - x) - slope) / (v - w)
-            u = (x + w) / 2 - slope / (2 * curv)
-            inside = (curv < 0) & (a < u) & (u < b)
-            par = inside & (np.abs(u - x) < np.abs(e) / 2)
-            tol = np.maximum(2.5e-10 * (xs[-1] - xs[0]), np.sqrt(np.where(par, noise / -curv, 0)))
-        side = np.where(x - a > b - x, a - x, b - x)
-        e, d = np.where(par, d, side), np.where(par, u - x, 0.381966 * side)
-        was, small = small, np.abs(d) < tol
-        moving &= ~(small & (was | (np.abs(side) <= tol))) & ~(~inside & ((x == xs[0]) | (x == xs[-1])))
-        if not moving.any():
+        steps = []
+        for i in moving:
+            x, w, v, hx, hw, hv, a, b, e, d, small, noise = st = state[i]
+            slope = _div(hw - hx, w - x)
+            curv = _div(_div(hv - hx, v - x) - slope, v - w)
+            u = (x + w) / 2 - _div(slope, 2 * curv)
+            inside = curv < 0 and a < u < b
+            par = inside and abs(u - x) < abs(e) / 2
+            # np.maximum's NaN propagation: max keeps its first argument unless the second is larger
+            tol = max(math.sqrt(noise / -curv) if par else 0.0, tol0)
+            side = a - x if x - a > b - x else b - x
+            e, d = (d, u - x) if par else (side, 0.381966 * side)
+            was, small = small, abs(d) < tol
+            st[8:11] = e, d, small
+            if not (small and (was or abs(side) <= tol) or not inside and (x == lo or x == hi)):
+                steps.append((i, x + (math.copysign(tol, side) if small else d)))
+        if not steps:
             break
-        u, hu = x + np.where(small, np.copysign(tol, side), d), np.full(len(s), -np.inf)
-        Fu, Bu = _call(F, u[moving]), family.eval_grid(u[moving])
-        hu[moving] = s[moving] * (Fu - Bu @ coeffs)
-        noise[moving] = np.finfo(float).eps * (np.abs(Fu) + np.abs(Bu) @ np.abs(coeffs))
-        up = moving & (hu >= hx)
-        # a better u cuts the bracket at x, a worse one at u
-        to_a = moving & (up != (u < x))
-        a = np.where(to_a, np.where(up, x, u), a)
-        b = np.where(moving & ~to_a, np.where(up, x, u), b)
-        new_w = moving & ~up & ((hu >= hw) | (w == x))
-        new_v = moving & ~up & ~new_w & ((hu >= hv) | (v == x) | (v == w))
-        v, hv = np.where(up | new_w, w, np.where(new_v, u, v)), np.where(up | new_w, hw, np.where(new_v, hu, hv))
-        w, hw = np.where(up, x, np.where(new_w, u, w)), np.where(up, hx, np.where(new_w, hu, hw))
-        x, hx = np.where(up, u, x), np.where(up, hu, hx)
+        moving, us = zip(*steps)
+        Fu, Bu = _call(F, np.array(us)), family.eval_grid(np.array(us))
+        eu = (Fu - Bu @ coeffs).tolist()
+        noises = (np.finfo(float).eps * (np.abs(Fu) + np.abs(Bu) @ abs_coeffs)).tolist()
+        for i, u, ei, nu in zip(moving, us, eu, noises):
+            x, w, v, hx, hw, hv, a, b = state[i][:8]
+            hu = s[i] * ei
+            up = hu >= hx
+            # a better u cuts the bracket at x, a worse one at u
+            a, b = (x if up else u, b) if up != (u < x) else (a, x if up else u)
+            new_w = not up and (hu >= hw or w == x)
+            v, hv = (w, hw) if up or new_w else (u, hu) if hu >= hv or v == x or v == w else (v, hv)
+            w, hw = (x, hx) if up else (u, hu) if new_w else (w, hw)
+            x, hx = (u, hu) if up else (x, hx)
+            state[i][:8], state[i][11] = (x, w, v, hx, hw, hv, a, b), nu
+    x, hx = [st[0] for st in state], [st[3] for st in state]
     # the first and last block also weigh their window end, taken on a tie
     for k in (0, -1):
         if abs(err[k]) >= hx[k]:
-            x[k], hx[k] = xs[k], abs(err[k])
-    cands = sorted(zip(x.tolist(), s.tolist(), hx.tolist()))
+            x[k], hx[k] = float(xs[k]), float(abs(err[k]))
+    cands = sorted(zip(x, s, hx))
     # collapse same-sign neighbours, keep the larger
     merged = []
     for cand in cands:

@@ -23,7 +23,7 @@ from tsystems.errors import NoSeparator
 from tsystems.family import FamilySpec
 from tsystems.moments import MomentFunctional, _certificate_is_sound, _probe_rows
 
-from conftest import lp_best_approx_oracle
+from conftest import lp_best_approx_oracle, perfbench_workloads
 
 snake_mod = sys.modules["tsystems.snake"]
 
@@ -138,6 +138,160 @@ def test_alternant_returns_window_end_extrema_exactly():
     f = lambda x, order=0: np.cos(2.5 * np.pi * np.asarray(x, float))
     ref = snake_mod._alternant(xs, f(xs), 5, f, fam, np.zeros(2))
     assert np.allclose(ref, [-0.8, -0.4, 0.0, 0.4, 0.8], atol=1e-8)
+
+
+def _alternant_vectorized(xs, err, count, F, family, coeffs):
+    """snake._alternant as it once ran, each step on numpy arrays over all
+    blocks: the oracle of the search the solver now runs on Python floats."""
+    sign = np.where(err < 0, -1.0, 1.0)
+    block = np.concatenate([[0], np.cumsum(sign[1:] != sign[:-1])])
+    first = np.flatnonzero(np.diff(block, prepend=-1))
+    s = sign[first]
+    # each block's first maximum of |err| (NaN lowest), as a stable sort picks it
+    h = np.where(np.isnan(err), -np.inf, np.abs(err))
+    at_max = np.flatnonzero(h == np.maximum.reduceat(h, first)[block])
+    top = at_max[np.flatnonzero(np.diff(block[at_max], prepend=-1))]
+    c = np.clip(top, 1, len(xs) - 2)
+    # a grid point past the flanking points of a block is another block's
+    j = np.stack([top, np.where(top == c, c - 1, c), np.where(top > c, c - 1, c + 1)])
+    (x, w, v), (hx, hw, hv) = xs[j], np.where(abs(block[j] - block[top]) <= 1, s * err[j], -np.inf)
+    a, b = xs[np.maximum(top - 1, 0)], xs[np.minimum(top + 1, len(xs) - 1)]
+    e = d = b - a
+    moving, small, noise = np.ones(len(s), bool), np.zeros(len(s), bool), np.zeros(len(s))
+    for _ in range(60):
+        with np.errstate(all="ignore"):  # a repeated point or an -inf value: no parabola
+            slope = (hw - hx) / (w - x)
+            curv = ((hv - hx) / (v - x) - slope) / (v - w)
+            u = (x + w) / 2 - slope / (2 * curv)
+            inside = (curv < 0) & (a < u) & (u < b)
+            par = inside & (np.abs(u - x) < np.abs(e) / 2)
+            tol = np.maximum(2.5e-10 * (xs[-1] - xs[0]), np.sqrt(np.where(par, noise / -curv, 0)))
+        side = np.where(x - a > b - x, a - x, b - x)
+        e, d = np.where(par, d, side), np.where(par, u - x, 0.381966 * side)
+        was, small = small, np.abs(d) < tol
+        moving &= ~(small & (was | (np.abs(side) <= tol))) & ~(~inside & ((x == xs[0]) | (x == xs[-1])))
+        if not moving.any():
+            break
+        u, hu = x + np.where(small, np.copysign(tol, side), d), np.full(len(s), -np.inf)
+        Fu, Bu = snake_mod._call(F, u[moving]), family.eval_grid(u[moving])
+        hu[moving] = s[moving] * (Fu - Bu @ coeffs)
+        noise[moving] = np.finfo(float).eps * (np.abs(Fu) + np.abs(Bu) @ np.abs(coeffs))
+        up = moving & (hu >= hx)
+        # a better u cuts the bracket at x, a worse one at u
+        to_a = moving & (up != (u < x))
+        a = np.where(to_a, np.where(up, x, u), a)
+        b = np.where(moving & ~to_a, np.where(up, x, u), b)
+        new_w = moving & ~up & ((hu >= hw) | (w == x))
+        new_v = moving & ~up & ~new_w & ((hu >= hv) | (v == x) | (v == w))
+        v, hv = np.where(up | new_w, w, np.where(new_v, u, v)), np.where(up | new_w, hw, np.where(new_v, hu, hv))
+        w, hw = np.where(up, x, np.where(new_w, u, w)), np.where(up, hx, np.where(new_w, hu, hw))
+        x, hx = np.where(up, u, x), np.where(up, hu, hx)
+    # the first and last block also weigh their window end, taken on a tie
+    for k in (0, -1):
+        if abs(err[k]) >= hx[k]:
+            x[k], hx[k] = xs[k], abs(err[k])
+    cands = sorted(zip(x.tolist(), s.tolist(), hx.tolist()))
+    # collapse same-sign neighbours, keep the larger
+    merged = []
+    for cand in cands:
+        if merged and merged[-1][1] == cand[1]:
+            if cand[2] > merged[-1][2]:
+                merged[-1] = cand
+        else:
+            merged.append(cand)
+    # trim to the requested count from the smaller end, keeping the global max
+    imax = max(range(len(merged)), key=lambda i: merged[i][2])
+    i, j = 0, len(merged) - 1
+    while j - i + 1 > count:
+        if merged[i][2] <= merged[j][2] and imax != i:
+            i += 1
+        elif imax != j:
+            j -= 1
+        else:
+            i += 1
+    return np.array([cand[0] for cand in merged[i : j + 1]])
+
+
+def _alternant_case(kind, n, rng):
+    """(xs, err, F, family, coeffs) of a Remez error on monomials 0..n on [-1, 1];
+    coeffs solve the alternation system at the Chebyshev reference, as
+    best_approx's first exchange does, except where a single block is wanted."""
+    fam = monomial_family(list(range(n + 1)), interval(-1, 1))
+    xs = np.linspace(-1, 1, 4001)
+    ref = snake_mod._initial_reference(-1.0, 1.0, n + 2)
+    if kind == "polynomial":  # criterion 8's targets
+        F = SparsePoly(tuple(rng.standard_normal(n + 3)), monomial_family(list(range(n + 3)), interval(-1, 1)))
+    elif kind == "kink":
+        F = lambda x, order=0: np.abs(np.asarray(x, float) - 0.3)
+    elif kind == "noisy_table":  # the PR 25 sweep's 50-point tables
+        tx = np.linspace(-1, 1, 50)
+        F = snake_mod._as_callable((tx, np.sin(5 * tx) + 0.05 * rng.standard_normal(50)), fam)
+    elif kind == "nan_point":  # err is NaN at one grid point, F finite off the grid
+        bad = xs[int(rng.integers(1, 4000))]
+        F = lambda x, order=0: np.where(np.asarray(x) == bad, np.nan, np.cos(3 * np.asarray(x, float)))
+    elif kind == "nan_gap":  # F is NaN on a gap between two reference points: NaN noise too
+        k = int(rng.integers(0, n + 1))
+        mid = (ref[k] + ref[k + 1]) / 2
+        F = lambda x, order=0: np.where(np.abs(np.asarray(x) - mid) < 1e-3, np.nan, np.exp(np.asarray(x, float)))
+    elif kind == "nan_search":  # F is NaN between two grid points next to a block maximum:
+        # a search step may land there, so h and its rounding error (noise) are NaN
+        xs, err, G, fam, coeffs = _alternant_case("polynomial", n, rng)
+        top, dx = int(np.argmax(np.abs(err))), xs[1] - xs[0]
+        left = xs[top] + (float(rng.uniform(-0.9, 0.1)) if 0 < top < 4000 else -0.5 if top else 0.1) * dx
+        F = lambda x, order=0: np.where((left < x) & (x < left + 0.4 * dx), np.nan, G(x))
+        return xs, err, F, fam, coeffs
+    elif kind == "ends":  # the outer blocks peak at the window ends
+        tilt = float(rng.uniform(-1, 1))
+        F = lambda x, order=0: np.cosh(3 * np.asarray(x, float)) + tilt * np.asarray(x, float)
+    elif kind == "one_block":
+        F = lambda x, order=0: 1.5 + np.sin(2 * np.asarray(x, float))
+        return xs, F(xs), F, fam, np.zeros(n + 1)
+    else:  # many blocks, skewed
+        phase = float(rng.uniform(0, np.pi))
+        F = lambda x, order=0: np.exp(np.asarray(x, float)) * np.cos(40 * np.pi * np.asarray(x, float) + phase)
+    A = np.column_stack([fam.eval_grid(ref), (-1.0) ** np.arange(n + 2)])
+    coeffs = np.linalg.solve(A, snake_mod._call(F, ref))[:-1]
+    return xs, snake_mod._call(F, xs) - fam.eval_grid(xs) @ coeffs, F, fam, coeffs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["polynomial", "kink", "noisy_table", "nan_point", "nan_gap", "nan_search",
+                     "ends", "one_block", "many_blocks"]),
+    st.integers(0, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_alternant_matches_the_vectorized_search_bit_for_bit(kind, n, seed):
+    xs, err, F, fam, coeffs = _alternant_case(kind, n, np.random.default_rng(seed))
+    want = _alternant_vectorized(xs, err, n + 2, F, fam, coeffs)
+    assert snake_mod._alternant(xs, err, n + 2, F, fam, coeffs).tobytes() == want.tobytes()
+
+
+def test_desk_alternant_calls_match_the_vectorized_search(monkeypatch):
+    # every _alternant call of one desk pass: its best_approx calls and the
+    # README's approx command
+    calls, search = [], snake_mod._alternant
+
+    def both(*args):
+        calls.append(1)
+        out = search(*args)
+        assert out.tobytes() == _alternant_vectorized(*args).tobytes()
+        return out
+
+    monkeypatch.setattr(snake_mod, "_alternant", both)
+    wl = perfbench_workloads().WORKLOADS["desk"]
+    for inst in wl.corpus():
+        if inst.stratum.startswith(("best_approx", "cli:approx")):
+            wl.call(inst)
+    assert len(calls) == 30
+
+
+def test_alternant_divides_as_numpy():
+    with np.errstate(all="ignore"):
+        for p in (1.5, -1.5, 0.0, -0.0, np.inf, -np.inf, np.nan):
+            for q in (2.0, -0.5, 0.0, -0.0, np.inf, np.nan):
+                want, got = np.float64(p) / np.float64(q), snake_mod._div(p, q)
+                assert np.array(got).tobytes() == np.array(want).tobytes() or np.isnan(got) and np.isnan(want)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -271,6 +425,111 @@ def test_snake_band_around_member():
     expect = ftarget.a + eps * np.array([1.0, -8.0, 8.0])
     assert np.allclose(sol.poly.a, expect, atol=1e-8)
     assert sol.max_violation <= 1e-10
+
+
+def test_plain_bounds_give_second_derivatives():
+    # a callable without ``order`` and an (xs, ys) table both returned the
+    # first difference for every order >= 1: x^3 at 0.5 read 0.75, not 3
+    cube = lambda x: np.asarray(x, float) ** 3
+    assert abs(float(snake_mod._call(cube, 0.5, 1)) - 0.75) < 1e-8
+    assert abs(float(snake_mod._call(cube, 0.5, 2)) - 3.0) < 1e-4
+    xs = np.linspace(0, 1, 1001)
+    table = snake_mod._as_callable((xs, cube(xs)), None)
+    for x in (0.5, 0.5037, 0.9):
+        assert abs(float(table(x, 1)) - 3 * x**2) < 1e-3
+        assert abs(float(table(x, 2)) - 6 * x) < 1e-2
+
+
+def _polish_system(monkeypatch, fam, g1, g2, which="f_star"):
+    """The touch system snake's polish hands to solvers._newton, with its
+    admissibility test and the touch points Newton returns."""
+    captured, newton = [], snake_mod._newton
+
+    def spy(system, z, tol, maxit, admissible):
+        out = newton(system, z, tol, maxit, admissible)
+        captured.append((system, admissible, out[0]))
+        return out
+
+    monkeypatch.setattr(snake_mod, "_newton", spy)
+    snake(fam, g1, g2, which=which)
+    return captured[-1]
+
+
+def _polish_bands():
+    """A SparsePoly band around a member of a larger family, a 41-point table
+    band and plain callables without ``order``, with the table's knot spacing."""
+    ext = monomial_family(list(range(6)), interval(-1, 1))
+    c, e0 = np.array([0.3, -0.5, 0.8, 0.2, 0.05, -0.03]), np.eye(6)[0]
+    tx = np.linspace(0, 1, 41)
+    return {
+        "sparse": (monomial_family([0, 1, 2, 3], interval(-1, 1)),
+                   SparsePoly(tuple(c - 0.2 * e0), ext), SparsePoly(tuple(c + 0.2 * e0), ext)),
+        "table": (monomial_family([0, 1, 2], interval(0, 1)),
+                  (tx, np.sin(3 * tx) - 0.15), (tx, np.sin(3 * tx) + 0.15)),
+        "plain": (monomial_family([0, 1, 2, 3], interval(-1, 1)),
+                  lambda x: np.cos(2 * np.asarray(x, float)) - 0.3,
+                  lambda x: np.cos(2 * np.asarray(x, float)) + 0.3),
+    }
+
+
+@pytest.mark.parametrize("kind", ["sparse", "table", "plain"])
+@pytest.mark.parametrize("which", ["f_star", "f_upper_star"])
+def test_polish_jacobian_matches_differences_of_the_residual(monkeypatch, kind, which):
+    fam, g1, g2 = _polish_bands()[kind]
+    system, admissible, z_star = _polish_system(monkeypatch, fam, g1, g2, which)
+    lo, hi = fam.domain.window()
+    # off the solution, at the middle of a table segment, so that no difference
+    # below crosses a kink of the table's differenced slope
+    s = (hi - lo) / 40
+    z = lo + (np.floor((z_star + 0.01 * (hi - lo) * (-1.0) ** np.arange(len(z_star)) - lo) / s) + 0.5) * s
+    assert admissible(z) and np.max(np.abs(z - z_star)) > 1e-3 * (hi - lo)
+    R, jac = system(z)
+    assert np.max(np.abs(R)) > 1e-4
+    d, fd = 1e-3 * (hi - lo), []
+    for e in np.eye(len(z)):
+        Rs = [system(z + k * d * e)[0] for k in (-2, -1, 1, 2)]
+        fd.append((Rs[0] - 8 * Rs[1] + 8 * Rs[2] - Rs[3]) / (12 * d))
+    fd = np.column_stack(fd)
+    assert np.max(np.abs(jac() - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def _member_band():
+    """test_snake_band_around_member's band: f +- 0.1 around a member."""
+    fam = monomial_family([0, 1, 2], interval(0, 1))
+    f = SparsePoly((0.5, -1.0, 2.0), fam)
+    return (fam, lambda x, order=0: f(x, order) - (0.1 if order == 0 else 0.0),
+            lambda x, order=0: f(x, order) + (0.1 if order == 0 else 0.0))
+
+
+@pytest.mark.parametrize("band, which, touch", [
+    # the touch points of the Jacobian by central differences of the residual
+    ("member", "f_star", [(0.0, "upper"), (0.5, "lower"), (1.0, "upper")]),
+    ("member", "f_upper_star", [(0.0, "lower"), (0.49999999999999994, "upper"), (1.0, "lower")]),
+    ("affine", "f_star", [(-1.0, "lower"), (1.0, "upper")]),
+    ("affine", "f_upper_star", [(-1.0, "upper"), (1.0, "lower")]),
+])
+def test_polish_keeps_the_touch_points(band, which, touch):
+    fam, g1, g2 = _member_band() if band == "member" else (monomial_family([0, 1], interval(-1, 1)), -1.0, 1.0)
+    sol = snake(fam, g1, g2, which=which)
+    lo, hi = fam.domain.window()
+    assert [s for _, s in sol.touch_points] == [s for _, s in touch]
+    assert np.max(np.abs(np.subtract([t for t, _ in sol.touch_points], [t for t, _ in touch]))) <= 1e-12 * (hi - lo)
+
+
+@pytest.mark.parametrize("kind", ["sparse", "table"])
+def test_polish_calls_each_bound_once_a_side_and_order(monkeypatch, kind):
+    fam, g1, g2 = _polish_bands()[kind]
+    calls = []
+
+    def counted(g, name):
+        g = snake_mod._as_callable(g, fam)
+        return lambda x, order=0: calls.append((name, order)) or g(x, order)
+
+    system, _, z_star = _polish_system(monkeypatch, fam, counted(g1, "g1"), counted(g2, "g2"))
+    for z in (z_star, z_star + 1e-3):
+        calls.clear()
+        system(z)[1]()
+        assert len(calls) == len(set(calls)) and {("g1", 0), ("g2", 0)} < set(calls)
 
 
 def test_snake_constant_family():

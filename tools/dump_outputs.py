@@ -22,7 +22,21 @@ order:
   the power kernel, the rank-one kernel and the Gaussian's ETP of order 2;
 * three sampled ``kernel_tp_check`` calls: the Gaussian's ETP order 3 on
   30 x 30 points and its order 4 on 60 x 60 points, budget 2,000 each, and
-  (x - y)^2 of order 2 on 30 x 30 points, budget 500.
+  (x - y)^2 of order 2 on 30 x 30 points, budget 500;
+* ``best_approx`` beyond the ``desk`` corpus: the 60 seeded draws of
+  acceptance criterion 8 (``default_rng(seed)``, seeds 0-59, n from
+  ``integers(1, 5)``, a random member of degree n + 2 from monomials 0..n on
+  [-1, 1]); |x - 0.3| from monomials 0..n on [-1, 1], n = 1..6; the Remez
+  sweep's 50 noisy tables, draws k = 2, 6, ..., 198 (``default_rng(1000 + k)``,
+  n from ``integers(1, 7)``, sin 5x plus 0.1 standard normal noise at 50
+  points of [-1, 1]), among them draws 22, 122 and 158, which stall; and
+  log x from the powers (0, .5, 1.5, 2.5, 3, 3.5) on [0.1, 1.2] (sweep draw
+  181);
+* ``snake`` on bands that are not Chebyshev's, both touch patterns each:
+  a member of degree 5 +- 0.2 over monomials 0..3 on [-1, 1] (``SparsePoly``
+  bounds), and log x -+ (0.02 + 0.01 x) over the powers (0, .5, 1.5, 2.5) on
+  [0.1, 1.2], once as plain callables (slopes by differences) and once with
+  exact slopes.
 
 A result is written by its ``to_json`` (or ``to_dict``); a smoothed family,
 whose evaluators are closures, by its values and first derivatives at fixed
@@ -168,8 +182,55 @@ def smoothing_lines():
         yield f"kernel_tp {name} {outcome(ts.kernel_tp_check, kernel, xg, yg, k, extended, budget)}"
 
 
+def remez_lines():
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        ext = ts.monomial_family(list(range(n + 3)), ts.interval(-1, 1))
+        target = ts.SparsePoly(tuple(rng.standard_normal(n + 3)), ext)
+        fam = ts.monomial_family(list(range(n + 1)), ts.interval(-1, 1))
+        yield f"remez criterion_8 {seed} {outcome(ts.best_approx, fam, target)}"
+    for n in range(1, 7):
+        fam = ts.monomial_family(list(range(n + 1)), ts.interval(-1, 1))
+        yield f"remez kink {n} {outcome(ts.best_approx, fam, lambda x: np.abs(np.asarray(x) - 0.3))}"
+    for k in range(2, 200, 4):
+        rng = np.random.default_rng(1000 + k)
+        n = int(rng.integers(1, 7))
+        tx = np.linspace(-1, 1, 50)
+        table = (tx, np.sin(5 * tx) + 0.1 * rng.standard_normal(50))
+        fam = ts.monomial_family(list(range(n + 1)), ts.interval(-1, 1))
+        yield f"remez table {k} {outcome(ts.best_approx, fam, table)}"
+    fam = ts.power_family([0, 0.5, 1.5, 2.5, 3, 3.5], ts.interval(0.1, 1.2))
+    yield f"remez log 181 {outcome(ts.best_approx, fam, lambda x: np.log(np.asarray(x)))}"
+
+
+def log_band(x, order, side):
+    """log x + side (0.02 + 0.01 x) and its first two derivatives."""
+    x = np.asarray(x, dtype=float)
+    return [np.log(x) + side * (0.02 + 0.01 * x), 1 / x + side * 0.01, -1 / x**2][order]
+
+
+def snake_lines():
+    ext = ts.monomial_family(list(range(6)), ts.interval(-1, 1))
+    c, e0 = np.array([0.3, -0.5, 0.8, 0.2, 0.05, -0.03]), np.eye(6)[0]
+    bands = {
+        "member": (ts.monomial_family([0, 1, 2, 3], ts.interval(-1, 1)),
+                   ts.SparsePoly(tuple(c - 0.2 * e0), ext), ts.SparsePoly(tuple(c + 0.2 * e0), ext)),
+        "log": (ts.power_family([0, 0.5, 1.5, 2.5], ts.interval(0.1, 1.2)),
+                lambda x: np.log(np.asarray(x)) - 0.02 - 0.01 * np.asarray(x),
+                lambda x: np.log(np.asarray(x)) + 0.02 + 0.01 * np.asarray(x)),
+        "log_slopes": (ts.power_family([0, 0.5, 1.5, 2.5], ts.interval(0.1, 1.2)),
+                       lambda x, order=0: log_band(x, order, -1.0),
+                       lambda x, order=0: log_band(x, order, 1.0)),
+    }
+    for name, (fam, g1, g2) in bands.items():
+        for which in ("f_star", "f_upper_star"):
+            yield f"snake {name} {which} {outcome(ts.snake, fam, g1, g2, which)}"
+
+
 def main() -> int:
-    for lines in (corpus_lines(), fresh_karlin_lines(), moment_lines(), smoothing_lines()):
+    for lines in (corpus_lines(), fresh_karlin_lines(), moment_lines(), smoothing_lines(),
+                  remez_lines(), snake_lines()):
         for line in lines:
             print(line, flush=True)
     return 0

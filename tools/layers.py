@@ -20,7 +20,11 @@ repeats of the call.  The layers are:
 * ``moments._certificate_is_sound``, per check, over the checks one pass of
   the ``moment_dual`` corpus makes;
 * its 40-digit decimal re-check ``moments._mp_value``, per evaluation, over
-  the evaluations of that pass.
+  the evaluations of that pass;
+* ``best_approx`` and ``snake``, per call, over the calls one pass of the
+  ``desk`` corpus makes (its README commands call them through the CLI and
+  are not counted), and the Remez extremum search ``snake._alternant``, per
+  call, over every call of that pass.
 
 The corpora are those of ``perfbench/workloads.py``, which this tool only
 reads.  It takes no options.
@@ -122,6 +126,12 @@ def main() -> int:
         one_pass(moments, name, lambda *a, layer=layer, args=args: args.append(a) or layer(*a),
                  ["moment_dual"])
         rows.append((f"{name}, {len(args)} {what}", median_us([lambda a=a: layer(*a) for a in args])))
+
+    for owner, name in ((ts, "best_approx"), (ts, "snake"), (sys.modules["tsystems.snake"], "_alternant")):
+        layer, calls = getattr(owner, name), []
+        one_pass(owner, name, lambda *a, layer=layer, calls=calls, **k: calls.append((a, k)) or layer(*a, **k),
+                 ["desk"])
+        rows.append((f"{name}, {len(calls)} calls", median_us([lambda c=c: layer(*c[0], **c[1]) for c in calls])))
 
     for label, us in rows:
         print(f"{label:<36} {us:9.1f} us")
