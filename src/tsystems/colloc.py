@@ -23,6 +23,7 @@ from .errors import (
     NonPositiveLeadFunction,
 )
 from .family import FamilySpec, custom_family
+from .solvers import _zeroin
 
 DET_DIM_CAP = 12
 #: |det| <= REL_TOL * (product of row max-norms) counts as vanishing.
@@ -399,7 +400,7 @@ def certify(
     (see ``SystemCertificate``).
 
     Everything else takes route ``"grid"``.  ECT is a deterministic scan of
-    the n+1 Wronskian functions with sign-change bisection.  T and ET sample
+    the n+1 Wronskian functions, a sign change refined by zeroin.  T and ET sample
     ordered node tuples: all of them when the count fits the budget,
     otherwise ``budget`` random sorted tuples (fixed seed, drawn chunk by
     chunk as they are screened), always including the full diagonal
@@ -496,73 +497,33 @@ def _zeroin_vanishing(family, tup_lo, tup_hi, sign, d_lo, d_hi):
     """Find where the determinant vanishes between two sorted node tuples
     whose determinants d_lo and d_hi have opposite signs.
 
-    Brent's zeroin (*Algorithms for Minimization without Derivatives*,
-    1973, ch. 4) on t -> det(rows(t)) along the path (1 - t) tup_lo +
-    t tup_hi: the bracket [b, c] keeps the sign change; a step is inverse
-    quadratic or secant where that lands inside the bracket and shrinks the
-    step before last by half, else a bisection.  Each point is evaluated
-    with its own coincidence pattern; the sign of the starred determinant
-    is continuous along sorted interpolation paths.  The search stops once
-    the tuple at a new point equals the tuple at an end of the bracket:
-    float64 cannot split the bracket any further.
+    solvers._zeroin on t -> det(rows(t)) along the path (1 - t) tup_lo +
+    t tup_hi, a tuple with collapsed rows counting as a zero.  Each point
+    is evaluated with its own coincidence pattern; the sign of the starred
+    determinant is continuous along sorted interpolation paths.
     """
     lo = np.array(tup_lo, dtype=float)
     hi = np.array(tup_hi, dtype=float)
 
     def at(t):
         mid = (1 - t) * lo + t * hi
-        rows = family.eval_grid(mid, _confluent_orders(mid[None])[0]) * sign
-        return mid, rows, det(rows)
+        return mid, family.eval_grid(mid, _confluent_orders(mid[None])[0]) * sign
 
-    a, fa, xa = 0.0, d_lo, lo  # the point before b
-    b, fb, xb = 1.0, d_hi, hi  # the best point
-    c, fc, xc = a, fa, xa  # the other end of the bracket
-    d = e = b - a
-    for _ in range(100):
-        if abs(fc) < abs(fb):
-            a, fa, xa = b, fb, xb
-            b, fb, xb = c, fc, xc
-            c, fc, xc = a, fa, xa
-        tol = 2 * np.finfo(float).eps * abs(b)
-        m = (c - b) / 2
-        if abs(m) <= tol:
-            break
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2 * m * s, 1 - s
-            else:  # inverse quadratic
-                q, r = fa / fc, fb / fc
-                p = s * (2 * m * q * (q - r) - (b - a) * (r - 1))
-                q = (q - 1) * (r - 1) * (s - 1)
-            p, q = abs(p), (-q if p > 0 else q)
-            if 2 * p < min(3 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        t = b + (d if abs(d) > tol else math.copysign(tol, m))
-        mid, rows, ft = at(t)
-        if ft == 0.0 or _collapsed(rows):
-            return mid, True
-        if np.array_equal(mid, xb) or np.array_equal(mid, xc):
-            break
-        a, fa, xa = b, fb, xb
-        b, fb, xb = t, ft, mid
-        if (fb > 0) == (fc > 0):
-            c, fc, xc = a, fa, xa
-            d = e = b - a
+    def value(t):
+        mid, rows = at(t)
+        return (0.0 if _collapsed(rows) else det(rows)), tuple(mid)
+
+    b, fb, xb = _zeroin(value, (0.0, d_lo, tuple(lo)), (1.0, d_hi, tuple(hi)))
+    if fb == 0.0:
+        return xb, True
     # bracket collapsed; confirm the crossing is real (not determinant noise)
     delta = 1e-5
-    _, rows_m, d_m = at(max(b - delta, 0.0))
-    _, rows_p, d_p = at(min(b + delta, 1.0))
-    sc_m = det_scale(rows_m)
-    sc_p = det_scale(rows_p)
+    rows_m, rows_p = at(max(b - delta, 0.0))[1], at(min(b + delta, 1.0))[1]
+    d_m, d_p = det(rows_m), det(rows_p)
     genuine = (
         d_m * d_p < 0
-        and abs(d_m) >= 1e-13 * max(sc_m, 1e-300)
-        and abs(d_p) >= 1e-13 * max(sc_p, 1e-300)
+        and abs(d_m) >= 1e-13 * max(det_scale(rows_m), 1e-300)
+        and abs(d_p) >= 1e-13 * max(det_scale(rows_p), 1e-300)
     )
     return xb, genuine
 
@@ -625,8 +586,7 @@ def _certify_tuples(family, xs, target, sign, budget, seed, window) -> SystemCer
         suspicious = np.nonzero(dets <= 0)[0]
         suspicious = suspicious[np.argsort(scaled[suspicious], kind="stable")]
         for si in suspicious:
-            tup_x = xs[tt[si]]
-            rws = family.eval_grid(tup_x, oo[si]) * sign
+            tup_x, rws = xs[tt[si]], rows[si]
             d = det(rws)
             sc = det_scale(rws)
             if d == 0.0 or sc == 0.0 or _collapsed(rws):
@@ -712,17 +672,11 @@ def _certify_ect(family, xs, sign, seed, window) -> SystemCertificate:
         if np.any(bad):
             gi = int(np.argmax(bad))
             x_bad = xs[gi]
-            # refine by bisection toward an actual sign change when available
-            if 0 < gi < len(xs) - 1 and vals[gi - 1] > 0 > vals[min(gi + 1, len(xs) - 1)]:
-                lo_x, hi_x = xs[gi - 1], xs[gi + 1]
-                x_bad = (lo_x + hi_x) / 2
+            # refine by zeroin toward an actual sign change when available
+            if 0 < gi < len(xs) - 1 and vals[gi - 1] > 0 > vals[gi + 1]:
                 signed = float(np.prod(sign[: k + 1]))  # the scan's orientation
-                while x_bad not in (lo_x, hi_x):  # until float64 cannot split the bracket
-                    if signed * wronskian(family, k, x_bad) > 0:
-                        lo_x = x_bad
-                    else:
-                        hi_x = x_bad
-                    x_bad = (lo_x + hi_x) / 2
+                ends = [(float(xs[j]), float(vals[j]), float(xs[j])) for j in (gi - 1, gi + 1)]
+                x_bad = _zeroin(lambda t: (signed * wronskian(family, k, t), t), *ends)[2]
             ce = NodeSet(((float(x_bad), k + 1),))
             return SystemCertificate(
                 "none", float(scaled.min()), ce, tuple(sign), len(xs), seed, True, window

@@ -13,15 +13,13 @@ end points.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 from scipy.optimize import minimize
 
-from .colloc import NodeSet, null_vector, null_vector_tangent
-from .errors import TSystemError
+from .colloc import null_vector_tangent
+from .errors import IndexTooLarge, InvariantViolation, TSystemError
 from .family import FamilySpec, _subfamily, halfline_xmax
-from .zeros import SparsePoly, poly_from_zeros
+from .zeros import SparsePoly, _pattern_vectors
 
 #: pattern -> (its fixed simple zeros at the window's ends, how many top
 #: members its sub-family drops).  Upper patterns drop the top member on the
@@ -60,15 +58,16 @@ def _patterns_for(family: FamilySpec):
 
 def extremal_test_polys(family: FamilySpec, pattern: str, theta) -> SparsePoly:
     """Nonnegative polynomial with the index-n zero placement of a pattern
-    of ``PATTERNS``, embedded in ``family``."""
-    theta = tuple(float(t) for t in np.atleast_1d(np.asarray(theta, dtype=float))) if np.size(theta) else ()
-    fam, nodes = _pattern_nodes(family, pattern, theta)
-    p = poly_from_zeros(fam, NodeSet(tuple(sorted(nodes))), "auto_nonneg", check_certificate=False)
-    if fam is family:
-        return p
-    coeffs = np.zeros(family.size)
-    coeffs[: fam.size] = p.a
-    return SparsePoly(tuple(coeffs), family)
+    of ``PATTERNS``, embedded in ``family``: _pattern_vectors' vector at the
+    sorted theta, as the search evaluates it."""
+    theta = np.sort(np.atleast_1d(np.asarray(theta, dtype=float)))
+    fam, fixed = _pattern_nodes(family, pattern, ())
+    if len(fixed) + 2 * theta.size != fam.order:
+        raise IndexTooLarge(f"total multiplicity {len(fixed) + 2 * theta.size} must equal order {fam.order}")
+    a = _pattern_vectors(fam, fixed, theta)[1]
+    if not a.any():
+        raise InvariantViolation("degenerate node matrix: zero cofactor vector")
+    return SparsePoly(tuple(np.pad(a, (0, family.size - fam.size))), family)
 
 
 def _pattern_nodes(family: FamilySpec, pattern: str, theta) -> tuple:
@@ -105,57 +104,7 @@ def _interior(family: FamilySpec, seeds) -> list:
     return kept
 
 
-@functools.lru_cache(maxsize=None)
-def _block_layout(fixed_mult: tuple, m: int, curvature: bool) -> tuple:
-    """(nb, gather, orders) of _pattern_vectors' eval_grid block: its first
-    nb rows are the node rows, taken from the point list (lo, hi, fixed
-    points, thetas) at ``gather``; then one order-0 row at the middle of
-    the widest gap and, with ``curvature``, an order-2 row per theta."""
-    mult = list(fixed_mult) + [2] * m
-    gather = np.repeat(np.arange(2, len(mult) + 2), mult)
-    orders = np.array([d for mu in mult for d in range(mu)] + [0] + [2] * (m if curvature else 0))
-    gather.flags.writeable = orders.flags.writeable = False  # shared by every call
-    return len(gather), gather, orders
-
-
-def _pattern_vectors(fam: FamilySpec, fixed, thetas, window, curvature: bool = False) -> tuple:
-    """Node matrix B and null vector a of the extremal polynomial with the
-    ``fixed`` (point, multiplicity) nodes and a double zero at each entry of
-    ``thetas`` (an m-vector, or a k x m stack of placements, giving stacks
-    of k matrices and vectors).
-
-    a is the null vector of B, oriented so p > 0 at the middle of the
-    widest gap between p's zeros on ``window`` and scaled to unit max-norm
-    (a_k = +-1, as poly_from_zeros scales).  With ``curvature`` a third
-    item holds the rows f''(theta_j) that null_vector_tangent needs.  Every
-    row comes from one eval_grid call, and a stack takes one null_vector
-    call.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    lead, m = thetas.shape[:-1], thetas.shape[-1]
-    th = thetas.reshape(-1, m)
-    k, nf = len(th), len(fixed)
-    nb, gather, orders = _block_layout(tuple(mu for _, mu in fixed), m, curvature)
-    pts = np.empty((k, nf + m + 2))
-    pts[:, :2] = window
-    pts[:, 2 : nf + 2] = [x for x, _ in fixed]
-    pts[:, nf + 2 :] = th
-    at = np.empty((k, len(orders)))
-    at[:, :nb] = pts[:, gather]
-    if curvature:
-        at[:, nb + 1 :] = th
-    pts.sort(axis=1)
-    widest = (pts[:, 1:] - pts[:, :-1]).argmax(axis=1)
-    each = np.arange(k)
-    at[:, nb] = (pts[each, widest] + pts[each, widest + 1]) / 2
-    rows = fam.eval_grid(at, orders if k == 1 else np.tile(orders, k)).reshape(lead + at.shape[1:] + (-1,))
-    B = rows[..., :nb, :]
-    a = null_vector(B)
-    np.negative(a, out=a, where=(np.matmul(rows[..., nb : nb + 1, :], a[..., None])[..., 0] < 0))
-    return (B, a, rows[..., nb + 1 :, :]) if curvature else (B, a)
-
-
-def _pattern_value_grad(fam: FamilySpec, nodes, m: int, s: np.ndarray, window) -> tuple:
+def _pattern_value_grad(fam: FamilySpec, nodes, m: int, s: np.ndarray) -> tuple:
     """L(p) and dL(p)/dtheta for the extremal polynomial p of a node list
     whose last m >= 1 nodes are the free double zeros theta.
 
@@ -166,7 +115,7 @@ def _pattern_value_grad(fam: FamilySpec, nodes, m: int, s: np.ndarray, window) -
     dL/dtheta_j = s.da/dtheta_j.  L takes the first fam.size moments of s.
     """
     theta = [x for x, _ in nodes[-m:]]
-    B, a, second = _pattern_vectors(fam, nodes[:-m], theta, window, curvature=True)
+    B, a, second = _pattern_vectors(fam, nodes[:-m], theta, curvature=True)
     n1 = fam.size
     s = s[..., :n1]
     return s @ a, s @ null_vector_tangent(B, a, n1 - 2 * m + 2 * np.arange(m), second)
@@ -179,7 +128,7 @@ def _pattern_values(family: FamilySpec, pattern: str, thetas, s: np.ndarray) -> 
     matrix is singular has no polynomial and gets nan.
     """
     fam, fixed = _pattern_nodes(family, pattern, ())
-    _, a = _pattern_vectors(fam, fixed, thetas, _search_window(family))
+    _, a = _pattern_vectors(fam, fixed, thetas)
     vals = np.matmul(s[..., : fam.size], a[:, :, None])[..., 0]
     vals[~a.any(axis=1)] = np.nan
     return vals
@@ -249,7 +198,7 @@ def search(family: FamilySpec, s: np.ndarray, objective, rng, starts: int, seeds
                 return 1e100, np.zeros(m)
             try:
                 fam, nodes = _pattern_nodes(family, pattern, th)
-                val, grad = objective(*_pattern_value_grad(fam, nodes, m, s, (lo, hi)))
+                val, grad = objective(*_pattern_value_grad(fam, nodes, m, s))
             except (TSystemError, np.linalg.LinAlgError):
                 return 1e100, np.zeros(m)
             g = np.empty(m)
@@ -291,9 +240,9 @@ def search(family: FamilySpec, s: np.ndarray, objective, rng, starts: int, seeds
 
 def search_polys(family: FamilySpec, s: np.ndarray, objective, rng, starts: int, seeds=(), *,
                  seeded_only: bool = False):
-    """(pattern, theta, p) for each end point of ``search`` that
-    poly_from_zeros builds (``extremal_test_polys``); one it refuses is
-    skipped."""
+    """(pattern, theta, p) for each end point of ``search``, p built by
+    ``extremal_test_polys`` from the vector the search evaluated there; a
+    degenerate end point is skipped."""
     for pattern, theta, _ in search(family, s, objective, rng, starts, seeds, seeded_only=seeded_only):
         try:
             p = extremal_test_polys(family, pattern, theta)

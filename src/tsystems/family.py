@@ -456,9 +456,14 @@ def eval_basis(family: FamilySpec, x: float, order: int = 0) -> np.ndarray:
 
 
 def halfline_xmax(family: FamilySpec) -> float:
-    """Width of the working window on a half-line: where the top member of a
-    power family dominates, 10^(6/alpha_n), at least 10 and at most 10^30
-    (10^6 for other variants)."""
+    """Width of the working window on a half-line: where the top member
+    dominates.  For a power family that is 10^(6/alpha_n), at least 10 and
+    at most 10^30; for an exponential family, where e^(alpha_n x) is 10^6
+    times its neighbour, 6 ln 10 / (alpha_n - alpha_(n-1)), clipped to
+    [10, 10^6]; 10^6 for other variants."""
+    if family.variant == "exponential" and family.size > 1:
+        gap = float(family.params[-1]) - float(family.params[-2])
+        return min(max(6.0 * math.log(10.0) / gap, 10.0), 1e6) if gap > 0 else 1e6
     alpha_n = float(family.params[-1]) if family.variant in ("power", "monomial") else 1.0
     if alpha_n <= 0:
         return 10.0

@@ -421,45 +421,32 @@ def _shared_zeros(f: SparsePoly, window=None) -> tuple:
     return shared
 
 
-def decompose_pos_ab(
-    f: SparsePoly,
-    init: str = "chebyshev",
-    grid: int = POS_GRID,
-) -> KarlinDecomposition:
+def decompose_pos_ab(f: SparsePoly, init: str = "chebyshev") -> KarlinDecomposition:
     """Karlin decomposition of a strictly positive polynomial on [a, b]."""
     family = f.family
     if family.domain.kind != "closed_interval":
         raise InvariantViolation("decompose_pos_ab needs a closed interval domain")
     a, b = family.domain.a, family.domain.b
-    solver = _TangencySolver(family, f.a, (), np.linspace(a, b, grid))
+    solver = _TangencySolver(family, f.a, (), np.linspace(a, b, POS_GRID))
     if float(solver.values.min()) <= 0:
         raise NotPositive(f"min f = {solver.values.min():.3e} on the check grid")
     return solver.solve(init)
 
 
-def decompose_nonneg_ab(
-    f: SparsePoly,
-    init: str = "chebyshev",
-    grid: int = POS_GRID,
-) -> KarlinDecomposition:
+def decompose_nonneg_ab(f: SparsePoly, init: str = "chebyshev") -> KarlinDecomposition:
     """Karlin decomposition of a nonnegative polynomial with r < n zeros."""
     family = f.family
     if family.domain.kind != "closed_interval":
         raise InvariantViolation("decompose_nonneg_ab needs a closed interval domain")
     shared = _shared_zeros(f)
     if not shared:
-        return decompose_pos_ab(f, init=init, grid=grid)
+        return decompose_pos_ab(f, init=init)
     a, b = family.domain.a, family.domain.b
-    solver = _TangencySolver(family, f.a, shared, np.linspace(a, b, grid))
+    solver = _TangencySolver(family, f.a, shared, np.linspace(a, b, POS_GRID))
     return solver.solve(init)
 
 
-def decompose_halfline(
-    f: SparsePoly,
-    mode: str = "positive",
-    init: str = "chebyshev",
-    grid: int = POS_GRID,
-) -> KarlinDecomposition:
+def decompose_halfline(f: SparsePoly, mode: str = "positive", init: str = "chebyshev") -> KarlinDecomposition:
     """Karlin decomposition on [0, inf) for power families with alpha_0 = 0.
 
     ``mode="positive"`` needs f > 0 on the half-line; ``mode="nonneg"``
@@ -479,7 +466,7 @@ def decompose_halfline(
     X = halfline_xmax(family)  # truncation; tail checks beyond
     if mode == "positive":
         xs_grid = np.unique(np.concatenate(
-            [np.linspace(0.0, X, grid // 2), np.geomspace(max(X, 1e-3), 1e6, grid // 10)]
+            [np.linspace(0.0, X, POS_GRID // 2), np.geomspace(max(X, 1e-3), 1e6, POS_GRID // 10)]
         ))
         vals = f(xs_grid)
         if float(vals.min()) <= 0:
@@ -487,17 +474,17 @@ def decompose_halfline(
         shared: tuple = ()
     elif mode == "nonneg":
         if abs(f.a[0]) <= 1e-300:
-            return _halfline_factor_out(f, init=init, grid=grid)
+            return _halfline_factor_out(f, init)
         if f.a[0] < 0:
             raise ValueAtZeroNonpositive(f"f(0) = {f.a[0]} must be positive")
         shared = _shared_zeros(f, window=(0.0, X))
     else:
         raise ValueError(f"mode must be 'positive' or 'nonneg', not {mode!r}")
-    work_grid = np.linspace(0.0, _solve_span(f, X), grid)
+    work_grid = np.linspace(0.0, _solve_span(f, X), POS_GRID)
     return _TangencySolver(family, f.a, shared, work_grid).solve(init)
 
 
-def _halfline_factor_out(f: SparsePoly, **kw) -> KarlinDecomposition:
+def _halfline_factor_out(f: SparsePoly, init: str) -> KarlinDecomposition:
     """Factor x^alpha_i0 out when f(0) = 0 and decompose the cofactor."""
     family = f.family
     coeffs = f.a
@@ -508,7 +495,7 @@ def _halfline_factor_out(f: SparsePoly, **kw) -> KarlinDecomposition:
     sub_params = tuple(float(p) - base for p in family.params[i0:])
     sub = FamilySpec("power", sub_params, family.domain)
     g = SparsePoly(tuple(coeffs[i0:]), sub)
-    dec = decompose_halfline(g, mode="nonneg", **kw)
+    dec = decompose_halfline(g, mode="nonneg", init=init)
 
     def lift(p: SparsePoly) -> SparsePoly:
         out = np.zeros(family.size)

@@ -227,9 +227,12 @@ def _polish_atoms(family: FamilySpec, s: np.ndarray, positions, weights, lo, hi,
     def settled(r):
         return float(np.max(np.abs(r * rsc))) <= 1e-2 * abs_tol
 
-    z = _bounded_lm(resid, jac, np.concatenate([x, np.maximum(w, 0.0)]),
-                    np.concatenate([np.full(k, lo), np.zeros(k)]),
-                    np.concatenate([np.full(k, hi), np.full(k, np.inf)]), 400, settled)
+    # a trial step on a half-line may take an atom where growing members
+    # overflow: its cost is then inf or nan, which _bounded_lm rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _bounded_lm(resid, jac, np.concatenate([x, np.maximum(w, 0.0)]),
+                        np.concatenate([np.full(k, lo), np.zeros(k)]),
+                        np.concatenate([np.full(k, hi), np.full(k, np.inf)]), 400, settled)
     return z[:k], z[k:], _moment_res(family, s, z[:k], z[k:])
 
 
@@ -542,7 +545,7 @@ def _dual_search(L: MomentFunctional, tol: float, seed: int, starts: int, theta_
     With ``seeded_only`` each pattern's seeded start runs alone, and its
     first sound end point is the certificate.  Otherwise the full
     multistart runs from a fresh rng(seed), and its lowest sound end point
-    is.  End points are built by poly_from_zeros and checked on
+    is.  End points are built by extremal_test_polys and checked on
     ``probe_rows``, the family's ``_probe_rows``.
     """
     family = L.family

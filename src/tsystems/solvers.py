@@ -1,5 +1,6 @@
 """Newton-type drivers shared by ``karlin``, ``snake`` and ``moments``: damped
-Newton on square systems, continuation, and bounded least squares."""
+Newton on square systems, continuation, and bounded least squares; and the
+sign-change root finder of ``colloc`` and ``zeros``."""
 
 import math
 
@@ -137,3 +138,57 @@ def _bounded_lm(fun, jac, z, lower, upper, max_nfev, settled):
             z, r, cost, J = zn, rn, costn, jac(zn)
             D = np.maximum(D, np.linalg.norm(J, axis=0))
     return z
+
+
+def _zeroin(f, lo, hi):
+    """Brent's zeroin (*Algorithms for Minimization without Derivatives*,
+    1973, ch. 4) for a sign change of f(t) between two ends, each a
+    (t, value, point) triple whose values have opposite signs; ``f(t)``
+    gives (value, point), a point being a float or a tuple.  The bracket
+    [b, c] keeps the sign change; a step is inverse quadratic or secant
+    where that lands inside the bracket and shrinks the step before last by
+    half, else a bisection.  Stops at an exact 0, or once the point at a new
+    t equals the point at an end of the bracket: float64 cannot split the
+    bracket any further.  Returns the (t, value, point) of the best end, b.
+    """
+    a, fa, xa = lo  # the point before b
+    b, fb, xb = hi  # the best point
+    c, fc, xc = a, fa, xa  # the other end of the bracket
+    d = e = b - a
+    eps = np.finfo(float).eps
+    for _ in range(100):
+        if abs(fc) < abs(fb):
+            a, fa, xa = b, fb, xb
+            b, fb, xb = c, fc, xc
+            c, fc, xc = a, fa, xa
+        tol = 2 * eps * abs(b)
+        m = (c - b) / 2
+        if abs(m) <= tol:
+            break
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2 * m * s, 1 - s
+            else:  # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2 * m * q * (q - r) - (b - a) * (r - 1))
+                q = (q - 1) * (r - 1) * (s - 1)
+            p, q = abs(p), (-q if p > 0 else q)
+            if 2 * p < min(3 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        t = b + (d if abs(d) > tol else math.copysign(tol, m))
+        ft, xt = f(t)
+        if ft == 0.0:
+            return t, ft, xt
+        if xt == xb or xt == xc:
+            break
+        a, fa, xa = b, fb, xb
+        b, fb, xb = t, ft, xt
+        if (fb > 0) == (fc > 0):
+            c, fc, xc = a, fa, xa
+            d = e = b - a
+    return b, fb, xb

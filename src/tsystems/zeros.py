@@ -4,11 +4,13 @@ A "polynomial" here is a linear combination f = sum a_i f_i over a family.
 The polynomial with prescribed zeros is the bordered confluent determinant
 det([f(x); B]) of the node matrix B, expanded along its symbolic first row:
 its coefficients are B's cofactor vector, which colloc.null_vector computes
-by one elimination.
+by one elimination.  A nonnegative one, from poly_from_zeros or any
+extremal pattern of ``extremal``, has one builder, _pattern_vectors.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -30,6 +32,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .family import Domain, FamilySpec
+from .solvers import _zeroin
 
 NODAL = "nodal"
 NON_NODAL = "non_nodal"
@@ -121,6 +124,55 @@ def cofactor_coefficients(family: FamilySpec, nodes: NodeSet) -> np.ndarray:
     return null_vector(node_rows(family, nodes.nodes))
 
 
+@functools.lru_cache(maxsize=256)
+def _block_layout(fixed_mult: tuple, m: int, curvature: bool) -> tuple:
+    """(nb, gather, orders) of _pattern_vectors' eval_grid block: its first
+    nb rows are the node rows, taken from the point list (lo, hi, fixed
+    points, thetas) at ``gather``; then one order-0 row at the middle of
+    the widest gap and, with ``curvature``, an order-2 row per theta."""
+    mult = list(fixed_mult) + [2] * m
+    gather = np.repeat(np.arange(2, len(mult) + 2), mult)
+    orders = np.array([d for mu in mult for d in range(mu)] + [0] + [2] * (m if curvature else 0))
+    gather.flags.writeable = orders.flags.writeable = False  # shared by every call
+    return len(gather), gather, orders
+
+
+def _pattern_vectors(fam: FamilySpec, fixed, thetas, curvature: bool = False) -> tuple:
+    """Node matrix B and null vector a of the nonnegative polynomial with the
+    ``fixed`` (point, multiplicity) nodes and a double zero at each entry of
+    ``thetas`` (an m-vector, or a k x m stack of placements, giving stacks
+    of k matrices and vectors): the one builder of a zero-pattern polynomial.
+
+    a is the null vector of B, oriented so p > 0 at the middle of the
+    widest gap between p's zeros and the ends of the domain's window, and
+    scaled to unit max-norm (a_k = +-1).  With ``curvature`` a third item
+    holds the rows f''(theta_j) that null_vector_tangent needs.  Every row
+    comes from one eval_grid call, and a stack takes one null_vector call.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    lead, m = thetas.shape[:-1], thetas.shape[-1]
+    th = thetas.reshape(math.prod(lead), m)
+    k, nf = len(th), len(fixed)
+    nb, gather, orders = _block_layout(tuple(int(mu) for _, mu in fixed), m, curvature)
+    pts = np.empty((k, nf + m + 2))
+    pts[:, :2] = fam.domain.window()
+    pts[:, 2 : nf + 2] = [x for x, _ in fixed]
+    pts[:, nf + 2 :] = th
+    at = np.empty((k, len(orders)))
+    at[:, :nb] = pts[:, gather]
+    if curvature:
+        at[:, nb + 1 :] = th
+    pts.sort(axis=1)
+    widest = (pts[:, 1:] - pts[:, :-1]).argmax(axis=1)
+    each = np.arange(k)
+    at[:, nb] = (pts[each, widest] + pts[each, widest + 1]) / 2
+    rows = fam.eval_grid(at, orders if k == 1 else np.tile(orders, k)).reshape(lead + at.shape[1:] + (-1,))
+    B = rows[..., :nb, :]
+    a = null_vector(B)
+    np.negative(a, out=a, where=(np.matmul(rows[..., nb : nb + 1, :], a[..., None])[..., 0] < 0))
+    return (B, a, rows[..., nb + 1 :, :]) if curvature else (B, a)
+
+
 def poly_from_zeros(
     family: FamilySpec,
     nodes: NodeSet,
@@ -133,8 +185,9 @@ def poly_from_zeros(
 
     ``sign="raw"`` keeps the cofactor orientation, so p(x) has the sign of
     det([f(x); B]).  ``sign="auto_nonneg"`` (interior multiplicities even,
-    total index at most the order, so p keeps one sign) orients p positive
-    at the middle of the widest gap between the zeros and the window ends.
+    total index at most the order, so p keeps one sign) orients p as
+    _pattern_vectors does: positive at the middle of the widest gap between
+    the zeros and the window ends.
     """
     n = family.order
     if nodes.total_multiplicity != n:
@@ -142,14 +195,10 @@ def poly_from_zeros(
             f"total multiplicity {nodes.total_multiplicity} must equal order {n}"
         )
     if sign == "auto_nonneg":
-        idx = 0
         for p, m in nodes.nodes:
-            if family.domain.is_endpoint(p):
-                idx += int(m)
-            else:
-                if m % 2 == 1:
-                    raise IndexTooLarge(f"interior zero at {p} has odd multiplicity {m}")
-                idx += max(2, int(m))
+            if m % 2 == 1 and not family.domain.is_endpoint(p):
+                raise IndexTooLarge(f"interior zero at {p} has odd multiplicity {m}")
+        idx = index_of(ZeroConfig(tuple((p, m, NON_NODAL) for p, m in nodes.nodes), family.domain))
         if idx > n:
             raise IndexTooLarge(f"index {idx} exceeds order {n}")
     if check_certificate and certificate is None:
@@ -160,14 +209,12 @@ def poly_from_zeros(
                 f"family failed {target} certification; counterexample {certificate.counterexample}"
             )
 
-    a = cofactor_coefficients(family, nodes)
+    if sign == "auto_nonneg":
+        a = _pattern_vectors(family, nodes.nodes, ())[1]
+    else:
+        a = cofactor_coefficients(family, nodes)
     if not a.any():
         raise InvariantViolation("degenerate node matrix: zero cofactor vector")
-    if sign == "auto_nonneg":
-        pts = np.sort([*family.domain.window(), *nodes.points])
-        i = int(np.argmax(np.diff(pts)))
-        if family.eval_grid([(pts[i] + pts[i + 1]) / 2])[0] @ a < 0:
-            a = -a
     return SparsePoly(tuple(a), family)
 
 
@@ -179,7 +226,7 @@ def count_zeros(
 ) -> ZeroConfig:
     """Locate and classify the zeros of f on the (windowed) domain.
 
-    Nodal zeros come from sign-change bisection; non-nodal candidates from
+    Nodal zeros come from zeroin on sign changes; non-nodal candidates from
     local minima of |f| pushed through a Newton polish on f'.  All thresholds
     are relative to a LOCAL magnitude of f (a windowed running maximum), so
     zeros are found even where the family's top member dwarfs f locally.
@@ -213,16 +260,8 @@ def _zeros_on_grid(f: SparsePoly, lo, hi, xs: np.ndarray, vals, sloc, tol: float
     roots: list[float] = []
     s = np.sign(vals)
     for i in np.flatnonzero(s[:-1] * s[1:] < 0):
-        state = (xs[i], xs[i + 1], vals[i])  # (a, b, f(a))
-        for _ in range(100):
-            a_, b_, fa = state
-            m_ = (a_ + b_) / 2
-            fm = f(m_)
-            nxt = (a_, m_, fa) if fa * fm <= 0 else (m_, b_, fm)
-            if list(map(float.hex, nxt)) == list(map(float.hex, state)):
-                break  # unchanged bit for bit: every later halving repeats it
-            state = nxt
-        roots.append(float((state[0] + state[1]) / 2))
+        ends = [(float(xs[j]), float(vals[j]), float(xs[j])) for j in (i, i + 1)]
+        roots.append(_zeroin(lambda t: (f(t), t), *ends)[0])
     # a zero on a grid point reads 0 there: no sign change either side of it
     roots.extend(map(float, xs[vals == 0]))
 

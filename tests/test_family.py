@@ -25,6 +25,7 @@ from tsystems import (
     validate,
 )
 from tsystems.errors import DomainViolation, NonDifferentiable
+from tsystems.family import halfline_xmax
 
 
 def test_monomial_values():
@@ -337,3 +338,13 @@ def test_a_nan_point_does_not_unsign_the_negative_points():
     xs, orders = np.array([np.nan, -0.3, -0.3008004]), [0, 0, 1]
     rows = np.array([fam.eval_grid([x], k)[0] for x, k in zip(xs, orders)])
     assert np.array_equal(fam.eval_grid(xs, orders), rows, equal_nan=True)
+
+
+def test_exponential_halfline_window():
+    # where e^(alpha_n x) is 10^6 times its neighbour, clipped to [10, 10^6]:
+    # a window 10^6 wide overflows growing members and underflows decaying ones
+    assert halfline_xmax(exponential_family([0, 0.5, 1], halfline(0.0))) == 6 * math.log(10) / 0.5
+    assert halfline_xmax(exponential_family(np.linspace(-1, 0, 5), halfline(0.0))) == 6 * math.log(10) * 4
+    assert halfline_xmax(exponential_family([0, 5], halfline(0.0))) == 10.0
+    assert halfline_xmax(exponential_family([0, 1e-9], halfline(0.0))) == 1e6
+    assert halfline_xmax(rational_family([1, 2], halfline(0.0))) == 1e6

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -32,7 +33,7 @@ from tsystems import (
     sparse_feasibility,
 )
 from tsystems.errors import NotFeasible, TooShort, TSystemError
-from tsystems.zeros import _local_scale
+from tsystems.zeros import _local_scale, _pattern_vectors
 from tsystems import extremal, moments
 from tsystems.extremal import (
     _pattern_nodes,
@@ -176,7 +177,7 @@ def test_extremal_m0_patterns_are_basis_multiples():
 def test_every_searched_pattern_builds_and_is_nonnegative(dom, variant):
     # every pattern the search runs builds at spread thetas and is >= 0 on a
     # dense grid of the domain, its window stretched threefold on each
-    # unbounded side (decaying rates on the half-line, whose window is 1e6 wide)
+    # unbounded side (decaying rates on the half-line, whose window is up to 83 wide)
     for n in range(1, 7):
         if variant == "monomial":
             fam = monomial_family(list(range(n + 1)), dom)
@@ -191,6 +192,51 @@ def test_every_searched_pattern_builds_and_is_nonnegative(dom, variant):
             theta = lo + span * (np.arange(1, m + 1) - 0.3) / m
             vals = extremal_test_polys(fam, pattern, theta)(grid)
             assert vals.min() >= -1e-9 * np.max(np.abs(vals)), (n, pattern)
+
+
+@pytest.mark.parametrize("dom", [interval(-0.5, 1.0), halfline(0.0), real_line()],
+                         ids=["ab", "halfline", "realline"])
+@pytest.mark.parametrize("variant", ["monomial", "exponential"])
+def test_extremal_test_polys_is_the_searched_vector(dom, variant):
+    # the polynomial handed on for certification is, byte for byte, the
+    # vector the search evaluates: _pattern_vectors at the sorted theta, for
+    # the families and patterns of the nonnegativity test above
+    for n in range(1, 7):
+        if variant == "monomial":
+            fam = monomial_family(list(range(n + 1)), dom)
+        else:
+            fam = exponential_family(np.linspace(-1.0, 0.0 if dom.kind == "left_closed_halfline" else 1.0,
+                                                 n + 1), dom)
+        lo, hi = _search_window(fam)
+        span = min(hi - lo, 20.0)
+        for pattern, m in _patterns_for(fam):
+            theta = lo + span * (np.arange(1, m + 1) - 0.3) / m
+            sub, fixed = _pattern_nodes(fam, pattern, ())
+            want = _pattern_vectors(sub, fixed, theta)[1]
+            for th in (theta, theta[::-1]):
+                got = extremal_test_polys(fam, pattern, th).a
+                assert got[: sub.size].tobytes() == want.tobytes(), (n, pattern)
+                assert not got[sub.size :].any()
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_pattern_values_of_a_feasible_functional_are_nonnegative(n):
+    # s is the moments of a measure, so L(p) >= 0 for every nonnegative p:
+    # neither the scan's values nor the gradient's may read below rounding.
+    # Oriented on a window 1e6 wide, the decaying members underflowed in the
+    # orientation row and hl_upper_even read L(-p), down to -0.029 max|s|
+    fam = exponential_family(np.linspace(-1.0, 0.0, n + 1), halfline(0.0))
+    atoms = [(1.0, 0.5), (4.0, 0.7)] + ([(7.0, 0.3)] if n == 6 else [])
+    s = MomentFunctional.from_measure(fam, atoms).s
+    floor = -1e-12 * np.max(np.abs(s))
+    axis = np.linspace(0.5, 8.0, 16)
+    for pattern, m in _patterns_for(fam):
+        thetas = np.array(list(itertools.combinations(axis, m)))
+        vals = _pattern_values(fam, pattern, thetas, s)
+        assert vals.min() >= floor, (pattern, vals.min())
+        for theta in thetas:
+            sub, nodes = _pattern_nodes(fam, pattern, theta)
+            assert _pattern_value_grad(sub, nodes, m, s)[0] >= floor, (pattern, theta)
 
 
 def test_feasibility_forward_computed_measure():
@@ -526,6 +572,65 @@ def test_small_top_exponent_halfline_window():
     assert v.to_dict()["route"] == "basis"
 
 
+def exponential_halfline_draws(seed, ns, rates, reach, count):
+    """``count`` functionals per order n of exponential_family(rates(n),
+    halfline(0)) from default_rng(seed): the moments of 1 to n//2 + 1 atoms
+    at uniform(0.2, reach), weights uniform(0.2, 1), moved by
+    10^uniform(-6, -3) max|s| along a random unit direction."""
+    rng = np.random.default_rng(seed)
+    for n in ns:
+        fam = exponential_family(rates(n), halfline(0.0))
+        for _ in range(count):
+            m = int(rng.integers(1, n // 2 + 2))
+            pos = rng.uniform(0.2, reach, m)
+            wts = rng.uniform(0.2, 1, m)
+            s = MomentFunctional.from_measure(fam, list(zip(pos, wts))).s
+            d = rng.standard_normal(n + 1)
+            s = s - 10 ** rng.uniform(-6, -3) * np.max(np.abs(s)) * d / np.linalg.norm(d)
+            yield MomentFunctional(tuple(s), fam)
+
+
+def check_exponential_verdict(L, v):
+    """An exponential verdict judged by numpy.exp of the rates, not eval_grid:
+    a certificate is >= -1e-10 of its local magnitude sum |a_i e^(alpha_i x)|
+    on a dense grid out to 1e4 (points where every term underflows are
+    skipped), with L(p) < 0 and a positive top coefficient; a witness
+    matches s to 1e-8 max|s|."""
+    rates, s = np.array(L.family.params), np.array(L.s)
+    if v.status == "infeasible":
+        a = v.certificate_poly.a
+        x = np.concatenate([np.linspace(0.0, 100.0, 100001), np.geomspace(100.0, 1e4, 50001)])
+        terms = a * np.exp(np.outer(x, rates - rates.max()))
+        mag = np.abs(terms).sum(axis=1)
+        seen = mag > 0
+        assert np.all(terms.sum(axis=1)[seen] >= -1e-10 * mag[seen])
+        assert s @ a < 0
+        assert a[np.flatnonzero(a)[-1]] > 0
+    elif v.status == "feasible":
+        pos, wts = np.array(v.witness_measure.atoms).T
+        assert np.max(np.abs(np.exp(np.outer(rates, pos)) @ wts - s)) <= 1e-8 * np.max(np.abs(s))
+
+
+def test_decaying_exponential_halfline_draws_are_decided():
+    # rates linspace(-1, 0, n+1): on a window 1e6 wide every scan and random
+    # start was singular, and 40 of these 60 draws stayed undecided
+    statuses = []
+    for L in exponential_halfline_draws(7, (4, 6), lambda n: np.linspace(-1, 0, n + 1), 8, 30):
+        v = sparse_feasibility(L)
+        check_exponential_verdict(L, v)
+        statuses.append(v.status)
+    assert statuses.count("undecided") <= 3, statuses
+
+
+def test_growing_exponential_halfline_draws_solve():
+    # rates linspace(0, 1, n+1): on a window 1e6 wide the primal grid
+    # overflowed and each of these 40 draws raised scipy's ValueError
+    for L in exponential_halfline_draws(8, (2, 4), lambda n: np.linspace(0, 1, n + 1), 5, 20):
+        check_exponential_verdict(L, sparse_feasibility(L))
+    fam = exponential_family([0, 0.5, 1], halfline(0.0))
+    assert sparse_feasibility(MomentFunctional.from_measure(fam, [(1.0, 0.5)])).status == "feasible"
+
+
 def perturbed_functional(fam, atom, pattern, tol=1e-8):
     """Criterion 10's construction for one atom: the moments of w delta_x,
     moved out of the cone along the pattern's extremal polynomial with its
@@ -548,15 +653,16 @@ def test_dual_gradient_matches_central_difference(dom):
     for n in range(2, 6):
         fam = power_family(exps[: n + 1], dom)
         s = s_all[: n + 1]
-        window = _search_window(fam)
         for pattern, m in _patterns_for(fam):
             if m == 0:
                 continue
             theta = (0.1 + 1.1 * (np.arange(m) + 1) / (m + 1) if dom.kind == "closed_interval"
                      else 0.7 * (np.arange(m) + 1))
             sub, nodes = _pattern_nodes(fam, pattern, theta)
-            val, grad = _pattern_value_grad(sub, nodes, m, s, window)
-            assert val == pytest.approx(float(s @ extremal_test_polys(fam, pattern, theta).a), rel=1e-12)
+            val, grad = _pattern_value_grad(sub, nodes, m, s)
+            a = extremal_test_polys(fam, pattern, theta).a[: sub.size]
+            assert a.tobytes() == _pattern_vectors(sub, nodes[:-m], theta)[1].tobytes()
+            assert np.array_equal(np.float64(val).view(np.int64), (s[: sub.size] @ a).view(np.int64))
             h = 1e-5
             fd = np.array([
                 (s @ extremal_test_polys(fam, pattern, theta + h * e).a
@@ -585,7 +691,7 @@ def test_batched_scan_matches_pointwise(dom):
                 assert vals.shape == (20,) + s.shape[:-1]
                 for theta, v in zip(thetas, vals):
                     sub, nodes = _pattern_nodes(fam, pattern, theta)
-                    ref = np.atleast_1d(_pattern_value_grad(sub, nodes, m, s, (lo, hi))[0])
+                    ref = np.atleast_1d(_pattern_value_grad(sub, nodes, m, s)[0])
                     assert np.array_equal(np.atleast_1d(v).view(np.int64), ref.view(np.int64))
 
 
@@ -615,17 +721,17 @@ def test_dual_search_reaches_scan_minimum(exps, dom, atom, pattern):
 
 def test_dual_search_builds_few_polys(monkeypatch):
     # the search runs on the node null vector; only end points are built by
-    # poly_from_zeros (building every trial point takes about 700 per solve)
+    # extremal_test_polys (building every trial point takes about 700 per solve)
     L = criterion_10_instance(2)
     assert L.family.order == 2
     calls = []
-    original = extremal.poly_from_zeros
+    original = extremal.extremal_test_polys
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(extremal, "poly_from_zeros", counting)
+    monkeypatch.setattr(extremal, "extremal_test_polys", counting)
     v = sparse_feasibility(L, tol=1e-8)
     assert v.status == "infeasible"
     assert len(calls) <= 20

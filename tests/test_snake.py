@@ -10,6 +10,7 @@ from tsystems import (
     SparsePoly,
     best_approx,
     eval_basis,
+    exponential_family,
     extremal_test_polys,
     halfline,
     interval,
@@ -731,6 +732,19 @@ def test_optimize_ratio_evaluation_vs_integral(rng):
     best = max(best, L(p_ab) / S(p_ab))
     assert val >= best - 1e-6
     assert abs(val - best) < 1e-3 * max(1, abs(best))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_optimize_ratio_on_decaying_exponentials(n):
+    # on a half-line window 1e6 wide every start was singular and this raised
+    # InvariantViolation("no admissible extremal pattern found"); the least
+    # ratio is 0, at a p >= 0 vanishing at L's atoms
+    fam = exponential_family(np.linspace(-1.0, 0.0, n + 1), halfline(0.0))
+    L = MomentFunctional.from_measure(fam, [(1.0, 0.5), (4.0, 0.7)])
+    S = MomentFunctional.from_measure(fam, [(2.0, 1.0)])
+    val, poly, _ = optimize_ratio(fam, L.s, S.s, sense="min")
+    assert abs(val) <= 1e-9
+    assert np.all(poly(np.linspace(0.0, 50.0, 2001)) >= -1e-12)
 
 
 def test_optimize_ratio_constant_family():

@@ -281,3 +281,20 @@ def test_zero_polishes_stop_at_the_rounding_floor_on_the_desk_corpus(monkeypatch
         if inst.stratum.startswith("zeros:"):
             wl.call(inst)
     assert len(calls) <= 1665, len(calls)
+
+
+def test_sign_changes_are_refined_by_zeroin(monkeypatch):
+    # five simple zeros: zeroin refines each sign change of the scan in a few
+    # one-point evaluations, 170 in the whole count, where bisection, one
+    # evaluation a halving down to the last bit, made 376
+    fam = monomial_family(list(range(6)), interval(-1, 1))
+    zs = (-0.70031, -0.30017, 0.10023, 0.45041, 0.80013)
+    p = poly_from_zeros(fam, NodeSet.of(*zs), sign="raw", check_certificate=False)
+    calls = []
+    real = SparsePoly.__call__
+    monkeypatch.setattr(SparsePoly, "__call__",
+                        lambda self, x, order=0: calls.append(np.ndim(x)) or real(self, x, order))
+    cfg = count_zeros(p)
+    assert [(z[1], z[2]) for z in cfg.zeros] == [(1, NODAL)] * 5
+    assert np.allclose(cfg.points, zs, rtol=0, atol=1e-15)
+    assert calls.count(0) <= 200, calls.count(0)

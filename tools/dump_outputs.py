@@ -36,7 +36,12 @@ order:
   a member of degree 5 +- 0.2 over monomials 0..3 on [-1, 1] (``SparsePoly``
   bounds), and log x -+ (0.02 + 0.01 x) over the powers (0, .5, 1.5, 2.5) on
   [0.1, 1.2], once as plain callables (slopes by differences) and once with
-  exact slopes.
+  exact slopes;
+* the status, route and gap of ``sparse_feasibility`` on the exponential
+  half-line draws of ``tests/test_moments.py``: recipe D
+  (``default_rng(7)``, rates linspace(-1, 0, n + 1), n = 4 and 6, 30 draws
+  each, atoms in [0.2, 8]) and recipe G (``default_rng(8)``, rates
+  linspace(0, 1, n + 1), n = 2 and 4, 20 draws each, atoms in [0.2, 5]).
 
 A result is written by its ``to_json`` (or ``to_dict``); a smoothed family,
 whose evaluators are closures, by its values and first derivatives at fixed
@@ -84,7 +89,7 @@ def outcome(call, *args) -> str:
     except NoConvergence as e:
         return json.dumps({"error": "NoConvergence", "message": str(e),
                            "diagnostics": repr(e.diagnostics)})
-    except TSystemError as e:
+    except (TSystemError, ValueError) as e:
         return json.dumps({"error": type(e).__name__, "message": str(e)})
 
 
@@ -228,9 +233,33 @@ def snake_lines():
             yield f"snake {name} {which} {outcome(ts.snake, fam, g1, g2, which)}"
 
 
+def verdict_summary(L) -> dict:
+    v = ts.sparse_feasibility(L)
+    return {"status": v.status, "route": v.route, "gap": v.gap}
+
+
+def exponential_halfline_lines():
+    """tests/test_moments.py::exponential_halfline_draws, recipes D and G."""
+    recipes = {"D": (7, (4, 6), lambda n: np.linspace(-1, 0, n + 1), 8, 30),
+               "G": (8, (2, 4), lambda n: np.linspace(0, 1, n + 1), 5, 20)}
+    for name, (seed, ns, rates, reach, count) in recipes.items():
+        rng = np.random.default_rng(seed)
+        for n in ns:
+            fam = ts.exponential_family(rates(n), ts.halfline(0.0))
+            for i in range(count):
+                m = int(rng.integers(1, n // 2 + 2))
+                pos = rng.uniform(0.2, reach, m)
+                wts = rng.uniform(0.2, 1, m)
+                s = MomentFunctional.from_measure(fam, list(zip(pos, wts))).s
+                d = rng.standard_normal(n + 1)
+                s = s - 10 ** rng.uniform(-6, -3) * np.max(np.abs(s)) * d / np.linalg.norm(d)
+                L = MomentFunctional(tuple(s), fam)
+                yield f"exp_halfline {name} {n}:{i} {outcome(verdict_summary, L)}"
+
+
 def main() -> int:
     for lines in (corpus_lines(), fresh_karlin_lines(), moment_lines(), smoothing_lines(),
-                  remez_lines(), snake_lines()):
+                  remez_lines(), snake_lines(), exponential_halfline_lines()):
         for line in lines:
             print(line, flush=True)
     return 0
