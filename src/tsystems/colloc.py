@@ -698,7 +698,7 @@ def _quotient_derivs(u: np.ndarray, v: np.ndarray, order: int) -> float:
     return float(h[order])
 
 
-def reduced_system(family: FamilySpec, grid: int = 201) -> FamilySpec:
+def reduced_system(family: FamilySpec) -> FamilySpec:
     """The reduced system g_i = (f_{i+1}/f_0)'.
 
     Requires f_0 > 0 on the domain (checked on a grid).  Derivatives of the
@@ -706,8 +706,7 @@ def reduced_system(family: FamilySpec, grid: int = 201) -> FamilySpec:
     rule, so the reduced family is again exact.
     """
     lo, hi = family.domain.window()
-    xs = np.linspace(lo, hi, grid)
-    f0 = family.eval_grid(xs)[:, 0]
+    f0 = family.eval_grid(np.linspace(lo, hi, 201))[:, 0]
     if np.min(f0) <= 0:
         raise NonPositiveLeadFunction("f_0 must be positive on the domain")
     n = family.order
@@ -723,17 +722,14 @@ def reduced_system(family: FamilySpec, grid: int = 201) -> FamilySpec:
     return custom_family(evs, family.domain, name=f"reduced({family.variant})")
 
 
-def ect_canonical_weights(
-    family: FamilySpec, grid: int = 201, certificate: SystemCertificate | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def ect_canonical_weights(family: FamilySpec, grid: int = 201) -> tuple[np.ndarray, np.ndarray]:
     """Tabulated canonical ECT weights g_0..g_n on a grid.
 
     g_0 = f_0, g_1 = W(f_0,f_1)/f_0^2, and
     g_i = W(f_0..f_i) W(f_0..f_{i-2}) / W(f_0..f_{i-1})^2 for i >= 2.
     Returns (xs, G) with G[i] the tabulated g_i, all strictly positive.
     """
-    if certificate is None or certificate.level != "ECT":
-        certificate = certify(family, "ECT", grid=grid)
+    certificate = certify(family, "ECT", grid=grid)
     if certificate.level != "ECT":
         raise CertificationRequired("ect_canonical_weights needs an ECT family")
     sign = np.array(certificate.canonical_sign)

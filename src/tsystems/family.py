@@ -64,13 +64,13 @@ class Domain:
             return float(self.b - self.a)
         return math.inf
 
-    def window(self, span: float = 10.0) -> tuple[float, float]:
-        """A compact working window: the interval itself, or a truncation."""
+    def window(self) -> tuple[float, float]:
+        """A compact working window: the interval itself, [a, a + 10] or [-10, 10]."""
         if self.kind == CLOSED_INTERVAL:
             return float(self.a), float(self.b)
         if self.kind == LEFT_CLOSED_HALFLINE:
-            return float(self.a), float(self.a) + span
-        return -span, span
+            return float(self.a), float(self.a) + 10.0
+        return -10.0, 10.0
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}

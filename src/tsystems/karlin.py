@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colloc import node_points, node_rows, null_vector, null_vector_tangent
+from .colloc import node_points, null_vector, null_vector_tangent
 from .errors import (
     InvariantViolation,
     LeadingCoefficientNonpositive,
@@ -50,7 +50,7 @@ from .errors import (
 from .extremal import _pattern_nodes, principal_patterns
 from .family import FamilySpec, halfline_xmax
 from .solvers import _homotopy, _newton
-from .zeros import NODAL, NON_NODAL, SparsePoly, ZeroConfig, _local_scale, count_zeros
+from .zeros import NODAL, NON_NODAL, SparsePoly, ZeroConfig, _local_scale, _pattern_vectors, count_zeros
 
 CONVERGED_TOL = 1e-10
 TOUCH_LOCAL_TOL = 1e-6  # solutions reach 2e-10 on degree-8 [a, b] draws; stalls reach 1
@@ -190,19 +190,8 @@ class _TangencySolver:
         return _merge_nodes([*self.shared, *((y, 2) for y in np.sort(ys)), *self.upper_fixed])
 
     def f_lower(self, z) -> np.ndarray:
-        """f_* of f at z: system's, where it evaluated z for f, else from the node rows."""
-        if (fl := self.seen_lower.get(z.tobytes())) is None:
-            P = null_vector(node_rows(self.family, self.lower_nodes(z[: self.m])))
-            fl = (self.pin_row @ self.f) / (self.pin_row @ P) * P
-        return fl
-
-    def upper_pattern_poly(self, ys) -> np.ndarray:
-        """Unit-scale f^*-pattern polynomial on the upper pattern's
-        sub-family, embedded in the full family."""
-        Q = null_vector(node_rows(self.upper_family, self.upper_nodes(ys)))
-        out = np.zeros(self.family.size)
-        out[: len(Q)] = Q
-        return out
+        """f_* of f at z, as system evaluated it: newton on f evaluates every z it returns."""
+        return self.seen_lower[z.tobytes()]
 
     # -- the tangency system -----------------------------------------------------
 
@@ -287,15 +276,13 @@ class _TangencySolver:
     # -- continuation -----------------------------------------------------------
 
     def surrogate(self, xs, ys) -> np.ndarray:
-        """A polynomial whose decomposition is known exactly: P + Q themselves."""
-        P = null_vector(node_rows(self.family, self.lower_nodes(xs)))
-        Pv = self.grid_rows @ P
-        if Pv[np.argmax(np.abs(Pv))] < 0:
-            P, Pv = -P, -Pv
-        Q = self.upper_pattern_poly(ys)
-        Qv = self.grid_rows @ Q
-        if Qv[np.argmax(np.abs(Qv))] < 0:
-            Q, Qv = -Q, -Qv
+        """A polynomial whose decomposition is known exactly: P + Q themselves,
+        the nonnegative pattern polynomials of xs and ys (Q on the upper
+        pattern's sub-family, embedded), each at unit max-norm on the grid."""
+        P = _pattern_vectors(self.family, self.lower_nodes(xs), ())[1]
+        Q = np.zeros(self.family.size)
+        Q[: self.upper_family.size] = _pattern_vectors(self.upper_family, self.upper_nodes(ys), ())[1]
+        Pv, Qv = self.grid_rows @ P, self.grid_rows @ Q
         return self.scale * (P / np.max(np.abs(Pv)) + Q / np.max(np.abs(Qv)))
 
     def continuation(self, xs0, tol):
@@ -433,20 +420,19 @@ def decompose_pos_ab(f: SparsePoly, init: str = "chebyshev") -> KarlinDecomposit
     return solver.solve(init)
 
 
-def decompose_nonneg_ab(f: SparsePoly, init: str = "chebyshev") -> KarlinDecomposition:
+def decompose_nonneg_ab(f: SparsePoly) -> KarlinDecomposition:
     """Karlin decomposition of a nonnegative polynomial with r < n zeros."""
     family = f.family
     if family.domain.kind != "closed_interval":
         raise InvariantViolation("decompose_nonneg_ab needs a closed interval domain")
     shared = _shared_zeros(f)
     if not shared:
-        return decompose_pos_ab(f, init=init)
+        return decompose_pos_ab(f)
     a, b = family.domain.a, family.domain.b
-    solver = _TangencySolver(family, f.a, shared, np.linspace(a, b, POS_GRID))
-    return solver.solve(init)
+    return _TangencySolver(family, f.a, shared, np.linspace(a, b, POS_GRID)).solve()
 
 
-def decompose_halfline(f: SparsePoly, mode: str = "positive", init: str = "chebyshev") -> KarlinDecomposition:
+def decompose_halfline(f: SparsePoly, mode: str = "positive") -> KarlinDecomposition:
     """Karlin decomposition on [0, inf) for power families with alpha_0 = 0.
 
     ``mode="positive"`` needs f > 0 on the half-line; ``mode="nonneg"``
@@ -474,17 +460,17 @@ def decompose_halfline(f: SparsePoly, mode: str = "positive", init: str = "cheby
         shared: tuple = ()
     elif mode == "nonneg":
         if abs(f.a[0]) <= 1e-300:
-            return _halfline_factor_out(f, init)
+            return _halfline_factor_out(f)
         if f.a[0] < 0:
             raise ValueAtZeroNonpositive(f"f(0) = {f.a[0]} must be positive")
         shared = _shared_zeros(f, window=(0.0, X))
     else:
         raise ValueError(f"mode must be 'positive' or 'nonneg', not {mode!r}")
     work_grid = np.linspace(0.0, _solve_span(f, X), POS_GRID)
-    return _TangencySolver(family, f.a, shared, work_grid).solve(init)
+    return _TangencySolver(family, f.a, shared, work_grid).solve()
 
 
-def _halfline_factor_out(f: SparsePoly, init: str) -> KarlinDecomposition:
+def _halfline_factor_out(f: SparsePoly) -> KarlinDecomposition:
     """Factor x^alpha_i0 out when f(0) = 0 and decompose the cofactor."""
     family = f.family
     coeffs = f.a
@@ -495,7 +481,7 @@ def _halfline_factor_out(f: SparsePoly, init: str) -> KarlinDecomposition:
     sub_params = tuple(float(p) - base for p in family.params[i0:])
     sub = FamilySpec("power", sub_params, family.domain)
     g = SparsePoly(tuple(coeffs[i0:]), sub)
-    dec = decompose_halfline(g, mode="nonneg", init=init)
+    dec = decompose_halfline(g, mode="nonneg")
 
     def lift(p: SparsePoly) -> SparsePoly:
         out = np.zeros(family.size)
@@ -521,6 +507,9 @@ def _halfline_factor_out(f: SparsePoly, init: str) -> KarlinDecomposition:
 
 
 def _with_zero_at_origin(zeros, base: float):
+    """The zeros of x^base g from those of g: base more at 0 where base is
+    natural; where it is not, x^base has no derivative at 0 and a zero that
+    g lacks there is simple and nodal, as count_zeros reads it."""
     if base == 0:
         return zeros
     out = [z for z in zeros if z[0] != 0.0]
@@ -530,8 +519,8 @@ def _with_zero_at_origin(zeros, base: float):
         if z[0] == 0.0:
             out.append((0.0, z[1] + (k or 0), z[2]))
             added = True
-    if not added and k:
-        out.append((0.0, k, NODAL))
+    if not added:
+        out.append((0.0, k or 1, NODAL))
     return tuple(sorted(out))
 
 
@@ -639,12 +628,12 @@ class LukacsDecomposition:
         }
 
 
-def _polish_root(coeffs_asc: np.ndarray, z, steps: int = 8):
-    """Newton-polish a simple root of an explicit polynomial in long double."""
+def _polish_root(coeffs_asc: np.ndarray, z):
+    """Newton-polish a simple root of an explicit polynomial in long double (at most 8 steps)."""
     c = np.asarray(coeffs_asc, dtype=np.clongdouble)
     dc = c[1:] * np.arange(1, len(c), dtype=np.clongdouble)
     z = np.clongdouble(z)
-    for _ in range(steps):
+    for _ in range(8):
         v = np.clongdouble(0)
         for ck in c[::-1]:
             v = v * z + ck

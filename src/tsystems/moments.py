@@ -450,7 +450,6 @@ def sparse_feasibility(
     grid: int = 2001,
     tol: float = 1e-8,
     seed: int = 0,
-    starts: int = 4,
 ) -> FeasibilityVerdict:
     """Decide membership of L in the truncated moment cone.
 
@@ -468,7 +467,7 @@ def sparse_feasibility(
     B a = 0), one start per pattern seeded by the clustered atoms, then one
     point per near-zero basin of p (read only where fewer atoms lie inside
     the window); (5) the whole engine's witness, where step 3 did not run
-    it; (6) the full multistart, adding a coarse scan and ``starts`` random
+    it; (6) the full multistart, adding a coarse scan and four random
     placements drawn from ``seed``.  Steps 2, 4 and 6 give route "dual"
     with a certificate below -tol * scale that passes
     ``_certificate_is_sound``; "undecided" (route "none", gap |r|) means p
@@ -519,7 +518,7 @@ def sparse_feasibility(
                 return FeasibilityVerdict(FEASIBLE, witness, None, float(res), "primal")
         if seeds is None:
             seeds = [float(p) for p in clustered] + _dual_seeds(xs, A, r)
-        cert = _dual_search(L, tol, seed, starts, seeds, seeded_only, probe_rows())
+        cert = _dual_search(L, tol, seed, 4, seeds, seeded_only, probe_rows())
         if cert is not None:
             return FeasibilityVerdict(INFEASIBLE, None, cert[0], float(-cert[1]), "dual")
     return FeasibilityVerdict(UNDECIDED, None, None, float(np.linalg.norm(r)))

@@ -155,7 +155,6 @@ def kernel_tp_check(
     k: int = 2,
     extended: bool = False,
     budget: int = 100_000,
-    seed: int = 0,
 ) -> dict:
     """Sampled strict-total-positivity check of order k.
 
@@ -163,11 +162,11 @@ def kernel_tp_check(
     increasing y-tuples, or non-decreasing ones for the ETP variant, whose
     repeated y entries become derivative columns in y (the kernel must then
     accept an ``order`` argument).  All pairs are screened when their count
-    fits the budget, else ``budget`` random pairs; the tuples and their
-    derivative orders are certify's.  The kernel is called once per
-    (x, y, order) that the screened minors use.  As in certify, a
-    counterexample is a minor <= 0 in long-double arithmetic, or one with a
-    collapsed row; a small positive minor refutes nothing, and
+    fits the budget, else ``budget`` random pairs, the same ones every call;
+    the tuples and their derivative orders are certify's.  The kernel is
+    called once per (x, y, order) that the screened minors use.  As in
+    certify, a counterexample is a minor <= 0 in long-double arithmetic, or
+    one with a collapsed row; a small positive minor refutes nothing, and
     ``min_scaled_det``, the least minor over its product of row max-norms,
     carries the margin.
     """
@@ -175,14 +174,14 @@ def kernel_tp_check(
     yg = np.sort(np.asarray(ygrid, dtype=float))
     if k > min(len(xg), len(yg)):
         raise ValueError("k exceeds grid sizes")
-    fx, *xt = _tuple_chunks(len(xg), k - 1, "T", budget, seed)
-    fy, *yt = _tuple_chunks(len(yg), k - 1, "ET" if extended else "T", budget, seed + 1)
+    fx, *xt = _tuple_chunks(len(xg), k - 1, "T", budget, 0)
+    fy, *yt = _tuple_chunks(len(yg), k - 1, "ET" if extended else "T", budget, 1)
     xt, yt = np.concatenate(xt), np.concatenate(yt)
     exhaustive = fx and fy and len(xt) * len(yt) <= budget
     if exhaustive:  # in the order of x-tuples, then y-tuples
         xi, yi = np.indices((len(xt), len(yt))).reshape(2, -1)
     else:
-        rng = np.random.default_rng(seed + 2)
+        rng = np.random.default_rng(2)
         xi, yi = rng.integers(0, len(xt), budget), rng.integers(0, len(yt), budget)
     yo = _confluent_orders(yt)
 

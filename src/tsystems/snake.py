@@ -104,8 +104,6 @@ def snake(
     g1,
     g2,
     which: str = "f_star",
-    grid: int = 2001,
-    certificate=None,
 ) -> SnakeSolution:
     """The unique band polynomial with n+1 alternating touch points.
 
@@ -118,13 +116,10 @@ def snake(
     """
     if which not in ("f_star", "f_upper_star"):
         raise ValueError("which must be 'f_star' or 'f_upper_star'")
-    if certificate is None:
-        certificate = certify(family, "T")
-    if not certificate:
+    if not certify(family, "T"):
         raise CertificationRequired("snake needs a T-certified family")
-    dom = family.domain
-    lo, hi = dom.window()
-    xs = np.linspace(lo, hi, grid)
+    lo, hi = family.domain.window()
+    xs = np.linspace(lo, hi, 2001)
     G1 = _as_callable(g1, family)
     G2 = _as_callable(g2, family)
     v1 = _call(G1, xs)
@@ -213,8 +208,6 @@ def _sides_for(which: str, n: int) -> list:
 
 
 def _initial_reference(lo, hi, count) -> np.ndarray:
-    if count == 1:
-        return np.array([(lo + hi) / 2])
     j = np.arange(count)
     return lo + (hi - lo) * (1 - np.cos(np.pi * j / (count - 1))) / 2
 
@@ -323,10 +316,8 @@ def best_approx(
     family: FamilySpec,
     f,
     grid: int = 4001,
-    tol: float = 1e-12,
     max_iter: int = 60,
     init: str = "chebyshev",
-    certificate=None,
 ) -> BestApproximation:
     """Best sup-norm approximation of f from lin(family) on [a, b].
 
@@ -334,14 +325,13 @@ def best_approx(
     of each sign block of the error on the evaluation grid is located by a
     safeguarded successive-parabolic search (Brent), all blocks in lockstep
     with one evaluation of f and of the basis per step, about four steps a
-    search.  The exchange stops once the grid deviation is at the rounding
-    floor of evaluating f - p (8 eps max(|f| + sum |c_i f_i|)): f is then a
-    member of the span up to rounding.  ``stalled`` is set when a reference
-    repeats or max_iter exchanges end before the deviation meets tol.
+    search.  The exchange stops once the levelled error |d| is within 1e-12
+    of the grid deviation, relatively, or once the grid deviation is at the
+    rounding floor of evaluating f - p (8 eps max(|f| + sum |c_i f_i|)): f
+    is then a member of the span up to rounding.  ``stalled`` is set when a
+    reference repeats or max_iter exchanges end before either.
     """
-    if certificate is None:
-        certificate = certify(family, "T")
-    if not certificate:
+    if not certify(family, "T"):
         raise CertificationRequired("best_approx needs a T-certified family")
     F = _as_callable(f, family)
     lo, hi = family.domain.window()
@@ -367,7 +357,7 @@ def best_approx(
         lower_bounds.append(dev_lower)
         dev_upper = float(np.max(np.abs(err)))
         best = (coeffs, d, ref.copy(), dev_upper)
-        if dev_upper - dev_lower <= tol * max(dev_upper, 1e-300):
+        if dev_upper - dev_lower <= 1e-12 * max(dev_upper, 1e-300):
             break
         if dev_upper <= _ROUNDING_FLOOR * float(np.max(abs_fv + abs_basis @ np.abs(coeffs))):
             break  # err is rounding noise: f is a member up to evaluation error
@@ -385,7 +375,7 @@ def best_approx(
         seen.add(key)
         ref = new_ref
     else:
-        stalled = True  # max_iter ran out before the deviation met tol
+        stalled = True  # max_iter ran out before the deviation levelled
 
     coeffs, d, ref, deviation = best
     poly = SparsePoly(tuple(coeffs), family)
@@ -508,9 +498,7 @@ def optimize_ratio(
     L,
     S,
     sense: str = "max",
-    starts: int = 6,
     seed: int = 0,
-    certificate=None,
 ):
     """Optimize L(p)/S(p) over nonnegative polynomials with index-n zero sets.
 
@@ -523,9 +511,7 @@ def optimize_ratio(
     up to five distinct basins: end points of one pattern whose theta differ
     by less than 1e-6 of the search window count once, at their best value.
     """
-    if certificate is None:
-        certificate = certify(family, "ET")
-    if not certificate:
+    if not certify(family, "ET"):
         raise CertificationRequired("optimize_ratio needs an ET-certified family")
     LS = np.array([L.values if hasattr(L, "values") else L,
                    S.values if hasattr(S, "values") else S], dtype=float)
@@ -538,7 +524,7 @@ def optimize_ratio(
 
     probe_rows = _probe_rows(family)
     results = []
-    for pattern, theta, p in search_polys(family, LS, objective, np.random.default_rng(seed), starts):
+    for pattern, theta, p in search_polys(family, LS, objective, np.random.default_rng(seed), 6):
         num, den = LS @ p.a
         if den > 0 and _certificate_is_sound(p, *probe_rows):
             results.append((float(num / den), pattern, tuple(map(float, theta)), p))

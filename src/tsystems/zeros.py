@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colloc import (
-    NodeSet,
-    SystemCertificate,
-    certify,
-    node_rows,
-    null_vector,
-)
+from .colloc import NodeSet, certify, node_rows, null_vector
 from .errors import (
     CertificationRequired,
     IndexTooLarge,
@@ -177,7 +171,6 @@ def poly_from_zeros(
     family: FamilySpec,
     nodes: NodeSet,
     sign: str = "auto_nonneg",
-    certificate: SystemCertificate | None = None,
     check_certificate: bool = True,
 ) -> SparsePoly:
     """Polynomial with the prescribed zeros: the cofactor vector of the node
@@ -201,7 +194,7 @@ def poly_from_zeros(
         idx = index_of(ZeroConfig(tuple((p, m, NON_NODAL) for p, m in nodes.nodes), family.domain))
         if idx > n:
             raise IndexTooLarge(f"index {idx} exceeds order {n}")
-    if check_certificate and certificate is None:
+    if check_certificate:
         target = "ET" if any(m > 1 for _, m in nodes.nodes) else "T"
         certificate = certify(family, target)
         if not certificate:
@@ -222,7 +215,6 @@ def count_zeros(
     f: SparsePoly,
     tol: float = 1e-9,
     window: tuple | None = None,
-    grid: int = 2001,
 ) -> ZeroConfig:
     """Locate and classify the zeros of f on the (windowed) domain.
 
@@ -236,7 +228,7 @@ def count_zeros(
     zero.  Raises InvariantViolation if the configuration breaks 2k + l <= n.
     """
     lo, hi = f.family.domain.window() if window is None else window
-    xs = np.linspace(lo, hi, grid)
+    xs = np.linspace(lo, hi, 2001)
     vals = f(xs)
     return _zeros_on_grid(f, lo, hi, xs, vals, _local_scale(vals), tol)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tsystems import (
     FamilySpec,
     SparsePoly,
+    count_zeros,
     decompose_halfline,
     decompose_nonneg_ab,
     decompose_pos_ab,
@@ -233,6 +234,18 @@ def test_halfline_factor_out_when_f0_zero():
     assert "factor_out" in dec.solver_path
     assert np.allclose(dec.f_lower.a, [0, 0, 0, 1], atol=1e-10)
     assert np.allclose(dec.f_upper.a, [0, 0, 1, 0], atol=1e-10)
+
+
+def test_halfline_factor_out_of_a_fractional_power_keeps_the_zero_at_0():
+    # f = x^0.5 (1 - x + x^2): x^0.5 has no derivative at 0, so each part has
+    # a simple nodal zero there, as count_zeros reads it on [0, 10]
+    fam = power_family([0, 0.5, 1.5, 2.5], halfline(0.0))
+    dec = decompose_halfline(SparsePoly((0.0, 1.0, -1.0, 1.0), fam), mode="nonneg")
+    assert "factor_out" in dec.solver_path
+    for part, reported in ((dec.f_lower, dec.zeros_lower), (dec.f_upper, dec.zeros_upper)):
+        found = count_zeros(part, window=(0.0, 10.0)).zeros
+        assert [z[1:] for z in reported.zeros] == [z[1:] for z in found]
+        assert np.allclose([z[0] for z in reported.zeros], [z[0] for z in found], rtol=0, atol=1e-9)
 
 
 def test_halfline_sparse_power_family(rng):

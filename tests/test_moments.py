@@ -469,6 +469,22 @@ def test_certificate_negative_beyond_probe_window_is_unsound():
     assert _certificate_is_sound(SparsePoly((1.0, 0.0, 1.0), fam), probes, rows)
 
 
+def test_certificate_with_unknown_sign_at_infinity_needs_its_zero_count():
+    # sum a_i / (x + alpha_i) = Q(x) / prod (x + alpha_i) with Q = x (2e6 - x):
+    # >= 0 on both probe grids, negative past 2e6.  A rational sum has no
+    # known sign at infinity, so only its one zero found against the bound 2
+    # (coefficients minus one) shows the room for a sign change beyond
+    alpha = np.array([1.0, 2.0, 3.0])
+    fam = rational_family(alpha, halfline(0.0))
+    Q = lambda x: x * (2e6 - x)
+    a = np.array([Q(-ai) / np.prod([aj - ai for aj in alpha if aj != ai]) for ai in alpha])
+    p = SparsePoly(tuple(a / np.max(np.abs(a))), fam)
+    probes, rows = moments._probe_rows(fam)
+    assert all(np.all(B @ p.a >= 0) for B in rows) and p(2.1e6) < 0
+    assert moments._end_signs(p) == [None]
+    assert not _certificate_is_sound(p, probes, rows)
+
+
 def test_minimum_on_both_half_line_grids_is_checked_on_the_finer_scale():
     # (x - x0)^2 - 1e-11 on [0, inf): x0 lies where the grid on [0, 10] and
     # the coarse grid from 5 overlap, and both polish the same minimum.  Its
