@@ -41,7 +41,16 @@ order:
   half-line draws of ``tests/test_moments.py``: recipe D
   (``default_rng(7)``, rates linspace(-1, 0, n + 1), n = 4 and 6, 30 draws
   each, atoms in [0.2, 8]) and recipe G (``default_rng(8)``, rates
-  linspace(0, 1, n + 1), n = 2 and 4, 20 draws each, atoms in [0.2, 5]).
+  linspace(0, 1, n + 1), n = 2 and 4, 20 draws each, atoms in [0.2, 5]);
+* ``count_zeros`` beyond the ``desk`` corpus: the 12 round trips of
+  ``tests/test_zeros.py::test_round_trip_random_node_sets`` and the 40
+  random vectors of ``test_zero_count_bound_random_vectors`` (each from
+  ``default_rng(20240808)``), the five simple zeros of a quintic,
+  (x - 0.3)^2 (x - 0.7)^2 on monomials 0..4 over [0, 1], and three double
+  zeros, one 1.83e-8 inside the window's end;
+* 40 T refutations of {1, x, x^3} on [-a, b] (``default_rng(42)``, a and b
+  in [0.3, 1.0] rounded to 4 digits, as the ``desk`` corpus draws them),
+  each certificate with its counterexample.
 
 A result is written by its ``to_json`` (or ``to_dict``); a smoothed family,
 whose evaluators are closures, by its values and first derivatives at fixed
@@ -257,9 +266,50 @@ def exponential_halfline_lines():
                 yield f"exp_halfline {name} {n}:{i} {outcome(verdict_summary, L)}"
 
 
+def zeros_lines():
+    rng = np.random.default_rng(20240808)  # test_round_trip_random_node_sets
+    for i in range(12):
+        n = int(rng.integers(2, 8))
+        exps = [0] + sorted(rng.choice(np.arange(1, 3 * n), size=n, replace=False).tolist())
+        fam = ts.power_family(exps, ts.interval(0.1, 2.0))
+        m = n // 2
+        pts = np.sort(rng.uniform(0.25, 1.9, m))
+        while len(pts) > 1 and np.min(np.diff(pts)) < 0.12:
+            pts = np.sort(rng.uniform(0.25, 1.9, m))
+        nodes = [(float(t), 2) for t in pts] + ([(0.1, 1)] if n - 2 * m == 1 else [])
+        p = ts.poly_from_zeros(fam, ts.NodeSet.of(*nodes), check_certificate=False)
+        yield f"zeros round_trip {i} {outcome(ts.count_zeros, p)}"
+    rng = np.random.default_rng(20240808)  # test_zero_count_bound_random_vectors
+    fam = ts.power_family([0, 1, 2, 4, 6], ts.interval(0.2, 1.5))
+    for i in range(40):
+        p = ts.SparsePoly(tuple(rng.standard_normal(fam.size)), fam)
+        yield f"zeros random_vector {i} {outcome(ts.count_zeros, p)}"
+    quintic = ts.monomial_family(list(range(6)), ts.interval(-1, 1))
+    zs = ts.NodeSet.of(-0.70031, -0.30017, 0.10023, 0.45041, 0.80013)
+    p = ts.poly_from_zeros(quintic, zs, sign="raw", check_certificate=False)
+    yield f"zeros quintic - {outcome(ts.count_zeros, p)}"
+    quartic = ts.monomial_family(list(range(5)), ts.interval(0, 1))
+    p = ts.poly_from_zeros(quartic, ts.NodeSet.of((0.3, 2), (0.7, 2)), check_certificate=False)
+    yield f"zeros two_doubles - {outcome(ts.count_zeros, p)}"
+    fam = ts.power_family([0, 2, 3, 3.5, 4, 5.5, 8], ts.interval(0.1, 1.2))
+    nodes = ts.NodeSet.of((0.7254, 2), (0.9566, 2), (1.2 - 1.83e-8, 2))
+    p = ts.poly_from_zeros(fam, nodes, check_certificate=False)
+    yield f"zeros window_end - {outcome(ts.count_zeros, p)}"
+
+
+def refutation_lines():
+    rng = np.random.default_rng(42)
+    for i in range(40):
+        a = float(np.round(rng.uniform(0.3, 1.0), 4))
+        b = float(np.round(rng.uniform(0.3, 1.0), 4))
+        fam = ts.monomial_family([0, 1, 3], ts.interval(-a, b))
+        yield f"refute {i} - {outcome(ts.certify, fam, 'T')}"
+
+
 def main() -> int:
     for lines in (corpus_lines(), fresh_karlin_lines(), moment_lines(), smoothing_lines(),
-                  remez_lines(), snake_lines(), exponential_halfline_lines()):
+                  remez_lines(), snake_lines(), exponential_halfline_lines(), zeros_lines(),
+                  refutation_lines()):
         for line in lines:
             print(line, flush=True)
     return 0
