@@ -117,7 +117,7 @@ class _PowerPlan:
     derivative at x = 0 (k! for alpha = k, else 0), defined only for natural
     alpha; ``rough`` is the first exponent that is not.  ``fixups[k]`` lists
     the (exponent, column) pairs of order k that the scalar call computes
-    (see _SCALAR_POWER_CASES), ``special`` marks them in one table.
+    (see _SCALAR_POWER_CASES).
     numpy's pow takes a slow scalar path on a negative base, so at x < 0 a
     natural exponent e gives ``signs`` (-1)^e times |x|^e, within 1 ulp of
     numpy's pow; other exponents keep numpy's pow there.
@@ -136,28 +136,35 @@ class _PowerPlan:
         self.alphas = np.asarray(params, dtype=float)
         self.natural = (self.alphas >= 0) & (self.alphas == np.floor(self.alphas))
         self.rough = None if self.natural.all() else self.alphas[int(np.argmin(self.natural))]
-        kept = functools.partial(self._block, kept=True)
-        self._kept_block = functools.lru_cache(maxsize=self.BLOCK_COUNT)(kept)
         self._tabulate(self.alphas.size + 2)
 
+    @functools.cached_property
+    def _kept_block(self):
+        """_block with the cache of kept blocks, made at the first mixed call."""
+        return functools.lru_cache(maxsize=self.BLOCK_COUNT)(functools.partial(self._block, kept=True))
+
     def _tabulate(self, orders: int) -> None:
+        """The tables of orders below ``orders``, each built whole: facs[k] is
+        the product of alpha - j over j < k, multiplied in increasing j."""
         al = self.alphas
-        fac = np.ones(al.size)
-        exps, facs, zeros = [], [], []
-        for k in range(orders):
-            if k:
-                fac = fac * (al - (k - 1))
-            dead = fac == 0.0
-            exps.append(np.where(dead, 0.0, al - k))
-            facs.append(np.where(dead, 0.0, fac))
-            zeros.append(np.where(self.natural & (al == k), math.factorial(k), 0.0))
-        self.exps, self.facs, self.zeros = np.array(exps), np.array(facs), np.array(zeros)
-        self.signs = np.where(self.natural & (self.exps % 2 == 1), -1.0, 1.0)
+        exps = al - np.arange(orders)[:, None]  # alpha - k until fac dies
+        facs = np.ones_like(exps)
+        np.multiply.accumulate(exps[:-1], axis=0, out=facs[1:])
+        dead = facs == 0.0
+        exps[dead] = facs[dead] = 0.0
+        self.exps, self.facs, self.zeros = exps, facs, np.zeros_like(exps)
+        for i, (a, natural) in enumerate(zip(al.tolist(), self.natural.tolist())):
+            if natural and a < orders:
+                self.zeros[int(a), i] = math.factorial(int(a))
+        # fmod equals % at the natural entries, the only ones read: they are >= 0
+        self.signs = np.where(self.natural & (np.fmod(exps, 2) == 1), -1.0, 1.0)
         for table in (self.exps, self.facs, self.zeros, self.signs):
             table.flags.writeable = False  # shared by every family with these params
-        self.special = np.isin(self.exps, _SCALAR_POWER_CASES)
-        self.fixups = [tuple((e, i) for i, e in enumerate(row) if e in _SCALAR_POWER_CASES)
-                       for row in self.exps.tolist()]
+        fixups = [[] for _ in range(orders)]
+        ks, cols = np.nonzero(np.logical_or.reduce([exps == s for s in _SCALAR_POWER_CASES]))
+        for k, i, e in zip(ks.tolist(), cols.tolist(), exps[ks, cols].tolist()):
+            fixups[k].append((e, i))
+        self.fixups = [tuple(f) for f in fixups]
 
     def eval(self, x: np.ndarray, order, signed=False) -> np.ndarray:
         """Rows f^(k)(x_j) on a flat array of in-domain points; ``order`` is
@@ -203,20 +210,20 @@ class _PowerPlan:
     def _block(self, key: bytes, kept: bool = False) -> tuple:
         """(exponents, factorials, fixups, signs: None unless ``kept``) of a
         block of rows whose orders are the int array with bytes ``key``; fixups
-        are (s, rows, flat entries) of the exponents s the scalar call computes."""
+        are (s, rows, flat entries) of the exponents s the scalar call computes,
+        gathered from each row's order's ``fixups``."""
         order = np.frombuffer(key, dtype=int)
         if order.size and order.max() >= len(self.exps):
             self._tabulate(int(order.max()) + 1)
         e = self.exps[order]
-        rows, cols = np.nonzero(self.special[order])
-        fixups = []
-        for s in _SCALAR_POWER_CASES:
-            hit = e[rows, cols] == s
-            if hit.any():
-                fixups.append((s, rows[hit], rows[hit] * e.shape[1] + cols[hit]))
+        hits = {}
+        for row, k in enumerate(order.tolist()):
+            for s, i in self.fixups[k]:
+                hits.setdefault(s, []).append((row, row * e.shape[1] + i))
+        fixups = tuple((s, np.array([r for r, _ in h]), np.array([f for _, f in h])) for s, h in hits.items())
         fac, signs = self.facs[order], self.signs[order] if kept else None
         e.flags.writeable = fac.flags.writeable = False  # kept for later calls
-        return e, fac, tuple(fixups), signs
+        return e, fac, fixups, signs
 
 
 @functools.lru_cache(maxsize=256)

@@ -39,7 +39,6 @@ from .zeros import (
     SparsePoly,
     ZeroConfig,
     _local_scale,
-    _polish_on_derivative,
     _zeros_on_grid,
     index_of,
 )
@@ -404,9 +403,12 @@ def _certificate_is_sound(p: SparsePoly, probes, rows) -> bool:
             return False
         lo, hi = float(probe[0]), float(probe[-1])
         step = (hi - lo) / (len(probe) - 1)
-        polished = {}  # grid index -> its minimum polished, shared with count_zeros
+        left = np.concatenate([vals[:1], vals[:-1]])
+        right = np.concatenate([vals[1:], vals[-1:]])
+        minima = np.flatnonzero((vals <= left) & (vals <= right) & (vals < 1e-2 * sloc)).tolist()
+        polished = {}  # grid index -> its minimum polished, in count_zeros' lockstep
         try:
-            zeros = [z for z in _zeros_on_grid(p, lo, hi, probe, vals, sloc, 1e-9, polished).zeros
+            zeros = [z for z in _zeros_on_grid(p, lo, hi, probe, vals, sloc, 1e-9, polished, minima).zeros
                      if c_lo <= z[0] < c_hi]
         except TSystemError:  # a zero set count_zeros cannot resolve is no evidence
             return False
@@ -423,16 +425,8 @@ def _certificate_is_sound(p: SparsePoly, probes, rows) -> bool:
                 return False
             else:
                 found.append((x, m, kind))
-        left = np.concatenate([vals[:1], vals[:-1]])
-        right = np.concatenate([vals[1:], vals[-1:]])
-        minima = np.flatnonzero((vals <= left) & (vals <= right) & (vals < 1e-2 * sloc)).tolist()
-        points = [*probe[minima].tolist(), *(z[0] for z in zeros)]
-        for i in minima:
-            if i not in polished:
-                polished[i] = _polish_on_derivative(p, float(probe[i]), 2, lo, hi, hi - lo)
-            points.append(polished[i])
-        for x in points:
-            scale = float(sloc[int(np.clip(round((x - lo) / step), 0, len(probe) - 1))])
+        for x in [*probe[minima].tolist(), *(z[0] for z in zeros), *(polished[i] for i in minima)]:
+            scale = float(sloc[min(max(round((x - lo) / step), 0), len(probe) - 1)])
             checks[x] = min(checks.get(x, scale), scale)
     origin = float(probes[0][1] - probes[0][0])
     bound, count = _zero_budget(p, ZeroConfig(tuple(found), family.domain), origin)
@@ -488,15 +482,17 @@ def sparse_feasibility(
     s = L.s
     scale = max(float(np.max(np.abs(s))), 1e-300)
 
-    # cheap certificate: a basis direction that is nonnegative on the domain
-    xs0 = _primal_grid(family, 201)
-    base_vals = family.eval_grid(xs0)
+    # cheap certificate: a basis direction that is nonnegative on the domain,
+    # looked for only where some moment is negative
     probe_rows = functools.cache(lambda: _probe_rows(family))  # built at the first check
-    for i in range(family.size):
-        if np.all(base_vals[:, i] >= 0) and s[i] < -tol * scale:
-            e = SparsePoly(tuple(np.eye(family.size)[i]), family)
-            if _certificate_is_sound(e, *probe_rows()):
-                return FeasibilityVerdict(INFEASIBLE, None, e, float(-s[i]), "basis")
+    negative = np.flatnonzero(s < -tol * scale)
+    if negative.size:
+        base_vals = family.eval_grid(_primal_grid(family, 201))
+        for i in negative.tolist():
+            if np.all(base_vals[:, i] >= 0):
+                e = SparsePoly(tuple(np.eye(family.size)[i]), family)
+                if _certificate_is_sound(e, *probe_rows()):
+                    return FeasibilityVerdict(INFEASIBLE, None, e, float(-s[i]), "basis")
 
     # the grid certificate, at unit max-norm coefficients as poly_from_zeros scales
     xs, A, _, r = _shared(_grid_fit, family, s, grid)

@@ -140,17 +140,33 @@ def _bounded_lm(fun, jac, z, lower, upper, max_nfev, settled):
     return z
 
 
-def _zeroin(f, lo, hi):
+def _zeroin(f, brackets) -> list:
     """Brent's zeroin (*Algorithms for Minimization without Derivatives*,
-    1973, ch. 4) for a sign change of f(t) between two ends, each a
-    (t, value, point) triple whose values have opposite signs; ``f(t)``
-    gives (value, point), a point being a float or a tuple.  The bracket
-    [b, c] keeps the sign change; a step is inverse quadratic or secant
-    where that lands inside the bracket and shrinks the step before last by
-    half, else a bisection.  Stops at an exact 0, or once the point at a new
-    t equals the point at an end of the bracket: float64 cannot split the
-    bracket any further.  Returns the (t, value, point) of the best end, b.
+    1973, ch. 4) for a sign change of f(t) in each bracket, all in lockstep:
+    a bracket is two (t, value, point) ends whose values have opposite
+    signs, a point a float or a tuple, and ``f(ts)`` gives the (value,
+    point) at the t of every bracket still open.  The bracket [b, c] keeps
+    the sign change; a step is inverse quadratic or secant where that lands
+    inside the bracket and shrinks the step before last by half, else a
+    bisection.  A bracket stops at an exact 0, or once the point at a new t
+    equals the point at an end of the bracket: float64 cannot split it any
+    further.  Returns the (t, value, point) of each bracket's best end, b.
     """
+    runs = [_zeroin_steps(*ends) for ends in brackets]
+    out, sent = [None] * len(runs), dict.fromkeys(range(len(runs)))
+    while sent:
+        asks = {}
+        for i, answer in sent.items():
+            try:
+                asks[i] = runs[i].send(answer)
+            except StopIteration as stop:
+                out[i] = stop.value
+        sent = dict(zip(asks, f(list(asks.values())))) if asks else {}
+    return out
+
+
+def _zeroin_steps(lo, hi):
+    """One bracket of _zeroin: yields each t and is sent (value, point) at it."""
     a, fa, xa = lo  # the point before b
     b, fb, xb = hi  # the best point
     c, fc, xc = a, fa, xa  # the other end of the bracket
@@ -181,7 +197,7 @@ def _zeroin(f, lo, hi):
         else:
             d = e = m
         t = b + (d if abs(d) > tol else math.copysign(tol, m))
-        ft, xt = f(t)
+        ft, xt = yield t
         if ft == 0.0:
             return t, ft, xt
         if xt == xb or xt == xc:

@@ -30,6 +30,7 @@ from .solvers import _zeroin
 
 NODAL = "nodal"
 NON_NODAL = "non_nodal"
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -234,9 +235,10 @@ def count_zeros(
 
 
 def _zeros_on_grid(f: SparsePoly, lo, hi, xs: np.ndarray, vals, sloc, tol: float,
-                   polished: dict | None = None) -> ZeroConfig:
+                   polished: dict | None = None, also=()) -> ZeroConfig:
     """count_zeros on xs = linspace(lo, hi, len(xs)), given f(xs) and its
-    _local_scale; each local minimum of |f| polished is put in ``polished``
+    _local_scale.  Each local minimum of |f|, and each grid index in
+    ``also``, is polished, all in one lockstep, and put in ``polished``
     (grid index -> polished point) where that is given."""
     family, grid = f.family, len(xs)
     scale = float(np.max(np.abs(vals)))
@@ -245,39 +247,38 @@ def _zeros_on_grid(f: SparsePoly, lo, hi, xs: np.ndarray, vals, sloc, tol: float
     width = hi - lo
     step = width / (grid - 1)
 
-    def local_scale(x: float) -> float:
-        i = int(np.clip(round((x - lo) / step), 0, grid - 1))
-        return max(float(sloc[i]), 1e-300 * scale)
+    def local_scale(points) -> list:
+        """The local scale at the grid point nearest to each point."""
+        return [max(float(sloc[min(max(round((x - lo) / step), 0), grid - 1)]), 1e-300 * scale)
+                for x in points]
 
-    roots: list[float] = []
     s = np.sign(vals)
-    for i in np.flatnonzero(s[:-1] * s[1:] < 0):
-        ends = [(float(xs[j]), float(vals[j]), float(xs[j])) for j in (i, i + 1)]
-        roots.append(_zeroin(lambda t: (f(t), t), *ends)[0])
+    brackets = [[(float(xs[j]), float(vals[j]), float(xs[j])) for j in (i, i + 1)]
+                for i in np.flatnonzero(s[:-1] * s[1:] < 0)]
+    roots = [b for b, _, _ in _zeroin(lambda ts: zip(_values(f, ts, 0)[0], ts), brackets)]
     # a zero on a grid point reads 0 there: no sign change either side of it
     roots.extend(map(float, xs[vals == 0]))
 
     absv = np.abs(vals)
     left = np.concatenate([absv[:1], absv[:-1]])
     right = np.concatenate([absv[1:], absv[-1:]])
-    for i in np.flatnonzero((absv <= left) & (absv <= right) & (absv < 1e-2 * sloc)):
-        x0 = _polish_on_derivative(f, float(xs[i]), 2, lo, hi, width)
-        if polished is not None:
-            polished[int(i)] = x0
-        if abs(f(x0)) <= max(tol * local_scale(x0), _rounding(f, x0)):
-            roots.append(x0)
-    for xe in (lo, hi):
-        if abs(f(xe)) <= tol * local_scale(xe):
-            roots.append(float(xe))
+    minima = np.flatnonzero((absv <= left) & (absv <= right) & (absv < 1e-2 * sloc)).tolist()
+    own = set(minima)
+    starts = minima + [i for i in also if i not in own]
+    x0 = _polish_on_derivative(f, [float(xs[i]) for i in starts], [2] * len(starts), lo, hi, width)
+    if polished is not None:
+        polished.update(zip(starts, x0))
+    # a polished minimum of |f| at the rounding floor is a root, as is an
+    # end of the window where |f| is below tol
+    points = x0[: len(minima)] + [float(lo), float(hi)]
+    v, rows = _values(f, points, 0)
+    floor = _rounding(f, rows)[: len(minima)] + [0.0, 0.0]
+    roots += [x for x, y, sc, e in zip(points, v, local_scale(points), floor) if abs(y) <= max(tol * sc, e)]
 
     merged = _merge_basins(f, sorted(roots), tol, local_scale, width)
-
-    zeros = []
-    for r in merged:
-        r, mult = _resolve_multiplicity(f, r, _scale_window(grid) * step, local_scale, lo, hi, width, tol)
-        kind = _classify(f, r, lo, hi, width, local_scale(r))
-        zeros.append((float(min(max(r, lo), hi)), mult, kind))
-    zeros = sorted(zeros)
+    resolved = _resolve_multiplicity(f, merged, _scale_window(grid) * step, local_scale, lo, hi, width, tol)
+    kinds = _classify(f, resolved, lo, hi, width, local_scale([z[0] for z in resolved]))
+    zeros = sorted((float(min(max(z[0], lo), hi)), z[1], kind) for z, kind in zip(resolved, kinds))
     dedup = []
     for z in zeros:
         if dedup and abs(z[0] - dedup[-1][0]) <= 1e-12 * width:
@@ -291,6 +292,27 @@ def _zeros_on_grid(f: SparsePoly, lo, hi, xs: np.ndarray, vals, sloc, tol: float
     if 2 * k + l > n:
         raise InvariantViolation(f"zero count bound violated: 2*{k} + {l} > {n}", cfg)
     return cfg
+
+
+def _values(f: SparsePoly, x, order) -> tuple[list, np.ndarray]:
+    """f^(order_j)(x_j) at each point of the list x and the rows they come
+    from, all from one eval_grid; ``order`` is one order or a list.  Each
+    value is its row's own (1 x n) @ a product, as in f(x_j, order_j), so
+    it equals that call bit for bit (the rows' matrix-vector product can
+    differ in the last bit).  Where NonDifferentiable, None and a NaN row."""
+    if not len(x):
+        return [], np.empty((0, f.family.size))
+    x = np.asarray(x, dtype=float)
+    if not isinstance(order, int):  # a list: one order for all is the cheaper call
+        order = order[0] if min(order) == max(order) else np.asarray(order, dtype=int)
+    try:
+        rows = f.family.eval_grid(x, order)
+    except NonDifferentiable:  # raised by a row at 0 alone: take the rows one at a time
+        if x.size == 1:
+            return [None], np.full((1, f.family.size), np.nan)
+        each = [_values(f, [xj], k) for xj, k in zip(x.tolist(), np.broadcast_to(order, x.shape).tolist())]
+        return [v for vs, _ in each for v in vs], np.concatenate([r for _, r in each])
+    return np.matmul(rows[:, None, :], f.a)[:, 0].tolist(), rows
 
 
 def _scale_window(n: int) -> int:
@@ -319,9 +341,9 @@ def _running_max(a: np.ndarray, K: int) -> np.ndarray:
     return np.maximum(span[: len(a)], span[width - length : width - length + len(a)])
 
 
-def _rounding(f: SparsePoly, x: float) -> float:
-    """eps * sum |a_i f_i(x)|, the rounding error of evaluating f at x."""
-    return np.finfo(float).eps * float(np.abs(f.family.eval_grid(np.array([x]))[0] * f.a).sum())
+def _rounding(f: SparsePoly, rows: np.ndarray) -> list:
+    """eps * sum |a_i f_i(x)| of each row: the rounding error of evaluating f at x."""
+    return (_EPS * np.abs(rows * f.a).sum(axis=1)).tolist()
 
 
 def _merge_basins(f, roots, tol, local_scale, width):
@@ -333,80 +355,111 @@ def _merge_basins(f, roots, tol, local_scale, width):
             if abs(r - prev) <= 1e-9 * width:
                 continue
             between = np.linspace(prev, r, 9)[1:-1]
-            if np.all(np.abs(f(between)) <= 10 * tol * local_scale((prev + r) / 2)):
+            if np.all(np.abs(f(between)) <= 10 * tol * local_scale([(prev + r) / 2])[0]):
                 merged[-1] = min([prev, r] + list(between), key=lambda t: abs(f(t)))
                 continue
         merged.append(r)
     return merged
 
 
-def _resolve_multiplicity(f, r0, W, local_scale, lo, hi, width, tol):
-    """Largest consistent multiplicity, with the position polished on f^(m-1).
+def _resolve_multiplicity(f, roots, W, local_scale, lo, hi, width, tol) -> list:
+    """(point, multiplicity, rounding error of f there) of each root: the
+    largest consistent multiplicity, with the position polished on f^(m-1).
 
     For each candidate m (from the order down), polish on f^(m-1) where a
     multiplicity-m zero is simple, then require the Taylor terms below m to
     be negligible against the m-th and the m-th term to carry the local
-    scale.  m = 1 is the simple-zero fallback.
+    scale.  m = 1 is the simple-zero fallback.  The candidates m > 1 of all
+    roots share one lockstep and one evaluation of their ladders.
     """
     n = f.family.order
-    sloc = local_scale(r0)
-    for m_try in range(n, 1, -1):
-        rt = _polish_on_derivative(f, r0, m_try, lo, hi, width)
-        if abs(rt - r0) > 0.5 * W:
-            continue
-        try:
-            terms = [abs(f(rt, j)) * W**j / math.factorial(j) for j in range(n + 1)]
-        except NonDifferentiable:
-            continue
-        t_m = terms[m_try]
-        if t_m < 1e-3 * sloc or abs(f(rt)) > max(10 * tol * sloc, _rounding(f, rt)):
-            continue
-        if all(terms[j] <= 1e-7 * t_m for j in range(m_try)):
-            return rt, m_try
-    rt = _polish_on_derivative(f, r0, 1, lo, hi, width)
-    if abs(rt - r0) > 0.5 * W or abs(f(rt)) > abs(f(r0)):
-        rt = r0
-    return rt, 1
+    ms = range(n, 1, -1)
+    rts = _polish_on_derivative(f, [r0 for r0 in roots for _ in ms], [m for _ in roots for m in ms],
+                                lo, hi, width)
+    ask, first = [], []  # the ladder f^(j)(rt), j = 0..n, of each candidate within W/2 of its root
+    for c, rt in enumerate(rts):
+        first.append(len(ask))
+        if abs(rt - roots[c // len(ms)]) <= 0.5 * W:
+            ask += [rt] * (n + 1)
+    v, rows = _values(f, ask, list(range(n + 1)) * (len(ask) // (n + 1)))
+    floor = _rounding(f, rows)
+    out = [None] * len(roots)
+    for q, (r0, sloc) in enumerate(zip(roots, local_scale(roots))):
+        for c, m_try in enumerate(ms, q * len(ms)):
+            rt, j = rts[c], first[c]
+            ladder = v[j : j + n + 1]
+            if abs(rt - r0) > 0.5 * W or None in ladder:  # too far, or no derivative there
+                continue
+            terms = [abs(ladder[k]) * W**k / math.factorial(k) for k in range(n + 1)]
+            t_m = terms[m_try]
+            if t_m < 1e-3 * sloc or abs(ladder[0]) > max(10 * tol * sloc, floor[j]):
+                continue
+            if all(terms[k] <= 1e-7 * t_m for k in range(m_try)):
+                out[q] = (rt, m_try, floor[j])
+                break
+    fallback = [q for q, z in enumerate(out) if z is None]
+    rts = _polish_on_derivative(f, [roots[q] for q in fallback], [1] * len(fallback), lo, hi, width)
+    v, rows = _values(f, [r for q, rt in zip(fallback, rts) for r in (rt, roots[q])], 0)
+    floor = _rounding(f, rows)
+    for j, q, rt in zip(range(0, len(v), 2), fallback, rts):
+        if abs(rt - roots[q]) > 0.5 * W or abs(v[j]) > abs(v[j + 1]):
+            rt, j = roots[q], j + 1
+        out[q] = (rt, 1, floor[j])
+    return out
 
 
-def _polish_on_derivative(f, r, mult, lo, hi, width) -> float:
-    """Newton on f^(m-1), where a multiplicity-m zero is simple, until a step
-    is within 4 ulp of x or no shorter than the step before.  With m = 2 it
-    lands on the critical point of f near r: the local minimum of |f| where a
-    double zero sits."""
-    x, last = r, math.inf
+def _polish_on_derivative(f, starts, mults, lo, hi, width) -> list:
+    """Newton on f^(m-1), where a multiplicity-m zero is simple, from each
+    start r with its m, all in lockstep (one _values call a step), until a
+    step is within 4 ulp of x or no shorter than the step before.  With
+    m = 2 it lands on the critical point of f near r: the local minimum of
+    |f| where a double zero sits."""
+    x, last = list(starts), [math.inf] * len(starts)
+    moving = list(range(len(starts)))
     for _ in range(60):
-        try:
-            v, d = f(x, mult - 1), f(x, mult)
-        except NonDifferentiable:
+        if not moving:
             break
-        if d == 0:
-            break
-        step = -v / d
-        if abs(step) > 0.02 * width:
-            step = math.copysign(0.02 * width, step)
-        xn = min(max(x + step, lo), hi)
-        x, moved = xn, abs(xn - x)
-        if moved <= 4 * math.ulp(x) or moved >= last:
-            break
-        last = moved
-    return x if abs(x - r) <= 0.05 * width else r
+        pts = [x[i] for i in moving for _ in (0, 1)]
+        v = _values(f, pts, [mults[i] - 1 + d for i in moving for d in (0, 1)])[0]
+        still = []
+        for i, value, slope in zip(moving, v[::2], v[1::2]):
+            if value is None or slope is None or slope == 0:  # no derivative there, or a flat one
+                continue
+            step = -value / slope
+            if abs(step) > 0.02 * width:
+                step = math.copysign(0.02 * width, step)
+            xn = min(max(x[i] + step, lo), hi)
+            x[i], moved = xn, abs(xn - x[i])
+            if moved <= 4 * math.ulp(x[i]) or moved >= last[i]:
+                continue
+            last[i] = moved
+            still.append(i)
+        moving = still
+    return [xi if abs(xi - r) <= 0.05 * width else r for xi, r in zip(x, starts)]
 
 
-def _classify(f: SparsePoly, r: float, lo: float, hi: float, width: float, sloc: float) -> str:
-    # endpoint zeros are nodal by convention
-    if abs(r - lo) <= 1e-12 * width or abs(r - hi) <= 1e-12 * width:
-        return NODAL
-    # both side points stay strictly inside the window: a side point clamped
-    # onto an endpoint reads f there, not beside the zero
-    delta = min(1e-4 * width, 0.5 * (r - lo), 0.5 * (hi - r))
-    floor = min(1e-9 * width, delta)
-    # a side value below the rounding error of evaluating f has no sign
-    small = max(1e-11 * sloc, _rounding(f, r))
-    while delta >= floor:
-        left = f(r - delta)
-        right = f(r + delta)
-        if abs(left) > small and abs(right) > small:
-            return NODAL if left * right < 0 else NON_NODAL
-        delta /= 2
-    return NON_NODAL
+def _classify(f: SparsePoly, found, lo: float, hi: float, width: float, slocs) -> list:
+    """NODAL or NON_NODAL for each (point, multiplicity, rounding error) of
+    _resolve_multiplicity, from the signs of f at side points r -+ delta,
+    delta halved until both sides carry a sign; a round evaluates the side
+    points of every zero still unsigned at once."""
+    kinds, live = [NON_NODAL] * len(found), {}
+    for i, ((r, _, rounding), sloc) in enumerate(zip(found, slocs)):
+        if abs(r - lo) <= 1e-12 * width or abs(r - hi) <= 1e-12 * width:
+            kinds[i] = NODAL  # endpoint zeros are nodal by convention
+            continue
+        # both side points stay strictly inside the window: a side point clamped
+        # onto an endpoint reads f there, not beside the zero
+        delta = min(1e-4 * width, 0.5 * (r - lo), 0.5 * (hi - r))
+        # a side value below the rounding error of evaluating f has no sign
+        live[i] = [r, delta, min(1e-9 * width, delta), max(1e-11 * sloc, rounding)]
+    while live:
+        v = _values(f, [x for r, d, *_ in live.values() for x in (r - d, r + d)], 0)[0]
+        for (i, (r, delta, floor, small)), left, right in zip(list(live.items()), v[::2], v[1::2]):
+            if abs(left) > small and abs(right) > small:
+                kinds[i] = NODAL if left * right < 0 else NON_NODAL
+            elif delta / 2 >= floor:
+                live[i][1] = delta / 2
+                continue
+            del live[i]
+    return kinds

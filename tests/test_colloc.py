@@ -490,6 +490,25 @@ def test_desk_refutations_are_sound_crossings_in_few_determinants(monkeypatch):
         assert all(abs(d) >= 1e-13 * det_scale(rows) for d, rows in zip(dets, sides))
 
 
+def test_t_refutation_evaluates_the_basis_once_a_step_in_one_order(monkeypatch):
+    # the zeroin along the path between two tuples evaluates the rows of each
+    # tuple it tries in one eval_grid, with the one order 0 where no points
+    # coincide (the cheaper call); the others are the canonical sign's, the
+    # screen's table and the two sides of the crossing.  Its steps are
+    # sequential, so the count is one a step: 11 for this window, as with
+    # an array of zero orders a step.
+    monkeypatch.setattr(colloc, "_CERT_CACHE", {})
+    calls, steps = [], []
+    real = FamilySpec.eval_grid
+    monkeypatch.setattr(FamilySpec, "eval_grid", lambda self, xs, order=0: calls.append(order) or real(self, xs, order))
+    real_zeroin = colloc._zeroin
+    monkeypatch.setattr(colloc, "_zeroin", lambda f, brackets: real_zeroin(lambda ts: steps.extend(ts) or f(ts), brackets))
+    cert = certify(monomial_family([0, 1, 3], interval(-0.6039, 0.3192)), "T")
+    assert cert.level == "none"
+    assert 0 < len(steps) <= 12 and len(calls) == len(steps) + 4, (len(steps), len(calls))
+    assert all(isinstance(order, int) and order == 0 for order in calls)
+
+
 @pytest.mark.parametrize("target", ["T", "ET"])
 def test_tuple_chunks_are_one_draw_in_order(target):
     # the chunks are the tuples of one draw of them all, in order: for T the

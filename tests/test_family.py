@@ -25,7 +25,7 @@ from tsystems import (
     validate,
 )
 from tsystems.errors import DomainViolation, NonDifferentiable
-from tsystems.family import halfline_xmax
+from tsystems.family import _PowerPlan, halfline_xmax
 
 
 def test_monomial_values():
@@ -348,3 +348,49 @@ def test_exponential_halfline_window():
     assert halfline_xmax(exponential_family([0, 5], halfline(0.0))) == 10.0
     assert halfline_xmax(exponential_family([0, 1e-9], halfline(0.0))) == 1e6
     assert halfline_xmax(rational_family([1, 2], halfline(0.0))) == 1e6
+
+
+def _per_order_tables(alphas: np.ndarray, orders: int) -> dict:
+    """The power plan's tables built one order at a time, as the formulas read:
+    fac_k = fac_(k-1) (alpha - (k - 1)), and +0 x^0 where fac_k is 0."""
+    natural = (alphas >= 0) & (alphas == np.floor(alphas))
+    fac = np.ones(alphas.size)
+    exps, facs, zeros = [], [], []
+    for k in range(orders):
+        if k:
+            fac = fac * (alphas - (k - 1))
+        dead = fac == 0.0
+        exps.append(np.where(dead, 0.0, alphas - k))
+        facs.append(np.where(dead, 0.0, fac))
+        zeros.append(np.where(natural & (alphas == k), math.factorial(k), 0.0))
+    exps = np.array(exps)
+    return {
+        "exps": exps, "facs": np.array(facs), "zeros": np.array(zeros),
+        "signs": np.where(natural & (exps % 2 == 1), -1.0, 1.0),
+        "fixups": [tuple((e, i) for i, e in enumerate(row) if e in (2.0, 0.5, -1.0)) for row in exps.tolist()],
+    }
+
+
+@st.composite
+def exponent_tuples(draw):
+    """1-9 strictly increasing exponents: naturals, halves or negatives."""
+    kind = draw(st.sampled_from(["natural", "half", "negative"]))
+    size = draw(st.integers(1, 9))
+    lo, scale = {"natural": (0, 1), "half": (0, 2), "negative": (-12, 2)}[kind]
+    ints = draw(st.lists(st.integers(lo, lo + 24), min_size=size, max_size=size, unique=True))
+    return tuple(sorted(i / scale for i in ints))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(exponent_tuples(), st.integers(1, 4))
+def test_power_plan_tables_match_the_per_order_formulas_bytewise(alphas, extra):
+    plan = _PowerPlan(alphas)
+    for orders in (len(alphas) + 2, len(alphas) + 2 + extra):
+        if orders > len(plan.exps):
+            plan._tabulate(orders)  # grown, as eval does for a higher order
+        want = _per_order_tables(np.asarray(alphas, dtype=float), orders)
+        for name in ("exps", "facs", "zeros", "signs"):
+            got = getattr(plan, name)
+            assert got.dtype == want[name].dtype and got.tobytes() == want[name].tobytes(), name
+        assert plan.fixups == want["fixups"]
+        assert all(type(e) is float and type(i) is int for row in plan.fixups for e, i in row)

@@ -390,6 +390,29 @@ def test_verdict_serializes_its_evidence_only(s, route):
     assert v.to_dict().keys() == {"status", "route", "witness_measure", "certificate_poly", "gap"}
 
 
+def test_the_basis_grid_is_evaluated_only_for_a_negative_moment(monkeypatch):
+    # a basis direction can certify only a moment below -tol * scale: a
+    # feasible functional, or one without such a moment, never evaluates
+    # the 201-point grid that looks for one
+    fam = monomial_family(list(range(4)), interval(0, 1))
+    grid = moments._primal_grid(fam, 201)
+    seen = []
+    real = FamilySpec.eval_grid
+    monkeypatch.setattr(FamilySpec, "eval_grid",
+                        lambda self, xs, order=0: seen.append(np.array(xs, dtype=float)) or real(self, xs, order))
+
+    def grid_evaluated(L):
+        seen.clear()
+        verdict = sparse_feasibility(L)
+        assert seen  # the spy sees the verdict's evaluations
+        return verdict, any(x.shape == grid.shape and np.array_equal(x, grid) for x in seen)
+
+    verdict, evaluated = grid_evaluated(MomentFunctional.from_measure(fam, [(0.3, 0.5), (0.8, 0.7)]))
+    assert verdict.status == "feasible" and not evaluated
+    verdict, evaluated = grid_evaluated(MomentFunctional((-1.0, 0.5, 0.25, 0.1), fam))
+    assert verdict.route == "basis" and evaluated
+
+
 def test_moment_functional_serialization():
     fam = monomial_family([0, 1], interval(0, 1))
     L = MomentFunctional((1.0, 0.5), fam)
@@ -1910,3 +1933,24 @@ def test_recovered_atoms_match_the_gauss_type_oracle(case):
     if len(atoms) == len(x_ref) and (fam.size % 2 == 0 or atoms[0][0] == a):
         np.testing.assert_allclose([x for x, _ in atoms], x_ref, rtol=0, atol=1e-6 * width)
         np.testing.assert_allclose([w for _, w in atoms], w_ref, rtol=0, atol=1e-6 * sum(wts))
+
+
+def test_certificate_checks_of_the_dual_corpus_take_few_basis_evaluations(monkeypatch):
+    # the checks one pass of the benchmark's moment_dual corpus makes: their
+    # minima polishes, Taylor ladders and side points in lockstep take 177
+    # eval_grid calls in all, 470 with one point and one order a call
+    wl = perfbench_workloads().WORKLOADS["moment_dual"]
+    checks, judge = [], moments._certificate_is_sound
+    monkeypatch.setattr(moments, "_certificate_is_sound", lambda *a: checks.append(a) or judge(*a))
+    for inst in wl.corpus():
+        try:
+            wl.call(inst)
+        except TSystemError:
+            pass
+    monkeypatch.setattr(moments, "_certificate_is_sound", judge)
+    calls = []
+    real = FamilySpec.eval_grid
+    monkeypatch.setattr(FamilySpec, "eval_grid", lambda self, xs, order=0: calls.append(1) or real(self, xs, order))
+    verdicts = [judge(*a) for a in checks]
+    assert len(checks) == 38 and sum(verdicts) == 24
+    assert 0 < len(calls) <= 190, len(calls)

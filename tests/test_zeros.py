@@ -1,23 +1,30 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsystems import (
+    FamilySpec,
     NodeSet,
     SparsePoly,
     ZeroConfig,
     count_zeros,
+    custom_family,
     det,
+    exponential_family,
     halfline,
     index_of,
     interval,
     monomial_family,
     poly_from_zeros,
     power_family,
+    rational_family,
 )
+from tsystems import zeros
 from tsystems.colloc import node_rows
-from tsystems.errors import IndexTooLarge, InvariantViolation, ZeroPolynomial
+from tsystems.errors import IndexTooLarge, InvariantViolation, NonDifferentiable, ZeroPolynomial
 from tsystems.zeros import NODAL, NON_NODAL, _running_max
 
 from conftest import perfbench_workloads
@@ -270,31 +277,93 @@ def test_count_zeros_keeps_an_interior_double_zero_at_the_rounding_floor():
 
 
 def test_zero_polishes_stop_at_the_rounding_floor_on_the_desk_corpus(monkeypatch):
-    # SparsePoly evaluations over the benchmark's desk zeros:* calls: 4,074
-    # while the derivative polishes swapped between neighbouring floats up to
-    # their 60-step cap, 1,332 once they stop at the rounding floor
+    # basis evaluations (FamilySpec.eval_grid calls) over the benchmark's desk
+    # zeros:* calls, the polishes in lockstep: 823 while they swap between
+    # neighbouring floats up to their 60-step cap, 198 once they stop at the
+    # rounding floor.  With one point and order a call the same polishes took
+    # 4,074 and 1,332 one-point evaluations.
     wl = perfbench_workloads().WORKLOADS["desk"]
     calls = []
-    real = SparsePoly.__call__
-    monkeypatch.setattr(SparsePoly, "__call__", lambda self, x, order=0: calls.append(1) or real(self, x, order))
+    real = FamilySpec.eval_grid
+    monkeypatch.setattr(FamilySpec, "eval_grid", lambda self, xs, order=0: calls.append(1) or real(self, xs, order))
     for inst in wl.corpus():
         if inst.stratum.startswith("zeros:"):
             wl.call(inst)
-    assert len(calls) <= 1665, len(calls)
+    assert 0 < len(calls) <= 210, len(calls)
 
 
 def test_sign_changes_are_refined_by_zeroin(monkeypatch):
-    # five simple zeros: zeroin refines each sign change of the scan in a few
-    # one-point evaluations, 170 in the whole count, where bisection, one
-    # evaluation a halving down to the last bit, made 376
+    # five simple zeros: zeroin refines every sign change of the scan, all in
+    # lockstep, in 4 rounds; the whole count takes 22 basis evaluations.
+    # Bisection, one halving a round down to the last bit, would take about
+    # 50 rounds; one point and order a call took 170 one-point evaluations.
     fam = monomial_family(list(range(6)), interval(-1, 1))
     zs = (-0.70031, -0.30017, 0.10023, 0.45041, 0.80013)
     p = poly_from_zeros(fam, NodeSet.of(*zs), sign="raw", check_certificate=False)
-    calls = []
-    real = SparsePoly.__call__
-    monkeypatch.setattr(SparsePoly, "__call__",
-                        lambda self, x, order=0: calls.append(np.ndim(x)) or real(self, x, order))
+    calls, rounds = [], []
+    real = FamilySpec.eval_grid
+    monkeypatch.setattr(FamilySpec, "eval_grid", lambda self, xs, order=0: calls.append(1) or real(self, xs, order))
+    real_zeroin = zeros._zeroin
+    monkeypatch.setattr(zeros, "_zeroin",
+                        lambda f, brackets: real_zeroin(lambda ts: rounds.append(len(ts)) or f(ts), brackets))
     cfg = count_zeros(p)
     assert [(z[1], z[2]) for z in cfg.zeros] == [(1, NODAL)] * 5
     assert np.allclose(cfg.points, zs, rtol=0, atol=1e-15)
-    assert calls.count(0) <= 200, calls.count(0)
+    assert rounds[0] == 5 and len(rounds) <= 6, rounds
+    assert 0 < len(calls) <= 24, len(calls)
+
+
+def test_count_zeros_on_the_desk_corpus_takes_few_basis_evaluations(monkeypatch):
+    # count_zeros alone over the desk zeros:* calls: 741 eval_grid calls with
+    # one point and one derivative order a call, 184 in lockstep
+    wl = perfbench_workloads().WORKLOADS["desk"]
+    polys = [poly_from_zeros(inst.args["family"], NodeSet.of(*inst.args["nodes"]), check_certificate=False)
+             for inst in wl.corpus() if inst.stratum.startswith("zeros:")]
+    calls = []
+    real = FamilySpec.eval_grid
+    monkeypatch.setattr(FamilySpec, "eval_grid", lambda self, xs, order=0: calls.append(1) or real(self, xs, order))
+    for p in polys:
+        count_zeros(p)
+    assert len(polys) == 14 and 0 < len(calls) <= 200, len(calls)
+
+
+def _custom_exp_family():
+    return custom_family([lambda x, k, c=c: c**k * math.exp(c * x) for c in (-1.0, 0.5, 2.0)],
+                         interval(-1, 1), name="exp")
+
+
+@pytest.mark.parametrize("fam", [
+    monomial_family(list(range(7)), interval(-1, 1)),
+    power_family([0, 0.5, 1.5, 2.5, 4, 5, 6.5], interval(0.1, 1.2)),
+    power_family([0, 0.5, 1, 2.5, 3], halfline(0.0)),
+    exponential_family([-1.0, -0.5, 0.0, 0.5, 1.0], halfline(0.0)),
+    rational_family([1.0, 2.0, 3.5, 5.0], interval(0, 3)),
+    _custom_exp_family(),
+], ids=["monomial", "power", "power_halfline", "exponential", "rational", "custom"])
+def test_lockstep_values_are_the_one_point_calls_bitwise(fam):
+    # a lockstep step evaluates all its points and orders in one eval_grid;
+    # each value is its row's own (1 x n) @ a product, equal bit for bit to
+    # f(x, order), and each rounding error to the one-point formula
+    rng = np.random.default_rng(17)
+    lo, hi = fam.domain.window()
+    xs = [lo, hi] + rng.uniform(lo, hi, 40).tolist()
+    orders = [1] + rng.integers(0, 4, len(xs) - 1).tolist()  # a derivative at the window's start
+    f = SparsePoly(tuple(rng.standard_normal(fam.size)), fam)
+    missing = 0
+    for order in (orders, 0, 2):
+        vals, rows = zeros._values(f, xs, order)
+        for j, x in enumerate(xs):
+            k = order[j] if isinstance(order, list) else order
+            try:
+                want = f(x, k)
+            except NonDifferentiable:  # x^0.5 at 0: only that point reads None
+                assert x == 0.0 and k >= 1 and vals[j] is None
+                missing += 1
+                continue
+            assert np.float64(vals[j]).tobytes() == np.float64(want).tobytes(), (x, k)
+            assert rows[j].tobytes() == fam.eval_grid([x], k)[0].tobytes()
+    assert missing == (2 if fam.params == (0, 0.5, 1, 2.5, 3) else 0)
+    vals, rows = zeros._values(f, xs, 0)
+    eps = np.finfo(float).eps
+    want = [eps * float(np.abs(fam.eval_grid(np.array([x]))[0] * f.a).sum()) for x in xs]
+    assert zeros._rounding(f, rows) == want

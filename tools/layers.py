@@ -10,6 +10,8 @@ repeats of the call.  The layers are:
   on [0.1, 1.2]: one point; a 15-row block of mixed derivative orders, laid
   out as a Karlin system lays out its block (three double nodes, their
   second-derivative rows, and orders 0-2 at two touch points); 5,000 points;
+* the evaluation plan of a fresh power family, ``family._PowerPlan``, built
+  for that family's first six exponents;
 * ``colloc.null_vector`` on 4 x 5 and 6 x 7 node matrices of that family's
   first 5 and 7 members;
 * the Karlin tangency system, ``_TangencySolver.system`` and the Jacobian it
@@ -21,10 +23,12 @@ repeats of the call.  The layers are:
   the ``moment_dual`` corpus makes;
 * its 40-digit decimal re-check ``moments._mp_value``, per evaluation, over
   the evaluations of that pass;
-* ``best_approx`` and ``snake``, per call, over the calls one pass of the
-  ``desk`` corpus makes (its README commands call them through the CLI and
-  are not counted), and the Remez extremum search ``snake._alternant``, per
-  call, over every call of that pass.
+* ``best_approx``, ``snake`` and ``count_zeros``, per call, over the calls
+  one pass of the ``desk`` corpus makes (its README commands call them
+  through the CLI and are not counted), and the Remez extremum search
+  ``snake._alternant``, per call, over every call of that pass;
+* one T refutation, ``certify`` with its certificate cache cleared, per
+  call, over the ``desk`` corpus' {1, x, x^3} instances.
 
 The corpora are those of ``perfbench/workloads.py``, which this tool only
 reads.  It takes no options.
@@ -42,8 +46,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import tsystems as ts  # noqa: E402
-from tsystems import karlin, moments  # noqa: E402
+from tsystems import colloc, karlin, moments  # noqa: E402
 from tsystems.colloc import node_rows, null_vector  # noqa: E402
+from tsystems.family import _PowerPlan  # noqa: E402
 from tsystems.errors import TSystemError  # noqa: E402
 
 import workloads  # noqa: E402
@@ -90,6 +95,7 @@ def main() -> int:
         ("eval_grid, 1 point", median_us([lambda: fam.eval_grid([0.7])] * 200)),
         ("eval_grid, 15-row mixed block", median_us([lambda: fam.eval_grid(pts, orders)] * 200)),
         ("eval_grid, 5,000 points", median_us([lambda: fam.eval_grid(wide)] * 20)),
+        ("_PowerPlan build, n = 5", median_us([lambda: _PowerPlan(fam.params[:6])] * 200)),
     ]
     for n in (4, 6):
         sub = ts.power_family(fam.params[: n + 1], fam.domain)
@@ -127,11 +133,17 @@ def main() -> int:
                  ["moment_dual"])
         rows.append((f"{name}, {len(args)} {what}", median_us([lambda a=a: layer(*a) for a in args])))
 
-    for owner, name in ((ts, "best_approx"), (ts, "snake"), (sys.modules["tsystems.snake"], "_alternant")):
+    for owner, name in ((ts, "best_approx"), (ts, "snake"), (ts, "count_zeros"),
+                        (sys.modules["tsystems.snake"], "_alternant")):
         layer, calls = getattr(owner, name), []
         one_pass(owner, name, lambda *a, layer=layer, calls=calls, **k: calls.append((a, k)) or layer(*a, **k),
                  ["desk"])
         rows.append((f"{name}, {len(calls)} calls", median_us([lambda c=c: layer(*c[0], **c[1]) for c in calls])))
+
+    refutations = [inst.args["family"] for inst in workloads.WORKLOADS["desk"].corpus()
+                   if inst.stratum == "certify:refute:2"]
+    rows.append((f"T refutation, {len(refutations)} calls", median_us(
+        [lambda f=f: colloc._CERT_CACHE.clear() or ts.certify(f, "T") for f in refutations])))
 
     for label, us in rows:
         print(f"{label:<36} {us:9.1f} us")
